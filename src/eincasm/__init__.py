@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .cppn import Genome, Phenotype, compile_genome, evaluate
 from .environments import EnvSpec, Rect, generate
 from .fluid import Lattice, advect_scalar, equilibrium, macroscopic
-from .lifecycle import FitnessRecord, LifecycleConfig, Simulation, run_lifecycle
+from .lifecycle import FitnessRecord, LifecycleConfig, Simulation, run_lifecycle, run_population
 from .neat import EvolutionConfig, Population, init_population, next_generation
 from .physics import PhysicsParams, constrain
 from .substrate import GridShape, Statics, WorldState, create_world, perception_vector, total_mass
@@ -27,6 +27,7 @@ __all__ = [
     "LifecycleConfig",
     "Simulation",
     "run_lifecycle",
+    "run_population",
     "EvolutionConfig",
     "Population",
     "init_population",

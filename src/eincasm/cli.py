@@ -298,7 +298,11 @@ def cmd_render(args) -> int:
         try:
             sim.step()
         except Exception as exc:
-            print(f"error: simulation failed at step {step}: {exc}", file=sys.stderr)
+            failure = exc
+        else:
+            failure = sim.failures[0]
+        if failure is not None:
+            print(f"error: simulation failed at step {step}: {failure}", file=sys.stderr)
             return EXIT_RUNTIME
         record()
         if step % frame_every == 0 or step == steps:

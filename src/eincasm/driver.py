@@ -1,11 +1,13 @@
 """The evolution loop: evaluate, log, reproduce.
 
-Fitness evaluation is embarrassingly parallel — each (genome,
-environment, seed) run is pure — so members fan out over a process pool
-and results are merged back in member order, which makes the generational
-outcome identical however the work was scheduled. The EINCASM_THREADS
-environment variable caps the pool size (0 or unset = one worker per CPU,
-1 = fully serial in-process).
+Every member of a generation shares run_seed, and with it the arena, the
+lifespan and the schedule, so members are evaluated in contiguous chunks,
+each stepped as one batch by ``run_population``. A member's fitness does
+not depend on which chunk it lands in, so the chunks fan out over a
+process pool, one per worker, and their results are joined in member
+order: the generational outcome is identical however the work was split.
+The EINCASM_THREADS environment variable caps the pool size (0 or unset =
+one worker per CPU, 1 = one batch, in-process).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import neat
 from .config import RunConfig
 from .cppn import Genome
 from .environments import EnvSpec
-from .lifecycle import LifecycleConfig, run_lifecycle
+from .lifecycle import LifecycleConfig, run_population
 from .physics import PhysicsParams
 
 
@@ -35,10 +37,11 @@ def evaluation_workers() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
-def _evaluate_one(task) -> float:
-    genome, envs, params, cfg, run_seed = task
-    fitness = [run_lifecycle(genome, env, params, cfg, run_seed).fitness for env in envs]
-    return float(np.mean(fitness))
+def _evaluate_chunk(task) -> list[float]:
+    """Each member's fitness, averaged over the environment specs."""
+    genomes, envs, params, cfg, run_seed = task
+    per_env = [[record.fitness for record in run_population(genomes, env, params, cfg, run_seed)] for env in envs]
+    return [float(np.mean(fitness)) for fitness in zip(*per_env)]
 
 
 def evaluate_population(
@@ -50,13 +53,18 @@ def evaluate_population(
     workers: int | None = None,
 ) -> list[float]:
     """Fitness per member, joined in member order. Every member of one
-    generation shares run_seed, so all face identical environments."""
-    tasks = [(g, envs, params, cfg, run_seed) for g in members]
+    generation shares run_seed, so all face identical environments. The
+    members split into one contiguous chunk per worker."""
+    if not members:
+        return []
     workers = evaluation_workers() if workers is None else workers
-    if workers <= 1 or len(members) <= 1:
-        return [_evaluate_one(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(members))) as pool:
-        return list(pool.map(_evaluate_one, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    workers = max(1, min(workers, len(members)))
+    edges = [len(members) * i // workers for i in range(workers + 1)]
+    tasks = [(members[a:b], envs, params, cfg, run_seed) for a, b in zip(edges, edges[1:])]
+    if workers == 1:
+        return _evaluate_chunk(tasks[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [fitness for chunk in pool.map(_evaluate_chunk, tasks) for fitness in chunk]
 
 
 @dataclass

@@ -36,11 +36,6 @@ class Rect:
     def slices(self) -> tuple[slice, slice]:
         return slice(self.y, self.y + self.h), slice(self.x, self.x + self.w)
 
-    def cells(self):
-        for yy in range(self.y, self.y + self.h):
-            for xx in range(self.x, self.x + self.w):
-                yield xx, yy
-
     def contains(self, x: int, y: int) -> bool:
         return self.x <= x < self.x + self.w and self.y <= y < self.y + self.h
 

@@ -15,11 +15,17 @@ rest of the package:
 Nutrient is not an LBM species: it is advected as a conservative,
 positivity-preserving donor-cell scalar by the velocity field, which keeps
 its total exactly fixed and its values nonnegative by construction.
+
+A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
+worlds on one shared obstacle layout, advanced by the same array
+operations as a single lattice, which is the P = 1 case. Streaming with
+bounce-back is one gather, precomputed once per obstacle layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,19 +38,39 @@ RHO_FLOOR = 1e-9  # below this density the velocity is defined as zero
 U_MAX = 0.3  # beyond low-Mach validity; the step aborts
 NEGATIVE_TOL = -1e-12
 
+# Moments use matmul with float vectors: on a batch it gives the same bits
+# per member as a single lattice's tensordot, where a stacked tensordot or
+# a (2, 9) matrix product does not.
+_EX_FLOAT = EX.astype(np.float64)
+_EY_FLOAT = EY.astype(np.float64)
+
 
 class FluidInstability(RuntimeError):
     """The lattice left its stable regime; identifies where and when."""
 
     def __init__(self, reason: str, x: int, y: int, step: int | None = None):
-        at = f" at step {step}" if step is not None else ""
-        super().__init__(f"{reason} at cell ({x}, {y}){at}")
-        self.x, self.y, self.step = x, y, step
+        super().__init__(str(FluidFailure(reason, x, y, step)))
+        self.reason, self.x, self.y, self.step = reason, x, y, step
+
+
+@dataclass(frozen=True)
+class FluidFailure:
+    """Why, where and at which step one lattice of a batch became unstable."""
+
+    reason: str
+    x: int
+    y: int
+    step: int | None = None
+
+    def __str__(self) -> str:
+        at = f" at step {self.step}" if self.step is not None else ""
+        return f"{self.reason} at cell ({self.x}, {self.y}){at}"
 
 
 @dataclass
 class Lattice:
-    """Distribution functions f (9, H, W) plus the BGK relaxation time."""
+    """Distribution functions f (9, H, W), or a batch (P, 9, H, W) of
+    worlds sharing one obstacle layout, plus the BGK relaxation time."""
 
     f: np.ndarray
     tau: float = 0.8
@@ -52,12 +78,12 @@ class Lattice:
     def __post_init__(self):
         if self.tau <= 0.5:
             raise ValueError(f"tau must exceed 0.5 for BGK stability, got {self.tau}")
-        if self.f.ndim != 3 or self.f.shape[0] != 9:
-            raise ValueError(f"f must have shape (9, H, W), got {self.f.shape}")
+        if self.f.ndim not in (3, 4) or self.f.shape[-3] != 9:
+            raise ValueError(f"f must have shape (9, H, W) or (P, 9, H, W), got {self.f.shape}")
 
     @property
     def grid_shape(self) -> tuple[int, int]:
-        return self.f.shape[1:]
+        return self.f.shape[-2:]
 
     def total(self) -> float:
         return float(self.f.sum())
@@ -69,7 +95,57 @@ class Lattice:
 @dataclass
 class MacroscopicFields:
     rho: np.ndarray
-    u: np.ndarray  # (2, H, W): u[0] = ux, u[1] = uy
+    u: np.ndarray  # (2, H, W): u[0] = ux, u[1] = uy; (P, 2, H, W) for a batch
+
+
+class _Walls:
+    """One obstacle layout and the arrays streaming and advection derive from it."""
+
+    def __init__(self, solid: np.ndarray):
+        self.solid = solid
+        self.any_solid = bool(solid.any())
+
+    @cached_property
+    def stream_gather(self) -> np.ndarray:
+        """Flat source index of every post-streaming population of one
+        (9, H, W) lattice: streamed.flat[k] = f.flat[stream_gather[k]].
+
+        A free cell receives direction i from its upstream neighbour
+        (cell - e_i) when that neighbour is in the grid and free; otherwise
+        it receives its own opposite population, bounced back in place. An
+        obstacle cell reads its own population, which collision zeroed.
+        Each destination thus takes exactly one population, so the gather
+        is exact: shifting and adding would only add zeros to it.
+        """
+        h, w = self.solid.shape
+        size = h * w
+        ys, xs = np.mgrid[0:h, 0:w]
+        cell = ys * w + xs
+        up_y, up_x = ys - EY[:, None, None], xs - EX[:, None, None]
+        blocked = np.pad(self.solid, 1, constant_values=True)[up_y + 1, up_x + 1]  # off-grid blocks too
+        direction = np.arange(9)[:, None, None]
+        gather = np.where(blocked, OPPOSITE[:, None, None] * size + cell, direction * size + up_y * w + up_x)
+        gather = np.where(self.solid, direction * size + cell, gather)
+        return gather.ravel()
+
+    @cached_property
+    def closed_faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Faces between x-neighbours (H, W-1) and y-neighbours (H-1, W)
+        with an obstacle on either side."""
+        s = self.solid
+        return s[:, :-1] | s[:, 1:], s[:-1, :] | s[1:, :]
+
+
+@lru_cache(maxsize=8)
+def _walls_of_layout(shape: tuple[int, int], layout: bytes) -> _Walls:
+    return _Walls(np.frombuffer(layout, dtype=bool).reshape(shape))
+
+
+def _walls(obstacles) -> _Walls:
+    """The derived arrays of an obstacle layout, built once per distinct
+    layout (a moved obstacle makes a new one) and then reused."""
+    solid = np.asarray(obstacles) > 0.5
+    return _walls_of_layout(solid.shape, solid.tobytes())
 
 
 def equilibrium(rho, u) -> np.ndarray:
@@ -97,75 +173,126 @@ def uniform_lattice(width: int, height: int, obstacles: np.ndarray | None = None
 
 
 def _moments(f: np.ndarray) -> MacroscopicFields:
-    rho = f.sum(axis=0)
-    mom_x = np.tensordot(EX, f, axes=(0, 0))
-    mom_y = np.tensordot(EY, f, axes=(0, 0))
-    safe = np.maximum(rho, RHO_FLOOR)
-    u = np.stack([mom_x, mom_y]) / safe
-    u[:, rho < RHO_FLOOR] = 0.0
+    """Moments of a batch f (P, 9, H, W)."""
+    n, _, h, w = f.shape
+    flat = f.reshape(n, 9, h * w)
+    rho = f.sum(axis=1)
+    mom = np.stack([np.matmul(_EX_FLOAT, flat), np.matmul(_EY_FLOAT, flat)], axis=1)
+    u = mom.reshape(n, 2, h, w) / np.maximum(rho, RHO_FLOOR)[:, None]
+    np.copyto(u, 0.0, where=(rho < RHO_FLOOR)[:, None])
     return MacroscopicFields(rho=rho, u=u)
 
 
 def macroscopic(lat: Lattice) -> MacroscopicFields:
     """Density and velocity moments; u = 0 wherever rho < 1e-9."""
-    return _moments(lat.f)
+    if lat.f.ndim == 4:
+        return _moments(lat.f)
+    fields = _moments(lat.f[None])
+    return MacroscopicFields(rho=fields.rho[0], u=fields.u[0])
 
 
 def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
-         step_index: int | None = None) -> Lattice:
+         step_index: int | None = None):
     """One inject -> collide -> stream -> bounce-back cycle.
 
     ``sources`` is a per-cell density source (already capped by the
-    caller, zero on obstacle cells); it is distributed isotropically as
-    f_i += w_i * rho_src. Populations streaming into an obstacle cell or
-    off the grid reverse direction in place (no-slip). Raises
-    FluidInstability on negative/non-finite populations or |u| > 0.3.
-    """
-    h, w = lat.grid_shape
-    solid = np.asarray(obstacles) > 0.5
-    f = lat.f.copy()
+    caller, zero on obstacle cells), one grid per member of a batch; it is
+    distributed isotropically as f_i += w_i * rho_src. Populations
+    streaming into an obstacle cell or off the grid reverse direction in
+    place (no-slip).
 
+    A lattice fails on negative/non-finite populations or |u| > 0.3. A
+    single lattice then raises FluidInstability and otherwise returns the
+    stepped Lattice. A batch never raises for it: it returns
+    ``(lattice, failures)``, where ``failures[p]`` is member p's
+    FluidFailure or None, and a failed member's populations come back
+    unchanged.
+    """
+    walls = _walls(obstacles)
+    single = lat.f.ndim == 3
+    f = lat.f[None] if single else lat.f
+    src = None
     if sources is not None:
         src = np.asarray(sources, dtype=np.float64)
-        if src.shape != (h, w):
-            raise ValueError(f"sources shape {src.shape} does not match grid {(h, w)}")
-        if (np.abs(src[solid]) > 0).any():
+        expected = lat.f.shape[:-3] + tuple(lat.grid_shape)
+        if src.shape != expected:
+            raise ValueError(f"sources shape {src.shape} does not match grid {expected}")
+        src = src.reshape(f.shape[:1] + f.shape[2:])
+        if walls.any_solid and (np.abs(src[:, walls.solid]) > 0).any():
             raise ValueError("sources must be zero on obstacle cells")
-        f += WEIGHTS[:, None, None] * src
+    new, failures = _step_batch(f, walls, src, lat.tau, step_index)
+    if single:
+        if failures[0] is not None:
+            fail = failures[0]
+            raise FluidInstability(fail.reason, fail.x, fail.y, fail.step)
+        return Lattice(new[0], lat.tau)
+    return Lattice(new, lat.tau), failures
+
+
+def _collide(f: np.ndarray, fields: MacroscopicFields, tau: float) -> None:
+    """BGK relaxation of a batch, in place: f_i += (feq_i - f_i) / tau.
+
+    It runs one direction at a time on (P, H, W) planes, which stay in
+    cache where whole-batch temporaries do not, and shares e.u between
+    opposite directions. Each feq_i is the float expression ``equilibrium``
+    evaluates, so the bits agree: negating e.u is exact, and a zero term
+    of e.u changes at most the sign of a zero, which does not reach feq.
+    """
+    ux = np.ascontiguousarray(fields.u[:, 0])
+    uy = np.ascontiguousarray(fields.u[:, 1])
+    usq_term = 1.5 * (ux * ux + uy * uy)
+    w_rho = {w: w * fields.rho for w in (WEIGHTS[0], WEIGHTS[1], WEIGHTS[5])}
+
+    def relax(i: int, bracket: np.ndarray) -> None:
+        bracket *= w_rho[WEIGHTS[i]]
+        bracket -= f[:, i]
+        bracket /= tau
+        f[:, i] += bracket
+
+    relax(0, 1.0 - usq_term)
+    for i, eu in ((1, ux), (2, uy), (5, ux + uy), (6, uy - ux)):
+        linear = 3.0 * eu
+        square = 4.5 * eu
+        square *= eu
+        for bracket, direction in ((1.0 + linear, i), (1.0 - linear, OPPOSITE[i])):
+            bracket += square
+            bracket -= usq_term
+            relax(direction, bracket)
+
+
+def _step_batch(f0: np.ndarray, walls: _Walls, src, tau: float, step_index):
+    n = len(f0)
+    f = f0 + WEIGHTS[:, None, None] * src[:, None] if src is not None else f0.copy()
 
     fields = _moments(f)
-    speed = np.sqrt(fields.u[0] ** 2 + fields.u[1] ** 2)
-    if (speed > U_MAX).any():
-        y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
-        raise FluidInstability(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
+    ux, uy = fields.u[:, 0], fields.u[:, 1]
+    speed = np.sqrt(ux ** 2 + uy ** 2)
+    failures: list[FluidFailure | None] = [None] * n
+    for p in np.flatnonzero((speed > U_MAX).any(axis=(1, 2))):
+        y, x = np.unravel_index(int(np.argmax(speed[p])), speed[p].shape)
+        failures[p] = FluidFailure(f"velocity {speed[p, y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
 
-    feq = equilibrium(fields.rho, fields.u)
-    f += (feq - f) / lat.tau
-    f[:, solid] = 0.0
+    _collide(f, fields, tau)
+    if walls.any_solid:
+        f[:, :, walls.solid] = 0.0
+    new = np.take(f.reshape(n, -1), walls.stream_gather, axis=1).reshape(f.shape)
 
-    new = np.zeros_like(f)
-    new[0] = f[0]
-    for i in range(1, 9):
-        dx, dy = int(EX[i]), int(EY[i])
-        # Source/destination windows for an in-grid shift by (dx, dy).
-        sx = slice(max(0, -dx), w - max(0, dx))
-        dxs = slice(max(0, dx), w - max(0, -dx))
-        sy = slice(max(0, -dy), h - max(0, dy))
-        dys = slice(max(0, dy), h - max(0, -dy))
-        blocked = np.ones((h, w), dtype=bool)  # off-grid destinations stay blocked
-        blocked[sy, sx] = solid[dys, dxs]
-        moving = f[i]
-        new[i][dys, dxs] += (moving * ~blocked)[sy, sx]
-        new[OPPOSITE[i]] += moving * blocked
-
-    if not np.isfinite(new).all():
-        bad = ~np.isfinite(new)
-        _, y, x = np.unravel_index(int(np.argmax(bad)), new.shape)
-        raise FluidInstability("non-finite population", int(x), int(y), step_index)
-    if new.min() < NEGATIVE_TOL:
-        _, y, x = np.unravel_index(int(np.argmin(new)), new.shape)
-        raise FluidInstability(f"negative population {new.min():.3e}", int(x), int(y), step_index)
-    return Lattice(new, lat.tau)
+    flat = new.reshape(n, -1)
+    lo, hi = flat.min(axis=1), flat.max(axis=1)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    for p in np.flatnonzero(~finite | (lo < NEGATIVE_TOL)):
+        if failures[p] is not None:
+            continue
+        if not finite[p]:
+            _, y, x = np.unravel_index(int(np.argmax(~np.isfinite(new[p]))), new[p].shape)
+            failures[p] = FluidFailure("non-finite population", int(x), int(y), step_index)
+        else:
+            _, y, x = np.unravel_index(int(np.argmin(new[p])), new[p].shape)
+            failures[p] = FluidFailure(f"negative population {lo[p]:.3e}", int(x), int(y), step_index)
+    failed = [p for p, fail in enumerate(failures) if fail is not None]
+    if failed:
+        new[failed] = f0[failed]
+    return new, failures
 
 
 def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray, dt: float = 1.0) -> np.ndarray:
@@ -175,40 +302,43 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray, dt: float
     upwind cell donates. Faces touching an obstacle or the grid edge carry
     no flux. Each cell's total outflow is limited to its content, which
     preserves nonnegativity without breaking conservation (the receiving
-    fluxes are scaled identically).
+    fluxes are scaled identically). ``n`` (H, W) and ``u`` (2, H, W) may
+    carry a leading batch axis.
 
     Requires the CFL bound max(|ux|, |uy|) * dt <= 0.5.
     """
     n = np.asarray(n, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    solid = np.asarray(obstacles) > 0.5
+    walls = _walls(obstacles)
     if float(np.max(np.abs(u), initial=0.0)) * dt > 0.5 + 1e-12:
         raise ValueError(f"CFL violated: max|u|*dt = {np.max(np.abs(u)) * dt:.3f} > 0.5")
 
-    ux, uy = u[0], u[1]
+    ux, uy = u[..., 0, :, :], u[..., 1, :, :]
     # Face-normal velocities; zero where either side is solid.
-    ufx = 0.5 * (ux[:, :-1] + ux[:, 1:])
-    ufx[solid[:, :-1] | solid[:, 1:]] = 0.0
-    ufy = 0.5 * (uy[:-1, :] + uy[1:, :])
-    ufy[solid[:-1, :] | solid[1:, :]] = 0.0
+    ufx = 0.5 * (ux[..., :, :-1] + ux[..., :, 1:])
+    ufy = 0.5 * (uy[..., :-1, :] + uy[..., 1:, :])
+    if walls.any_solid:
+        closed_x, closed_y = walls.closed_faces
+        ufx[..., closed_x] = 0.0
+        ufy[..., closed_y] = 0.0
 
-    flux_x = dt * np.where(ufx > 0, ufx * n[:, :-1], ufx * n[:, 1:])
-    flux_y = dt * np.where(ufy > 0, ufy * n[:-1, :], ufy * n[1:, :])
+    flux_x = dt * np.where(ufx > 0, ufx * n[..., :, :-1], ufx * n[..., :, 1:])
+    flux_y = dt * np.where(ufy > 0, ufy * n[..., :-1, :], ufy * n[..., 1:, :])
 
     # Limit each donor's total outflow to what it holds.
     out = np.zeros_like(n)
-    out[:, :-1] += np.maximum(flux_x, 0.0)
-    out[:, 1:] += np.maximum(-flux_x, 0.0)
-    out[:-1, :] += np.maximum(flux_y, 0.0)
-    out[1:, :] += np.maximum(-flux_y, 0.0)
+    out[..., :, :-1] += np.maximum(flux_x, 0.0)
+    out[..., :, 1:] += np.maximum(-flux_x, 0.0)
+    out[..., :-1, :] += np.maximum(flux_y, 0.0)
+    out[..., 1:, :] += np.maximum(-flux_y, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(out > n, n / np.maximum(out, 1e-300), 1.0)
-    flux_x = np.where(flux_x > 0, flux_x * scale[:, :-1], flux_x * scale[:, 1:])
-    flux_y = np.where(flux_y > 0, flux_y * scale[:-1, :], flux_y * scale[1:, :])
+    flux_x = np.where(flux_x > 0, flux_x * scale[..., :, :-1], flux_x * scale[..., :, 1:])
+    flux_y = np.where(flux_y > 0, flux_y * scale[..., :-1, :], flux_y * scale[..., 1:, :])
 
     result = n.copy()
-    result[:, :-1] -= flux_x
-    result[:, 1:] += flux_x
-    result[:-1, :] -= flux_y
-    result[1:, :] += flux_y
+    result[..., :, :-1] -= flux_x
+    result[..., :, 1:] += flux_x
+    result[..., :-1, :] -= flux_y
+    result[..., 1:, :] += flux_y
     return np.maximum(result, 0.0)

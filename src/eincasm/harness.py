@@ -26,10 +26,6 @@ from .lifecycle import LifecycleConfig, RemoveFood, Simulation, build_simulation
 from .physics import PhysicsParams
 from .substrate import GridShape, N_BASE_CHANNELS, total_mass
 
-#: Reserved test-name slots; the last two await multi-exposure / multi-agent
-#: machinery and always report as absent from batteries for now.
-TEST_NAMES = ("coordination", "pathfinding", "learning", "adversarial_storage")
-
 DEFAULT_K_HIDDEN = 4
 THETA_COORDINATION = 0.2  # redistribution index needed to count as completed
 M_GOAL = 0.1  # goal-cell mass needed to complete pathfinding
@@ -250,9 +246,7 @@ def pathfinding_test(
     else:
         raise HarnessError("arena spec carries no goal region")
     sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]))
-    lifespan = cfg.t_min if cfg.t_min == cfg.t_max else int(
-        np.random.default_rng(np.random.SeedSequence([seed, 0])).integers(cfg.t_min, cfg.t_max + 1)
-    )
+    lifespan = cfg.lifespan(seed)
 
     goal_sl = goal_rect.slices()
     completion_step = None
@@ -262,7 +256,7 @@ def pathfinding_test(
         if completion_step is None and float(s.world.mass[goal_sl].max()) >= m_goal:
             completion_step = s.step_index
 
-    curve = sim.run(lifespan, observer=watch)
+    curve = sim.run(lifespan, observer=watch)[0]
     growth_rate = (curve[-1] - curve[0]) / max(len(curve) - 1, 1)
     completed = completion_step is not None
     return TestScore(
@@ -297,9 +291,7 @@ def coordination_test(
     spec = spec or coordination_spec()
     spec = replace(spec, seed=seed)
     bundle = generate(spec)
-    lifespan = cfg.t_min if cfg.t_min == cfg.t_max else int(
-        np.random.default_rng(np.random.SeedSequence([seed, 0])).integers(cfg.t_min, cfg.t_max + 1)
-    )
+    lifespan = cfg.lifespan(seed)
     t_r = max(1, int(lifespan * removal_fraction))
     schedule = tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),)
     sim = build_simulation(
@@ -314,7 +306,7 @@ def coordination_test(
             snapshot["mass_b"] = float(s.world.mass[:, half_x:].sum())
             snapshot["total"] = total_mass(s.world)
 
-    curve = sim.run(lifespan, observer=watch)
+    curve = sim.run(lifespan, observer=watch)[0]
     if "total" not in snapshot:  # run failed before the removal
         snapshot["mass_b"] = float(sim.world.mass[:, half_x:].sum())
         snapshot["total"] = total_mass(sim.world)

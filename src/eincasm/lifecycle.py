@@ -18,11 +18,17 @@ The per-step pipeline (normative order):
 7. any perturbation scheduled for this step index is applied (with the
    lattice and chemoattractant reconciled afterwards).
 
+The members of a generation share run_seed, and so the arena, the
+lifespan and the schedule: a ``Simulation`` steps them as one population,
+each pipeline stage one array operation over all members, except the
+per-member rule and selection draws. Members never read each other's
+state, so a member's trajectory is the same in any population.
+
 Determinism: (genome, environment spec, physics, lifecycle config,
 run_seed) fully determine the trajectory. Random streams are derived from
-named SeedSequence tuples — lifespan from (run_seed, 0); per-environment
-evaluation e uses (run_seed, e, 1) for cell selection and (run_seed, e, 2)
-for schedule randomization — so results are independent of scheduling.
+named SeedSequence tuples — the lifespan from (run_seed, 0), and cell
+selection in environment evaluation e from (run_seed, e, 1), one stream
+per member — so results are independent of scheduling.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import environments, fluid, physics, substrate
-from .cppn import Genome, Phenotype, compile_genome
+from . import environments, fluid, physics
+from .cppn import Genome, Phenotype, compile_genome, io_sizes
 from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field
+from .fluid import FluidFailure
 from .physics import PhysicsParams
-from .substrate import WorldState, create_world, dilate3x3, perceive_cells, total_mass, total_nutrient
+from .substrate import WorldStack, WorldState, create_world, dilate3x3, perceive_cells, total_mass, total_nutrient
 
 
 class LifecycleError(ValueError):
@@ -113,6 +120,12 @@ class LifecycleConfig:
         if self.n_env_evals < 1:
             raise LifecycleError("n_env_evals must be >= 1")
 
+    def lifespan(self, run_seed: int) -> int:
+        """The lifespan every evaluation seeded by run_seed shares, drawn
+        from [t_min, t_max] off the (run_seed, 0) stream."""
+        rng = np.random.default_rng(np.random.SeedSequence([run_seed, 0]))
+        return int(rng.integers(self.t_min, self.t_max + 1))
+
     def to_dict(self) -> dict:
         return {
             "t_min": self.t_min,
@@ -143,13 +156,15 @@ class LifecycleConfig:
 
 @dataclass
 class EnvOutcome:
-    """Per-environment evaluation result."""
+    """Per-environment evaluation result. ``failure`` says why, where and at
+    which step the fluid failed when ``failed`` is set."""
 
     env_seed: int
     fitness: float
     steps_run: int
     failed: bool
     mass_curve: list[float]
+    failure: FluidFailure | None = None
 
 
 @dataclass
@@ -244,8 +259,8 @@ def validate_schedule(world: WorldState, schedule) -> None:
             raise LifecycleError(f"unknown perturbation event {event!r}")
 
 
-def apply_perturbation(world: WorldState, event: PerturbationEvent) -> WorldState:
-    """Apply one scheduled event to the world, in place.
+def apply_perturbation(world: WorldState | WorldStack, event: PerturbationEvent):
+    """Apply one scheduled event to a WorldState or a WorldStack, in place.
 
     RemoveFood zeroes F in its region. DegradeCells scales M, R, and N by
     (1 - fraction) in its region (proportional scaling keeps R within its
@@ -253,12 +268,14 @@ def apply_perturbation(world: WorldState, event: PerturbationEvent) -> WorldStat
     component: vacated cells become free; newly covered cells lose their
     M, R, N and hidden state. The chemoattractant field is *not* touched
     here; the simulation recomputes it after food or obstacle changes.
+    On a WorldStack the shared statics change once and every member's
+    dynamic channels change alike.
     """
     if isinstance(event, RemoveFood):
         world.food[event.region.slices()] = 0.0
     elif isinstance(event, DegradeCells):
         keep = 1.0 - event.fraction
-        sl = event.region.slices()
+        sl = (Ellipsis,) + event.region.slices()
         world.mass[sl] *= keep
         world.reservoir[sl] *= keep
         world.nutrient[sl] *= keep
@@ -280,13 +297,10 @@ def apply_perturbation(world: WorldState, event: PerturbationEvent) -> WorldStat
         moved[ys + dy, xs + dx] = True
         world.obstacle[cells] = 0.0
         world.obstacle[moved] = 1.0
-        newly_covered = moved
-        world.mass[newly_covered] = 0.0
-        world.reservoir[newly_covered] = 0.0
-        world.nutrient[newly_covered] = 0.0
-        world.hidden[:, newly_covered] = 0.0
-        world.food[newly_covered] = 0.0
-        world.poison[newly_covered] = 0.0
+        for dynamic in (world.mass, world.reservoir, world.nutrient, world.hidden):
+            dynamic[..., moved] = 0.0
+        world.food[moved] = 0.0
+        world.poison[moved] = 0.0
     else:
         raise LifecycleError(f"unknown perturbation event {event!r}")
     return world
@@ -296,134 +310,199 @@ def apply_perturbation(world: WorldState, event: PerturbationEvent) -> WorldStat
 
 
 class Simulation:
-    """Owns one (world, lattice) pair and advances it step by step.
+    """Owns a population of P worlds on one arena and advances them as one
+    batch, step by step.
 
-    Confined to one logical thread; ``run_lifecycle`` wraps it, and the
-    test harness drives it directly when it needs mid-run measurements.
+    The members share the arena, the schedule and the obstacle layout; each
+    has its own phenotype, selection stream, world and lattice. A member
+    whose fluid fails freezes at that step (its world keeps the step's
+    economy update, its lattice the state before it), records its
+    FluidFailure in ``failures`` and leaves the batch; the rest go on.
+
+    Confined to one logical thread. ``run_population`` wraps it; the test
+    harness and ``render`` drive a one-member simulation directly when they
+    need mid-run measurements, through ``world`` and ``lattice``.
     """
 
     def __init__(
         self,
-        world: WorldState,
-        phenotype: Phenotype,
+        worlds: WorldStack,
+        phenotypes: list[Phenotype],
         params: PhysicsParams,
         cfg: LifecycleConfig,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
         schedule=(),
         chemo_params: tuple[int, float] | None = None,
-        lattice: fluid.Lattice | None = None,
     ):
-        self.world = world
-        self.phenotype = phenotype
+        self.worlds = worlds  # the running members, in ``running`` order
+        self.phenotypes = list(phenotypes)
         self.params = params
         self.cfg = cfg
-        self.rng = rng
+        self.rngs = list(rngs)
         self.schedule: dict[int, list[PerturbationEvent]] = {}
         for step_index, event in schedule:
             self.schedule.setdefault(int(step_index), []).append(event)
-        validate_schedule(world, schedule)
+        validate_schedule(worlds, schedule)
         self.chemo_params = chemo_params  # (n_iters, decay) or None: skip recompute
-        self.lattice = lattice or fluid.uniform_lattice(
-            world.shape.width, world.shape.height, world.obstacle, tau=cfg.tau
-        )
+        at_rest = fluid.uniform_lattice(worlds.shape.width, worlds.shape.height, worlds.obstacle, tau=cfg.tau)
+        self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], worlds.n_members, axis=0), cfg.tau)
+        self.running = list(range(worlds.n_members))
+        self.failures: list[FluidFailure | None] = [None] * worlds.n_members
+        self._frozen: dict[int, tuple[WorldState, fluid.Lattice]] = {}
         self.step_index = 0
         self.last_perturbations: list[PerturbationEvent] = []
 
-    def step(self, selection_override: np.ndarray | None = None) -> None:
-        """Advance one step. ``selection_override`` (a boolean cell mask)
-        replaces the stochastic selection; tests use it to force or
-        suppress updates."""
-        world = self.world
-        p = self.params
-        solid = world.obstacle > 0.5
+    def member_world(self, member: int) -> WorldState:
+        """A member's world: views into the batch while it runs, its frozen
+        copy once it failed."""
+        if member in self._frozen:
+            return self._frozen[member][0]
+        return self.worlds.member(self.running.index(member))
 
-        footprint = world.mass >= p.m_min
-        active = dilate3x3(footprint) & ~solid
-        ys, xs = np.nonzero(active)
+    def member_lattice(self, member: int) -> fluid.Lattice:
+        if member in self._frozen:
+            return self._frozen[member][1]
+        return fluid.Lattice(self.lattices.f[self.running.index(member)], self.lattices.tau)
+
+    @property
+    def world(self) -> WorldState:
+        """The first member's world: the only one of a one-member simulation."""
+        return self.member_world(0)
+
+    @property
+    def lattice(self) -> fluid.Lattice:
+        return self.member_lattice(0)
+
+    @property
+    def phenotype(self) -> Phenotype:
+        return self.phenotypes[0]
+
+    def step(self, selection_override: np.ndarray | None = None) -> None:
+        """Advance every running member one step. ``selection_override`` (a
+        boolean (H, W) cell mask, applied to every member) replaces the
+        stochastic selection; tests use it to force or suppress updates."""
+        if not self.running:
+            return
+        worlds = self.worlds
+        p = self.params
+
+        footprint = worlds.mass >= p.m_min
+        active = dilate3x3(footprint) & (worlds.obstacle <= 0.5)
+        ms, ys, xs = np.nonzero(active)
         if selection_override is not None:
             chosen = selection_override[ys, xs]
         else:
-            # One draw per active cell, row-major, off one sequential stream.
-            draws = self.rng.random(len(ys))
+            # One draw per active cell, row-major, off each member's own stream.
+            counts = np.bincount(ms, minlength=len(self.running))
+            draws = np.concatenate([self.rngs[m].random(c) for m, c in zip(self.running, counts)])
             chosen = draws < self.cfg.p_update
-        sel_y, sel_x = ys[chosen], xs[chosen]
+        cells = (ms[chosen], ys[chosen], xs[chosen])
+        sel_m, sel_y, sel_x = cells
 
-        rho_src = np.zeros(world.shape.yx)
+        rho_src = np.zeros(worlds.mass.shape)
         if len(sel_y):
-            inputs = np.empty((len(sel_y), self.phenotype.n_inputs))
-            inputs[:, :-1] = perceive_cells(world, sel_y, sel_x)
+            phenotype = self.phenotypes[0]
+            inputs = np.empty((len(sel_y), phenotype.n_inputs))
+            inputs[:, :-1] = perceive_cells(worlds, sel_y, sel_x, sel_m)
             inputs[:, -1] = 1.0  # constant bias input
-            outputs = self.phenotype.evaluate_batch(inputs)
-            k = world.k_hidden
-            world.hidden[:, sel_y, sel_x] = np.clip(outputs[:, :k].T, -1.0, 1.0)
+            outputs = np.empty((len(sel_y), phenotype.n_outputs))
+            bounds = np.searchsorted(sel_m, np.arange(len(self.running) + 1))
+            for row, member in enumerate(self.running):
+                rows = slice(bounds[row], bounds[row + 1])
+                if rows.start < rows.stop:
+                    outputs[rows] = self.phenotypes[member].evaluate_batch(inputs[rows])
+            k = worlds.k_hidden
+            worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
             dr_des, dm_des = physics.squash_outputs(outputs[:, k], outputs[:, k + 1], p)
-            r_before = world.reservoir[sel_y, sel_x]
+            r_before = worlds.reservoir[cells]
             applied, m_new, r_new, n_new = physics.constrain(
-                world.mass[sel_y, sel_x],
+                worlds.mass[cells],
                 r_before,
-                world.nutrient[sel_y, sel_x],
-                world.food[sel_y, sel_x],
-                world.poison[sel_y, sel_x],
+                worlds.nutrient[cells],
+                worlds.food[sel_y, sel_x],
+                worlds.poison[sel_y, sel_x],
                 dr_des,
                 dm_des,
                 p,
             )
-            world.mass[sel_y, sel_x] = m_new
-            world.reservoir[sel_y, sel_x] = r_new
-            world.nutrient[sel_y, sel_x] = n_new
+            worlds.mass[cells] = m_new
+            worlds.reservoir[cells] = r_new
+            worlds.nutrient[cells] = n_new
             rho = physics.reservoir_pressure(r_before, applied.delta_r, p)
-            rho_src[sel_y, sel_x] = np.clip(rho, -p.rho_cap, p.rho_cap)
+            rho_src[cells] = np.clip(rho, -p.rho_cap, p.rho_cap)
 
-        self.lattice = fluid.step(self.lattice, world.obstacle, rho_src, step_index=self.step_index)
-        velocity = fluid.macroscopic(self.lattice).u
-        world.nutrient = fluid.advect_scalar(world.nutrient, velocity, world.obstacle)
+        self.lattices, failures = fluid.step(self.lattices, worlds.obstacle, rho_src, step_index=self.step_index)
+        if any(failure is not None for failure in failures):
+            self._drop_failed(failures)
+            worlds = self.worlds
+            if not self.running:
+                return
+        velocity = fluid.macroscopic(self.lattices).u
+        worlds.nutrient = fluid.advect_scalar(worlds.nutrient, velocity, worlds.obstacle)
 
         self.last_perturbations = self.schedule.get(self.step_index, [])
         if self.last_perturbations:
-            obstacles_before = world.obstacle.copy()
+            obstacles_before = worlds.obstacle.copy()
             statics_changed = False
             for event in self.last_perturbations:
-                apply_perturbation(world, event)
+                apply_perturbation(worlds, event)
                 statics_changed |= isinstance(event, (RemoveFood, MoveObstacle))
-            moved = world.obstacle != obstacles_before
+            moved = worlds.obstacle != obstacles_before
             if moved.any():
                 self._reconcile_lattice(obstacles_before)
-            if statics_changed and self.chemo_params is not None:
-                n_iters, decay = self.chemo_params
-                world.chemo = chemoattractant_field(world.food, world.obstacle, n_iters, decay)
+            if statics_changed:
+                if self.chemo_params is not None:
+                    n_iters, decay = self.chemo_params
+                    worlds.chemo = chemoattractant_field(worlds.food, worlds.obstacle, n_iters, decay)
+                worlds.write_statics()
         self.step_index += 1
+
+    def _drop_failed(self, failures: list[FluidFailure | None]) -> None:
+        """Freeze the members whose fluid failed and take them out of the batch."""
+        keep = []
+        for row, failure in enumerate(failures):
+            member = self.running[row]
+            if failure is None:
+                keep.append(row)
+                continue
+            self.failures[member] = failure
+            frozen_lattice = fluid.Lattice(self.lattices.f[row].copy(), self.lattices.tau)
+            self._frozen[member] = (self.worlds.member(row).copy(), frozen_lattice)
+        self.running = [self.running[row] for row in keep]
+        self.worlds = self.worlds.select(keep)
+        self.lattices = fluid.Lattice(self.lattices.f[keep], self.lattices.tau)
 
     def _reconcile_lattice(self, obstacles_before: np.ndarray) -> None:
         """Obstacle moves invalidate fluid state: covered cells lose their
         populations; vacated cells start again at rest at unit density."""
-        now_solid = self.world.obstacle > 0.5
-        was_solid = obstacles_before > 0.5
-        f = self.lattice.f
-        f[:, now_solid] = 0.0
-        vacated = was_solid & ~now_solid
-        f[:, vacated] = fluid.WEIGHTS[:, None]
-        self.lattice = fluid.Lattice(f, self.lattice.tau)
+        now_solid = self.worlds.obstacle > 0.5
+        vacated = (obstacles_before > 0.5) & ~now_solid
+        f = self.lattices.f
+        f[:, :, now_solid] = 0.0
+        f[:, :, vacated] = fluid.WEIGHTS[:, None]
 
-    def run(self, steps: int, observer=None) -> list[float]:
-        """Run ``steps`` steps, returning the mass curve (length steps+1).
+    def run(self, steps: int, observer=None) -> list[list[float]]:
+        """Run up to ``steps`` steps, returning each member's mass curve: the
+        total mass before the first step and after each step it completed,
+        so steps+1 values unless its fluid failed.
 
-        ``observer(sim)`` is called after every step. A FluidInstability
-        cuts the run short; the curve returned covers the completed steps.
+        ``observer(sim)`` is called after every step that leaves a member
+        running; the run ends early once every member has failed.
         """
-        curve = [total_mass(self.world)]
+        curves = [[total_mass(self.member_world(m))] for m in range(len(self.phenotypes))]
         for _ in range(steps):
-            try:
-                self.step()
-            except fluid.FluidInstability:
+            self.step()
+            if not self.running:
                 break
-            curve.append(total_mass(self.world))
+            for member, total in zip(self.running, self.worlds.mass.sum(axis=(1, 2))):
+                curves[member].append(float(total))
             if observer is not None:
                 observer(self)
-        return curve
+        return curves
 
 
 def build_simulation(
-    genome_or_phenotype,
+    members,
     bundle: EnvBundle,
     params: PhysicsParams,
     cfg: LifecycleConfig,
@@ -431,72 +510,82 @@ def build_simulation(
     k_hidden: int | None = None,
     schedule=None,
 ) -> Simulation:
-    """Assemble a seeded simulation from generated statics."""
-    phen = genome_or_phenotype
-    if isinstance(phen, Genome):
-        k_hidden = phen.k_hidden
-        phen = compile_genome(phen)
+    """Assemble a seeded simulation from generated statics.
+
+    ``members`` is a genome or compiled phenotype, or a list of them that
+    share one hidden-channel count (``k_hidden`` is required for compiled
+    phenotypes). Every member starts from the same seeded world with its
+    own selection stream seeded from ``step_seed``.
+    """
+    members = list(members) if isinstance(members, (list, tuple)) else [members]
+    if isinstance(members[0], Genome):
+        k_hidden = members[0].k_hidden
+        members = [compile_genome(genome) for genome in members]
     if k_hidden is None:
         raise LifecycleError("k_hidden required when passing a compiled phenotype")
+    if any(phenotype.n_inputs != io_sizes(k_hidden)[0] for phenotype in members):
+        raise LifecycleError(f"every member must read {k_hidden} hidden channels")
     world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
     seed_cell = cfg.seed_cell or bundle.seed_cell
     seed_organism(world, cfg, seed_cell)
-    rng = np.random.default_rng(step_seed)
     return Simulation(
-        world,
-        phen,
+        WorldStack.of([world] * len(members)),
+        members,
         params,
         cfg,
-        rng,
+        [np.random.default_rng(step_seed) for _ in members],
         schedule=cfg.schedule if schedule is None else schedule,
         chemo_params=(bundle.spec.resolved_chemo_iters(), bundle.spec.chemo_decay),
     )
 
 
-def run_lifecycle(
-    genome: Genome,
+def run_population(
+    genomes: list[Genome],
     env: EnvSpec,
     params: PhysicsParams,
     cfg: LifecycleConfig,
     run_seed: int,
-) -> FitnessRecord:
-    """Evaluate one genome: lifespan drawn once from run_seed, then one
-    simulation per environment evaluation, averaged.
+) -> list[FitnessRecord]:
+    """Evaluate genomes that share run_seed: one lifespan drawn from it,
+    then per environment evaluation one simulation that steps every member
+    as a batch; each member's environments are averaged.
 
-    A fluid instability ends that environment's run early with fitness
-    equal to the total mass at the failure step — penalizing, never
-    crashing, the evolution driver. Environment evaluation e (1-based)
-    varies the arena seed as spec.seed + (e - 1) when n_env_evals > 1.
+    A fluid instability ends that member's run in that environment early
+    with fitness equal to the total mass at the failure step — penalizing,
+    never crashing, the evolution driver. Environment evaluation e
+    (1-based) varies the arena seed as spec.seed + (e - 1) when
+    n_env_evals > 1. A member's record does not depend on the others.
     """
-    lifespan_rng = np.random.default_rng(np.random.SeedSequence([run_seed, 0]))
-    lifespan = int(lifespan_rng.integers(cfg.t_min, cfg.t_max + 1))
-    phen = compile_genome(genome)
+    lifespan = cfg.lifespan(run_seed)
+    phenotypes = [compile_genome(genome) for genome in genomes]
 
-    outcomes = []
+    outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
     for e in range(1, cfg.n_env_evals + 1):
         spec = env if cfg.n_env_evals == 1 else replace(env, seed=env.seed + e - 1)
-        bundle = environments.generate_cached(spec)
-        schedule = list(cfg.schedule)
         sim = build_simulation(
-            phen,
-            bundle,
+            phenotypes,
+            environments.generate_cached(spec),
             params,
             cfg,
             np.random.SeedSequence([run_seed, e, 1]),
-            k_hidden=genome.k_hidden,
-            schedule=schedule,
+            k_hidden=genomes[0].k_hidden,
         )
-        curve = sim.run(lifespan)
-        outcomes.append(
-            EnvOutcome(
-                env_seed=spec.seed,
-                fitness=curve[-1],
-                steps_run=len(curve) - 1,
-                failed=len(curve) - 1 < lifespan,
-                mass_curve=curve,
+        for member, curve in enumerate(sim.run(lifespan)):
+            failure = sim.failures[member]
+            outcomes[member].append(
+                EnvOutcome(
+                    env_seed=spec.seed,
+                    fitness=curve[-1],
+                    steps_run=len(curve) - 1,
+                    failed=failure is not None,
+                    mass_curve=curve,
+                    failure=failure,
+                )
             )
-        )
+    return [_fitness_record(member_outcomes, lifespan) for member_outcomes in outcomes]
 
+
+def _fitness_record(outcomes: list[EnvOutcome], lifespan: int) -> FitnessRecord:
     padded = np.full((len(outcomes), lifespan + 1), np.nan)
     for i, outcome in enumerate(outcomes):
         padded[i, : len(outcome.mass_curve)] = outcome.mass_curve
@@ -508,6 +597,17 @@ def run_lifecycle(
         steps_run=lifespan,
         per_env=outcomes,
     )
+
+
+def run_lifecycle(
+    genome: Genome,
+    env: EnvSpec,
+    params: PhysicsParams,
+    cfg: LifecycleConfig,
+    run_seed: int,
+) -> FitnessRecord:
+    """Evaluate one genome: the one-member case of ``run_population``."""
+    return run_population([genome], env, params, cfg, run_seed)[0]
 
 
 def energy_total(world: WorldState, p: PhysicsParams) -> float:

@@ -73,14 +73,6 @@ class PhysicsParams:
         }
 
 
-@dataclass(frozen=True)
-class UpdateProposal:
-    """Squashed desired changes, |values| bounded by the per-step caps."""
-
-    delta_r_desired: float
-    delta_m_desired: float
-
-
 @dataclass
 class AppliedUpdate:
     """What a constrain call actually did. Scalar or arrays, matching input."""

@@ -191,32 +191,112 @@ def create_world(shape: GridShape, statics: Statics, k_hidden: int) -> WorldStat
     return world
 
 
-def padded_stack(world: WorldState) -> np.ndarray:
-    """Channel stack with a one-cell virtual-obstacle border baked in.
+@dataclass
+class WorldStack:
+    """P worlds on one arena, stacked so that each step is one set of
+    array operations for all of them.
 
-    The border carries O=1 and zeros elsewhere, which realizes the
-    boundary rule once so perception can use plain shifted indexing.
+    The static channels (H, W) are shared by every member; mass, reservoir
+    and nutrient are (P, H, W) and hidden is (P, K, H, W). ``padded`` is
+    the perception buffer (P, H+2, W+2, C), channels last in perception
+    order, with a one-cell virtual-obstacle border (O=1, everything else 0)
+    that realizes the boundary rule once. Its static channels are written
+    by ``write_statics``; ``perceive_cells`` refreshes the dynamic ones.
     """
-    c = world.n_channels
-    h, w = world.shape.yx
-    padded = np.zeros((c, h + 2, w + 2))
-    padded[0] = 1.0  # virtual obstacle border; interior overwritten below
-    padded[:, 1:-1, 1:-1] = world.channel_stack()
-    return padded
+
+    shape: GridShape
+    obstacle: np.ndarray
+    poison: np.ndarray
+    food: np.ndarray
+    chemo: np.ndarray
+    mass: np.ndarray
+    reservoir: np.ndarray
+    nutrient: np.ndarray
+    hidden: np.ndarray
+    padded: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        h, w = self.shape.yx
+        self.padded = np.zeros((len(self.mass), h + 2, w + 2, N_BASE_CHANNELS + self.k_hidden))
+        self.padded[..., 0] = 1.0  # virtual obstacle border; interior overwritten below
+        self.write_statics()
+
+    @staticmethod
+    def of(worlds: list[WorldState]) -> "WorldStack":
+        """Stack worlds that share the first one's static channels. The
+        dynamic channels are copied; the statics are taken by reference."""
+        first = worlds[0]
+        return WorldStack(
+            shape=first.shape,
+            obstacle=first.obstacle,
+            poison=first.poison,
+            food=first.food,
+            chemo=first.chemo,
+            mass=np.stack([w.mass for w in worlds]),
+            reservoir=np.stack([w.reservoir for w in worlds]),
+            nutrient=np.stack([w.nutrient for w in worlds]),
+            hidden=np.stack([w.hidden for w in worlds]),
+        )
+
+    @property
+    def n_members(self) -> int:
+        return len(self.mass)
+
+    @property
+    def k_hidden(self) -> int:
+        return self.hidden.shape[1]
+
+    def member(self, i: int) -> WorldState:
+        """Member i as a WorldState of views: writes to it write the stack."""
+        return WorldState(
+            shape=self.shape,
+            obstacle=self.obstacle,
+            poison=self.poison,
+            food=self.food,
+            chemo=self.chemo,
+            mass=self.mass[i],
+            reservoir=self.reservoir[i],
+            nutrient=self.nutrient[i],
+            hidden=self.hidden[i],
+        )
+
+    def select(self, keep: np.ndarray) -> "WorldStack":
+        """The stack of the members ``keep`` indexes, as new arrays."""
+        return WorldStack(
+            self.shape, self.obstacle, self.poison, self.food, self.chemo,
+            self.mass[keep], self.reservoir[keep], self.nutrient[keep], self.hidden[keep],
+        )
+
+    def write_statics(self) -> None:
+        """Copy the static channels into the perception buffer."""
+        interior = self.padded[:, 1:-1, 1:-1]
+        for c, arr in enumerate((self.obstacle, self.poison, self.food, self.chemo)):
+            interior[..., c] = arr
+
+    def _write_dynamics(self) -> None:
+        interior = self.padded[:, 1:-1, 1:-1]
+        for c, arr in enumerate((self.mass, self.reservoir, self.nutrient), start=4):
+            interior[..., c] = arr
+        interior[..., N_BASE_CHANNELS:] = np.moveaxis(self.hidden, 1, -1)
 
 
-def perceive_cells(world: WorldState, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def perceive_cells(
+    world: WorldState | WorldStack, ys: np.ndarray, xs: np.ndarray, members: np.ndarray | None = None
+) -> np.ndarray:
     """Perception vectors for many cells at once: (n, 9 * n_channels).
 
-    Per cell, the 9 neighborhood cells appear in scan order, each
-    contributing its channels in perception order.
+    ``world`` is one WorldState, or a WorldStack with ``members`` giving
+    each cell's member. Per cell, the 9 neighborhood cells appear in scan
+    order, each contributing its channels in perception order.
     """
-    padded = padded_stack(world)
-    c = world.n_channels
-    out = np.empty((len(ys), 9 * c))
-    for j, (dx, dy) in enumerate(NEIGHBORHOOD):
-        out[:, j * c : (j + 1) * c] = padded[:, ys + dy + 1, xs + dx + 1].T
-    return out
+    if isinstance(world, WorldState):
+        world, members = WorldStack.of([world]), np.zeros(len(ys), dtype=np.intp)
+    world._write_dynamics()
+    p, hp, wp, c = world.padded.shape
+    centre = (members * hp + ys + 1) * wp + xs + 1
+    offsets = np.array([dy * wp + dx for dx, dy in NEIGHBORHOOD])
+    rows = np.take(world.padded.reshape(p * hp * wp, c), centre[:, None] + offsets, axis=0)
+    return rows.reshape(len(ys), 9 * c)
 
 
 def perception_vector(world: WorldState, x: int, y: int) -> np.ndarray:
@@ -240,11 +320,10 @@ def total_nutrient(world: WorldState) -> float:
 
 
 def dilate3x3(footprint: np.ndarray) -> np.ndarray:
-    """Binary 3x3 dilation with zero (no wrap) boundary."""
-    h, w = footprint.shape
-    padded = np.zeros((h + 2, w + 2), dtype=bool)
-    padded[1:-1, 1:-1] = footprint
-    out = np.zeros_like(footprint, dtype=bool)
-    for dx, dy in NEIGHBORHOOD:
-        out |= padded[1 + dy : h + 1 + dy, 1 + dx : w + 1 + dx]
-    return out
+    """Binary 3x3 dilation with zero (no wrap) boundary, over the last two
+    axes (so a stack of footprints dilates member by member)."""
+    h, w = footprint.shape[-2:]
+    padded = np.zeros(footprint.shape[:-2] + (h + 2, w + 2), dtype=bool)
+    padded[..., 1:-1, 1:-1] = footprint
+    rows = padded[..., :, :-2] | padded[..., :, 1:-1] | padded[..., :, 2:]
+    return rows[..., :-2, :] | rows[..., 1:-1, :] | rows[..., 2:, :]
