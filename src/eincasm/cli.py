@@ -20,11 +20,10 @@ from . import fileio, harness
 from .config import ConfigError, RunConfig, load_config
 from .cppn import GenomeError, genome_from_json, genome_to_dict
 from .driver import evolve_run
-from .environments import EnvSpec
+from .environments import EnvError, EnvSpec
 from .fileio import SCHEMA_VERSION
-from .harness import TestScore
 from .lifecycle import LifecycleConfig, build_simulation
-from .neat import InnovationRegistry, Population
+from .neat import Population
 from .physics import PhysicsParams
 from .substrate import total_mass, total_nutrient
 
@@ -42,7 +41,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GenomeError) as exc:
+    except (ConfigError, GenomeError, EnvError, harness.HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -143,24 +142,6 @@ def write_checkpoint(path: str, cfg: RunConfig, pop: Population) -> None:
     )
 
 
-def load_checkpoint(path: str) -> tuple[RunConfig, Population]:
-    """Rebuild the config and population from a checkpoint bundle."""
-    from .config import parse_config
-    from .cppn import genome_from_dict
-    from .neat import SpeciesState
-
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    cfg = parse_config(data["config"])
-    members = [genome_from_dict(g) for g in data["genomes"]]
-    n_in, n_out = members[0].n_inputs, members[0].n_outputs
-    registry = InnovationRegistry.from_counters(data["registry"], n_in, n_out)
-    pop = Population(members=members, species=[], generation=int(data["generation"]), registry=registry)
-    from .neat import speciate
-
-    return cfg, speciate(pop, cfg.evolution)
-
-
 # -- test ---------------------------------------------------------------------
 
 
@@ -177,14 +158,7 @@ def cmd_test(args) -> int:
     seed = args.seed
 
     if args.battery == "standard":
-        params = harness.harness_physics()
-        cfg = harness.harness_lifecycle()
-        k_expected = genome.k_hidden
-        tests = [
-            ("coordination", None),
-            ("pathfinding", harness.corridor_spec()),
-            ("pathfinding_detour", harness.detour_spec()),
-        ]
+        params, cfg, k_expected, tests = harness.harness_physics(), None, genome.k_hidden, None
     else:
         params, cfg, k_expected, tests = load_battery(args.battery)
     if genome.k_hidden != k_expected:
@@ -194,16 +168,7 @@ def cmd_test(args) -> int:
         )
         return EXIT_USAGE
 
-    scores: list[TestScore] = []
-    for name, spec in tests:
-        if name == "coordination":
-            score = harness.coordination_test(genome, params, seed, cfg, spec=spec)
-        else:
-            score = harness.replace_name(
-                harness.pathfinding_test(genome, params, spec, seed, cfg), name
-            )
-        scores.append(score)
-    report = harness.iq_report(scores)
+    report = harness.run_battery(genome, params, seed, cfg, tests)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -238,6 +203,10 @@ def load_battery(path: str):
         for entry in data["tests"]:
             name = entry["name"]
             spec = EnvSpec.from_dict(entry["env"]) if entry.get("env") else None
+            if name == "coordination" and spec is not None and spec.kind != "coordination":
+                raise ConfigError(f"battery test {name!r} needs an env of kind 'coordination', got {spec.kind!r}")
+            if name != "coordination" and spec is None:
+                raise ConfigError(f"battery test {name!r} needs an env")
             tests.append((name, spec))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed battery {path}: {exc}") from exc

@@ -17,7 +17,14 @@ import numpy as np
 
 from .substrate import GridShape, Statics
 
-KINDS = ("open_arena", "obstacle_field", "maze", "coordination", "deceptive_chemo")
+#: Kind -> the ``params`` keys its builder reads. ``goal`` is allowed for every kind.
+KIND_PARAMS = {
+    "open_arena": (),
+    "obstacle_field": ("density",),
+    "maze": ("cell_size",),
+    "coordination": ("cluster_offset", "cluster_radius", "cluster_amount"),
+    "deceptive_chemo": ("false_peak_amplitude", "false_peak"),
+}
 
 
 class EnvError(ValueError):
@@ -62,16 +69,22 @@ class Rect:
 class EnvSpec:
     """Declarative arena description, serialized into the run config.
 
-    ``params`` carries the kind-specific knobs: obstacle ``density``;
-    maze ``cell_size``; coordination ``cluster_offset``, ``cluster_radius``
-    and ``cluster_amount``; deceptive ``false_peak_amplitude`` and
-    ``false_peak`` position.
+    ``obstacles`` are fixed wall rectangles, placed by every kind before
+    food, poison and the chemoattractant field. ``params`` carries the
+    kind-specific knobs (``KIND_PARAMS``): obstacle_field ``density`` of
+    random walls; maze ``cell_size``; coordination ``cluster_offset``,
+    ``cluster_radius`` and ``cluster_amount``; deceptive_chemo
+    ``false_peak_amplitude`` and ``false_peak`` position. Any kind may
+    carry a ``goal`` rect ([x, y, w, h]) for the pathfinding test; it
+    overrides the goal a kind sets itself (the maze's far corner).
+    ``generate`` rejects any other key.
     """
 
     kind: str
     shape: GridShape
     food: tuple = ()          # ((Rect, amount), ...)
     poison: tuple = ()        # ((Rect, amount), ...)
+    obstacles: tuple = ()     # (Rect, ...)
     seed: int = 0
     seed_cell: Optional[tuple[int, int]] = None
     chemo_decay: float = 0.9
@@ -93,6 +106,7 @@ class EnvSpec:
             "shape": [self.shape.width, self.shape.height],
             "food": [[r.to_list(), amount] for r, amount in self.food],
             "poison": [[r.to_list(), amount] for r, amount in self.poison],
+            "obstacles": [r.to_list() for r in self.obstacles],
             "seed": self.seed,
             "seed_cell": list(self.seed_cell) if self.seed_cell else None,
             "chemo_decay": self.chemo_decay,
@@ -109,6 +123,7 @@ class EnvSpec:
                 shape=shape,
                 food=tuple((Rect.from_list(r), float(a)) for r, a in data.get("food", ())),
                 poison=tuple((Rect.from_list(r), float(a)) for r, a in data.get("poison", ())),
+                obstacles=tuple(Rect.from_list(r) for r in data.get("obstacles", ())),
                 seed=int(data.get("seed", 0)),
                 seed_cell=tuple(int(v) for v in data["seed_cell"]) if data.get("seed_cell") else None,
                 chemo_decay=float(data.get("chemo_decay", 0.9)),
@@ -182,6 +197,15 @@ def reachable_from(obstacles: np.ndarray, x: int, y: int) -> np.ndarray:
                     seen[ny, nx] = True
                     stack.append((nx, ny))
     return seen
+
+
+def _place_obstacles(spec: EnvSpec, obstacles: np.ndarray) -> np.ndarray:
+    """Wall off the spec's fixed obstacle rects on top of a kind's own layout."""
+    for rect in spec.obstacles:
+        if not rect.within(spec.shape):
+            raise EnvError(f"obstacle {rect} out of bounds")
+        obstacles[rect.slices()] = 1.0
+    return obstacles
 
 
 def _place_fields(spec: EnvSpec, obstacles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,9 +288,15 @@ def _generate_memo(spec: EnvSpec) -> EnvBundle:
 
 
 def generate(spec: EnvSpec) -> EnvBundle:
-    """Build the static channels for a spec. Deterministic in (spec, seed)."""
-    if spec.kind not in KINDS:
+    """Build the static channels for a spec. Deterministic in (spec, seed).
+
+    The bundle's goal is the spec's ``goal`` param, else the kind's own.
+    """
+    if spec.kind not in KIND_PARAMS:
         raise EnvError(f"unknown environment kind {spec.kind!r}")
+    for key, _ in spec.params:
+        if key != "goal" and key not in KIND_PARAMS[spec.kind]:
+            raise EnvError(f"environment kind {spec.kind!r} does not read param {key!r}")
     rng = np.random.default_rng(np.random.SeedSequence([max(spec.seed, 0), 17]))
     shape = spec.shape
     builder = {
@@ -277,6 +307,14 @@ def generate(spec: EnvSpec) -> EnvBundle:
         "deceptive_chemo": _gen_deceptive,
     }[spec.kind]
     bundle = builder(spec, rng)
+    goal = spec.param("goal")
+    if goal is not None:
+        try:
+            bundle.goal = Rect.from_list(goal)
+        except (TypeError, ValueError) as exc:
+            raise EnvError(f"malformed goal {goal!r}: {exc}") from exc
+        if not bundle.goal.within(shape):
+            raise EnvError(f"goal {bundle.goal} out of bounds")
 
     seed_x, seed_y = bundle.seed_cell
     obstacles = bundle.statics.obstacle
@@ -289,7 +327,7 @@ def generate(spec: EnvSpec) -> EnvBundle:
 
 
 def _gen_open(spec: EnvSpec, rng) -> EnvBundle:
-    obstacles = np.zeros(spec.shape.yx)
+    obstacles = _place_obstacles(spec, np.zeros(spec.shape.yx))
     food, poison = _place_fields(spec, obstacles)
     chemo = chemoattractant_field(food, obstacles, spec.resolved_chemo_iters(), spec.chemo_decay)
     return EnvBundle(
@@ -311,7 +349,7 @@ def _gen_obstacle_field(spec: EnvSpec, rng) -> EnvBundle:
             protected[rect.slices()] = True
     # Rejection loop: redraw until every food cell stays reachable.
     for _ in range(100):
-        obstacles = ((rng.random(spec.shape.yx) < density) & ~protected).astype(np.float64)
+        obstacles = _place_obstacles(spec, ((rng.random(spec.shape.yx) < density) & ~protected).astype(np.float64))
         food, poison = _place_fields(spec, obstacles)
         reach = reachable_from(obstacles, *seed_cell)
         if not ((food > 0) & ~reach).any():
@@ -337,6 +375,7 @@ def _gen_maze(spec: EnvSpec, rng) -> EnvBundle:
     obstacles = np.ones(shape.yx)
     scaled = np.kron(walls, np.ones((cell_size, cell_size)))
     obstacles[: scaled.shape[0], : scaled.shape[1]] = scaled
+    _place_obstacles(spec, obstacles)
 
     def block(lx: int, ly: int) -> Rect:
         return Rect((2 * lx + 1) * cell_size, (2 * ly + 1) * cell_size, cell_size, cell_size)
@@ -368,7 +407,7 @@ def _gen_coordination(spec: EnvSpec, rng) -> EnvBundle:
         if not rect.within(spec.shape):
             raise EnvError(f"coordination cluster {name} {rect} out of bounds")
     enriched = replace(spec, food=spec.food + ((cluster_a, amount), (cluster_b, amount)))
-    obstacles = np.zeros(spec.shape.yx)
+    obstacles = _place_obstacles(spec, np.zeros(spec.shape.yx))
     food, poison = _place_fields(enriched, obstacles)
     chemo = chemoattractant_field(food, obstacles, spec.resolved_chemo_iters(), spec.chemo_decay)
     return EnvBundle(

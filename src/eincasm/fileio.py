@@ -9,7 +9,9 @@ Formats:
 
 * evolution log CSV: schema_version, generation, best_fitness,
   mean_fitness, n_species, best_genome_nodes, best_genome_connections;
-* checkpoint JSON: {schema_version, config, generation, registry, genomes};
+* checkpoint JSON: {schema_version, config, generation, registry, genomes},
+  a write-only snapshot for inspection: it omits species state, so no
+  run resumes from it;
 * trajectory JSON: per-step records plus a SHA-256 over their canonical
   serialization — replay verifies the hash to detect nondeterminism;
 * frames: binary PPM (P6), 8-bit, mass/chemoattractant/reservoir mapped

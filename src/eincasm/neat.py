@@ -131,13 +131,6 @@ class InnovationRegistry:
     def counters(self) -> dict:
         return {"next_innovation": self.next_innovation, "next_node_id": self.next_node_id}
 
-    @staticmethod
-    def from_counters(data: dict, n_inputs: int, n_outputs: int) -> "InnovationRegistry":
-        reg = InnovationRegistry(n_inputs, n_outputs)
-        reg.next_innovation = int(data["next_innovation"])
-        reg.next_node_id = int(data["next_node_id"])
-        return reg
-
 
 @dataclass
 class SpeciesState:

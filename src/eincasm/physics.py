@@ -95,16 +95,6 @@ def uptake(food, mass, p: PhysicsParams):
     return np.where(np.asarray(mass) >= p.m_min, p.gamma * np.asarray(food), 0.0)
 
 
-def growth_cost(delta_m, p: PhysicsParams):
-    """Nutrient cost of growth; shrinkage costs nothing here."""
-    return p.beta * np.maximum(np.asarray(delta_m, dtype=np.float64), 0.0)
-
-
-def movement_cost(delta_r, p: PhysicsParams):
-    """Mass cost of a reservoir change: alpha * |dR|."""
-    return p.alpha * np.abs(np.asarray(delta_r, dtype=np.float64))
-
-
 def reservoir_pressure(v, delta_r_applied, p: PhysicsParams):
     """Fluid density source from a reservoir change: dR / max(v, v_min).
 
@@ -113,14 +103,6 @@ def reservoir_pressure(v, delta_r_applied, p: PhysicsParams):
     Callers cap the result to +-rho_cap before handing it to the fluid.
     """
     return np.asarray(delta_r_applied, dtype=np.float64) / np.maximum(np.asarray(v, dtype=np.float64), p.v_min)
-
-
-def convert_mass(delta_m_negative, p: PhysicsParams):
-    """Nutrient gained by converting mass away: beta * |dM|, dM <= 0 only."""
-    dm = np.asarray(delta_m_negative, dtype=np.float64)
-    if (dm > 0).any():
-        raise ValueError("convert_mass takes nonpositive mass changes")
-    return p.beta * np.abs(dm)
 
 
 def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p: PhysicsParams):

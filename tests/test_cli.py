@@ -11,7 +11,7 @@ import pytest
 from eincasm import fileio
 from eincasm.cli import main
 from eincasm.cppn import genome_to_dict
-from eincasm.harness import chemotaxis_baseline, inert_genome
+from eincasm.harness import chemotaxis_baseline, detour_spec, inert_genome
 from eincasm.substrate import GridShape, Statics, WorldState, create_world
 
 
@@ -94,16 +94,16 @@ class TestEvolveCommand:
         assert resolved["evolution"]["seed"] == 9
 
     def test_checkpoint_written_and_loadable(self, tmp_path):
-        from eincasm.cli import load_checkpoint
-
         out = str(tmp_path / "out")
         cfg = smoke_config(out)
         cfg["checkpoint_every"] = 1
         assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 0
-        path = os.path.join(out, "checkpoint_final.json")
-        rc, pop = load_checkpoint(path)
-        assert len(pop.members) == 6
-        assert rc.evolution.population_size == 6
+        with open(os.path.join(out, "checkpoint_final.json"), encoding="utf-8") as handle:
+            checkpoint = json.load(handle)
+        assert checkpoint["schema_version"] == fileio.SCHEMA_VERSION
+        assert checkpoint["generation"] == 1  # the last of the two generations evaluated
+        assert set(checkpoint["registry"]) == {"next_innovation", "next_node_id"}
+        assert len(checkpoint["genomes"]) == 6
 
     def test_no_stray_temp_files(self, tmp_path):
         out = str(tmp_path / "out")
@@ -140,8 +140,40 @@ class TestTestCommand:
         battery.write_text(json.dumps({"k_hidden": 4, "tests": [{"name": "coordination"}]}))
         assert main(["test", genome, "--battery", str(battery)]) == 2
 
+    @pytest.mark.parametrize(
+        "tests",
+        [
+            [{"name": "corridor"}],
+            [{"name": "coordination", "env": {"kind": "open_arena", "shape": [8, 8]}}],
+            [{"name": "corridor", "env": {"kind": "open_arena", "shape": [8, 8]}}],  # no goal
+            [],
+        ],
+    )
+    def test_malformed_battery_exits_2(self, tmp_path, tests):
+        genome = write_genome(tmp_path, inert_genome())
+        battery = tmp_path / "battery.json"
+        battery.write_text(json.dumps({"tests": tests}))
+        assert main(["test", genome, "--battery", str(battery)]) == 2
+
+    def test_custom_battery_runs(self, tmp_path):
+        genome = write_genome(tmp_path, inert_genome())
+        battery = tmp_path / "battery.json"
+        env = detour_spec().to_dict()
+        tests = [{"name": "detour", "env": env}, {"name": "coordination"}]
+        battery.write_text(json.dumps({"lifecycle": {"t_min": 20, "t_max": 20}, "tests": tests}))
+        out = str(tmp_path / "report.json")
+        assert main(["test", genome, "--battery", str(battery), "--out", out]) == 0
+        report = json.loads(open(out).read())
+        assert [t["name"] for t in report["tests"]] == ["detour", "coordination"]
+
 
 class TestRenderCommand:
+    def test_rejected_arena_exits_2(self, tmp_path):
+        genome = write_genome(tmp_path, inert_genome())
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"kind": "open_arena", "shape": [8, 8], "food": [[[9, 1, 1, 1], 2.0]]}))
+        assert main(["render", genome, "--env", str(env), "--steps", "2", "--out", str(tmp_path / "r")]) == 2
+
     def test_frames_and_trajectory(self, tmp_path):
         genome = write_genome(tmp_path, inert_genome())
         out = str(tmp_path / "frames")

@@ -1,5 +1,6 @@
 """Arena generation and the chemoattractant field."""
 
+import json
 from collections import deque
 from dataclasses import replace
 
@@ -141,6 +142,49 @@ class TestGenerate:
         with pytest.raises(EnvError):
             generate(EnvSpec(kind="open_arena", shape=GridShape(8, 8), food=((Rect(1, 1), -2.0),)))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("open_arena", ()),
+        ("obstacle_field", (("density", 0.2),)),
+        ("coordination", ()),
+    ])
+    def test_fixed_obstacles_placed(self, kind, params):
+        rects = (Rect(12, 1, 1, 3), Rect(2, 12, 3, 1))
+        spec = EnvSpec(kind=kind, shape=GridShape(24, 16), seed=3, seed_cell=(12, 8), obstacles=rects, params=params)
+        bundle = generate(spec)
+        for rect in rects:
+            assert bundle.statics.obstacle[rect.slices()].all()
+            assert not bundle.statics.chemo[rect.slices()].any()
+        if kind != "obstacle_field":
+            assert bundle.statics.obstacle.sum() == 6
+
+    @pytest.mark.parametrize("rect, match", [
+        (Rect(9, 0, 2, 1), "out of bounds"),
+        (Rect(1, 1, 3, 3), "seed cell"),
+        (Rect(5, 0, 1, 8), "unreachable"),
+    ])
+    def test_bad_fixed_obstacle_rejected(self, rect, match):
+        spec = EnvSpec(
+            kind="open_arena", shape=GridShape(10, 8), food=((Rect(7, 4), 2.0),), seed_cell=(2, 2), obstacles=(rect,)
+        )
+        with pytest.raises(EnvError, match=match):
+            generate(spec)
+
+    def test_unread_param_rejected(self):
+        spec = EnvSpec(kind="open_arena", shape=GridShape(8, 8), params=(("bar", [4, 2, 1, 5]),))
+        with pytest.raises(EnvError, match="'bar'"):
+            generate(spec)
+        with pytest.raises(EnvError, match="'density'"):
+            generate(EnvSpec(kind="maze", shape=GridShape(21, 21), params=(("density", 0.1),)))
+
+    def test_goal_param_overrides_kind_goal(self):
+        assert generate(EnvSpec(kind="open_arena", shape=GridShape(8, 8))).goal is None
+        maze = EnvSpec(kind="maze", shape=GridShape(21, 21), params=(("cell_size", 1),))
+        assert generate(maze).goal == Rect(19, 19)  # the far corner cell
+        goal = Rect(1, 3, 1, 1)
+        assert generate(replace(maze, params=maze.params + (("goal", goal.to_list()),))).goal == goal
+        with pytest.raises(EnvError, match="goal"):
+            generate(replace(maze, params=(("goal", [20, 20, 2, 2]),)))
+
     def test_seed_cell_on_obstacle_rejected(self):
         spec = EnvSpec(kind="maze", shape=GridShape(21, 21), seed=0, seed_cell=(0, 0), params=(("cell_size", 1),))
         with pytest.raises(EnvError):
@@ -228,11 +272,15 @@ def test_envspec_json_round_trip():
         shape=GridShape(24, 16),
         food=((Rect(1, 2, 3, 4), 2.5),),
         poison=((Rect(5, 5), 1.0),),
+        obstacles=(Rect(2, 10, 4, 1), Rect(20, 3)),
         seed=9,
         seed_cell=(12, 8),
         chemo_decay=0.95,
         chemo_iters=64,
         params=(("cluster_amount", 4.0),),
     )
-    again = EnvSpec.from_dict(spec.to_dict())
+    again = EnvSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
+    old = spec.to_dict()
+    del old["obstacles"]  # a spec written before fixed obstacles existed
+    assert EnvSpec.from_dict(old) == replace(spec, obstacles=())

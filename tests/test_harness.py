@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from eincasm.environments import chemoattractant_field, generate
 from eincasm.harness import (
     HarnessError,
     IqReport,
@@ -94,13 +95,18 @@ class TestArenas:
         spec = detour_spec()
         bundle = build_arena(spec)
         bar = bundle.statics.obstacle
-        x = spec.param("bar")[0]
+        x = spec.obstacles[0].x
         sy, sx = bundle.seed_cell[1], bundle.seed_cell[0]
         assert bar[sy, x] == 1.0  # straight east is blocked
 
-    def test_coordination_arena_has_two_clusters(self):
-        from eincasm.environments import generate
+    def test_detour_chemo_is_one_pass_around_the_bar(self):
+        spec = detour_spec()
+        statics = generate(spec).statics
+        assert statics.obstacle.sum() == 5
+        expected = chemoattractant_field(statics.food, statics.obstacle, spec.resolved_chemo_iters(), spec.chemo_decay)
+        np.testing.assert_array_equal(statics.chemo, expected)
 
+    def test_coordination_arena_has_two_clusters(self):
         bundle = generate(coordination_spec())
         assert bundle.cluster_a is not None and bundle.cluster_b is not None
 

@@ -6,9 +6,6 @@ import pytest
 from eincasm.physics import (
     PhysicsParams,
     constrain,
-    convert_mass,
-    growth_cost,
-    movement_cost,
     reservoir_pressure,
     squash_outputs,
     uptake,
@@ -27,17 +24,27 @@ class TestPointOperations:
         assert uptake(2.0, 1.0, p) == pytest.approx(0.2, rel=1e-12)
 
     def test_growth_cost(self):
+        # constrain spends beta * dM of nutrient on growth, none on shrinking
         p = params(beta=2.0)
-        assert growth_cost(0.0, p) == 0.0
-        assert growth_cost(-1.0, p) == 0.0
-        assert growth_cost(0.3, p) == pytest.approx(0.6, rel=1e-12)
+        applied, _, _, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.3, p)
+        assert float(applied.nutrient_spent) == pytest.approx(0.6, rel=1e-12)
+        assert float(n) == pytest.approx(0.4, rel=1e-12)
+        for dm in (0.0, -0.5):
+            applied, *_ = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, dm, p)
+            assert float(applied.nutrient_spent) == 0.0
 
     def test_movement_cost(self):
-        p = params(alpha=0.5)
-        assert movement_cost(0.0, p) == 0.0
-        assert movement_cost(-0.4, p) == pytest.approx(0.2, rel=1e-12)
-        for x in np.random.default_rng(0).normal(size=20):
-            assert movement_cost(x, p) == movement_cost(-x, p)
+        # constrain spends alpha * |dR| of mass; the clamps do not bind here
+        p = params(alpha=0.5, kappa=10.0, delta_r_max=2.0)
+        applied, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, p)
+        assert float(applied.mass_spent) == 0.0
+        applied, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, -0.4, 0.0, p)
+        assert float(applied.mass_spent) == pytest.approx(0.2, rel=1e-12)
+        for x in np.random.default_rng(0).uniform(0.0, 1.0, size=20):
+            up, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, x, 0.0, p)
+            down, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, -x, 0.0, p)
+            assert float(up.delta_r) == x and float(down.delta_r) == -x
+            assert float(up.mass_spent) == float(down.mass_spent)
 
     def test_reservoir_pressure(self):
         p = params(v_min=1e-3)
@@ -46,11 +53,14 @@ class TestPointOperations:
         assert reservoir_pressure(0.0, 0.5, p) == pytest.approx(500.0, rel=1e-12)
 
     def test_convert_mass(self):
+        # constrain credits beta * |dM| of nutrient for mass converted away
         p = params(beta=2.0)
-        assert convert_mass(0.0, p) == 0.0
-        assert convert_mass(-0.3, p) == pytest.approx(0.6, rel=1e-12)
-        with pytest.raises(ValueError):
-            convert_mass(0.1, p)
+        applied, *_ = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.3, p)
+        assert float(applied.delta_m) == pytest.approx(-0.3, rel=1e-12)
+        assert float(applied.nutrient_gained_conversion) == pytest.approx(0.6, rel=1e-12)
+        for dm in (0.0, 0.1):
+            applied, *_ = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, dm, p)
+            assert float(applied.nutrient_gained_conversion) == 0.0
 
     def test_squash_respects_caps(self):
         p = params(delta_r_max=0.5, delta_m_max=0.25)
