@@ -109,7 +109,7 @@ def cmd_evolve(args) -> int:
         if cfg.io.log_level != "quiet":
             print(
                 f"gen {stats.generation:4d}  best {stats.best_fitness:10.4f}  "
-                f"mean {stats.mean_fitness:10.4f}  species {stats.n_species}"
+                f"mean {stats.mean_fitness:10.4f}  species {stats.n_species}  failed {stats.n_failed}"
             )
         if (stats.generation + 1) % cfg.checkpoint_every == 0:
             write_checkpoint(os.path.join(out, f"checkpoint_{stats.generation:04d}.json"), cfg, pop)

@@ -15,7 +15,10 @@ Layout:
 
 Unknown keys are rejected; every omitted key takes its documented default
 and the fully resolved document is echoed to ``resolved_config.json`` so
-a run can always be reproduced from its output directory alone.
+a run can always be reproduced from its output directory alone. Without
+an "environment" key the arena is ``DEFAULT_ENVIRONMENT``: a 16x16 open
+arena with a 3x3 food patch at (10, 7), so evolution has something to
+select on (an arena without food caps fitness at the seed energy).
 """
 
 from __future__ import annotations
@@ -27,6 +30,11 @@ from .environments import EnvSpec
 from .lifecycle import LifecycleConfig
 from .neat import EvolutionConfig
 from .physics import PhysicsParams
+
+
+#: The arena a config without an "environment" key gets: a 16x16 open
+#: arena with one food patch, so fitness can grow past the seed energy.
+DEFAULT_ENVIRONMENT = {"kind": "open_arena", "shape": [16, 16], "food": [[[10, 7, 3, 3], 1.0]]}
 
 
 class ConfigError(ValueError):
@@ -110,7 +118,7 @@ def parse_config(data: dict) -> RunConfig:
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"config section 'lifecycle': {exc}") from exc
 
-    env_data = data.get("environment", {"kind": "open_arena", "shape": [16, 16]})
+    env_data = data.get("environment", DEFAULT_ENVIRONMENT)
     env_list = env_data if isinstance(env_data, list) else [env_data]
     try:
         environments = [EnvSpec.from_dict(e) for e in env_list]

@@ -8,14 +8,20 @@ writes followed by the desired reservoir and mass changes.
 Node ids are fixed by convention: inputs occupy ``0 .. n_inputs-1`` (the
 last one is the bias input), outputs occupy the next ``n_outputs`` ids,
 and hidden nodes take whatever ids the innovation registry hands out.
+
+A compiled ``Phenotype`` is an evaluation plan for one or more members:
+``compile_genome`` makes a one-member plan and ``stack`` joins plans, so a
+population's rule runs as one pass over all its cells, where
+``members[r]`` names the member whose network evaluates input row r.
 Evaluation is pure and deterministic; identical inputs give bit-identical
-outputs.
+outputs, whatever the batch and whichever other members share the plan.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -222,8 +228,93 @@ class _NodeStep:
 
 
 @dataclass(frozen=True)
+class _Position:
+    """Node position j of a plan: each member's j-th non-input node, which
+    writes slot n_inputs + j. ``edges`` are its rows in the edge tables and
+    ``activations`` the (code, name) pairs its members use."""
+
+    slot: int
+    edges: slice
+    activations: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """A plan's members padded to one position list, one column per member.
+
+    An edge a member lacks reads the pad slot, which holds -0.0, with weight
+    1.0: its term is -0.0, and x + -0.0 is x bit for bit for every float x,
+    signed zeros included (a padded 0 * x is not: -0.0 + 0.0 is +0.0)."""
+
+    positions: tuple[_Position, ...]
+    bias: np.ndarray  # (positions, P); 0 where a member has no node
+    codes: np.ndarray  # (positions, P) activation codes; -1 where a member has no node
+    src: np.ndarray  # (edges, P) source slots; the pad slot where a member has no edge
+    weight: np.ndarray  # (edges, P); 1.0 where a member has no edge
+
+
+def _pad(n_inputs: int, plans) -> _Tables:
+    n_members = len(plans)
+    n_positions = max(len(plan) for plan in plans)
+    fan_in = [
+        max((len(plan[j].src_slots) for plan in plans if j < len(plan)), default=0) for j in range(n_positions)
+    ]
+    starts = np.concatenate([[0], np.cumsum(fan_in, dtype=np.intp)]).tolist()
+    bias = np.zeros((n_positions, n_members))
+    codes = np.full((n_positions, n_members), -1, dtype=np.int8)
+    src = np.full((starts[-1], n_members), n_inputs + n_positions, dtype=np.intp)
+    weight = np.ones((starts[-1], n_members))
+    for m, plan in enumerate(plans):
+        for j, step in enumerate(plan):
+            bias[j, m] = step.bias
+            codes[j, m] = ACTIVATION_NAMES.index(step.activation)
+            edges = slice(starts[j], starts[j] + len(step.src_slots))
+            src[edges, m] = step.src_slots
+            weight[edges, m] = step.weights
+    positions = tuple(
+        _Position(
+            slot=n_inputs + j,
+            edges=slice(starts[j], starts[j + 1]),
+            activations=tuple((c, ACTIVATION_NAMES[c]) for c in sorted(set(codes[j].tolist()) - {-1})),
+        )
+        for j in range(n_positions)
+    )
+    return _Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight)
+
+
+def _activate(pre: np.ndarray, codes: np.ndarray, activations) -> np.ndarray:
+    """Each entry of ``pre`` through the activation its code names (-1: left
+    as it is, or, when the position has one activation, through that one).
+    Entries are sorted by code, so each activation runs once, on one
+    contiguous run holding only its own entries."""
+    if len(activations) == 1:
+        # a member without this node gets activation(0) here, which nothing
+        # reads; a one-member plan always takes this branch
+        return ACTIVATIONS[activations[0][1]](pre)
+    keys = codes + 1
+    order = np.argsort(keys, kind="stable")
+    grouped = pre[order]
+    ends = np.cumsum(np.bincount(keys, minlength=len(ACTIVATION_NAMES) + 1)).tolist()
+    for code, name in activations:
+        start, end = ends[code], ends[code + 1]
+        grouped[start:end] = ACTIVATIONS[name](grouped[start:end])
+    out = np.empty_like(pre)
+    out[order] = grouped
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class Phenotype:
-    """Topologically ordered evaluation plan for one genome.
+    """Topologically ordered evaluation plan for one or more members.
+
+    ``plans[m]`` is member m's node list. ``compile_genome`` puts non-input
+    node j of every genome in slot n_inputs + j, so the members line up
+    position by position; ``stack`` joins one-member plans, and the first
+    evaluation pads them to one position list (a member's missing edge adds
+    -0.0, which changes no bit; see ``_Tables``). ``evaluate_batch``
+    evaluates row r with the plan of member ``members[r]``: each position
+    runs once over all rows, and each activation only on the rows of the
+    members that use it there.
 
     Immutable and sharable across threads; evaluation allocates its own
     scratch buffer per call.
@@ -231,33 +322,88 @@ class Phenotype:
 
     n_inputs: int
     n_outputs: int
-    n_slots: int
-    steps: tuple[_NodeStep, ...]
-    output_slots: np.ndarray
+    plans: tuple[tuple[_NodeStep, ...], ...]
+    output_slots: np.ndarray  # (P, n_outputs)
 
-    def evaluate_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Evaluate many input rows at once: (n, n_inputs) -> (n, n_outputs)."""
+    @property
+    def n_members(self) -> int:
+        return len(self.plans)
+
+    @property
+    def n_slots(self) -> int:
+        return self.n_inputs + max(len(plan) for plan in self.plans)
+
+    @cached_property
+    def tables(self) -> _Tables:
+        return _pad(self.n_inputs, self.plans)
+
+    def evaluate_batch(self, inputs: np.ndarray, members=None) -> np.ndarray:
+        """Evaluate many input rows at once: (n, n_inputs) -> (n, n_outputs).
+
+        ``members[r]`` is the member whose plan evaluates row r; it may be
+        omitted for a one-member plan. Every row gets the bits its member's
+        plan gives it alone.
+        """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
             raise GenomeError(f"expected inputs of shape (n, {self.n_inputs}), got {inputs.shape}")
-        values = np.empty((self.n_slots, inputs.shape[0]))
+        n = inputs.shape[0]
+        if members is None:
+            if self.n_members != 1:
+                raise GenomeError(f"a plan of {self.n_members} members needs the member of each row")
+        else:
+            members = np.asarray(members, dtype=np.intp)
+            if members.shape != (n,):
+                raise GenomeError(f"expected {n} member ids, got shape {members.shape}")
+        # a one-member plan's single column broadcasts over the rows
+        cols = slice(None) if self.n_members == 1 else members
+        t = self.tables
+        values = np.empty((self.n_slots + 1, n))
         values[: self.n_inputs] = inputs.T
-        for step in self.steps:
+        values[-1] = -0.0  # the pad slot
+        flat = values.reshape(-1)
+        rows = np.arange(n)
+        src = t.src[:, cols] * n + rows  # flat index of each edge's source value, per row
+        weight = t.weight[:, cols]
+        bias = t.bias[:, cols]
+        codes = t.codes[:, cols]
+        for j, position in enumerate(t.positions):
+            terms = flat.take(src[position.edges])
+            terms *= weight[position.edges]
             # explicit per-edge accumulation in innovation order: summation
             # order (and therefore rounding) is identical for any batch size
-            acc = np.full(inputs.shape[0], step.bias)
-            for src_slot, weight in zip(step.src_slots, step.weights):
-                acc += weight * values[src_slot]
-            values[step.slot] = ACTIVATIONS[step.activation](acc)
-        return values[self.output_slots].T
+            acc = values[position.slot]
+            acc[...] = bias[j]
+            for term in terms:
+                acc += term
+            acc[...] = _activate(acc, codes[j], position.activations)
+        return flat.take(self.output_slots.T[:, cols] * n + rows).T
+
+
+def stack(phenotypes) -> Phenotype:
+    """One plan holding the members of every phenotype, in order."""
+    phenotypes = list(phenotypes)
+    if len(phenotypes) == 1:
+        return phenotypes[0]
+    first = phenotypes[0]
+    if any((p.n_inputs, p.n_outputs) != (first.n_inputs, first.n_outputs) for p in phenotypes):
+        raise GenomeError("stacked phenotypes must share their input and output sizes")
+    return Phenotype(
+        n_inputs=first.n_inputs,
+        n_outputs=first.n_outputs,
+        plans=tuple(plan for p in phenotypes for plan in p.plans),
+        output_slots=np.concatenate([p.output_slots for p in phenotypes]),
+    )
 
 
 def compile_genome(genome: Genome) -> Phenotype:
-    """Flatten a genome into an evaluation plan.
+    """Flatten a genome into a one-member evaluation plan.
 
     Node value = activation(bias + sum of weight * upstream value over
     enabled incoming edges); input nodes pass their input through. Nodes
-    with no enabled incoming edges evaluate to activation(bias).
+    with no enabled incoming edges evaluate to activation(bias). Non-input
+    node j in topological order takes slot n_inputs + j, which is what lets
+    ``stack`` line plans up position by position.
     """
     order = topological_order(genome)
     slot_of = {i: i for i in range(genome.n_inputs)}
@@ -285,12 +431,11 @@ def compile_genome(genome: Genome) -> Phenotype:
                 weights=np.array([c.weight for c in conns]),
             )
         )
-    output_slots = np.array([slot_of[i] for i in genome.output_ids()], dtype=np.intp)
+    output_slots = np.array([[slot_of[i] for i in genome.output_ids()]], dtype=np.intp)
     return Phenotype(
         n_inputs=genome.n_inputs,
         n_outputs=genome.n_outputs,
-        n_slots=next_slot,
-        steps=tuple(steps),
+        plans=(tuple(steps),),
         output_slots=output_slots,
     )
 

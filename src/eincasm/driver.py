@@ -37,11 +37,14 @@ def evaluation_workers() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
-def _evaluate_chunk(task) -> list[float]:
-    """Each member's fitness, averaged over the environment specs."""
+def _evaluate_chunk(task) -> tuple[list[float], int]:
+    """Each member's fitness, averaged over the environment specs, and the
+    number of lifecycles whose fluid failed."""
     genomes, envs, params, cfg, run_seed = task
-    per_env = [[record.fitness for record in run_population(genomes, env, params, cfg, run_seed)] for env in envs]
-    return [float(np.mean(fitness)) for fitness in zip(*per_env)]
+    per_env = [run_population(genomes, env, params, cfg, run_seed) for env in envs]
+    fitness = [float(np.mean([record.fitness for record in member])) for member in zip(*per_env)]
+    n_failed = sum(outcome.failed for records in per_env for record in records for outcome in record.per_env)
+    return fitness, n_failed
 
 
 def evaluate_population(
@@ -51,12 +54,14 @@ def evaluate_population(
     cfg: LifecycleConfig,
     run_seed: int,
     workers: int | None = None,
-) -> list[float]:
-    """Fitness per member, joined in member order. Every member of one
-    generation shares run_seed, so all face identical environments. The
-    members split into one contiguous chunk per worker."""
+) -> tuple[list[float], int]:
+    """Fitness per member, joined in member order, and the number of
+    lifecycles (member x environment evaluation) that a fluid failure cut
+    short. Every member of one generation shares run_seed, so all face
+    identical environments. The members split into one contiguous chunk
+    per worker."""
     if not members:
-        return []
+        return [], 0
     workers = evaluation_workers() if workers is None else workers
     workers = max(1, min(workers, len(members)))
     edges = [len(members) * i // workers for i in range(workers + 1)]
@@ -64,7 +69,8 @@ def evaluate_population(
     if workers == 1:
         return _evaluate_chunk(tasks[0])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [fitness for chunk in pool.map(_evaluate_chunk, tasks) for fitness in chunk]
+        chunks = list(pool.map(_evaluate_chunk, tasks))
+    return [fitness for chunk, _ in chunks for fitness in chunk], sum(n_failed for _, n_failed in chunks)
 
 
 @dataclass
@@ -76,6 +82,7 @@ class GenerationStats:
     best_genome_nodes: int
     best_genome_connections: int
     best_index: int
+    n_failed: int = 0  # lifecycles cut short by a fluid failure; not in log.csv
 
     def to_row(self) -> dict:
         return {
@@ -108,7 +115,7 @@ def evolve_run(cfg: RunConfig, on_generation=None, workers: int | None = None) -
     result = EvolveResult()
     for gen in range(cfg.generations):
         run_seed = neat.evaluation_seed(cfg.evolution.seed, gen)
-        fitnesses = evaluate_population(
+        fitnesses, n_failed = evaluate_population(
             pop.members, cfg.environments, cfg.physics, cfg.lifecycle, run_seed, workers=workers
         )
         best_index = int(np.argmax(fitnesses))
@@ -121,6 +128,7 @@ def evolve_run(cfg: RunConfig, on_generation=None, workers: int | None = None) -
             best_genome_nodes=len(best.nodes),
             best_genome_connections=len(best.connections),
             best_index=best_index,
+            n_failed=n_failed,
         )
         result.stats.append(stats)
         if stats.best_fitness > result.best_fitness:

@@ -20,9 +20,11 @@ The per-step pipeline (normative order):
 
 The members of a generation share run_seed, and so the arena, the
 lifespan and the schedule: a ``Simulation`` steps them as one population,
-each pipeline stage one array operation over all members, except the
-per-member rule and selection draws. Members never read each other's
-state, so a member's trajectory is the same in any population.
+each pipeline stage one array operation over all members (the rule is one
+pass of a stacked CPPN plan, each selected cell evaluated with its own
+member's network), except the per-member selection draws. Members never
+read each other's state, so a member's trajectory is the same in any
+population.
 
 Determinism: (genome, environment spec, physics, lifecycle config,
 run_seed) fully determine the trajectory. Random streams are derived from
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import environments, fluid, physics
-from .cppn import Genome, Phenotype, compile_genome, io_sizes
+from .cppn import Genome, Phenotype, compile_genome, io_sizes, stack
 from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field
 from .fluid import FluidFailure
 from .physics import PhysicsParams
@@ -314,10 +316,14 @@ class Simulation:
     batch, step by step.
 
     The members share the arena, the schedule and the obstacle layout; each
-    has its own phenotype, selection stream, world and lattice. A member
-    whose fluid fails freezes at that step (its world keeps the step's
-    economy update, its lattice the state before it), records its
-    FluidFailure in ``failures`` and leaves the batch; the rest go on.
+    has its own phenotype, selection stream, world and lattice. The
+    phenotypes are stacked once into ``rule``, one plan that evaluates the
+    selected cells of every running member in one call per step, each cell
+    with its own member's network; ``phenotype`` is the first member's
+    one-member plan. A member whose fluid fails freezes at that step (its
+    world keeps the step's economy update, its lattice the state before
+    it), records its FluidFailure in ``failures`` and leaves the batch; the
+    rest go on.
 
     Confined to one logical thread. ``run_population`` wraps it; the test
     harness and ``render`` drive a one-member simulation directly when they
@@ -336,6 +342,7 @@ class Simulation:
     ):
         self.worlds = worlds  # the running members, in ``running`` order
         self.phenotypes = list(phenotypes)
+        self.rule = stack(self.phenotypes)  # every member's plan, evaluated in one pass
         self.params = params
         self.cfg = cfg
         self.rngs = list(rngs)
@@ -401,16 +408,10 @@ class Simulation:
 
         rho_src = np.zeros(worlds.mass.shape)
         if len(sel_y):
-            phenotype = self.phenotypes[0]
-            inputs = np.empty((len(sel_y), phenotype.n_inputs))
+            inputs = np.empty((len(sel_y), self.rule.n_inputs))
             inputs[:, :-1] = perceive_cells(worlds, sel_y, sel_x, sel_m)
             inputs[:, -1] = 1.0  # constant bias input
-            outputs = np.empty((len(sel_y), phenotype.n_outputs))
-            bounds = np.searchsorted(sel_m, np.arange(len(self.running) + 1))
-            for row, member in enumerate(self.running):
-                rows = slice(bounds[row], bounds[row + 1])
-                if rows.start < rows.stop:
-                    outputs[rows] = self.phenotypes[member].evaluate_batch(inputs[rows])
+            outputs = self.rule.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
             k = worlds.k_hidden
             worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
             dr_des, dm_des = physics.squash_outputs(outputs[:, k], outputs[:, k + 1], p)

@@ -10,7 +10,10 @@ import pytest
 
 from eincasm import fileio
 from eincasm.cli import main
+from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
 from eincasm.cppn import genome_to_dict
+from eincasm.driver import evolve_run
+from eincasm.environments import EnvSpec
 from eincasm.harness import chemotaxis_baseline, detour_spec, inert_genome
 from eincasm.substrate import GridShape, Statics, WorldState, create_world
 
@@ -110,6 +113,30 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", write_config(tmp_path, smoke_config(out))]) == 0
         stray = [f for f in os.listdir(out) if f.startswith(".tmp-")]
         assert stray == []
+
+    def test_generation_line_reports_failed_lifecycles(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        cfg = smoke_config(out)
+        cfg["io"]["log_level"] = "info"
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gen ")]
+        assert len(lines) == 2
+        assert all(line.endswith("failed 0") for line in lines)
+        header = open(os.path.join(out, "log.csv")).read().splitlines()[0]
+        assert "failed" not in header  # the count is not a log.csv column
+
+
+class TestDefaultConfig:
+    def test_default_arena_has_food_and_evolution_beats_seed_energy(self):
+        cfg = parse_config(
+            {"evolution": {"population_size": 8}, "lifecycle": {"t_min": 20, "t_max": 20}, "generations": 2}
+        )
+        (env,) = cfg.environments
+        assert env.to_dict() == EnvSpec.from_dict(DEFAULT_ENVIRONMENT).to_dict()
+        assert len(env.food) == 1
+        result = evolve_run(cfg, workers=1)
+        seed_energy = cfg.lifecycle.seed_nutrient + cfg.physics.beta * cfg.lifecycle.seed_mass
+        assert result.best_fitness > seed_energy
 
 
 class TestTestCommand:

@@ -1,10 +1,13 @@
-"""Genome compilation and evaluation against a definitional oracle."""
+"""Genome compilation and evaluation against a definitional oracle, and
+stacked plans against each member's own per-edge evaluation."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eincasm.cppn import (
     ACTIVATIONS,
@@ -18,6 +21,7 @@ from eincasm.cppn import (
     genome_from_json,
     genome_to_json,
     io_sizes,
+    stack,
     validate_genome,
 )
 
@@ -51,7 +55,22 @@ def recursive_oracle(genome, inputs):
     return np.array([value(i) for i in genome.output_ids()])
 
 
-def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12):
+def reference_evaluate(phenotype, inputs):
+    """One member's plan run node by node, edge by edge, in innovation
+    order: the evaluation a stacked plan must reproduce bit for bit."""
+    (steps,) = phenotype.plans
+    inputs = np.asarray(inputs, dtype=np.float64)
+    values = np.empty((phenotype.n_slots, inputs.shape[0]))
+    values[: phenotype.n_inputs] = inputs.T
+    for step in steps:
+        acc = np.full(inputs.shape[0], step.bias)
+        for src_slot, weight in zip(step.src_slots, step.weights):
+            acc += weight * values[src_slot]
+        values[step.slot] = ACTIVATIONS[step.activation](acc)
+    return values[phenotype.output_slots[0]].T
+
+
+def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12, p_enabled=0.9):
     g = empty_genome(k_hidden)
     n_hidden = int(rng.integers(0, max_hidden + 1))
     hidden_ids = []
@@ -76,7 +95,7 @@ def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12):
             continue
         if any(c.src == src and c.dst == dst for c in g.connections.values()):
             continue
-        g.connections[innov] = ConnectionGene(innov, src, dst, float(rng.normal()), bool(rng.random() < 0.9))
+        g.connections[innov] = ConnectionGene(innov, src, dst, float(rng.normal()), bool(rng.random() < p_enabled))
         innov += 1
     validate_genome(g)
     return g
@@ -163,6 +182,84 @@ class TestEvaluate:
         x = rng.normal(size=g.n_inputs)
         a, b = evaluate(phen, x), evaluate(phen, x)
         assert (a == b).all()
+
+
+@st.composite
+def stacked_population(draw):
+    """Random genomes (0-6 hidden nodes, disabled edges, every activation,
+    signed-zero biases and weights), rows of inputs, and a random member per
+    row: some members get no rows, and there may be no rows at all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    genomes = []
+    for _ in range(draw(st.integers(1, 6))):
+        g = random_genome(
+            rng,
+            max_hidden=draw(st.integers(0, 6)),
+            n_conns=draw(st.integers(0, 24)),
+            p_enabled=draw(st.sampled_from([0.5, 0.9, 1.0])),
+        )
+        for node in g.nodes.values():
+            if node.kind != "input" and rng.random() < 0.1:
+                node.bias = float(rng.choice([0.0, -0.0]))
+        for conn in g.connections.values():
+            if rng.random() < 0.1:
+                conn.weight = float(rng.choice([0.0, -0.0]))
+        genomes.append(g)
+    n_rows = draw(st.integers(0, 40))
+    members = np.array(draw(st.lists(st.integers(0, len(genomes) - 1), min_size=n_rows, max_size=n_rows)), dtype=int)
+    inputs = rng.normal(scale=3.0, size=(n_rows, genomes[0].n_inputs))
+    inputs[rng.random(inputs.shape) < 0.1] = -0.0
+    inputs[rng.random(inputs.shape) < 0.1] = 0.0
+    return genomes, inputs, members
+
+
+class TestStackedPlan:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_population())
+    def test_each_row_gets_its_members_bits(self, population):
+        genomes, inputs, members = population
+        phenotypes = [compile_genome(g) for g in genomes]
+        out = stack(phenotypes).evaluate_batch(inputs, members)
+        assert out.shape == (len(inputs), genomes[0].n_outputs)
+        for m, phenotype in enumerate(phenotypes):
+            mine = members == m
+            expected = reference_evaluate(phenotype, inputs[mine])
+            np.testing.assert_array_equal(out[mine].view(np.uint64), expected.view(np.uint64))
+
+    def test_every_activation_on_one_position(self):
+        # seven members that differ only in output 0's activation
+        genomes = []
+        for name in ACTIVATION_NAMES:
+            g = tiny_genome()
+            g.nodes[g.n_inputs].activation = name
+            g.connections[0] = ConnectionGene(0, 3, g.n_inputs, -1.5, True)
+            genomes.append(g)
+        plan = stack([compile_genome(g) for g in genomes])
+        assert plan.tables.positions[0].activations == tuple(enumerate(ACTIVATION_NAMES))
+        x = np.random.default_rng(1).normal(size=(30, plan.n_inputs))
+        members = np.arange(30) % 7
+        out = plan.evaluate_batch(x, members)
+        for m, g in enumerate(genomes):
+            expected = reference_evaluate(compile_genome(g), x[members == m])
+            np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
+
+    def test_stack_of_one_is_that_plan(self):
+        phenotype = compile_genome(random_genome(np.random.default_rng(2)))
+        assert stack([phenotype]) is phenotype
+        assert phenotype.n_members == 1
+
+    def test_several_members_need_member_ids(self):
+        rng = np.random.default_rng(3)
+        plan = stack([compile_genome(random_genome(rng)) for _ in range(2)])
+        x = np.zeros((4, plan.n_inputs))
+        with pytest.raises(GenomeError):
+            plan.evaluate_batch(x)
+        with pytest.raises(GenomeError):
+            plan.evaluate_batch(x, [0, 1])
+
+    def test_stacked_sizes_must_agree(self):
+        with pytest.raises(GenomeError):
+            stack([compile_genome(tiny_genome(1)), compile_genome(tiny_genome(2))])
 
 
 class TestActivations:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eincasm.physics import (
     PhysicsParams,
@@ -142,43 +145,62 @@ class TestConstrainPipeline:
             assert float(ms) == m2[i] and float(ns) == n2[i]
 
 
-def random_valid_state(rng, p):
-    m = float(rng.uniform(0, 3)) * (rng.random() < 0.9)
-    r = float(rng.uniform(0, p.kappa * m)) if m > 0 else 0.0
-    n = float(rng.uniform(0, 3))
+#: Cells per drawn state array; with the example counts below each test
+#: checks at least as many states as the loops it replaced (2000, 1000, 500).
+N_CELLS = 20
+
+
+def values(draw, lo, hi):
+    """N_CELLS floats in [lo, hi], each drawn on its own (no fill value)."""
+    return draw(hnp.arrays(np.float64, N_CELLS, elements=st.floats(lo, hi), fill=st.nothing()))
+
+
+@st.composite
+def valid_states(draw, p):
+    """Arrays of cells: M in [0, 3] (some cells empty), R in [0, kappa * M],
+    N in [0, 3]."""
+    alive = draw(hnp.arrays(bool, N_CELLS, fill=st.nothing()))
+    m = values(draw, 0.0, 3.0) * alive
+    r = values(draw, 0.0, 1.0) * (p.kappa * m)
+    n = values(draw, 0.0, 3.0)
     return m, r, n
 
 
+P_FUZZ = params(alpha=0.3, beta=1.5, kappa=2.0, poison_rate=0.4)
+P_LEDGER = params(alpha=0.25, beta=2.0, kappa=3.0)
+P_GROWTH = params(beta=2.0)
+
+
 class TestFuzzedInvariants:
-    def test_nonnegativity_and_capacity_under_fuzzing(self):
-        p = params(alpha=0.3, beta=1.5, kappa=2.0, poison_rate=0.4)
-        rng = np.random.default_rng(17)
-        for _ in range(2000):
-            m, r, n = random_valid_state(rng, p)
-            f, pz = float(rng.uniform(0, 2)), float(rng.uniform(0, 2))
-            dr, dm = squash_outputs(rng.normal(scale=3), rng.normal(scale=3), p)
-            _, m2, r2, n2 = constrain(m, r, n, f, pz, dr, dm, p)
-            assert float(m2) >= 0 and float(r2) >= 0 and float(n2) >= 0
-            assert float(r2) <= p.kappa * float(m2) + 1e-9
+    @settings(max_examples=100, deadline=None)
+    @given(state=valid_states(P_FUZZ), data=st.data())
+    def test_nonnegativity_and_capacity_under_fuzzing(self, state, data):
+        p = P_FUZZ
+        m, r, n = state
+        f, pz = values(data.draw, 0.0, 2.0), values(data.draw, 0.0, 2.0)
+        dr, dm = squash_outputs(values(data.draw, -20.0, 20.0), values(data.draw, -20.0, 20.0), p)
+        _, m2, r2, n2 = constrain(m, r, n, f, pz, dr, dm, p)
+        assert (m2 >= 0).all() and (r2 >= 0).all() and (n2 >= 0).all()
+        assert (r2 <= p.kappa * m2 + 1e-9).all()
 
-    def test_energy_ledger_exact(self):
+    @settings(max_examples=50, deadline=None)
+    @given(state=valid_states(P_LEDGER), data=st.data())
+    def test_energy_ledger_exact(self, state, data):
         # dE = uptake - beta*poison_loss - beta*alpha*|dR_applied|, F=P=0 case
-        p = params(alpha=0.25, beta=2.0, kappa=3.0)
-        rng = np.random.default_rng(23)
-        for _ in range(1000):
-            m, r, n = random_valid_state(rng, p)
-            dr, dm = squash_outputs(rng.normal(scale=3), rng.normal(scale=3), p)
-            applied, m2, r2, n2 = constrain(m, r, n, 0.0, 0.0, dr, dm, p)
-            e_before = n + p.beta * m
-            e_after = float(n2) + p.beta * float(m2)
-            expected = -p.beta * p.alpha * abs(float(applied.delta_r))
-            assert e_after - e_before == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        p = P_LEDGER
+        m, r, n = state
+        dr, dm = squash_outputs(values(data.draw, -20.0, 20.0), values(data.draw, -20.0, 20.0), p)
+        applied, m2, r2, n2 = constrain(m, r, n, 0.0, 0.0, dr, dm, p)
+        e_before = n + p.beta * m
+        e_after = n2 + p.beta * m2
+        expected = -p.beta * p.alpha * np.abs(applied.delta_r)
+        assert e_after - e_before == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
-    def test_growth_never_exceeds_budget(self):
-        p = params(beta=2.0)
-        rng = np.random.default_rng(29)
-        for _ in range(500):
-            m, r, n = random_valid_state(rng, p)
-            dm = float(rng.uniform(0, p.delta_m_max))
-            applied, *_ = constrain(m, r, n, 0.0, 0.0, 0.0, dm, p)
-            assert float(applied.delta_m) <= n / p.beta + 1e-12
+    @settings(max_examples=25, deadline=None)
+    @given(state=valid_states(P_GROWTH), data=st.data())
+    def test_growth_never_exceeds_budget(self, state, data):
+        p = P_GROWTH
+        m, r, n = state
+        dm = values(data.draw, 0.0, p.delta_m_max)
+        applied, *_ = constrain(m, r, n, 0.0, 0.0, 0.0, dm, p)
+        assert (applied.delta_m <= n / p.beta + 1e-12).all()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eincasm.cppn import ConnectionGene, empty_genome
+from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genome
 from eincasm.driver import evaluate_population
 from eincasm.environments import EnvSpec, Rect, generate
 from eincasm.fluid import FluidInstability, Lattice, equilibrium, step
@@ -40,6 +40,22 @@ def random_genome(rng, n_connections=6):
     return g
 
 
+def hidden_genome(rng, n_hidden):
+    """random_genome with its first n_hidden connections split by hidden
+    nodes of random activation and bias, as NEAT's add-node does."""
+    g = random_genome(rng)
+    node_id = g.n_inputs + g.n_outputs
+    innovation = max(g.connections) + 1
+    for conn in list(g.connections.values())[:n_hidden]:
+        conn.enabled = False
+        g.nodes[node_id] = NodeGene(node_id, "hidden", str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
+        g.connections[innovation] = ConnectionGene(innovation, conn.src, node_id, 1.0, True)
+        g.connections[innovation + 1] = ConnectionGene(innovation + 1, node_id, conn.dst, conn.weight, True)
+        innovation += 2
+        node_id += 1
+    return g
+
+
 def blowup_spec():
     """A 32x32 open arena on which the baseline's fluid fails near step 28."""
     return EnvSpec(
@@ -68,10 +84,14 @@ class TestSerialPooledPerMember:
         failed = [r.per_env[0].failed for r in records[0]]
         assert any(failed) and not all(failed)
 
-        serial = evaluate_population(members, envs, params, cfg, 7, workers=1)
-        pooled = evaluate_population(members, envs, params, cfg, 7, workers=2)
+        n_failed = sum(outcome.failed for per_env in records for r in per_env for outcome in r.per_env)
+        assert n_failed > 0
+
+        serial, serial_failed = evaluate_population(members, envs, params, cfg, 7, workers=1)
+        pooled, pooled_failed = evaluate_population(members, envs, params, cfg, 7, workers=2)
         assert serial == per_member
         assert pooled == per_member
+        assert serial_failed == pooled_failed == n_failed
 
     def test_population_records_equal_single_records(self):
         members = mixed_members()
@@ -80,6 +100,16 @@ class TestSerialPooledPerMember:
         for genome, record in zip(members, together):
             alone = run_lifecycle(genome, blowup_spec(), harness_physics(), cfg, 11)
             assert record == alone
+
+    def test_members_with_hidden_nodes_equal_run_lifecycle(self):
+        rng = np.random.default_rng(31)
+        members = [hidden_genome(rng, n_hidden) for n_hidden in (0, 1, 2, 3, 4)]
+        spec = EnvSpec(kind="open_arena", shape=GridShape(13, 11), food=((Rect(8, 4, 2, 2), 2.0),))
+        params, cfg = harness_physics(), harness_lifecycle(t=30)
+        together = run_population(members, spec, params, cfg, 4)
+        for genome, record in zip(members, together):
+            assert record == run_lifecycle(genome, spec, params, cfg, 4)
+        assert len({record.fitness for record in together}) == len(members)
 
 
 class TestFailureRecord:
