@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import fileio, harness
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_config
 from .cppn import GenomeError, genome_from_json, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("genome")
     p_render.add_argument("--env", default="corridor", help="builtin arena name or an EnvSpec JSON path")
     p_render.add_argument("--seed", type=int, default=0)
-    p_render.add_argument("--steps", type=int, default=None)
+    p_render.add_argument("--steps", type=int, default=400)
     p_render.add_argument("--out", default="render_out")
     p_render.add_argument("--frame-every", type=int, default=10)
     p_render.add_argument("--display-max", type=float, default=1.0)
@@ -88,15 +87,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, evolution=replace(cfg.evolution, seed=args.seed))
-    if args.pop is not None:
-        cfg = replace(cfg, evolution=replace(cfg.evolution, population_size=args.pop))
+    data = load_config(args.config).to_dict()
+    # overrides go through the same validation as the file's own values
+    for section, key, value in (
+        ("evolution", "seed", args.seed),
+        ("evolution", "population_size", args.pop),
+        ("io", "output_dir", args.out),
+    ):
+        if value is not None:
+            data[section][key] = value
     if args.generations is not None:
-        cfg = replace(cfg, generations=args.generations)
-    if args.out is not None:
-        cfg = replace(cfg, io=replace(cfg.io, output_dir=args.out))
+        data["generations"] = args.generations
+    cfg = parse_config(data)
 
     out = cfg.io.output_dir
     os.makedirs(out, exist_ok=True)
@@ -229,10 +231,12 @@ def resolve_arena(name_or_path: str) -> EnvSpec:
 
 
 def cmd_render(args) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     genome = load_genome_file(args.genome)
     spec = resolve_arena(args.env)
     params = harness.harness_physics()
-    cfg = harness.harness_lifecycle(t=args.steps or 400)
+    cfg = harness.harness_lifecycle(t=args.steps)
     bundle = harness.build_arena(spec)
     sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([args.seed, 1, 1]))
 

@@ -314,7 +314,8 @@ class Phenotype:
     -0.0, which changes no bit; see ``_Tables``). ``evaluate_batch``
     evaluates row r with the plan of member ``members[r]``: each position
     runs once over all rows, and each activation only on the rows of the
-    members that use it there.
+    members that use it there. Only the ``input_slots`` some edge reads are
+    copied in; a caller may leave the other input columns unfilled.
 
     Immutable and sharable across threads; evaluation allocates its own
     scratch buffer per call.
@@ -336,6 +337,13 @@ class Phenotype:
     @cached_property
     def tables(self) -> _Tables:
         return _pad(self.n_inputs, self.plans)
+
+    @cached_property
+    def input_slots(self) -> np.ndarray:
+        """The sorted input slots that some member's enabled edges read; the
+        other inputs reach no output."""
+        read = {int(s) for plan in self.plans for step in plan for s in step.src_slots if s < self.n_inputs}
+        return np.array(sorted(read), dtype=np.intp)
 
     def evaluate_batch(self, inputs: np.ndarray, members=None) -> np.ndarray:
         """Evaluate many input rows at once: (n, n_inputs) -> (n, n_outputs).
@@ -359,7 +367,8 @@ class Phenotype:
         cols = slice(None) if self.n_members == 1 else members
         t = self.tables
         values = np.empty((self.n_slots + 1, n))
-        values[: self.n_inputs] = inputs.T
+        read = self.input_slots
+        values[read] = inputs.T[read]  # no edge reads the other inputs' slots
         values[-1] = -0.0  # the pad slot
         flat = values.reshape(-1)
         rows = np.arange(n)

@@ -154,29 +154,41 @@ def chemoattractant_field(food: np.ndarray, obstacles: np.ndarray, n_iters: int,
     neighbors mirror the center value (zero-flux walls). The result is
     monotone non-increasing with distance from food along free space and
     exactly zero wherever food cannot reach.
+
+    Each cell's eight neighbor indices are built once per call (a blocked
+    or off-grid neighbor is the cell itself; an obstacle cell reads a slot
+    that holds 0), so an iteration is one gather, the eight terms summed
+    in the fixed offset order and one maximum.
     """
     if n_iters < 1:
         raise EnvError(f"n_iters must be >= 1, got {n_iters}")
     if not 0.0 < decay < 1.0:
         raise EnvError(f"decay must lie in (0, 1), got {decay}")
     solid = np.asarray(obstacles) > 0.5
-    f = np.where(solid, 0.0, np.asarray(food, dtype=np.float64))
-    c = f.copy()
-    h, w = c.shape
+    h, w = solid.shape
+    size = h * w
+    f = np.where(solid, 0.0, np.asarray(food, dtype=np.float64)).reshape(size)
+    cell = np.arange(size).reshape(h, w)
+    neighbor = np.pad(cell, 1, constant_values=-1)
+    blocked = np.pad(solid, 1, constant_values=True)
+    gather = np.empty((8, size), dtype=np.intp)
     offsets = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dx, dy) != (0, 0)]
+    for row, (dx, dy) in enumerate(offsets):
+        window = (slice(1 + dy, 1 + dy + h), slice(1 + dx, 1 + dx + w))
+        gather[row] = np.where(blocked[window], cell, neighbor[window]).reshape(size)
+    gather[:, solid.reshape(size)] = size
+    c = np.zeros(size + 1)  # the last slot stays 0
+    c[:size] = f
+    terms, acc = np.empty((8, size)), np.empty(size)
     for _ in range(n_iters):
-        acc = np.zeros_like(c)
-        for dx, dy in offsets:
-            shifted = np.full_like(c, np.nan)
-            sx = slice(max(0, -dx), w - max(0, dx))
-            dxs = slice(max(0, dx), w - max(0, -dx))
-            sy = slice(max(0, -dy), h - max(0, dy))
-            dys = slice(max(0, dy), h - max(0, -dy))
-            shifted[sy, sx] = np.where(solid[dys, dxs], np.nan, c[dys, dxs])
-            acc += np.where(np.isnan(shifted), c, shifted)
-        c = np.maximum(f, decay * (acc / 8.0))
-        c[solid] = 0.0
-    return c
+        c.take(gather, out=terms)
+        np.add(terms[0], terms[1], out=acc)
+        for term in terms[2:]:
+            acc += term
+        acc /= 8.0
+        acc *= decay
+        np.maximum(f, acc, out=c[:size])
+    return c[:size].reshape(h, w)
 
 
 def reachable_from(obstacles: np.ndarray, x: int, y: int) -> np.ndarray:

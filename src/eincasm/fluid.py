@@ -232,32 +232,37 @@ def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
 def _collide(f: np.ndarray, fields: MacroscopicFields, tau: float) -> None:
     """BGK relaxation of a batch, in place: f_i += (feq_i - f_i) / tau.
 
-    It runs one direction at a time on (P, H, W) planes, which stay in
-    cache where whole-batch temporaries do not, and shares e.u between
-    opposite directions. Each feq_i is the float expression ``equilibrium``
-    evaluates, so the bits agree: negating e.u is exact, and a zero term
-    of e.u changes at most the sign of a zero, which does not reach feq.
+    Directions relax in opposite pairs, two pairs per array operation:
+    the axis directions 1, 2 against 3, 4 and the diagonals 5, 6 against
+    7, 8, each a (P, 2, H, W) slice of f sharing one e.u. Each feq_i is the
+    float expression ``equilibrium`` evaluates, so the bits agree: negating
+    e.u is exact, and a zero term of e.u changes at most the sign of a
+    zero, which does not reach feq.
     """
-    ux = np.ascontiguousarray(fields.u[:, 0])
-    uy = np.ascontiguousarray(fields.u[:, 1])
-    usq_term = 1.5 * (ux * ux + uy * uy)
-    w_rho = {w: w * fields.rho for w in (WEIGHTS[0], WEIGHTS[1], WEIGHTS[5])}
+    u, rho = fields.u, fields.rho
+    usq_term = 1.5 * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
 
-    def relax(i: int, bracket: np.ndarray) -> None:
-        bracket *= w_rho[WEIGHTS[i]]
-        bracket -= f[:, i]
+    def relax(directions, bracket: np.ndarray, w_rho: np.ndarray) -> None:
+        bracket *= w_rho
+        bracket -= f[:, directions]
         bracket /= tau
-        f[:, i] += bracket
+        f[:, directions] += bracket
 
-    relax(0, 1.0 - usq_term)
-    for i, eu in ((1, ux), (2, uy), (5, ux + uy), (6, uy - ux)):
+    relax(0, 1.0 - usq_term, WEIGHTS[0] * rho)
+    diagonal = np.empty_like(u)  # e.u of directions 5 and 6
+    np.add(u[:, 0], u[:, 1], out=diagonal[:, 0])
+    np.subtract(u[:, 1], u[:, 0], out=diagonal[:, 1])
+    usq_term = usq_term[:, None]
+    for eu, forward, backward, weight in ((u, slice(1, 3), slice(3, 5), WEIGHTS[1]),
+                                         (diagonal, slice(5, 7), slice(7, 9), WEIGHTS[5])):
+        w_rho = (weight * rho)[:, None]
         linear = 3.0 * eu
         square = 4.5 * eu
         square *= eu
-        for bracket, direction in ((1.0 + linear, i), (1.0 - linear, OPPOSITE[i])):
+        for bracket, directions in ((1.0 + linear, forward), (1.0 - linear, backward)):
             bracket += square
             bracket -= usq_term
-            relax(direction, bracket)
+            relax(directions, bracket, w_rho)
 
 
 def _step_batch(f0: np.ndarray, walls: _Walls, src, tau: float, step_index):
@@ -295,8 +300,9 @@ def _step_batch(f0: np.ndarray, walls: _Walls, src, tau: float, step_index):
     return new, failures
 
 
-def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray, dt: float = 1.0) -> np.ndarray:
-    """Donor-cell upwind transport of a nonnegative scalar field.
+def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
+    """Donor-cell upwind transport of a nonnegative scalar field over one
+    lattice time step.
 
     Face velocity is the mean of the two adjacent cell velocities; the
     upwind cell donates. Faces touching an obstacle or the grid edge carry
@@ -305,13 +311,13 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray, dt: float
     fluxes are scaled identically). ``n`` (H, W) and ``u`` (2, H, W) may
     carry a leading batch axis.
 
-    Requires the CFL bound max(|ux|, |uy|) * dt <= 0.5.
+    Requires the CFL bound max(|ux|, |uy|) <= 0.5.
     """
     n = np.asarray(n, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     walls = _walls(obstacles)
-    if float(np.max(np.abs(u), initial=0.0)) * dt > 0.5 + 1e-12:
-        raise ValueError(f"CFL violated: max|u|*dt = {np.max(np.abs(u)) * dt:.3f} > 0.5")
+    if float(np.max(np.abs(u), initial=0.0)) > 0.5 + 1e-12:
+        raise ValueError(f"CFL violated: max|u| = {np.max(np.abs(u)):.3f} > 0.5")
 
     ux, uy = u[..., 0, :, :], u[..., 1, :, :]
     # Face-normal velocities; zero where either side is solid.
@@ -322,19 +328,21 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray, dt: float
         ufx[..., closed_x] = 0.0
         ufy[..., closed_y] = 0.0
 
-    flux_x = dt * np.where(ufx > 0, ufx * n[..., :, :-1], ufx * n[..., :, 1:])
-    flux_y = dt * np.where(ufy > 0, ufy * n[..., :-1, :], ufy * n[..., 1:, :])
+    # The upwind cell donates: the lower-index side of a face when its
+    # velocity is positive, the higher-index side otherwise.
+    flux_x = ufx * np.where(ufx > 0, n[..., :, :-1], n[..., :, 1:])
+    flux_y = ufy * np.where(ufy > 0, n[..., :-1, :], n[..., 1:, :])
 
     # Limit each donor's total outflow to what it holds.
     out = np.zeros_like(n)
     out[..., :, :-1] += np.maximum(flux_x, 0.0)
-    out[..., :, 1:] += np.maximum(-flux_x, 0.0)
+    out[..., :, 1:] -= np.minimum(flux_x, 0.0)
     out[..., :-1, :] += np.maximum(flux_y, 0.0)
-    out[..., 1:, :] += np.maximum(-flux_y, 0.0)
+    out[..., 1:, :] -= np.minimum(flux_y, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(out > n, n / np.maximum(out, 1e-300), 1.0)
-    flux_x = np.where(flux_x > 0, flux_x * scale[..., :, :-1], flux_x * scale[..., :, 1:])
-    flux_y = np.where(flux_y > 0, flux_y * scale[..., :-1, :], flux_y * scale[..., 1:, :])
+    flux_x *= np.where(flux_x > 0, scale[..., :, :-1], scale[..., :, 1:])
+    flux_y *= np.where(flux_y > 0, scale[..., :-1, :], scale[..., 1:, :])
 
     result = n.copy()
     result[..., :, :-1] -= flux_x

@@ -320,10 +320,11 @@ class Simulation:
     phenotypes are stacked once into ``rule``, one plan that evaluates the
     selected cells of every running member in one call per step, each cell
     with its own member's network; ``phenotype`` is the first member's
-    one-member plan. A member whose fluid fails freezes at that step (its
-    world keeps the step's economy update, its lattice the state before
-    it), records its FluidFailure in ``failures`` and leaves the batch; the
-    rest go on.
+    one-member plan. Cells perceive only the slots some member's rule
+    reads (``perceived``); the other input columns stay 0. A member whose
+    fluid fails freezes at that step (its world keeps the step's economy
+    update, its lattice the state before it), records its FluidFailure in
+    ``failures`` and leaves the batch; the rest go on.
 
     Confined to one logical thread. ``run_population`` wraps it; the test
     harness and ``render`` drive a one-member simulation directly when they
@@ -343,6 +344,8 @@ class Simulation:
         self.worlds = worlds  # the running members, in ``running`` order
         self.phenotypes = list(phenotypes)
         self.rule = stack(self.phenotypes)  # every member's plan, evaluated in one pass
+        read = self.rule.input_slots
+        self.perceived = read[read < self.rule.n_inputs - 1]  # the inputs before the bias are perception
         self.params = params
         self.cfg = cfg
         self.rngs = list(rngs)
@@ -408,8 +411,8 @@ class Simulation:
 
         rho_src = np.zeros(worlds.mass.shape)
         if len(sel_y):
-            inputs = np.empty((len(sel_y), self.rule.n_inputs))
-            inputs[:, :-1] = perceive_cells(worlds, sel_y, sel_x, sel_m)
+            inputs = np.zeros((len(sel_y), self.rule.n_inputs))
+            inputs[:, self.perceived] = perceive_cells(worlds, sel_y, sel_x, sel_m, self.perceived)
             inputs[:, -1] = 1.0  # constant bias input
             outputs = self.rule.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
             k = worlds.k_hidden

@@ -25,12 +25,15 @@ Conventions used across the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 #: Channel names in perception order. Hidden channels follow these seven.
 BASE_CHANNELS = ("obstacle", "poison", "food", "chemo", "mass", "reservoir", "nutrient")
 N_BASE_CHANNELS = len(BASE_CHANNELS)
+#: Mass, reservoir, nutrient and the hidden channels change as the world runs.
+FIRST_DYNAMIC_CHANNEL = BASE_CHANNELS.index("mass")
 
 #: Offsets of the 3x3 neighborhood in scan order (dx, dy), row-major.
 NEIGHBORHOOD = tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
@@ -198,10 +201,11 @@ class WorldStack:
 
     The static channels (H, W) are shared by every member; mass, reservoir
     and nutrient are (P, H, W) and hidden is (P, K, H, W). ``padded`` is
-    the perception buffer (P, H+2, W+2, C), channels last in perception
-    order, with a one-cell virtual-obstacle border (O=1, everything else 0)
-    that realizes the boundary rule once. Its static channels are written
-    by ``write_statics``; ``perceive_cells`` refreshes the dynamic ones.
+    the perception buffer (C, P, H+2, W+2), one plane per channel in
+    perception order, with a one-cell virtual-obstacle border (O=1,
+    everything else 0) that realizes the boundary rule once. Its static
+    channels are written by ``write_statics``; ``perceive_cells`` refreshes
+    the dynamic ones it reads.
     """
 
     shape: GridShape
@@ -217,8 +221,8 @@ class WorldStack:
 
     def __post_init__(self):
         h, w = self.shape.yx
-        self.padded = np.zeros((len(self.mass), h + 2, w + 2, N_BASE_CHANNELS + self.k_hidden))
-        self.padded[..., 0] = 1.0  # virtual obstacle border; interior overwritten below
+        self.padded = np.zeros((N_BASE_CHANNELS + self.k_hidden, len(self.mass), h + 2, w + 2))
+        self.padded[0] = 1.0  # virtual obstacle border; interior overwritten below
         self.write_statics()
 
     @staticmethod
@@ -269,34 +273,58 @@ class WorldStack:
 
     def write_statics(self) -> None:
         """Copy the static channels into the perception buffer."""
-        interior = self.padded[:, 1:-1, 1:-1]
         for c, arr in enumerate((self.obstacle, self.poison, self.food, self.chemo)):
-            interior[..., c] = arr
+            self.padded[c, :, 1:-1, 1:-1] = arr
 
-    def _write_dynamics(self) -> None:
-        interior = self.padded[:, 1:-1, 1:-1]
-        for c, arr in enumerate((self.mass, self.reservoir, self.nutrient), start=4):
-            interior[..., c] = arr
-        interior[..., N_BASE_CHANNELS:] = np.moveaxis(self.hidden, 1, -1)
+    def _write_dynamics(self, channels) -> None:
+        """Copy the given dynamic channels' current values into the
+        perception buffer."""
+        for c in channels:
+            if c < N_BASE_CHANNELS:
+                source = (self.mass, self.reservoir, self.nutrient)[c - FIRST_DYNAMIC_CHANNEL]
+            else:
+                source = self.hidden[:, c - N_BASE_CHANNELS]
+            self.padded[c, :, 1:-1, 1:-1] = source
+
+
+@lru_cache(maxsize=64)
+def _slot_plan(n_channels: int, plane: int, row: int, slots: bytes) -> tuple[tuple[int, ...], np.ndarray]:
+    """The dynamic channels a set of perception slots reads, and each
+    slot's offset from a cell's centre in the flat perception buffer."""
+    slots = np.frombuffer(slots, dtype=np.intp)
+    neighbor, channel = np.divmod(slots, n_channels)
+    dx, dy = np.array(NEIGHBORHOOD, dtype=np.intp).T
+    offsets = channel * plane + dy[neighbor] * row + dx[neighbor]
+    offsets.setflags(write=False)  # the cache hands it to every caller
+    dynamic = tuple(sorted({int(c) for c in channel if c >= FIRST_DYNAMIC_CHANNEL}))
+    return dynamic, offsets
 
 
 def perceive_cells(
-    world: WorldState | WorldStack, ys: np.ndarray, xs: np.ndarray, members: np.ndarray | None = None
+    world: WorldState | WorldStack,
+    ys: np.ndarray,
+    xs: np.ndarray,
+    members: np.ndarray | None = None,
+    slots: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Perception vectors for many cells at once: (n, 9 * n_channels).
+    """Perception vectors for many cells at once: (n, len(slots)).
 
     ``world`` is one WorldState, or a WorldStack with ``members`` giving
-    each cell's member. Per cell, the 9 neighborhood cells appear in scan
-    order, each contributing its channels in perception order.
+    each cell's member. The full vector (``slots`` None) has 9 * n_channels
+    columns: per cell, the 9 neighborhood cells in scan order, each
+    contributing its channels in perception order. ``slots`` picks columns
+    of that vector, in the order given; only they are gathered, and only the
+    dynamic channels they read are refreshed from the world.
     """
     if isinstance(world, WorldState):
         world, members = WorldStack.of([world]), np.zeros(len(ys), dtype=np.intp)
-    world._write_dynamics()
-    p, hp, wp, c = world.padded.shape
+    c, p, hp, wp = world.padded.shape
+    if slots is None:
+        slots = np.arange(9 * c)
+    dynamic, offsets = _slot_plan(c, p * hp * wp, wp, np.asarray(slots, dtype=np.intp).tobytes())
+    world._write_dynamics(dynamic)
     centre = (members * hp + ys + 1) * wp + xs + 1
-    offsets = np.array([dy * wp + dx for dx, dy in NEIGHBORHOOD])
-    rows = np.take(world.padded.reshape(p * hp * wp, c), centre[:, None] + offsets, axis=0)
-    return rows.reshape(len(ys), 9 * c)
+    return world.padded.reshape(-1).take(centre[:, None] + offsets)
 
 
 def perception_vector(world: WorldState, x: int, y: int) -> np.ndarray:

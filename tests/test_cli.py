@@ -96,6 +96,17 @@ class TestEvolveCommand:
         assert resolved["evolution"]["population_size"] == 4
         assert resolved["evolution"]["seed"] == 9
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--generations", "0"], ["--generations", "-2"], ["--pop", "1"]],
+    )
+    def test_invalid_override_exits_2(self, tmp_path, capsys, flags):
+        out = str(tmp_path / "o")
+        cfg = write_config(tmp_path, smoke_config(str(tmp_path / "ignored")))
+        assert main(["evolve", "--config", cfg, "--out", out] + flags) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(os.path.join(out, "best_genome.json"))
+
     def test_checkpoint_written_and_loadable(self, tmp_path):
         out = str(tmp_path / "out")
         cfg = smoke_config(out)
@@ -137,6 +148,14 @@ class TestDefaultConfig:
         result = evolve_run(cfg, workers=1)
         seed_energy = cfg.lifecycle.seed_nutrient + cfg.physics.beta * cfg.lifecycle.seed_mass
         assert result.best_fitness > seed_energy
+
+    def test_evolution_beats_its_founders(self):
+        cfg = parse_config(
+            {"evolution": {"population_size": 8, "seed": 5}, "lifecycle": {"t_min": 20, "t_max": 20}, "generations": 3}
+        )
+        stats = evolve_run(cfg, workers=1).stats
+        assert [s.generation for s in stats] == [0, 1, 2]
+        assert stats[-1].best_fitness > stats[0].best_fitness
 
 
 class TestTestCommand:
@@ -200,6 +219,14 @@ class TestRenderCommand:
         env = tmp_path / "env.json"
         env.write_text(json.dumps({"kind": "open_arena", "shape": [8, 8], "food": [[[9, 1, 1, 1], 2.0]]}))
         assert main(["render", genome, "--env", str(env), "--steps", "2", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_nonpositive_steps_exit_2(self, tmp_path, capsys, steps):
+        genome = write_genome(tmp_path, inert_genome())
+        out = str(tmp_path / "r")
+        assert main(["render", genome, "--steps", steps, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(out)
 
     def test_frames_and_trajectory(self, tmp_path):
         genome = write_genome(tmp_path, inert_genome())

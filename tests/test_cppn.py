@@ -226,6 +226,19 @@ class TestStackedPlan:
             expected = reference_evaluate(phenotype, inputs[mine])
             np.testing.assert_array_equal(out[mine].view(np.uint64), expected.view(np.uint64))
 
+    @settings(max_examples=60, deadline=None)
+    @given(stacked_population())
+    def test_only_the_input_slots_are_read(self, population):
+        genomes, inputs, members = population
+        plan = stack([compile_genome(g) for g in genomes])
+        sources = {c.src for g in genomes for c in g.connections.values() if c.enabled and c.src < g.n_inputs}
+        assert plan.input_slots.tolist() == sorted(sources)
+        poisoned = inputs.copy()
+        poisoned[:, np.setdiff1d(np.arange(plan.n_inputs), plan.input_slots)] = np.nan
+        np.testing.assert_array_equal(
+            plan.evaluate_batch(poisoned, members).view(np.uint64), plan.evaluate_batch(inputs, members).view(np.uint64)
+        )
+
     def test_every_activation_on_one_position(self):
         # seven members that differ only in output 0's activation
         genomes = []

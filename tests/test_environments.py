@@ -6,6 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eincasm.environments import (
     EnvError,
@@ -191,7 +194,44 @@ class TestGenerate:
             generate(spec)  # maze border is wall
 
 
+def reference_chemoattractant_field(food, obstacles, n_iters, decay):
+    """The field as eight NaN-marked shifts per iteration: the form the
+    one-gather ``chemoattractant_field`` must reproduce bit for bit."""
+    solid = np.asarray(obstacles) > 0.5
+    f = np.where(solid, 0.0, np.asarray(food, dtype=np.float64))
+    c = f.copy()
+    h, w = c.shape
+    offsets = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dx, dy) != (0, 0)]
+    for _ in range(n_iters):
+        acc = np.zeros_like(c)
+        for dx, dy in offsets:
+            shifted = np.full_like(c, np.nan)
+            sx = slice(max(0, -dx), w - max(0, dx))
+            dxs = slice(max(0, dx), w - max(0, -dx))
+            sy = slice(max(0, -dy), h - max(0, dy))
+            dys = slice(max(0, dy), h - max(0, -dy))
+            shifted[sy, sx] = np.where(solid[dys, dxs], np.nan, c[dys, dxs])
+            acc += np.where(np.isnan(shifted), c, shifted)
+        c = np.maximum(f, decay * (acc / 8.0))
+        c[solid] = 0.0
+    return c
+
+
 class TestChemoattractant:
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(3, 12), w=st.integers(3, 12), n_iters=st.integers(1, 40),
+           decay=st.floats(0.01, 0.99), data=st.data())
+    def test_bits_equal_shift_reference(self, h, w, n_iters, decay, data):
+        def grid(dtype, elements):
+            return data.draw(hnp.arrays(dtype, (h, w), elements=elements, fill=st.nothing()))
+
+        obstacles = grid(bool, st.booleans()).astype(float)
+        food = grid(float, st.floats(0.0, 10.0)) * grid(bool, st.booleans())
+        got = chemoattractant_field(food, obstacles, n_iters, decay)
+        expected = reference_chemoattractant_field(food, obstacles, n_iters, decay)
+        assert got.shape == (h, w)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
     def test_no_food_no_field(self):
         c = chemoattractant_field(np.zeros((6, 6)), np.zeros((6, 6)), 10, 0.9)
         assert not c.any()

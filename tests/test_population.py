@@ -40,6 +40,17 @@ def random_genome(rng, n_connections=6):
     return g
 
 
+def wide_genome(rng, n_connections=6):
+    """Random weights from random perception slots anywhere in the 3x3
+    neighborhood (and the bias) to the outputs."""
+    g = empty_genome(K)
+    for innovation in range(1, n_connections + 1):
+        src = int(rng.integers(g.n_inputs))
+        dst = g.n_inputs + int(rng.integers(g.n_outputs))
+        g.connections[innovation] = ConnectionGene(innovation, src, dst, float(rng.normal(0.0, 0.5)), True)
+    return g
+
+
 def hidden_genome(rng, n_hidden):
     """random_genome with its first n_hidden connections split by hidden
     nodes of random activation and bias, as NEAT's add-node does."""
@@ -164,6 +175,36 @@ def test_stack_layers_match_each_world(w, h, n, seed):
         np.testing.assert_array_equal(dilated[m], dilate3x3(footprints[m]))
 
 
+@settings(max_examples=40, deadline=None)
+@given(w=st.integers(3, 10), h=st.integers(3, 10), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       subsets=st.lists(st.sampled_from(["empty", "all", "some"]), min_size=2, max_size=5))
+def test_perceived_slots_are_fresh_columns_of_the_full_vector(w, h, n, seed, subsets):
+    """Each call gathers exactly the columns it asks for, with the values
+    the world holds now, whatever earlier calls read and whatever was
+    written to the dynamic channels since."""
+    rng = np.random.default_rng(seed)
+    stack = WorldStack.of(stacked_worlds(rng, w, h, n))
+    n_slots = 9 * (7 + K)
+    members, ys, xs = np.nonzero(rng.random((n, h, w)) < 0.6)
+    for subset in subsets:
+        stack.mass[...] = rng.random(stack.mass.shape)
+        stack.reservoir[...] = rng.random(stack.reservoir.shape)
+        stack.nutrient = rng.random(stack.nutrient.shape)  # the step replaces nutrient
+        stack.hidden[...] = rng.uniform(-1, 1, stack.hidden.shape)
+        if subset == "empty":
+            slots = np.empty(0, dtype=np.intp)
+        elif subset == "all":
+            slots = np.arange(n_slots)
+        else:
+            slots = np.flatnonzero(rng.random(n_slots) < rng.random())
+        got = perceive_cells(stack, ys, xs, members, slots)
+        assert got.shape == (len(ys), len(slots))
+        for m in range(n):
+            rows = members == m
+            full = perceive_cells(stack.member(m), ys[rows], xs[rows])  # a fresh buffer
+            np.testing.assert_array_equal(got[rows], full[:, slots])
+
+
 grids = st.one_of(
     st.sampled_from([(13, 11), (11, 13), (5, 18), (18, 5)]),
     st.tuples(st.integers(3, 20), st.integers(3, 20)),
@@ -209,7 +250,8 @@ def test_fluid_batch_equals_single_steps(grid, n, density, speed, seed):
 def test_population_simulation_matches_members_alone(seed, n, move_at):
     """A stepped population, through an obstacle move (lattice
     reconciliation), food removal and degradation, equals each member
-    stepped alone: worlds, lattices and failures."""
+    stepped alone: worlds, lattices and failures. The members read
+    different perception slots, one of them across the whole neighborhood."""
     rng = np.random.default_rng(seed)
     w, h = int(rng.integers(9, 16)), int(rng.integers(7, 13))
     spec = EnvSpec(
@@ -236,7 +278,7 @@ def test_population_simulation_matches_members_alone(seed, n, move_at):
         t_min=10, t_max=10, p_update=0.7, seed_nutrient=4.0, tau=1.0, schedule=tuple(schedule)
     )
     params = PhysicsParams(alpha=0.01, gamma=0.3, rho_cap=0.25)
-    genomes = [random_genome(rng) for _ in range(n)]
+    genomes = [random_genome(rng) for _ in range(n - 1)] + [wide_genome(rng)]
 
     together = build_simulation(genomes, generate(spec), params, cfg, 5)
     alone = [build_simulation(g, generate(spec), params, cfg, 5) for g in genomes]
