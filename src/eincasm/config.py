@@ -130,26 +130,27 @@ def parse_config(data: dict) -> RunConfig:
     io_data = dict(data.get("io", {}))
     io_cfg = _build_section("io", IoConfig, io_data, {"output_dir", "frame_every", "log_level"})
 
-    generations = int(data.get("generations", 20))
-    if generations < 1:
-        raise ConfigError("'generations' must be >= 1")
-    k_hidden = int(data.get("k_hidden", 4))
-    if k_hidden < 1:
-        raise ConfigError("'k_hidden' must be >= 1")
-    checkpoint_every = int(data.get("checkpoint_every", 10))
-    if checkpoint_every < 1:
-        raise ConfigError("'checkpoint_every' must be >= 1")
-
     return RunConfig(
         evolution=evolution,
         physics=physics,
         lifecycle=lifecycle,
         environments=environments,
         io=io_cfg,
-        generations=generations,
-        k_hidden=k_hidden,
-        checkpoint_every=checkpoint_every,
+        generations=_count(data, "generations", 20),
+        k_hidden=_count(data, "k_hidden", 4),
+        checkpoint_every=_count(data, "checkpoint_every", 10),
     )
+
+
+def _count(data: dict, key: str, default: int) -> int:
+    """A top-level integer >= 1; a float, string, bool or null is an error,
+    never truncated."""
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key!r} must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{key!r} must be >= 1")
+    return value
 
 
 def load_config(path: str) -> RunConfig:

@@ -20,7 +20,7 @@ outputs, whatever the batch and whichever other members share the plan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -303,6 +303,76 @@ def _activate(pre: np.ndarray, codes: np.ndarray, activations) -> np.ndarray:
     return out
 
 
+def _run(values: np.ndarray, t: _Tables, cols) -> None:
+    """Evaluate the positions of ``t`` in order, in place: ``values`` holds
+    one column per row, (slots + 1, n), with the slots those positions read
+    already filled, and ``cols`` picks each row's member column of the
+    tables (a one-member plan's single column broadcasts over the rows)."""
+    n = values.shape[1]
+    flat = values.reshape(-1)
+    src = t.src[:, cols] * n + np.arange(n)  # flat index of each edge's source value, per row
+    weight = t.weight[:, cols]
+    bias = t.bias[:, cols]
+    codes = t.codes[:, cols]
+    for j, position in enumerate(t.positions):
+        terms = flat.take(src[position.edges])
+        terms *= weight[position.edges]
+        # explicit per-edge accumulation in innovation order: summation
+        # order (and therefore rounding) is identical for any batch size
+        acc = values[position.slot]
+        acc[...] = bias[j]
+        for term in terms:
+            acc += term
+        acc[...] = _activate(acc, codes[j], position.activations)
+
+
+def _select(t: _Tables, keep: list[int]) -> _Tables:
+    """The positions ``keep`` of a table, in order, with their edges."""
+    edges = [np.arange(t.positions[j].edges.start, t.positions[j].edges.stop) for j in keep]
+    starts = np.cumsum([0] + [len(e) for e in edges]).tolist()
+    rows = np.concatenate([np.zeros(0, dtype=np.intp)] + edges)
+    return _Tables(
+        positions=tuple(replace(t.positions[j], edges=slice(starts[i], starts[i + 1])) for i, j in enumerate(keep)),
+        bias=t.bias[keep],
+        codes=t.codes[keep],
+        src=t.src[rows],
+        weight=t.weight[rows],
+    )
+
+
+@dataclass(frozen=True)
+class _Folded:
+    """A plan's table split at its constant positions: those where every
+    member's edges read only the bias input, the pad slot or earlier
+    constant positions (an edgeless node is one). With the bias input at
+    1.0 such a position holds one value per member, whatever the other
+    inputs are."""
+
+    slots: np.ndarray  # (constant positions,) the slots they write
+    values: np.ndarray  # (constant positions, P) each member's value there
+    varying: _Tables  # the other positions
+
+
+def _fold(n_inputs: int, t: _Tables) -> _Folded:
+    """Find the constant positions and evaluate them once, one row per
+    member through ``_run``: the loop every row takes, so a row of member m
+    with bias input 1.0 gets these bits there too."""
+    n_slots = n_inputs + len(t.positions)
+    known = np.zeros(n_slots + 1, dtype=bool)
+    known[[n_inputs - 1, n_slots]] = True  # the bias input and the pad slot
+    for position in t.positions:
+        known[position.slot] = known[t.src[position.edges]].all()
+    constant = [j for j, position in enumerate(t.positions) if known[position.slot]]
+    varying = [j for j, position in enumerate(t.positions) if not known[position.slot]]
+    n_members = t.bias.shape[1]
+    values = np.empty((n_slots + 1, n_members))
+    values[n_inputs - 1] = 1.0
+    values[-1] = -0.0
+    _run(values, _select(t, constant), np.arange(n_members))
+    slots = np.array([t.positions[j].slot for j in constant], dtype=np.intp)
+    return _Folded(slots=slots, values=values[slots], varying=_select(t, varying))
+
+
 @dataclass(frozen=True, eq=False)
 class Phenotype:
     """Topologically ordered evaluation plan for one or more members.
@@ -316,6 +386,15 @@ class Phenotype:
     runs once over all rows, and each activation only on the rows of the
     members that use it there. Only the ``input_slots`` some edge reads are
     copied in; a caller may leave the other input columns unfilled.
+
+    A position is constant when every member's edges into it read only the
+    bias input, the pad slot or earlier constant positions; an edgeless
+    node is one, and so is each output of a bias-only NEAT founder. When
+    every row's bias input is exactly 1.0, as ``Simulation`` always sets
+    it, a constant position's value depends on the member alone: ``folded``
+    evaluates those once per plan, through the same loop, and a batch only
+    copies each row's member value into their slots. Rows with any other
+    bias input take the full loop over every position.
 
     Immutable and sharable across threads; evaluation allocates its own
     scratch buffer per call.
@@ -337,6 +416,10 @@ class Phenotype:
     @cached_property
     def tables(self) -> _Tables:
         return _pad(self.n_inputs, self.plans)
+
+    @cached_property
+    def folded(self) -> _Folded:
+        return _fold(self.n_inputs, self.tables)
 
     @cached_property
     def input_slots(self) -> np.ndarray:
@@ -363,30 +446,18 @@ class Phenotype:
             members = np.asarray(members, dtype=np.intp)
             if members.shape != (n,):
                 raise GenomeError(f"expected {n} member ids, got shape {members.shape}")
-        # a one-member plan's single column broadcasts over the rows
         cols = slice(None) if self.n_members == 1 else members
-        t = self.tables
         values = np.empty((self.n_slots + 1, n))
         read = self.input_slots
         values[read] = inputs.T[read]  # no edge reads the other inputs' slots
         values[-1] = -0.0  # the pad slot
-        flat = values.reshape(-1)
-        rows = np.arange(n)
-        src = t.src[:, cols] * n + rows  # flat index of each edge's source value, per row
-        weight = t.weight[:, cols]
-        bias = t.bias[:, cols]
-        codes = t.codes[:, cols]
-        for j, position in enumerate(t.positions):
-            terms = flat.take(src[position.edges])
-            terms *= weight[position.edges]
-            # explicit per-edge accumulation in innovation order: summation
-            # order (and therefore rounding) is identical for any batch size
-            acc = values[position.slot]
-            acc[...] = bias[j]
-            for term in terms:
-                acc += term
-            acc[...] = _activate(acc, codes[j], position.activations)
-        return flat.take(self.output_slots.T[:, cols] * n + rows).T
+        t = self.tables
+        if (inputs[:, -1] == 1.0).all():
+            folded = self.folded
+            values[folded.slots] = folded.values[:, cols]
+            t = folded.varying
+        _run(values, t, cols)
+        return values.reshape(-1).take(self.output_slots.T[:, cols] * n + np.arange(n)).T
 
 
 def stack(phenotypes) -> Phenotype:

@@ -37,6 +37,9 @@ OPPOSITE = np.array([0, 3, 4, 1, 2, 7, 8, 5, 6])
 RHO_FLOOR = 1e-9  # below this density the velocity is defined as zero
 U_MAX = 0.3  # beyond low-Mach validity; the step aborts
 NEGATIVE_TOL = -1e-12
+#: At or below this max|u| the outflow limiter of ``advect_scalar`` cannot
+#: bind (see its proof, which needs a value below 1/4).
+LIMITER_IDLE_SPEED = 0.24
 
 # Moments use matmul with float vectors: on a batch it gives the same bits
 # per member as a single lattice's tensordot, where a stacked tensordot or
@@ -229,7 +232,7 @@ def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
     return Lattice(new, lat.tau), failures
 
 
-def _collide(f: np.ndarray, fields: MacroscopicFields, tau: float) -> None:
+def _collide(f: np.ndarray, fields: MacroscopicFields, usq: np.ndarray, tau: float) -> None:
     """BGK relaxation of a batch, in place: f_i += (feq_i - f_i) / tau.
 
     Directions relax in opposite pairs, two pairs per array operation:
@@ -237,10 +240,11 @@ def _collide(f: np.ndarray, fields: MacroscopicFields, tau: float) -> None:
     7, 8, each a (P, 2, H, W) slice of f sharing one e.u. Each feq_i is the
     float expression ``equilibrium`` evaluates, so the bits agree: negating
     e.u is exact, and a zero term of e.u changes at most the sign of a
-    zero, which does not reach feq.
+    zero, which does not reach feq. ``usq`` is |u|^2 as ``equilibrium``
+    computes it, ux * ux + uy * uy.
     """
     u, rho = fields.u, fields.rho
-    usq_term = 1.5 * (u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1])
+    usq_term = 1.5 * usq
 
     def relax(directions, bracket: np.ndarray, w_rho: np.ndarray) -> None:
         bracket *= w_rho
@@ -271,13 +275,16 @@ def _step_batch(f0: np.ndarray, walls: _Walls, src, tau: float, step_index):
 
     fields = _moments(f)
     ux, uy = fields.u[:, 0], fields.u[:, 1]
-    speed = np.sqrt(ux ** 2 + uy ** 2)
+    usq = ux * ux + uy * uy
     failures: list[FluidFailure | None] = [None] * n
-    for p in np.flatnonzero((speed > U_MAX).any(axis=(1, 2))):
-        y, x = np.unravel_index(int(np.argmax(speed[p])), speed[p].shape)
-        failures[p] = FluidFailure(f"velocity {speed[p, y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
+    # sqrt is monotone: a member's fastest cell exceeds U_MAX exactly when
+    # some cell does (fmax skips NaN, as the comparison does)
+    for p in np.flatnonzero(np.sqrt(np.fmax.reduce(usq, axis=(1, 2))) > U_MAX):
+        speed = np.sqrt(usq[p])
+        y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
+        failures[p] = FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
 
-    _collide(f, fields, tau)
+    _collide(f, fields, usq, tau)
     if walls.any_solid:
         f[:, :, walls.solid] = 0.0
     new = np.take(f.reshape(n, -1), walls.stream_gather, axis=1).reshape(f.shape)
@@ -312,12 +319,33 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray) -> np.nda
     carry a leading batch axis.
 
     Requires the CFL bound max(|ux|, |uy|) <= 0.5.
+
+    The limiter runs only when max|u| exceeds B = LIMITER_IDLE_SPEED. At
+    or below it, a nonnegative n never has ``out > n``, so every scale is
+    1.0, ``flux * 1.0`` is ``flux`` bit for bit, and skipping the limiter
+    keeps every bit. With e = 2^-53 and s = 2^-1074, the smallest
+    subnormal, a rounded sum has relative error at most e; a product or a
+    halving may also have absolute error s/2, where it lands among the
+    subnormals.
+
+    * A face speed is at most B: |a + b| <= 2B rounds to at most 2B.
+    * A cell donates through both faces of an axis only when the left one
+      is negative and the right one positive; their speeds then sum to at
+      most (1 + e) (v_right - v_left) / 2 + s <= B (1 + e) + s.
+    * Its outflow is at most 4 rounded products summed with 3 roundings:
+      out <= [2 n (B (1 + e) + s) (1 + e) + 2 s] (1 + e)^3, which is at
+      most n once n >= 4 s, since 2B = 0.48 leaves n a 52% margin.
+    * Below that, n = k s with k <= 3, and a product rounds to s only when
+      its face speed exceeds 1 / (2k), else to 0. No face speed exceeds
+      1/4, and at most one per axis exceeds 1/6, so out <= 2 s < 3 s.
+    * A zero donor gives zero fluxes, and NaN compares false.
     """
     n = np.asarray(n, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     walls = _walls(obstacles)
-    if float(np.max(np.abs(u), initial=0.0)) > 0.5 + 1e-12:
-        raise ValueError(f"CFL violated: max|u| = {np.max(np.abs(u)):.3f} > 0.5")
+    u_max = float(np.max(np.abs(u), initial=0.0))
+    if u_max > 0.5 + 1e-12:
+        raise ValueError(f"CFL violated: max|u| = {u_max:.3f} > 0.5")
 
     ux, uy = u[..., 0, :, :], u[..., 1, :, :]
     # Face-normal velocities; zero where either side is solid.
@@ -333,16 +361,17 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray) -> np.nda
     flux_x = ufx * np.where(ufx > 0, n[..., :, :-1], n[..., :, 1:])
     flux_y = ufy * np.where(ufy > 0, n[..., :-1, :], n[..., 1:, :])
 
-    # Limit each donor's total outflow to what it holds.
-    out = np.zeros_like(n)
-    out[..., :, :-1] += np.maximum(flux_x, 0.0)
-    out[..., :, 1:] -= np.minimum(flux_x, 0.0)
-    out[..., :-1, :] += np.maximum(flux_y, 0.0)
-    out[..., 1:, :] -= np.minimum(flux_y, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(out > n, n / np.maximum(out, 1e-300), 1.0)
-    flux_x *= np.where(flux_x > 0, scale[..., :, :-1], scale[..., :, 1:])
-    flux_y *= np.where(flux_y > 0, scale[..., :-1, :], scale[..., 1:, :])
+    # Limit each donor's total outflow to what it holds, unless it cannot bind.
+    if not u_max <= LIMITER_IDLE_SPEED:  # NaN included
+        out = np.zeros_like(n)
+        out[..., :, :-1] += np.maximum(flux_x, 0.0)
+        out[..., :, 1:] -= np.minimum(flux_x, 0.0)
+        out[..., :-1, :] += np.maximum(flux_y, 0.0)
+        out[..., 1:, :] -= np.minimum(flux_y, 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.where(out > n, n / np.maximum(out, 1e-300), 1.0)
+        flux_x *= np.where(flux_x > 0, scale[..., :, :-1], scale[..., :, 1:])
+        flux_y *= np.where(flux_y > 0, scale[..., :-1, :], scale[..., 1:, :])
 
     result = n.copy()
     result[..., :, :-1] -= flux_x

@@ -6,7 +6,9 @@ The per-step pipeline (normative order):
 1. the active set is every non-obstacle cell whose 3x3 neighborhood
    contains at least one cell with mass >= m_min;
 2. each active cell is selected independently with probability p_update,
-   one uniform draw per active cell in row-major order;
+   one uniform draw per active cell in row-major order; at p_update 1
+   every active cell is selected and nothing is drawn, since a draw in
+   [0, 1) always falls below 1 and nothing else reads the streams;
 3. selected cells perceive the *pre-step* world, evaluate the compiled
    rule, and have their outputs squashed;
 4. hidden outputs (clamped to [-1, 1]) are written and the physics
@@ -401,12 +403,15 @@ class Simulation:
         ms, ys, xs = np.nonzero(active)
         if selection_override is not None:
             chosen = selection_override[ys, xs]
+            cells = (ms[chosen], ys[chosen], xs[chosen])
+        elif self.cfg.p_update == 1.0:
+            cells = (ms, ys, xs)  # every draw in [0, 1) would select its cell
         else:
             # One draw per active cell, row-major, off each member's own stream.
             counts = np.bincount(ms, minlength=len(self.running))
             draws = np.concatenate([self.rngs[m].random(c) for m, c in zip(self.running, counts)])
             chosen = draws < self.cfg.p_update
-        cells = (ms[chosen], ys[chosen], xs[chosen])
+            cells = (ms[chosen], ys[chosen], xs[chosen])
         sel_m, sel_y, sel_x = cells
 
         rho_src = np.zeros(worlds.mass.shape)

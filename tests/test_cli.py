@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,23 +53,23 @@ class TestEvolveCommand:
         out = str(tmp_path / "out")
         code = main(["evolve", "--config", write_config(tmp_path, smoke_config(out))])
         assert code == 0
-        log = open(os.path.join(out, "log.csv")).read().splitlines()
+        log = Path(out, "log.csv").read_text().splitlines()
         assert log[0].split(",") == list(fileio.LOG_COLUMNS)
         assert len(log) == 3  # header + 2 generations
         assert os.path.exists(os.path.join(out, "best_genome.json"))
         assert os.path.exists(os.path.join(out, "resolved_config.json"))
-        resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
+        resolved = json.loads(Path(out, "resolved_config.json").read_text())
         assert resolved["evolution"]["population_size"] == 6
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["evolve", "--config", write_config(tmp_path, smoke_config(out_a))]) == 0
         assert main(["evolve", "--config", write_config(tmp_path, smoke_config(out_b), "c2.json")]) == 0
-        log_a = open(os.path.join(out_a, "log.csv"), "rb").read()
-        log_b = open(os.path.join(out_b, "log.csv"), "rb").read()
+        log_a = Path(out_a, "log.csv").read_bytes()
+        log_b = Path(out_b, "log.csv").read_bytes()
         assert log_a == log_b
-        best_a = open(os.path.join(out_a, "best_genome.json"), "rb").read()
-        best_b = open(os.path.join(out_b, "best_genome.json"), "rb").read()
+        best_a = Path(out_a, "best_genome.json").read_bytes()
+        best_b = Path(out_b, "best_genome.json").read_bytes()
         assert best_a == best_b
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
@@ -91,7 +92,7 @@ class TestEvolveCommand:
         cfg = write_config(tmp_path, smoke_config(str(tmp_path / "ignored")))
         code = main(["evolve", "--config", cfg, "--out", out, "--generations", "1", "--pop", "4", "--seed", "9"])
         assert code == 0
-        resolved = json.loads(open(os.path.join(out, "resolved_config.json")).read())
+        resolved = json.loads(Path(out, "resolved_config.json").read_text())
         assert resolved["generations"] == 1
         assert resolved["evolution"]["population_size"] == 4
         assert resolved["evolution"]["seed"] == 9
@@ -105,6 +106,20 @@ class TestEvolveCommand:
         cfg = write_config(tmp_path, smoke_config(str(tmp_path / "ignored")))
         assert main(["evolve", "--config", cfg, "--out", out] + flags) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(os.path.join(out, "best_genome.json"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("generations", "abc"), ("generations", 2.9), ("generations", 3.0), ("generations", True),
+         ("k_hidden", None), ("k_hidden", "4"), ("checkpoint_every", 1.5), ("checkpoint_every", [2])],
+    )
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, key, value):
+        out = str(tmp_path / "o")
+        cfg = smoke_config(out)
+        cfg[key] = value
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
         assert not os.path.exists(os.path.join(out, "best_genome.json"))
 
     def test_checkpoint_written_and_loadable(self, tmp_path):
@@ -133,7 +148,7 @@ class TestEvolveCommand:
         lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gen ")]
         assert len(lines) == 2
         assert all(line.endswith("failed 0") for line in lines)
-        header = open(os.path.join(out, "log.csv")).read().splitlines()[0]
+        header = Path(out, "log.csv").read_text().splitlines()[0]
         assert "failed" not in header  # the count is not a log.csv column
 
 
@@ -163,7 +178,7 @@ class TestTestCommand:
         genome = write_genome(tmp_path, chemotaxis_baseline())
         out = str(tmp_path / "report.json")
         assert main(["test", genome, "--seed", "0", "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         names = {t["name"]: t for t in report["tests"]}
         assert names["pathfinding"]["completed"] is True
         assert report["iq"] > 0.0
@@ -172,7 +187,7 @@ class TestTestCommand:
         genome = write_genome(tmp_path, inert_genome())
         out = str(tmp_path / "report.json")
         assert main(["test", genome, "--seed", "0", "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert report["iq"] == 0.0
 
     def test_corrupt_genome_exits_2(self, tmp_path):
@@ -209,7 +224,7 @@ class TestTestCommand:
         battery.write_text(json.dumps({"lifecycle": {"t_min": 20, "t_max": 20}, "tests": tests}))
         out = str(tmp_path / "report.json")
         assert main(["test", genome, "--battery", str(battery), "--out", out]) == 0
-        report = json.loads(open(out).read())
+        report = json.loads(Path(out).read_text())
         assert [t["name"] for t in report["tests"]] == ["detour", "coordination"]
 
 
@@ -237,7 +252,7 @@ class TestRenderCommand:
         assert code == 0
         frames = sorted(f for f in os.listdir(out) if f.endswith(".ppm"))
         assert frames == ["frame_000000.ppm", "frame_000001.ppm"]  # initial + final
-        payload = json.loads(open(os.path.join(out, "trajectory.json")).read())
+        payload = json.loads(Path(out, "trajectory.json").read_text())
         assert len(payload["steps"]) == 9  # steps 0..8
         assert fileio.verify_trajectory(payload)
 
@@ -313,5 +328,5 @@ def test_atomic_write_replaces_content(tmp_path):
     path = str(tmp_path / "file.txt")
     fileio.atomic_write_text(path, "one")
     fileio.atomic_write_text(path, "two")
-    assert open(path).read() == "two"
+    assert Path(path).read_text() == "two"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []

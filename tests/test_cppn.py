@@ -24,6 +24,8 @@ from eincasm.cppn import (
     stack,
     validate_genome,
 )
+from eincasm.harness import chemotaxis_baseline
+from eincasm.neat import EvolutionConfig, init_population
 
 
 def tiny_genome(k_hidden=1):
@@ -97,6 +99,34 @@ def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12, p_enabled=0.9):
             continue
         g.connections[innov] = ConnectionGene(innov, src, dst, float(rng.normal()), bool(rng.random() < p_enabled))
         innov += 1
+    validate_genome(g)
+    return g
+
+
+def bias_fed_genome(rng, k_hidden=1, max_hidden=4):
+    """A genome whose nodes mostly read the bias input alone: founder-style
+    bias->output edges, edgeless outputs, and chains of hidden nodes fed
+    only by the bias, plus now and then an edge from a perception input."""
+    g = empty_genome(k_hidden)
+    bias = g.bias_input_id
+    sources = [bias]
+    next_id = g.n_inputs + g.n_outputs
+    for _ in range(int(rng.integers(0, max_hidden + 1))):
+        g.nodes[next_id] = NodeGene(next_id, "hidden", str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
+        sources.append(next_id)
+        next_id += 1
+    # hidden node i reads earlier sources only, so the wiring stays acyclic
+    wiring = [(int(rng.choice(sources[:i])), node) for i, node in enumerate(sources) if i > 0]
+    for out_id in g.output_ids():
+        g.nodes[out_id].activation = str(rng.choice(ACTIVATION_NAMES))
+        g.nodes[out_id].bias = float(rng.normal())
+        choice = rng.random()
+        if choice < 0.6:
+            wiring.append((int(rng.choice(sources)), out_id))
+        elif choice < 0.8:
+            wiring.append((int(rng.integers(0, bias)), out_id))
+    for innov, (src, dst) in enumerate(wiring):
+        g.connections[innov] = ConnectionGene(innov, src, dst, float(rng.normal()), bool(rng.random() < 0.9))
     validate_genome(g)
     return g
 
@@ -186,18 +216,22 @@ class TestEvaluate:
 
 @st.composite
 def stacked_population(draw):
-    """Random genomes (0-6 hidden nodes, disabled edges, every activation,
-    signed-zero biases and weights), rows of inputs, and a random member per
-    row: some members get no rows, and there may be no rows at all."""
+    """Random or mostly bias-fed genomes (0-6 hidden nodes, disabled edges,
+    every activation, signed-zero biases and weights), rows of inputs whose
+    bias input is 1.0 in about half the draws, and a random member per row:
+    some members get no rows, and there may be no rows at all."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     genomes = []
     for _ in range(draw(st.integers(1, 6))):
-        g = random_genome(
-            rng,
-            max_hidden=draw(st.integers(0, 6)),
-            n_conns=draw(st.integers(0, 24)),
-            p_enabled=draw(st.sampled_from([0.5, 0.9, 1.0])),
-        )
+        if draw(st.booleans()):
+            g = bias_fed_genome(rng, max_hidden=draw(st.integers(0, 4)))
+        else:
+            g = random_genome(
+                rng,
+                max_hidden=draw(st.integers(0, 6)),
+                n_conns=draw(st.integers(0, 24)),
+                p_enabled=draw(st.sampled_from([0.5, 0.9, 1.0])),
+            )
         for node in g.nodes.values():
             if node.kind != "input" and rng.random() < 0.1:
                 node.bias = float(rng.choice([0.0, -0.0]))
@@ -210,6 +244,8 @@ def stacked_population(draw):
     inputs = rng.normal(scale=3.0, size=(n_rows, genomes[0].n_inputs))
     inputs[rng.random(inputs.shape) < 0.1] = -0.0
     inputs[rng.random(inputs.shape) < 0.1] = 0.0
+    if draw(st.booleans()):
+        inputs[:, -1] = 1.0  # the bias input as a simulation sets it: constant positions fold
     return genomes, inputs, members
 
 
@@ -254,6 +290,40 @@ class TestStackedPlan:
         out = plan.evaluate_batch(x, members)
         for m, g in enumerate(genomes):
             expected = reference_evaluate(compile_genome(g), x[members == m])
+            np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
+
+    def test_baseline_folds_its_input_free_positions(self):
+        plan = compile_genome(chemotaxis_baseline())
+        # H0 and dM read perception; H1-H3 have no edges and dR reads the bias
+        assert (plan.folded.slots - plan.n_inputs).tolist() == [1, 2, 3, 4]
+        assert [p.slot - plan.n_inputs for p in plan.folded.varying.positions] == [0, 5]
+
+    def test_founders_fold_every_position(self):
+        founders = init_population(EvolutionConfig(population_size=5, seed=11), 4).members
+        plan = stack([compile_genome(g) for g in founders])
+        assert (plan.folded.slots - plan.n_inputs).tolist() == list(range(6))
+        assert plan.folded.varying.positions == ()
+        x = np.random.default_rng(12).normal(size=(20, plan.n_inputs))
+        x[:, -1] = 1.0
+        members = np.arange(20) % 5
+        out = plan.evaluate_batch(x, members)
+        for m, g in enumerate(founders):
+            expected = reference_evaluate(compile_genome(g), x[members == m])
+            np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("bias", [0.5, -1.0, 0.0, -0.0, np.nan])
+    def test_rows_with_another_bias_match_the_reference(self, bias):
+        rng = np.random.default_rng(13)
+        founders = init_population(EvolutionConfig(population_size=3, seed=14), 4).members
+        phenotypes = [compile_genome(g) for g in [chemotaxis_baseline(), *founders]]
+        plan = stack(phenotypes)
+        x = rng.normal(size=(24, plan.n_inputs))
+        x[:, -1] = 1.0
+        x[::3, -1] = bias  # one row in three: any value but 1.0 leaves the folded path
+        members = np.arange(24) % len(phenotypes)
+        out = plan.evaluate_batch(x, members)
+        for m, phenotype in enumerate(phenotypes):
+            expected = reference_evaluate(phenotype, x[members == m])
             np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
 
     def test_stack_of_one_is_that_plan(self):

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from eincasm.fluid import (
     EX,
     EY,
+    LIMITER_IDLE_SPEED,
     OPPOSITE,
     WEIGHTS,
     FluidInstability,
@@ -246,21 +247,49 @@ def reference_advect_scalar(n, u, obstacles):
 class TestAdvectScalar:
     @settings(max_examples=150, deadline=None)
     @given(batch=st.sampled_from([(), (1,), (3,)]), h=st.integers(3, 9), w=st.integers(3, 9),
+           limit=st.sampled_from([0.1, LIMITER_IDLE_SPEED, np.nextafter(LIMITER_IDLE_SPEED, 1.0), 0.5]),
            seed=st.integers(0, 2**32 - 1), data=st.data())
-    def test_bits_equal_where_of_products_reference(self, batch, h, w, seed, data):
+    def test_bits_equal_where_of_products_reference(self, batch, h, w, limit, seed, data):
         def grid(dtype, shape, elements):
             return data.draw(hnp.arrays(dtype, shape, elements=elements, fill=st.nothing()))
 
         rng = np.random.default_rng(seed)
         obstacles = grid(bool, (h, w), st.booleans()).astype(float)
-        n = rng.random(batch + (h, w)) * 10.0 ** rng.integers(-8, 1, batch + (h, w))
-        n *= grid(bool, batch + (h, w), st.booleans())
+        shape = batch + (h, w)
+        # each cell: 8 decades up to 1, a small multiple of the smallest
+        # subnormal, a value up to about 1e-300, or an exact zero
+        kinds = grid(np.int8, shape, st.integers(0, 3))
+        n = np.select(
+            [kinds == 0, kinds == 1, kinds == 2],
+            [rng.random(shape) * 10.0 ** rng.integers(-8, 1, shape),
+             rng.integers(1, 64, shape) * 5e-324,
+             10.0 ** rng.uniform(-323.0, -300.0, shape)],
+            0.0,
+        )
         n[..., obstacles > 0.5] = 0.0
-        u = rng.uniform(-0.5, 0.5, batch + (2, h, w))
-        edge = grid(bool, u.shape, st.booleans())  # signed zeros and the CFL limit
-        u[edge] = grid(float, u.shape, st.sampled_from([0.0, -0.0, 0.5, -0.5]))[edge]
+        # below, at, just above the limiter's idle bound, or up to the CFL limit
+        u = rng.uniform(-limit, limit, batch + (2, h, w))
+        edge = grid(bool, u.shape, st.booleans())  # signed zeros and the limit itself
+        u[edge] = grid(float, u.shape, st.sampled_from([0.0, -0.0, limit, -limit]))[edge]
         got = advect_scalar(n, u, obstacles)
         np.testing.assert_array_equal(got.view(np.uint64), reference_advect_scalar(n, u, obstacles).view(np.uint64))
+
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (1.0, 1.0), (-1.0, 0.0)])
+    def test_subnormal_donor_at_the_idle_bound(self, center):
+        # a subnormal centre cell whose 4 neighbours move away from it at
+        # |u| = B: a still centre donates through all 4 faces at B / 2, a
+        # moving one at B through the faces it moves toward
+        b = LIMITER_IDLE_SPEED
+        u = np.zeros((2, 3, 3))
+        u[0, 1, 0], u[0, 1, 2], u[1, 0, 1], u[1, 2, 1] = -b, b, -b, b
+        u[:, 1, 1] = np.multiply(center, b)
+        obstacles = np.zeros((3, 3))
+        for k in [1, 2, 3, 4, 5, 7, 9, 13, 64, 2**52]:
+            n = np.zeros((3, 3))
+            n[1, 1] = k * 5e-324
+            np.testing.assert_array_equal(
+                advect_scalar(n, u, obstacles).view(np.uint64), reference_advect_scalar(n, u, obstacles).view(np.uint64)
+            )
 
     def test_zero_velocity_is_identity(self):
         rng = np.random.default_rng(7)

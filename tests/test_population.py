@@ -299,3 +299,25 @@ def test_members_must_share_k_hidden():
     bundle = generate(EnvSpec(kind="open_arena", shape=GridShape(8, 8)))
     with pytest.raises(LifecycleError):
         build_simulation([empty_genome(2), empty_genome(3)], bundle, PhysicsParams(), LifecycleConfig(), 1)
+
+
+def test_full_update_draws_nothing_and_selects_every_active_cell():
+    """At p_update 1 a two-member simulation steps exactly as one whose
+    every cell is forced to update, and its selection streams stay unread."""
+    spec = EnvSpec(kind="open_arena", shape=GridShape(13, 11), food=((Rect(8, 4, 2, 2), 2.0),))
+    params, cfg = harness_physics(), harness_lifecycle(t=60)
+    genomes = [chemotaxis_baseline(K), random_genome(np.random.default_rng(9))]
+    stochastic = build_simulation(genomes, generate(spec), params, cfg, 5)
+    forced = build_simulation(genomes, generate(spec), params, cfg, 5)
+    unread = [rng.bit_generator.state for rng in stochastic.rngs]
+    everywhere = np.ones(spec.shape.yx, dtype=bool)
+    for _ in range(60):
+        stochastic.step()
+        forced.step(everywhere)
+        assert stochastic.running == forced.running == [0, 1]
+        for m in (0, 1):
+            expected = forced.member_world(m).channel_stack().tobytes()
+            assert stochastic.member_world(m).channel_stack().tobytes() == expected
+        assert stochastic.lattices.f.tobytes() == forced.lattices.f.tobytes()
+    assert [rng.bit_generator.state for rng in stochastic.rngs] == unread
+    assert (stochastic.worlds.mass.sum(axis=(1, 2)) != cfg.seed_mass).all()  # both members' economies ran
