@@ -8,12 +8,19 @@ process pool, one per worker, and their results are joined in member
 order: the generational outcome is identical however the work was split.
 The EINCASM_THREADS environment variable caps the pool size (0 or unset =
 one worker per CPU, 1 = one batch, in-process).
+
+``evolve_run`` opens one pool for the whole run and closes it when the
+run ends, so its workers start once, not once per generation; every
+generation's chunks go to those same workers. A worker keeps only caches
+between generations (obstacle layouts, fluid work arrays, arenas), none
+of which a fitness depends on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,12 +61,14 @@ def evaluate_population(
     cfg: LifecycleConfig,
     run_seed: int,
     workers: int | None = None,
+    pool: Executor | None = None,
 ) -> tuple[list[float], int]:
     """Fitness per member, joined in member order, and the number of
     lifecycles (member x environment evaluation) that a fluid failure cut
     short. Every member of one generation shares run_seed, so all face
     identical environments. The members split into one contiguous chunk
-    per worker."""
+    per worker. More than one chunk runs on ``pool`` when given, else on
+    a pool opened for this call."""
     if not members:
         return [], 0
     workers = evaluation_workers() if workers is None else workers
@@ -68,8 +77,8 @@ def evaluate_population(
     tasks = [(members[a:b], envs, params, cfg, run_seed) for a, b in zip(edges, edges[1:])]
     if workers == 1:
         return _evaluate_chunk(tasks[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_evaluate_chunk, tasks))
+    with ProcessPoolExecutor(max_workers=workers) if pool is None else contextlib.nullcontext(pool) as executor:
+        chunks = list(executor.map(_evaluate_chunk, tasks))
     return [fitness for chunk, _ in chunks for fitness in chunk], sum(n_failed for _, n_failed in chunks)
 
 
@@ -113,30 +122,33 @@ def evolve_run(cfg: RunConfig, on_generation=None, workers: int | None = None) -
     """
     pop = neat.init_population(cfg.evolution, cfg.k_hidden)
     result = EvolveResult()
-    for gen in range(cfg.generations):
-        run_seed = neat.evaluation_seed(cfg.evolution.seed, gen)
-        fitnesses, n_failed = evaluate_population(
-            pop.members, cfg.environments, cfg.physics, cfg.lifecycle, run_seed, workers=workers
-        )
-        best_index = int(np.argmax(fitnesses))
-        best = pop.members[best_index]
-        stats = GenerationStats(
-            generation=gen,
-            best_fitness=float(fitnesses[best_index]),
-            mean_fitness=float(np.mean(fitnesses)),
-            n_species=len(pop.species),
-            best_genome_nodes=len(best.nodes),
-            best_genome_connections=len(best.connections),
-            best_index=best_index,
-            n_failed=n_failed,
-        )
-        result.stats.append(stats)
-        if stats.best_fitness > result.best_fitness:
-            result.best_fitness = stats.best_fitness
-            result.best_genome = best.copy()
-        if on_generation is not None:
-            on_generation(stats, pop)
-        if gen + 1 < cfg.generations:
-            pop = neat.next_generation(pop, fitnesses, cfg.evolution)
+    workers = evaluation_workers() if workers is None else workers
+    pool_size = min(workers, len(pop.members))
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else contextlib.nullcontext() as pool:
+        for gen in range(cfg.generations):
+            run_seed = neat.evaluation_seed(cfg.evolution.seed, gen)
+            fitnesses, n_failed = evaluate_population(
+                pop.members, cfg.environments, cfg.physics, cfg.lifecycle, run_seed, workers=workers, pool=pool
+            )
+            best_index = int(np.argmax(fitnesses))
+            best = pop.members[best_index]
+            stats = GenerationStats(
+                generation=gen,
+                best_fitness=float(fitnesses[best_index]),
+                mean_fitness=float(np.mean(fitnesses)),
+                n_species=len(pop.species),
+                best_genome_nodes=len(best.nodes),
+                best_genome_connections=len(best.connections),
+                best_index=best_index,
+                n_failed=n_failed,
+            )
+            result.stats.append(stats)
+            if stats.best_fitness > result.best_fitness:
+                result.best_fitness = stats.best_fitness
+                result.best_genome = best.copy()
+            if on_generation is not None:
+                on_generation(stats, pop)
+            if gen + 1 < cfg.generations:
+                pop = neat.next_generation(pop, fitnesses, cfg.evolution)
     result.final_population = pop
     return result

@@ -18,12 +18,30 @@ its total exactly fixed and its values nonnegative by construction.
 
 A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
 worlds on one shared obstacle layout, advanced by the same array
-operations as a single lattice, which is the P = 1 case. Streaming with
-bounce-back is one gather, precomputed once per obstacle layout.
+operations as a single lattice, which is the P = 1 case.
+
+Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
+caches it per distinct layout), and ``step`` and ``advect_scalar`` take
+either the obstacle grid or its ``Walls``, so a caller that runs both in
+one step resolves the layout once. Streaming with bounce-back is one
+gather, precomputed once per layout. Each member's post-collision
+populations are followed by one zero slot, and every obstacle cell's
+destinations gather from that slot, so obstacle cells of a stepped
+lattice are exactly 0.0 whatever the input held there, with no masked
+write.
+
+Work arrays: a step's intermediates (the injected and collided lattice
+with its zero slot, the moments and the collision terms) live in scratch
+arrays that the next step reuses instead of allocating them again, as
+long as the batch keeps its shape. Each thread holds its own set, for
+the shape it stepped last, so concurrent steps on different threads
+never share them; within a thread a step runs to completion before the
+next one starts. A step allocates only the lattice it returns.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -38,14 +56,20 @@ RHO_FLOOR = 1e-9  # below this density the velocity is defined as zero
 U_MAX = 0.3  # beyond low-Mach validity; the step aborts
 NEGATIVE_TOL = -1e-12
 #: At or below this max|u| the outflow limiter of ``advect_scalar`` cannot
-#: bind (see its proof, which needs a value below 1/4).
-LIMITER_IDLE_SPEED = 0.24
+#: bind (see its proof): the largest double B with B (1 + 2^-53) + 2^-1074
+#: below 1/3.
+LIMITER_IDLE_SPEED = float(np.nextafter(1 / 3, 0.0))
 
 # Moments use matmul with float vectors: on a batch it gives the same bits
 # per member as a single lattice's tensordot, where a stacked tensordot or
 # a (2, 9) matrix product does not.
 _EX_FLOAT = EX.astype(np.float64)
 _EY_FLOAT = EY.astype(np.float64)
+# The weight of each direction group of the collision: rest, axes, diagonals.
+_GROUP_WEIGHTS = np.array([WEIGHTS[0], WEIGHTS[1], WEIGHTS[5]]).reshape(3, 1, 1, 1)
+# No float64 at or above this bit pattern, read as uint64, is finite and
+# nonnegative: +inf, NaN and every value with the sign bit set.
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 class FluidInstability(RuntimeError):
@@ -101,7 +125,7 @@ class MacroscopicFields:
     u: np.ndarray  # (2, H, W): u[0] = ux, u[1] = uy; (P, 2, H, W) for a batch
 
 
-class _Walls:
+class Walls:
     """One obstacle layout and the arrays streaming and advection derive from it."""
 
     def __init__(self, solid: np.ndarray):
@@ -111,14 +135,16 @@ class _Walls:
     @cached_property
     def stream_gather(self) -> np.ndarray:
         """Flat source index of every post-streaming population of one
-        (9, H, W) lattice: streamed.flat[k] = f.flat[stream_gather[k]].
+        (9, H, W) lattice: streamed.flat[k] = f.flat[stream_gather[k]],
+        where f is followed by one zero slot at index 9 H W.
 
         A free cell receives direction i from its upstream neighbour
         (cell - e_i) when that neighbour is in the grid and free; otherwise
         it receives its own opposite population, bounced back in place. An
-        obstacle cell reads its own population, which collision zeroed.
-        Each destination thus takes exactly one population, so the gather
-        is exact: shifting and adding would only add zeros to it.
+        obstacle cell reads the zero slot. Each destination thus takes
+        exactly one population, so the gather is exact: shifting and adding
+        would only add zeros to it. No free cell reads an obstacle cell's
+        population, so whatever collision left there never propagates.
         """
         h, w = self.solid.shape
         size = h * w
@@ -128,7 +154,7 @@ class _Walls:
         blocked = np.pad(self.solid, 1, constant_values=True)[up_y + 1, up_x + 1]  # off-grid blocks too
         direction = np.arange(9)[:, None, None]
         gather = np.where(blocked, OPPOSITE[:, None, None] * size + cell, direction * size + up_y * w + up_x)
-        gather = np.where(self.solid, direction * size + cell, gather)
+        gather = np.where(self.solid, 9 * size, gather)
         return gather.ravel()
 
     @cached_property
@@ -140,13 +166,16 @@ class _Walls:
 
 
 @lru_cache(maxsize=8)
-def _walls_of_layout(shape: tuple[int, int], layout: bytes) -> _Walls:
-    return _Walls(np.frombuffer(layout, dtype=bool).reshape(shape))
+def _walls_of_layout(shape: tuple[int, int], layout: bytes) -> Walls:
+    return Walls(np.frombuffer(layout, dtype=bool).reshape(shape))
 
 
-def _walls(obstacles) -> _Walls:
+def walls_of(obstacles: np.ndarray | Walls) -> Walls:
     """The derived arrays of an obstacle layout, built once per distinct
-    layout (a moved obstacle makes a new one) and then reused."""
+    layout (a moved obstacle makes a new one) and then reused. A ``Walls``
+    is returned as it is."""
+    if isinstance(obstacles, Walls):
+        return obstacles
     solid = np.asarray(obstacles) > 0.5
     return _walls_of_layout(solid.shape, solid.tobytes())
 
@@ -175,34 +204,39 @@ def uniform_lattice(width: int, height: int, obstacles: np.ndarray | None = None
     return Lattice(f, tau)
 
 
-def _moments(f: np.ndarray) -> MacroscopicFields:
-    """Moments of a batch f (P, 9, H, W)."""
+def _moments(f: np.ndarray, rho: np.ndarray, u: np.ndarray, den: np.ndarray) -> None:
+    """Moments of a batch f (P, 9, H, W) into rho (P, H, W) and u
+    (P, 2, H, W); den (P, H, W) is work space."""
     n, _, h, w = f.shape
     flat = f.reshape(n, 9, h * w)
-    rho = f.sum(axis=1)
-    mom = np.stack([np.matmul(_EX_FLOAT, flat), np.matmul(_EY_FLOAT, flat)], axis=1)
-    u = mom.reshape(n, 2, h, w) / np.maximum(rho, RHO_FLOOR)[:, None]
-    np.copyto(u, 0.0, where=(rho < RHO_FLOOR)[:, None])
-    return MacroscopicFields(rho=rho, u=u)
+    np.add.reduce(f, axis=1, out=rho)
+    np.matmul(_EX_FLOAT, flat, out=u[:, 0].reshape(n, h * w))
+    np.matmul(_EY_FLOAT, flat, out=u[:, 1].reshape(n, h * w))
+    u /= np.maximum(rho, RHO_FLOOR, out=den)[:, None]
+    if np.fmin.reduce(rho, axis=None) < RHO_FLOOR:  # fmin skips NaN, as the comparison does
+        np.copyto(u, 0.0, where=(rho < RHO_FLOOR)[:, None])
 
 
 def macroscopic(lat: Lattice) -> MacroscopicFields:
     """Density and velocity moments; u = 0 wherever rho < 1e-9."""
+    f = lat.f if lat.f.ndim == 4 else lat.f[None]
+    n, _, h, w = f.shape
+    rho, u = np.empty((n, h, w)), np.empty((n, 2, h, w))
+    _moments(f, rho, u, np.empty((n, h, w)))
     if lat.f.ndim == 4:
-        return _moments(lat.f)
-    fields = _moments(lat.f[None])
-    return MacroscopicFields(rho=fields.rho[0], u=fields.u[0])
+        return MacroscopicFields(rho=rho, u=u)
+    return MacroscopicFields(rho=rho[0], u=u[0])
 
 
-def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
+def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray | None = None,
          step_index: int | None = None):
     """One inject -> collide -> stream -> bounce-back cycle.
 
-    ``sources`` is a per-cell density source (already capped by the
-    caller, zero on obstacle cells), one grid per member of a batch; it is
-    distributed isotropically as f_i += w_i * rho_src. Populations
-    streaming into an obstacle cell or off the grid reverse direction in
-    place (no-slip).
+    ``obstacles`` is the obstacle grid or its ``Walls``. ``sources`` is a
+    per-cell density source (already capped by the caller, exactly zero
+    on obstacle cells), one grid per member of a batch; it is distributed
+    isotropically as f_i += w_i * rho_src. Populations streaming into an
+    obstacle cell or off the grid reverse direction in place (no-slip).
 
     A lattice fails on negative/non-finite populations or |u| > 0.3. A
     single lattice then raises FluidInstability and otherwise returns the
@@ -211,7 +245,9 @@ def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
     FluidFailure or None, and a failed member's populations come back
     unchanged.
     """
-    walls = _walls(obstacles)
+    walls = walls_of(obstacles)
+    if walls.solid.shape != lat.grid_shape:
+        raise ValueError(f"obstacle layout {walls.solid.shape} does not match grid {lat.grid_shape}")
     single = lat.f.ndim == 3
     f = lat.f[None] if single else lat.f
     src = None
@@ -221,7 +257,8 @@ def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
         if src.shape != expected:
             raise ValueError(f"sources shape {src.shape} does not match grid {expected}")
         src = src.reshape(f.shape[:1] + f.shape[2:])
-        if walls.any_solid and (np.abs(src[:, walls.solid]) > 0).any():
+        # true for every value but +-0.0, NaN included
+        if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):
             raise ValueError("sources must be zero on obstacle cells")
     new, failures = _step_batch(f, walls, src, lat.tau, step_index)
     if single:
@@ -232,50 +269,120 @@ def step(lat: Lattice, obstacles: np.ndarray, sources: np.ndarray | None = None,
     return Lattice(new, lat.tau), failures
 
 
-def _collide(f: np.ndarray, fields: MacroscopicFields, usq: np.ndarray, tau: float) -> None:
-    """BGK relaxation of a batch, in place: f_i += (feq_i - f_i) / tau.
+class _Scratch:
+    """The work arrays of one step of a (P, 9, H, W) batch, laid out
+    direction-major, (9, P, H, W), so that each collision operation runs
+    over whole contiguous arrays."""
 
-    Directions relax in opposite pairs, two pairs per array operation:
-    the axis directions 1, 2 against 3, 4 and the diagonals 5, 6 against
-    7, 8, each a (P, 2, H, W) slice of f sharing one e.u. Each feq_i is the
-    float expression ``equilibrium`` evaluates, so the bits agree: negating
-    e.u is exact, and a zero term of e.u changes at most the sign of a
-    zero, which does not reach feq. ``usq`` is |u|^2 as ``equilibrium``
-    computes it, ux * ux + uy * uy.
+    def __init__(self, shape: tuple[int, int, int, int]):
+        self.shape = shape
+        n, _, h, w = shape
+        # the batch's lattice by direction, then its zero slot
+        self.lattice = np.zeros(9 * n * h * w + 1)
+        self.f = self.lattice[:-1].reshape(9, n, h, w)
+        self.rho, self.usq, self.usq_term, self.tmp = np.empty((4, n, h, w))
+        self.eu = np.empty((2, 2, n, h, w))  # e.u by (group, k); group 0 holds u itself
+        self.u = self.eu[0]
+        self.square = np.empty((2, 2, n, h, w))
+        self.relax = np.empty((9, n, h, w))  # built up to (feq - f) / tau
+        self.w_rho = np.empty((3, n, h, w))
+        self.walls: Walls | None = None
+        self.gather = np.empty(0, dtype=np.intp)
+
+    def stream_gather(self, walls: Walls) -> np.ndarray:
+        """The (P, 9 H W) flat source index of every post-streaming
+        population of the batch in ``lattice``: ``walls.stream_gather``
+        moved to each member's place in the direction-major layout, with
+        obstacle destinations at the batch's zero slot."""
+        if self.walls is not walls:
+            _, n, h, w = self.f.shape
+            size = h * w
+            one = walls.stream_gather
+            direction, cell = np.divmod(one, size)  # the zero slot: direction 9
+            moved = direction * (n * size) + np.arange(n)[:, None] * size + cell
+            self.gather = np.where(direction == 9, 9 * n * size, moved)
+            self.walls = walls
+        return self.gather
+
+
+_local = threading.local()
+
+
+def _scratch(shape: tuple[int, int, int, int]) -> _Scratch:
+    """The calling thread's work arrays, for a batch of this shape: kept
+    from its last step of the same shape, else made anew in their place."""
+    s = getattr(_local, "scratch", None)
+    if s is None or s.shape != shape:
+        s = _local.scratch = _Scratch(shape)
+    return s
+
+
+def _collide(s: _Scratch, tau: float) -> None:
+    """BGK relaxation of the batch in ``s.f``, in place:
+    f_i += (feq_i - f_i) / tau, from the moments ``s.rho``, ``s.u`` and
+    |u|^2 ``s.usq`` (computed as ``equilibrium`` does, ux * ux + uy * uy).
+
+    All nine directions relax in one pass per operation once their
+    brackets (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 |u|^2) are built: the rest
+    direction's is 1 - 1.5 |u|^2, and directions 1-8 are built as a
+    (2, 2, 2, P, H, W) view by (group, sign, k). Group 0 is the axis
+    directions (1, 2 forward, 3, 4 backward), group 1 the diagonals (5, 6
+    forward, 7, 8 backward). ``s.eu`` holds e.u of the forward directions:
+    u itself and (ux + uy, uy - ux). 3 e.u and (4.5 e.u) e.u are computed
+    once per forward/backward pair; 1 + 3 e.u goes to the forward half and
+    1 - 3 e.u to the backward one.
+
+    Each feq_i is the float expression ``equilibrium`` evaluates, in its
+    order, so the bits agree. A backward direction's e.u is the negated
+    forward one there: -ux + 0 uy, and -ux - uy = -(ux + uy) since
+    rounding is symmetric. Negation is exact, so 3 (-a) = -(3 a),
+    1 + (-(3 a)) = 1 - 3 a and (4.5 (-a)) (-a) = (4.5 a) a, bit for bit. A
+    zero term of e.u changes at most the sign of a zero, which adds to 1
+    and squares to +0, so it does not reach feq; for the same reason the
+    rest direction's 1 + 0 + 0 - 1.5 |u|^2 is 1 - 1.5 |u|^2. The weights
+    multiply rho first, as in w_i * rho * bracket, and products commute
+    exactly.
     """
-    u, rho = fields.u, fields.rho
-    usq_term = 1.5 * usq
+    f, relax = s.f, s.relax
+    rest, bracket = relax[0], relax[1:].reshape((2, 2, 2) + f.shape[1:])
+    np.multiply(s.usq, 1.5, out=s.usq_term)
+    np.subtract(1.0, s.usq_term, out=rest)
 
-    def relax(directions, bracket: np.ndarray, w_rho: np.ndarray) -> None:
-        bracket *= w_rho
-        bracket -= f[:, directions]
-        bracket /= tau
-        f[:, directions] += bracket
+    u, eu = s.u, s.eu
+    np.add(u[0], u[1], out=eu[1, 0])
+    np.subtract(u[1], u[0], out=eu[1, 1])
+    forward, backward = bracket[:, 0], bracket[:, 1]
+    np.multiply(eu, 3.0, out=backward)
+    np.add(1.0, backward, out=forward)
+    np.subtract(1.0, backward, out=backward)
+    square = np.multiply(eu, 4.5, out=s.square)
+    square *= eu
+    bracket += square[:, None]
+    bracket -= s.usq_term
 
-    relax(0, 1.0 - usq_term, WEIGHTS[0] * rho)
-    diagonal = np.empty_like(u)  # e.u of directions 5 and 6
-    np.add(u[:, 0], u[:, 1], out=diagonal[:, 0])
-    np.subtract(u[:, 1], u[:, 0], out=diagonal[:, 1])
-    usq_term = usq_term[:, None]
-    for eu, forward, backward, weight in ((u, slice(1, 3), slice(3, 5), WEIGHTS[1]),
-                                         (diagonal, slice(5, 7), slice(7, 9), WEIGHTS[5])):
-        w_rho = (weight * rho)[:, None]
-        linear = 3.0 * eu
-        square = 4.5 * eu
-        square *= eu
-        for bracket, directions in ((1.0 + linear, forward), (1.0 - linear, backward)):
-            bracket += square
-            bracket -= usq_term
-            relax(directions, bracket, w_rho)
+    w_rho = np.multiply(s.rho, _GROUP_WEIGHTS, out=s.w_rho)
+    rest *= w_rho[0]
+    bracket *= w_rho[1:, None, None]
+    relax -= f
+    relax /= tau
+    f += relax
 
 
-def _step_batch(f0: np.ndarray, walls: _Walls, src, tau: float, step_index):
+def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, step_index):
     n = len(f0)
-    f = f0 + WEIGHTS[:, None, None] * src[:, None] if src is not None else f0.copy()
+    s = _scratch(f0.shape)
+    f = s.f
+    if src is not None:
+        np.multiply(WEIGHTS[:, None, None, None], src, out=f)
+        f += f0.transpose(1, 0, 2, 3)  # f0 + w * src: addition commutes exactly
+    else:
+        np.copyto(f, f0.transpose(1, 0, 2, 3))
 
-    fields = _moments(f)
-    ux, uy = fields.u[:, 0], fields.u[:, 1]
-    usq = ux * ux + uy * uy
+    # member-major views, as the moments of a (P, 9, H, W) batch
+    _moments(f.transpose(1, 0, 2, 3), s.rho, s.u.transpose(1, 0, 2, 3), s.tmp)
+    ux, uy = s.u
+    usq = np.multiply(ux, ux, out=s.usq)
+    usq += np.multiply(uy, uy, out=s.tmp)
     failures: list[FluidFailure | None] = [None] * n
     # sqrt is monotone: a member's fastest cell exceeds U_MAX exactly when
     # some cell does (fmax skips NaN, as the comparison does)
@@ -284,30 +391,30 @@ def _step_batch(f0: np.ndarray, walls: _Walls, src, tau: float, step_index):
         y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
         failures[p] = FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
 
-    _collide(f, fields, usq, tau)
-    if walls.any_solid:
-        f[:, :, walls.solid] = 0.0
-    new = np.take(f.reshape(n, -1), walls.stream_gather, axis=1).reshape(f.shape)
+    _collide(s, tau)
+    new = np.take(s.lattice, s.stream_gather(walls)).reshape(f0.shape)
 
-    flat = new.reshape(n, -1)
-    lo, hi = flat.min(axis=1), flat.max(axis=1)
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    for p in np.flatnonzero(~finite | (lo < NEGATIVE_TOL)):
+    # One pass flags every member holding a negative or non-finite
+    # population (and -0.0 or a negative above NEGATIVE_TOL, which the
+    # diagnosis then clears); only flagged members are diagnosed.
+    for p in np.flatnonzero(new.reshape(n, -1).view(np.uint64).max(axis=1) >= _INF_BITS):
         if failures[p] is not None:
             continue
-        if not finite[p]:
-            _, y, x = np.unravel_index(int(np.argmax(~np.isfinite(new[p]))), new[p].shape)
+        member = new[p]
+        lo = member.min()
+        if not (np.isfinite(lo) and np.isfinite(member.max())):
+            _, y, x = np.unravel_index(int(np.argmax(~np.isfinite(member))), member.shape)
             failures[p] = FluidFailure("non-finite population", int(x), int(y), step_index)
-        else:
-            _, y, x = np.unravel_index(int(np.argmin(new[p])), new[p].shape)
-            failures[p] = FluidFailure(f"negative population {lo[p]:.3e}", int(x), int(y), step_index)
+        elif lo < NEGATIVE_TOL:
+            _, y, x = np.unravel_index(int(np.argmin(member)), member.shape)
+            failures[p] = FluidFailure(f"negative population {lo:.3e}", int(x), int(y), step_index)
     failed = [p for p, fail in enumerate(failures) if fail is not None]
     if failed:
         new[failed] = f0[failed]
     return new, failures
 
 
-def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
+def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -> np.ndarray:
     """Donor-cell upwind transport of a nonnegative scalar field over one
     lattice time step.
 
@@ -316,7 +423,8 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray) -> np.nda
     no flux. Each cell's total outflow is limited to its content, which
     preserves nonnegativity without breaking conservation (the receiving
     fluxes are scaled identically). ``n`` (H, W) and ``u`` (2, H, W) may
-    carry a leading batch axis.
+    carry a leading batch axis; ``obstacles`` is the obstacle grid or its
+    ``Walls``.
 
     Requires the CFL bound max(|ux|, |uy|) <= 0.5.
 
@@ -324,25 +432,36 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray) -> np.nda
     or below it, a nonnegative n never has ``out > n``, so every scale is
     1.0, ``flux * 1.0`` is ``flux`` bit for bit, and skipping the limiter
     keeps every bit. With e = 2^-53 and s = 2^-1074, the smallest
-    subnormal, a rounded sum has relative error at most e; a product or a
-    halving may also have absolute error s/2, where it lands among the
-    subnormals.
+    subnormal, a rounded sum has relative error at most e and is exact
+    among the subnormals; a product or a halving may also have absolute
+    error s/2, where it lands among the subnormals.
 
     * A face speed is at most B: |a + b| <= 2B rounds to at most 2B.
     * A cell donates through both faces of an axis only when the left one
       is negative and the right one positive; their speeds then sum to at
-      most (1 + e) (v_right - v_left) / 2 + s <= B (1 + e) + s.
-    * Its outflow is at most 4 rounded products summed with 3 roundings:
-      out <= [2 n (B (1 + e) + s) (1 + e) + 2 s] (1 + e)^3, which is at
-      most n once n >= 4 s, since 2B = 0.48 leaves n a 52% margin.
-    * Below that, n = k s with k <= 3, and a product rounds to s only when
-      its face speed exceeds 1 / (2k), else to 0. No face speed exceeds
-      1/4, and at most one per axis exceeds 1/6, so out <= 2 s < 3 s.
+      most (1 + e) (v_right - v_left) / 2 + s <= B (1 + e) + s = B' < 1/3,
+      which is how B is chosen. So per axis a cell donates at speeds
+      a, b >= 0 with a + b <= B'.
+    * n >= 2^-1022 (normal): each product has error at most e a n + s/2
+      <= e a n + 2^-53 n, so an axis gives at most
+      n (B' (1 + e) + 2^-52), and the outflow, summed with 3 roundings,
+      is at most n (2 B' (1 + e) + 2^-51) (1 + e)^3 < 0.67 n.
+    * n < 2^-1022 (subnormal): n = k s, every product a n is below
+      2^-1022, where the spacing is s, so it rounds to round(a k) s, and
+      the outflow is the exact integer sum of those multiples of s. Per
+      axis round(a k) + round(b k) <= (a + b) k + 1 < k / 3 + 1. For
+      k >= 6 both axes give less than 2 k / 3 + 2 <= k. For k = 5 an
+      axis gives at most 2 (less than 8/3), so 4 < 5. For k = 4 a face
+      gives at most 1 (4 a < 4/3 < 3/2), so 4 <= 4. For k = 3 a face
+      gives 1 only above speed 1/6 and both faces of an axis cannot be
+      (a + b < 1/3), so 2 < 3. For k = 2 a face gives 1 only above 1/4,
+      again at most one per axis, so 2 <= 2. For k = 1 no face gives
+      anything (a < 1/2).
     * A zero donor gives zero fluxes, and NaN compares false.
     """
     n = np.asarray(n, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    walls = _walls(obstacles)
+    walls = walls_of(obstacles)
     u_max = float(np.max(np.abs(u), initial=0.0))
     if u_max > 0.5 + 1e-12:
         raise ValueError(f"CFL violated: max|u| = {u_max:.3f} > 0.5")

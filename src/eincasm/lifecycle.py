@@ -440,14 +440,15 @@ class Simulation:
             rho = physics.reservoir_pressure(r_before, applied.delta_r, p)
             rho_src[cells] = np.clip(rho, -p.rho_cap, p.rho_cap)
 
-        self.lattices, failures = fluid.step(self.lattices, worlds.obstacle, rho_src, step_index=self.step_index)
+        walls = fluid.walls_of(worlds.obstacle)
+        self.lattices, failures = fluid.step(self.lattices, walls, rho_src, step_index=self.step_index)
         if any(failure is not None for failure in failures):
             self._drop_failed(failures)
             worlds = self.worlds
             if not self.running:
                 return
         velocity = fluid.macroscopic(self.lattices).u
-        worlds.nutrient = fluid.advect_scalar(worlds.nutrient, velocity, worlds.obstacle)
+        worlds.nutrient = fluid.advect_scalar(worlds.nutrient, velocity, walls)
 
         self.last_perturbations = self.schedule.get(self.step_index, [])
         if self.last_perturbations:

@@ -1,5 +1,7 @@
 """Lattice-Boltzmann fluid and donor-cell scalar transport."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,11 @@ from eincasm.fluid import (
     EX,
     EY,
     LIMITER_IDLE_SPEED,
+    NEGATIVE_TOL,
     OPPOSITE,
+    U_MAX,
     WEIGHTS,
+    FluidFailure,
     FluidInstability,
     Lattice,
     advect_scalar,
@@ -161,26 +166,37 @@ class TestStep:
         obstacles = np.zeros((5, 5))
         obstacles[2, 2] = 1.0
         lat = uniform_lattice(5, 5, obstacles)
+        for value in (0.05, -1e-300, np.nan, np.inf):
+            src = np.zeros((5, 5))
+            src[2, 2] = value
+            with pytest.raises(ValueError, match="zero on obstacle"):
+                step(lat, obstacles, src)
         src = np.zeros((5, 5))
-        src[2, 2] = 0.05
-        with pytest.raises(ValueError):
-            step(lat, obstacles, src)
+        src[2, 2] = -0.0
+        assert step(lat, obstacles, src).f.tobytes() == step(lat, obstacles).f.tobytes()
 
     def test_tau_bound(self):
         with pytest.raises(ValueError):
             Lattice(np.zeros((9, 4, 4)), tau=0.5)
 
 
-def reference_step(f, obstacles, sources, tau):
-    """Inject, collide with ``equilibrium``, then stream by shifting each
-    direction and bouncing blocked populations back: the loop form of the
-    gather in ``step``, without its stability checks."""
-    h, w = obstacles.shape
-    solid = obstacles > 0.5
-    f = f + WEIGHTS[:, None, None] * sources
+def reference_moments(f):
+    """rho and u of one (9, H, W) lattice by tensordot over the directions."""
     rho = f.sum(axis=0)
     u = np.stack([np.tensordot(EX, f, axes=(0, 0)), np.tensordot(EY, f, axes=(0, 0))]) / np.maximum(rho, 1e-9)
     u[:, rho < 1e-9] = 0.0
+    return rho, u
+
+
+def reference_step(f, obstacles, sources, tau):
+    """Inject, collide with ``equilibrium``, zero obstacle cells, then
+    stream by shifting each direction and bouncing blocked populations
+    back: the loop form of the gather in ``step``, without its stability
+    checks."""
+    h, w = obstacles.shape
+    solid = obstacles > 0.5
+    f = f + WEIGHTS[:, None, None] * sources
+    rho, u = reference_moments(f)
     f += (equilibrium(rho, u) - f) / tau
     f[:, solid] = 0.0
     new = np.zeros_like(f)
@@ -198,20 +214,116 @@ def reference_step(f, obstacles, sources, tau):
     return new
 
 
+def reference_failure(f, sources, new, step_index):
+    """The FluidFailure of one lattice stepped from f to new, or None: its
+    fastest cell above U_MAX (NaN skipped), else its first non-finite
+    population, else its smallest population below NEGATIVE_TOL."""
+    _, u = reference_moments(f + WEIGHTS[:, None, None] * sources)
+    speed = np.sqrt(u[0] * u[0] + u[1] * u[1])
+    if np.fmax.reduce(speed, axis=None) > U_MAX:
+        y, x = np.unravel_index(np.argmax(speed), speed.shape)
+        return FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
+    bad = ~np.isfinite(new)
+    if bad.any():
+        _, y, x = np.unravel_index(np.argmax(bad), bad.shape)
+        return FluidFailure("non-finite population", int(x), int(y), step_index)
+    if new.min() < NEGATIVE_TOL:
+        _, y, x = np.unravel_index(np.argmin(new), new.shape)
+        return FluidFailure(f"negative population {new.min():.3e}", int(x), int(y), step_index)
+    return None
+
+
+FAULTS = ("none", "velocity", "negative", "slightly negative", "nan", "overflow")
+
+
+def plant(cell, fault):
+    """Put a fault into one cell's populations (9,)."""
+    if fault == "velocity":
+        cell[1] += 2.0  # a momentum spike: |u| > U_MAX
+    elif fault == "negative":
+        cell[:] = -0.1 * WEIGHTS  # rho < 0 at rest stays negative
+    elif fault == "slightly negative":
+        cell[:] = -1e-14 * WEIGHTS  # above NEGATIVE_TOL: no failure
+    elif fault == "nan":
+        cell[3] = np.nan  # NaN velocity, then NaN populations
+    elif fault == "overflow":
+        cell[:] = 3e307  # rho overflows: +inf populations and no NaN
+
+
 @settings(max_examples=80, deadline=None)
-@given(w=st.integers(3, 20), h=st.integers(3, 20), density=st.sampled_from([0.0, 0.1, 0.4]),
-       tau=st.floats(0.55, 2.0), seed=st.integers(0, 2**32 - 1))
-def test_step_equals_shift_and_bounce_reference(w, h, density, tau, seed):
+@given(members=st.sampled_from([None, 1, 2, 5, 16]), w=st.integers(3, 20), h=st.integers(3, 20),
+       density=st.sampled_from([0.0, 0.1, 0.4]), tau=st.floats(0.55, 2.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_step_equals_shift_and_bounce_reference(members, w, h, density, tau, seed, data):
+    """A single lattice (members None) or a batch steps to the reference's
+    bits, with populations left on obstacle cells and members failing by
+    velocity, negative and non-finite populations; failures equal the
+    reference's records, failed members keep their populations, and the
+    moments equal the reference moments bit for bit."""
     rng = np.random.default_rng(seed)
     obstacles = (rng.random((h, w)) < density).astype(float)
-    lat = stable_random_lattice(rng, w, h, tau)
-    lat.f[:, obstacles > 0.5] = 0.0
+    solid = obstacles > 0.5
+    n = members or 1
+    f = np.stack([stable_random_lattice(rng, w, h, tau).f for _ in range(n)])
+    f[:, :, solid] = WEIGHTS[:, None] * rng.uniform(0.5, 1.5, (n, 1, int(solid.sum())))  # left on obstacles
+    sources = 0.02 * rng.standard_normal((n, h, w))
+    sources[:, solid] = 0.0
+    free = np.argwhere(~solid)
+    for p in range(n):
+        fault = data.draw(st.sampled_from(FAULTS))
+        if fault != "none" and len(free):
+            y, x = free[rng.integers(len(free))]
+            plant(f[p, :, y, x], fault)
+            sources[p, y, x] = 0.0
+    lat = Lattice(f if members else f[0], tau)
     for k in range(3):
-        sources = 0.02 * rng.standard_normal((h, w))
-        sources[obstacles > 0.5] = 0.0
-        expected = reference_step(lat.f, obstacles, sources, tau)
-        lat = step(lat, obstacles, sources, step_index=k)
-        assert lat.f.tobytes() == expected.tobytes()
+        with np.errstate(all="ignore"):
+            expected = [reference_step(f[p], obstacles, sources[p], tau) for p in range(n)]
+            failures = [reference_failure(f[p], sources[p], expected[p], k) for p in range(n)]
+            if members:
+                lat, got = step(lat, obstacles, sources, step_index=k)
+            else:
+                try:
+                    lat, got = step(lat, obstacles, sources[0], step_index=k), [None]
+                except FluidInstability as exc:
+                    assert failures[0] == FluidFailure(exc.reason, exc.x, exc.y, exc.step)
+                    return
+        assert got == failures
+        expected = np.stack([f[p] if failures[p] else expected[p] for p in range(n)])
+        assert lat.f.tobytes() == (expected if members else expected[0]).tobytes()
+        f = expected
+        with np.errstate(all="ignore"):
+            moments = macroscopic(lat)
+            reference = [reference_moments(f[p]) for p in range(n)]
+        rho, u = (moments.rho, moments.u) if members else (moments.rho[None], moments.u[None])
+        assert rho.tobytes() == np.stack([r for r, _ in reference]).tobytes()
+        assert u.tobytes() == np.stack([v for _, v in reference]).tobytes()
+
+
+def test_step_allocates_only_the_lattice_it_returns():
+    """Warmed up, a step of a 16-member 16x16 batch peaks at its returned
+    lattice plus less than two (P, H, W) planes of other allocations: its
+    intermediates live in reused work arrays."""
+    rng = np.random.default_rng(9)
+    obstacles = np.zeros((16, 16))
+    obstacles[5:8, 4] = 1.0
+    f = np.stack([stable_random_lattice(rng, 16, 16).f for _ in range(16)])
+    f[:, :, obstacles > 0.5] = 0.0
+    sources = 0.01 * rng.standard_normal((16, 16, 16))
+    sources[:, obstacles > 0.5] = 0.0
+    lat = Lattice(f)
+    for _ in range(3):
+        lat, _ = step(lat, obstacles, sources)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stepped, failures = step(lat, obstacles, sources)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert failures == [None] * 16
+    assert stepped.f.nbytes <= peak < 1.2 * stepped.f.nbytes
 
 
 def reference_advect_scalar(n, u, obstacles):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genome
-from eincasm.driver import evaluate_population
+from eincasm import driver
+from eincasm.config import parse_config
+from eincasm.driver import evaluate_population, evolve_run
 from eincasm.environments import EnvSpec, Rect, generate
 from eincasm.fluid import FluidInstability, Lattice, equilibrium, step
 from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics, inert_genome
@@ -103,6 +105,31 @@ class TestSerialPooledPerMember:
         assert serial == per_member
         assert pooled == per_member
         assert serial_failed == pooled_failed == n_failed
+
+    def test_evolve_run_pooled_equals_serial_on_one_pool(self, monkeypatch):
+        opened = []
+
+        class CountedPool(driver.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "ProcessPoolExecutor", CountedPool)
+        cfg = parse_config(
+            {"evolution": {"population_size": 6, "seed": 2}, "lifecycle": {"t_min": 15, "t_max": 15}, "generations": 3}
+        )
+        serial = evolve_run(cfg, workers=1)
+        assert opened == []
+        pooled = evolve_run(cfg, workers=2)
+        assert opened == [2]  # one pool for all three generations
+        assert [s.generation for s in pooled.stats] == [0, 1, 2]
+        assert pooled.stats == serial.stats
+        assert pooled.best_fitness == serial.best_fitness
+        assert pooled.best_genome == serial.best_genome
+        final, expected = pooled.final_population, serial.final_population
+        assert final.members == expected.members and final.species == expected.species
+        assert (final.generation, final.next_species_id) == (expected.generation, expected.next_species_id)
+        assert final.registry.counters() == expected.registry.counters()
 
     def test_population_records_equal_single_records(self):
         members = mixed_members()
