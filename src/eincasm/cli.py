@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from . import fileio, harness
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_config, read_json, read_section
 from .cppn import GenomeError, genome_from_json, genome_to_dict
 from .driver import evolve_run
-from .environments import EnvError, EnvSpec
+from .environments import EnvError, EnvSpec, json_scalar
 from .fileio import SCHEMA_VERSION
 from .lifecycle import LifecycleConfig, build_simulation
 from .neat import Population
@@ -188,21 +188,21 @@ def cmd_test(args) -> int:
 
 
 def load_battery(path: str):
+    """Read a battery file, {"physics": {...}, "lifecycle": {...}, "k_hidden":
+    int, "tests": [{"name": str, "env": {...}}, ...]}, by the config typing
+    rule (see ``config``); a missing section takes the harness's own."""
+    data = read_json(path, "battery")
+    if not isinstance(data, dict) or set(data) - {"physics", "lifecycle", "k_hidden", "tests"}:
+        raise ConfigError(f"battery {path} must be an object of 'physics', 'lifecycle', 'k_hidden' and 'tests'")
+    physics, lifecycle = data.get("physics"), data.get("lifecycle")
+    params = read_section("physics", PhysicsParams, physics) if physics else harness.harness_physics()
+    cfg = read_section("lifecycle", LifecycleConfig, lifecycle) if lifecycle else harness.harness_lifecycle()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read battery {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        params = PhysicsParams(**data.get("physics", {})) if data.get("physics") else harness.harness_physics()
-        cfg = (
-            LifecycleConfig.from_dict(data["lifecycle"]) if data.get("lifecycle") else harness.harness_lifecycle()
-        )
-        k_expected = int(data.get("k_hidden", harness.DEFAULT_K_HIDDEN))
+        k_expected = json_scalar("k_hidden", data.get("k_hidden", harness.DEFAULT_K_HIDDEN), int)
         tests = []
         for entry in data["tests"]:
+            if not isinstance(entry, dict) or set(entry) - {"name", "env"}:
+                raise ConfigError(f"battery test {entry!r} must be an object of 'name' and optional 'env'")
             name = entry["name"]
             spec = EnvSpec.from_dict(entry["env"]) if entry.get("env") else None
             if name == "coordination" and spec is not None and spec.kind != "coordination":
@@ -221,13 +221,7 @@ def load_battery(path: str):
 def resolve_arena(name_or_path: str) -> EnvSpec:
     if name_or_path in BUILTIN_ARENAS:
         return BUILTIN_ARENAS[name_or_path]()
-    try:
-        with open(name_or_path, "r", encoding="utf-8") as handle:
-            return EnvSpec.from_dict(json.load(handle))
-    except OSError as exc:
-        raise ConfigError(f"unknown arena {name_or_path!r} and no such file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{name_or_path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    return EnvSpec.from_dict(read_json(name_or_path, "arena"))
 
 
 def cmd_render(args) -> int:
@@ -265,21 +259,18 @@ def cmd_render(args) -> int:
             entry["perturbation"] = [p.kind for p in sim.last_perturbations]
         trajectory.append(entry)
 
+    def observe(_):
+        record()
+        if sim.step_index % frame_every == 0 or sim.step_index == steps:
+            write_frame()
+
     write_frame()
     record()
-    for step in range(1, steps + 1):
-        try:
-            sim.step()
-        except Exception as exc:
-            failure = exc
-        else:
-            failure = sim.failures[0]
-        if failure is not None:
-            print(f"error: simulation failed at step {step}: {failure}", file=sys.stderr)
-            return EXIT_RUNTIME
-        record()
-        if step % frame_every == 0 or step == steps:
-            write_frame()
+    sim.run(steps, observe)
+    failure = sim.failures[0]
+    if failure is not None:
+        print(f"error: simulation failed at step {failure.step + 1}: {failure}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     meta = {"genome": os.path.basename(args.genome), "env": args.env, "seed": args.seed, "steps": steps}
     fileio.write_json(os.path.join(out, "trajectory.json"), fileio.trajectory_payload(meta, trajectory))

@@ -9,7 +9,7 @@ is reachable from it through free space (8-connected, matching both the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -29,6 +29,19 @@ KIND_PARAMS = {
 
 class EnvError(ValueError):
     """Unsatisfiable or malformed environment specification."""
+
+
+_SCALAR_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def json_scalar(key: str, value, kind: type):
+    """A JSON value checked against one scalar type, raising TypeError that
+    names ``key``: an int takes an integer, a float an integer or a float
+    (stored as a float), a str a string; a bool or null is never a number."""
+    accepted, noun = _SCALAR_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeError(f"{key!r} must be {noun}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class Rect:
 
     @staticmethod
     def from_list(v) -> "Rect":
-        x, y, w, h = (int(t) for t in v)
+        x, y, w, h = (json_scalar("rect", t, int) for t in v)
         return Rect(x, y, w, h)
 
 
@@ -91,6 +104,10 @@ class EnvSpec:
     chemo_iters: int = 0      # 0 = auto: 2 * max(width, height)
     params: tuple = ()        # kind-specific, as a sorted (key, value) tuple
 
+    def __post_init__(self):
+        if self.seed_cell is not None and len(self.seed_cell) != 2:
+            raise EnvError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
+
     def param(self, key: str, default=None):
         for k, v in self.params:
             if k == key:
@@ -116,18 +133,22 @@ class EnvSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "EnvSpec":
+        """Read a spec by the ``json_scalar`` rule; an unknown key is an error."""
+        known = [f.name for f in fields(EnvSpec)]
+        if not isinstance(data, dict) or set(data) - set(known):
+            raise EnvError(f"environment spec must be an object of the keys {known}, got {data!r}")
+        cell = data.get("seed_cell")
         try:
-            shape = GridShape(*[int(v) for v in data["shape"]])
             return EnvSpec(
-                kind=data["kind"],
-                shape=shape,
-                food=tuple((Rect.from_list(r), float(a)) for r, a in data.get("food", ())),
-                poison=tuple((Rect.from_list(r), float(a)) for r, a in data.get("poison", ())),
+                kind=json_scalar("kind", data["kind"], str),
+                shape=GridShape(*[json_scalar("shape", v, int) for v in data["shape"]]),
+                food=tuple((Rect.from_list(r), json_scalar("food", a, float)) for r, a in data.get("food", ())),
+                poison=tuple((Rect.from_list(r), json_scalar("poison", a, float)) for r, a in data.get("poison", ())),
                 obstacles=tuple(Rect.from_list(r) for r in data.get("obstacles", ())),
-                seed=int(data.get("seed", 0)),
-                seed_cell=tuple(int(v) for v in data["seed_cell"]) if data.get("seed_cell") else None,
-                chemo_decay=float(data.get("chemo_decay", 0.9)),
-                chemo_iters=int(data.get("chemo_iters", 0)),
+                seed=json_scalar("seed", data.get("seed", 0), int),
+                seed_cell=tuple(json_scalar("seed_cell", v, int) for v in cell) if cell else None,
+                chemo_decay=json_scalar("chemo_decay", data.get("chemo_decay", 0.9), float),
+                chemo_iters=json_scalar("chemo_iters", data.get("chemo_iters", 0), int),
                 params=tuple(sorted((str(k), v) for k, v in dict(data.get("params", {})).items())),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -278,25 +299,19 @@ def _carve_maze(logical_w: int, logical_h: int, rng: np.random.Generator) -> np.
 def generate_cached(spec: EnvSpec) -> EnvBundle:
     """generate() behind an LRU cache, for tight evaluation loops.
 
-    Returns a fresh bundle whose arrays are copies, so callers may mutate
-    their statics without poisoning the cache.
+    The cached statics are read-only and shared: each call returns a fresh
+    bundle around them, and ``create_world`` copies them into each world.
     """
     cached = _generate_memo(spec)
-    statics = Statics(*(a.copy() for a in cached.statics.arrays()))
-    return EnvBundle(
-        spec=cached.spec,
-        statics=statics,
-        seed_cell=cached.seed_cell,
-        start=cached.start,
-        goal=cached.goal,
-        cluster_a=cached.cluster_a,
-        cluster_b=cached.cluster_b,
-    )
+    return replace(cached, statics=replace(cached.statics))
 
 
 @lru_cache(maxsize=64)
 def _generate_memo(spec: EnvSpec) -> EnvBundle:
-    return generate(spec)
+    bundle = generate(spec)
+    for array in bundle.statics.arrays():
+        array.flags.writeable = False
+    return bundle
 
 
 def generate(spec: EnvSpec) -> EnvBundle:

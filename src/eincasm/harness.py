@@ -16,7 +16,7 @@ straight corridor and the single-obstacle detour fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class TestScore:
     def __post_init__(self):
         if self.completed != (self.steps_to_completion is not None):
             raise HarnessError("steps_to_completion must be present iff completed")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "completed": self.completed,
-            "steps_to_completion": self.steps_to_completion,
-            "growth_rate": self.growth_rate,
-            "metrics": self.metrics,
-            "iq_component": self.iq_component,
-        }
 
 
 # -- builtin arenas -----------------------------------------------------------
@@ -314,7 +304,7 @@ class IqReport:
     tests: list[TestScore] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"iq": self.iq, "tests": [t.to_dict() for t in self.tests]}
+        return asdict(self)
 
 
 def iq_report(scores: list[TestScore]) -> IqReport:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import environments, fluid, physics
 from .cppn import Genome, Phenotype, compile_genome, io_sizes, stack
-from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field
+from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field, json_scalar
 from .fluid import FluidFailure
 from .physics import PhysicsParams
 from .substrate import WorldStack, WorldState, create_world, dilate3x3, perceive_cells, total_mass, total_nutrient
@@ -89,14 +89,15 @@ def event_to_dict(event: PerturbationEvent) -> dict:
 
 
 def event_from_dict(data: dict) -> PerturbationEvent:
-    kind = data.get("kind")
+    """Read an event by the ``json_scalar`` rule."""
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "remove_food":
         return RemoveFood(Rect.from_list(data["region"]))
     if kind == "degrade_cells":
-        return DegradeCells(Rect.from_list(data["region"]), float(data["fraction"]))
+        return DegradeCells(Rect.from_list(data["region"]), json_scalar("fraction", data["fraction"], float))
     if kind == "move_obstacle":
-        dx, dy = data["displacement"]
-        return MoveObstacle(int(data["obstacle_id"]), (int(dx), int(dy)))
+        dx, dy = (json_scalar("displacement", v, int) for v in data["displacement"])
+        return MoveObstacle(json_scalar("obstacle_id", data["obstacle_id"], int), (dx, dy))
     raise LifecycleError(f"unknown perturbation kind {kind!r}")
 
 
@@ -123,39 +124,14 @@ class LifecycleConfig:
             raise LifecycleError(f"tau must exceed 0.5, got {self.tau}")
         if self.n_env_evals < 1:
             raise LifecycleError("n_env_evals must be >= 1")
+        if self.seed_cell is not None and len(self.seed_cell) != 2:
+            raise LifecycleError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
 
     def lifespan(self, run_seed: int) -> int:
         """The lifespan every evaluation seeded by run_seed shares, drawn
         from [t_min, t_max] off the (run_seed, 0) stream."""
         rng = np.random.default_rng(np.random.SeedSequence([run_seed, 0]))
         return int(rng.integers(self.t_min, self.t_max + 1))
-
-    def to_dict(self) -> dict:
-        return {
-            "t_min": self.t_min,
-            "t_max": self.t_max,
-            "p_update": self.p_update,
-            "seed_cell": list(self.seed_cell) if self.seed_cell else None,
-            "seed_mass": self.seed_mass,
-            "seed_nutrient": self.seed_nutrient,
-            "n_env_evals": self.n_env_evals,
-            "tau": self.tau,
-            "schedule": [[step, event_to_dict(ev)] for step, ev in self.schedule],
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "LifecycleConfig":
-        return LifecycleConfig(
-            t_min=int(data.get("t_min", 300)),
-            t_max=int(data.get("t_max", 600)),
-            p_update=float(data.get("p_update", 0.5)),
-            seed_cell=tuple(int(v) for v in data["seed_cell"]) if data.get("seed_cell") else None,
-            seed_mass=float(data.get("seed_mass", 1.0)),
-            seed_nutrient=float(data.get("seed_nutrient", 1.0)),
-            n_env_evals=int(data.get("n_env_evals", 1)),
-            tau=float(data.get("tau", 0.8)),
-            schedule=tuple((int(s), event_from_dict(e)) for s, e in data.get("schedule", ())),
-        )
 
 
 @dataclass
@@ -226,16 +202,14 @@ def label_obstacles(obstacles: np.ndarray) -> np.ndarray:
     return labels
 
 
-def validate_schedule(world: WorldState, schedule) -> None:
+def validate_schedule(world: WorldState | WorldStack, schedule) -> None:
     """Reject malformed schedules up front, before any stepping happens.
 
-    MoveObstacle displacements are simulated cumulatively against the
-    initial obstacle layout so an out-of-bounds push fails here, not at
-    run time.
+    Every MoveObstacle is replayed in step order through
+    ``apply_perturbation`` on a copy of the layout, so an obstacle id or
+    an out-of-bounds push fails here exactly as it would at run time.
     """
-    labels = label_obstacles(world.obstacle)
-    n_components = int(labels.max())
-    offsets = {i: (0, 0) for i in range(1, n_components + 1)}
+    layout = None
     for step, event in sorted(schedule, key=lambda se: se[0]):
         if step < 0:
             raise LifecycleError(f"schedule step {step} is negative")
@@ -245,20 +219,12 @@ def validate_schedule(world: WorldState, schedule) -> None:
             if isinstance(event, DegradeCells) and not 0.0 <= event.fraction <= 1.0:
                 raise LifecycleError(f"degrade fraction must lie in [0, 1], got {event.fraction}")
         elif isinstance(event, MoveObstacle):
-            if not 1 <= event.obstacle_id <= n_components:
-                raise LifecycleError(f"obstacle id {event.obstacle_id} does not exist (have {n_components})")
-            ox, oy = offsets[event.obstacle_id]
-            ox += event.displacement[0]
-            oy += event.displacement[1]
-            ys, xs = np.nonzero(labels == event.obstacle_id)
-            if (
-                (xs + ox).min() < 0
-                or (xs + ox).max() >= world.shape.width
-                or (ys + oy).min() < 0
-                or (ys + oy).max() >= world.shape.height
-            ):
-                raise LifecycleError(f"obstacle {event.obstacle_id} pushed out of bounds at step {step}")
-            offsets[event.obstacle_id] = (ox, oy)
+            if layout is None:
+                layout = (world.member(0) if isinstance(world, WorldStack) else world).copy()
+            try:
+                apply_perturbation(layout, event)
+            except LifecycleError as exc:
+                raise LifecycleError(f"{exc} at step {step}") from exc
         else:
             raise LifecycleError(f"unknown perturbation event {event!r}")
 
@@ -329,8 +295,8 @@ class Simulation:
     ``failures`` and leaves the batch; the rest go on.
 
     Confined to one logical thread. ``run_population`` wraps it; the test
-    harness and ``render`` drive a one-member simulation directly when they
-    need mid-run measurements, through ``world`` and ``lattice``.
+    harness and ``render`` run a one-member simulation with an observer when
+    they need mid-run measurements, read through ``world`` and ``lattice``.
     """
 
     def __init__(

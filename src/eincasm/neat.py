@@ -72,24 +72,6 @@ class EvolutionConfig:
         if self.elitism < 0 or self.stagnation_limit < 1:
             raise ValueError("elitism must be >= 0 and stagnation_limit >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "compatibility_threshold": self.compatibility_threshold,
-            "weight_mutation_rate": self.weight_mutation_rate,
-            "weight_perturb_std": self.weight_perturb_std,
-            "add_node_rate": self.add_node_rate,
-            "add_connection_rate": self.add_connection_rate,
-            "disable_rate": self.disable_rate,
-            "elitism": self.elitism,
-            "survival_fraction": self.survival_fraction,
-            "stagnation_limit": self.stagnation_limit,
-            "seed": self.seed,
-        }
-
 
 class InnovationRegistry:
     """Hands out innovation numbers and node ids, deduplicating structural

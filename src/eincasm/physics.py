@@ -58,20 +58,6 @@ class PhysicsParams:
         if min(self.delta_r_max, self.delta_m_max, self.rho_cap) <= 0:
             raise ValueError("caps must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "kappa": self.kappa,
-            "v_min": self.v_min,
-            "rho_cap": self.rho_cap,
-            "delta_r_max": self.delta_r_max,
-            "delta_m_max": self.delta_m_max,
-            "poison_rate": self.poison_rate,
-            "m_min": self.m_min,
-        }
-
 
 @dataclass
 class AppliedUpdate:

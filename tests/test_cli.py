@@ -1,5 +1,6 @@
 """Command-line surface: evolve, test, render, replay; file formats."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -109,18 +110,62 @@ class TestEvolveCommand:
         assert not os.path.exists(os.path.join(out, "best_genome.json"))
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("generations", "abc"), ("generations", 2.9), ("generations", 3.0), ("generations", True),
-         ("k_hidden", None), ("k_hidden", "4"), ("checkpoint_every", 1.5), ("checkpoint_every", [2])],
+        "section, key, value",
+        [
+            pytest.param(None, "generations", "abc", id="generations-abc"),
+            pytest.param(None, "generations", 2.9, id="generations-2.9"),
+            pytest.param(None, "generations", 3.0, id="generations-3.0"),
+            pytest.param(None, "generations", True, id="generations-True"),
+            pytest.param(None, "k_hidden", None, id="k_hidden-None"),
+            pytest.param(None, "k_hidden", "4", id="k_hidden-4"),
+            pytest.param(None, "checkpoint_every", 1.5, id="checkpoint_every-1.5"),
+            pytest.param(None, "checkpoint_every", [2], id="checkpoint_every-value7"),
+            ("evolution", "population_size", 4.0),
+            ("evolution", "seed", 1.5),
+            ("lifecycle", "t_min", 2.9),
+            ("lifecycle", "tau", "0.9"),
+            ("lifecycle", "p_update", True),
+            ("lifecycle", "seed_cell", [6.5, 6]),
+            ("lifecycle", "seed_cell", [6, 6, 6]),
+            ("lifecycle", "schedule", [[2.5, {"kind": "remove_food", "region": [7, 5, 1, 1]}]]),
+            ("physics", "alpha", True),
+            ("io", "output_dir", 5),
+        ],
     )
-    def test_non_integer_count_exits_2(self, tmp_path, capsys, key, value):
+    def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
         out = str(tmp_path / "o")
         cfg = smoke_config(out)
-        cfg[key] = value
+        (cfg if section is None else cfg[section])[key] = value
         assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
-        assert not os.path.exists(os.path.join(out, "best_genome.json"))
+        assert not os.path.exists(out)
+
+    def test_resolved_config_bytes_are_pinned(self, tmp_path, monkeypatch):
+        """resolved_config.json of a config with a seed cell and a two-event
+        schedule, pinned byte for byte: a run is reproduced from this file,
+        so its form must not drift."""
+        monkeypatch.chdir(tmp_path)
+        cfg = {
+            "evolution": {"population_size": 6, "seed": 4},
+            "lifecycle": {
+                "t_min": 12, "t_max": 12, "p_update": 0.5, "seed_cell": [3, 3], "seed_nutrient": 2.0,
+                "schedule": [
+                    [4, {"kind": "move_obstacle", "obstacle_id": 1, "displacement": [0, 2]}],
+                    [7, {"kind": "degrade_cells", "region": [2, 2, 3, 3], "fraction": 0.25}],
+                ],
+            },
+            "environment": {
+                "kind": "open_arena", "shape": [12, 12], "food": [[[7, 5, 2, 2], 3.0]], "obstacles": [[9, 1, 1, 2]],
+            },
+            "io": {"output_dir": "sched-out", "log_level": "quiet"},
+            "generations": 2,
+            "checkpoint_every": 1,
+            "k_hidden": 4,
+        }
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 0
+        resolved = Path("sched-out", "resolved_config.json").read_bytes()
+        assert hashlib.sha256(resolved).hexdigest() == "e57123f277c6a7470a885d2ea23454c9a126900eddbdc505211d82e394d5a6ca"
 
     def test_checkpoint_written_and_loadable(self, tmp_path):
         out = str(tmp_path / "out")
@@ -202,19 +247,31 @@ class TestTestCommand:
         assert main(["test", genome, "--battery", str(battery)]) == 2
 
     @pytest.mark.parametrize(
-        "tests",
+        "battery",
         [
-            [{"name": "corridor"}],
-            [{"name": "coordination", "env": {"kind": "open_arena", "shape": [8, 8]}}],
-            [{"name": "corridor", "env": {"kind": "open_arena", "shape": [8, 8]}}],  # no goal
-            [],
+            pytest.param({"tests": [{"name": "corridor"}]}, id="tests0"),
+            pytest.param(
+                {"tests": [{"name": "coordination", "env": {"kind": "open_arena", "shape": [8, 8]}}]}, id="tests1"
+            ),
+            pytest.param(
+                {"tests": [{"name": "corridor", "env": {"kind": "open_arena", "shape": [8, 8]}}]}, id="tests2"
+            ),  # no goal
+            pytest.param({"tests": []}, id="tests3"),
+            pytest.param({"lifecycle": {"tmin": 5}, "tests": [{"name": "coordination"}]}, id="lifecycle-unknown-key"),
+            pytest.param({"lifecycle": {"t_min": 2.9}, "tests": [{"name": "coordination"}]}, id="lifecycle-t_min-2.9"),
+            pytest.param({"physics": {"alpha": True}, "tests": [{"name": "coordination"}]}, id="physics-alpha-true"),
+            pytest.param({"k_hidden": 4.0, "tests": [{"name": "coordination"}]}, id="k_hidden-4.0"),
+            pytest.param({"lifecyle": {}, "tests": [{"name": "coordination"}]}, id="unknown-top-level-key"),
+            pytest.param({"tests": [{"name": "coordination", "envv": {}}]}, id="unknown-test-key"),
+            pytest.param([], id="not-an-object"),
         ],
     )
-    def test_malformed_battery_exits_2(self, tmp_path, tests):
+    def test_malformed_battery_exits_2(self, tmp_path, capsys, battery):
         genome = write_genome(tmp_path, inert_genome())
-        battery = tmp_path / "battery.json"
-        battery.write_text(json.dumps({"tests": tests}))
-        assert main(["test", genome, "--battery", str(battery)]) == 2
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(battery))
+        assert main(["test", genome, "--battery", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_custom_battery_runs(self, tmp_path):
         genome = write_genome(tmp_path, inert_genome())
@@ -242,6 +299,18 @@ class TestRenderCommand:
         assert main(["render", genome, "--steps", steps, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not os.path.exists(out)
+
+    def test_fluid_failure_exits_1(self, tmp_path, capsys):
+        genome = write_genome(tmp_path, chemotaxis_baseline())
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({
+            "kind": "open_arena", "shape": [32, 32], "food": [[[24, 16, 3, 3], 8.0]],
+            "chemo_decay": 0.99, "chemo_iters": 64,
+        }))
+        out = tmp_path / "r"
+        assert main(["render", genome, "--env", str(env), "--steps", "60", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: simulation failed at step 33: ")
+        assert not (out / "trajectory.json").exists()
 
     def test_frames_and_trajectory(self, tmp_path):
         genome = write_genome(tmp_path, inert_genome())

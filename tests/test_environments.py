@@ -2,7 +2,7 @@
 
 import json
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,8 +16,12 @@ from eincasm.environments import (
     Rect,
     chemoattractant_field,
     generate,
+    generate_cached,
     reachable_from,
 )
+from eincasm.cppn import empty_genome
+from eincasm.lifecycle import LifecycleConfig, build_simulation
+from eincasm.physics import PhysicsParams
 from eincasm.substrate import GridShape
 
 
@@ -324,3 +328,47 @@ def test_envspec_json_round_trip():
     old = spec.to_dict()
     del old["obstacles"]  # a spec written before fixed obstacles existed
     assert EnvSpec.from_dict(old) == replace(spec, obstacles=())
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"kind": 5},
+        {"shape": [16.5, 16]},
+        {"shape": [16, True]},
+        {"seed": 2.7},
+        {"seed": None},
+        {"chemo_decay": "0.5"},
+        {"chemo_iters": 32.0},
+        {"food": [[[1, 1, 1.5, 1], 2.0]]},
+        {"food": [[[1, 1, 1, 1], "2"]]},
+        {"seed_cell": [4.5, 4]},
+        {"seed_cell": [4, 4, 4]},
+        {"shap": [8, 8]},
+    ],
+    ids=[
+        "kind-5", "shape-16.5", "shape-true", "seed-2.7", "seed-null", "chemo_decay-string", "chemo_iters-32.0",
+        "food-rect-1.5", "food-amount-string", "seed_cell-4.5", "seed_cell-triple",
+        "unknown-key",
+    ],
+)
+def test_malformed_spec_rejected(change):
+    with pytest.raises(EnvError):
+        EnvSpec.from_dict({"kind": "open_arena", "shape": [16, 16], **change})
+
+
+def test_generate_cached_shares_read_only_statics():
+    spec = EnvSpec(kind="open_arena", shape=GridShape(8, 8), food=((Rect(5, 5), 2.0),), seed_cell=(2, 2))
+    a, b = generate_cached(spec), generate_cached(spec)
+    assert a is not b and a.statics is not b.statics
+    for array, again in zip(a.statics.arrays(), b.statics.arrays()):
+        assert array is again
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    cfg = LifecycleConfig(t_min=2, t_max=2)
+    sims = [build_simulation(empty_genome(4), generate_cached(spec), PhysicsParams(), cfg, 1) for _ in range(2)]
+    worlds = [sim.world for sim in sims]
+    for name in (f.name for f in fields(worlds[0]) if f.name != "shape"):
+        assert not np.shares_memory(getattr(worlds[0], name), getattr(worlds[1], name))
+        for array in a.statics.arrays():
+            assert not np.shares_memory(getattr(worlds[0], name), array)

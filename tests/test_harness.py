@@ -1,5 +1,7 @@
 """Intelligence tests: scoring rules, determinism, the baseline gate."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ class TestBaseline:
     def test_deterministic_scores(self):
         a = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3)
         b = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_iq_formula_limits(self):
         score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0)

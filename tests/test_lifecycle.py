@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from eincasm.config import read_section, write_section
 from eincasm.cppn import ConnectionGene, empty_genome
 from eincasm.environments import EnvSpec, Rect, generate
 from eincasm.harness import chemotaxis_baseline
@@ -197,12 +198,29 @@ class TestPerturbations:
         with pytest.raises(LifecycleError):
             validate_schedule(world, ((2, DegradeCells(Rect(0, 0, 2, 1), 1.5)),))
 
-    def test_cumulative_displacement_validated(self):
+    @pytest.mark.parametrize(
+        "cells, schedule",
+        [
+            pytest.param(
+                [(5, 3)],
+                ((1, MoveObstacle(1, (1, 0))), (2, MoveObstacle(1, (1, 0))), (3, MoveObstacle(1, (1, 0)))),
+                id="pushed-off-the-edge",
+            ),
+            # The first move takes obstacle 1 below obstacle 2, so the ids
+            # swap: the second move pushes the one at (5, 3) off the edge.
+            pytest.param(
+                [(1, 1), (5, 3)],
+                ((1, MoveObstacle(1, (0, 4))), (2, MoveObstacle(1, (3, 0)))),
+                id="relabelled-by-a-move",
+            ),
+        ],
+    )
+    def test_cumulative_displacement_validated(self, cells, schedule):
         ob = np.zeros((8, 8))
-        ob[3, 5] = 1.0
+        for x, y in cells:
+            ob[y, x] = 1.0
         world = make_world(obstacles=ob)
-        schedule = ((1, MoveObstacle(1, (1, 0))), (2, MoveObstacle(1, (1, 0))), (3, MoveObstacle(1, (1, 0))))
-        with pytest.raises(LifecycleError):
+        with pytest.raises(LifecycleError, match="out of bounds at step"):
             validate_schedule(world, schedule)
 
     def test_label_obstacles_row_major_components(self):
@@ -286,7 +304,7 @@ class TestRunLifecycle:
             tau=1.1,
             schedule=((3, RemoveFood(Rect(1, 1))),),
         )
-        assert LifecycleConfig.from_dict(cfg.to_dict()) == cfg
+        assert read_section("lifecycle", LifecycleConfig, json.loads(json.dumps(write_section(cfg)))) == cfg
 
 
 class TestWorldInvariantsThroughout:
