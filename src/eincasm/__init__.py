@@ -3,7 +3,7 @@ with lattice-Boltzmann fluid transport and an intelligence-test harness."""
 
 __version__ = "0.1.0"
 
-from .cppn import Genome, Phenotype, compile_genome, evaluate
+from .cppn import Genome, Phenotype, compile_genome
 from .environments import EnvSpec, Rect, generate
 from .fluid import Lattice, advect_scalar, equilibrium, macroscopic
 from .lifecycle import FitnessRecord, LifecycleConfig, Simulation, run_lifecycle, run_population
@@ -15,7 +15,6 @@ __all__ = [
     "Genome",
     "Phenotype",
     "compile_genome",
-    "evaluate",
     "EnvSpec",
     "Rect",
     "generate",

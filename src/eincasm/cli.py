@@ -9,7 +9,6 @@ logs, checkpoints, and frames. Exit codes: 0 success, 1 runtime failure
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,13 +16,12 @@ import numpy as np
 
 from . import fileio, harness
 from .config import ConfigError, RunConfig, load_config, parse_config, read_json, read_section
-from .cppn import GenomeError, genome_from_json, genome_to_dict
+from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec, json_scalar
 from .fileio import SCHEMA_VERSION
-from .lifecycle import LifecycleConfig, build_simulation
+from .lifecycle import build_simulation
 from .neat import Population
-from .physics import PhysicsParams
 from .substrate import total_mass, total_nutrient
 
 EXIT_OK, EXIT_RUNTIME, EXIT_USAGE = 0, 1, 2
@@ -148,11 +146,7 @@ def write_checkpoint(path: str, cfg: RunConfig, pop: Population) -> None:
 
 
 def load_genome_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return genome_from_json(handle.read())
-    except OSError as exc:
-        raise GenomeError(f"cannot read genome {path}: {exc}") from exc
+    return genome_from_dict(read_json(path, "genome"))
 
 
 def cmd_test(args) -> int:
@@ -190,13 +184,12 @@ def cmd_test(args) -> int:
 def load_battery(path: str):
     """Read a battery file, {"physics": {...}, "lifecycle": {...}, "k_hidden":
     int, "tests": [{"name": str, "env": {...}}, ...]}, by the config typing
-    rule (see ``config``); a missing section takes the harness's own."""
+    rule (see ``config``); a key a section omits keeps the harness's own."""
     data = read_json(path, "battery")
     if not isinstance(data, dict) or set(data) - {"physics", "lifecycle", "k_hidden", "tests"}:
         raise ConfigError(f"battery {path} must be an object of 'physics', 'lifecycle', 'k_hidden' and 'tests'")
-    physics, lifecycle = data.get("physics"), data.get("lifecycle")
-    params = read_section("physics", PhysicsParams, physics) if physics else harness.harness_physics()
-    cfg = read_section("lifecycle", LifecycleConfig, lifecycle) if lifecycle else harness.harness_lifecycle()
+    params = read_section("physics", harness.harness_physics(), data.get("physics", {}))
+    cfg = read_section("lifecycle", harness.harness_lifecycle(), data.get("lifecycle", {}))
     try:
         k_expected = json_scalar("k_hidden", data.get("k_hidden", harness.DEFAULT_K_HIDDEN), int)
         tests = []
@@ -282,15 +275,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.log, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        print(f"error: cannot read log: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.log}:{exc.lineno}: {exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
+    payload = read_json(args.log, "trajectory log")
     try:
         steps = payload["steps"]
         if not steps:

@@ -21,9 +21,10 @@ environment specs (``environments.json_scalar``): an unknown key is an
 error; an int field takes a JSON integer; a float field takes an integer
 or a float and stores a float; a str field takes a string; true, false and
 null are never numbers, and nothing is truncated or parsed from a string.
-Only the lifecycle's ``seed_cell`` (null or [x, y]) and ``schedule``
-([[step, event], ...], events as ``event_to_dict`` writes them) have forms
-of their own. The top-level counts take the int rule and must be >= 1.
+Only the lifecycle's ``seed_cell`` (null or [x, y], inside every
+environment) and ``schedule`` ([[step, event], ...], events as
+``event_to_dict`` writes them) have forms of their own. The top-level
+counts take the int rule and must be >= 1.
 
 Every omitted key takes its documented default and the fully resolved
 document is echoed to ``resolved_config.json`` so a run can always be
@@ -95,18 +96,18 @@ class RunConfig:
         }
 
 
-def read_section(name: str, cls, data):
-    """The dataclass ``cls`` read from its JSON object ``data`` by the
-    typing rule; an omitted field takes its default. Raises ConfigError
-    naming the section and the key."""
+def read_section(name: str, base, data):
+    """The dataclass ``base`` with the fields its JSON object ``data``
+    gives, read by the typing rule; an omitted field keeps its value in
+    ``base``. Raises ConfigError naming the section and the key."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object, got {data!r}")
-    types = typing.get_type_hints(cls)
+    types = typing.get_type_hints(type(base))
     unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"config section {name!r}: unknown keys {sorted(unknown)}")
     try:
-        return cls(**{key: _read_field(key, types[key], value) for key, value in data.items()})
+        return replace(base, **{key: _read_field(key, types[key], value) for key, value in data.items()})
     except KeyError as exc:  # an event without one of its keys
         raise ConfigError(f"config section {name!r}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -138,7 +139,7 @@ def parse_config(data: dict) -> RunConfig:
     unknown = set(data) - {*_SECTIONS, "environment", *_COUNTS}
     if unknown:
         raise ConfigError(f"unknown top-level config keys {sorted(unknown)}")
-    sections = {name: read_section(name, cls, data.get(name, {})) for name, cls in _SECTIONS.items()}
+    sections = {name: read_section(name, cls(), data.get(name, {})) for name, cls in _SECTIONS.items()}
 
     env_data = data.get("environment", DEFAULT_ENVIRONMENT)
     env_list = env_data if isinstance(env_data, list) else [env_data]
@@ -148,8 +149,15 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"config section 'environment': {exc}") from exc
     if not environments:
         raise ConfigError("config section 'environment': need at least one environment")
+    seed_cell = sections["lifecycle"].seed_cell
+    for spec in environments:
+        if seed_cell is not None and not spec.shape.contains(*seed_cell):
+            raise ConfigError(
+                f"config section 'lifecycle': 'seed_cell' {list(seed_cell)} lies outside a "
+                f"{spec.shape.width}x{spec.shape.height} environment"
+            )
 
-    counts = read_section("top level", RunConfig, {key: data[key] for key in _COUNTS if key in data})
+    counts = read_section("top level", RunConfig(), {key: data[key] for key in _COUNTS if key in data})
     return replace(counts, environments=environments, **sections)
 
 

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .environments import json_scalar
 from .substrate import N_BASE_CHANNELS
 
 
@@ -355,8 +356,8 @@ class _Folded:
 
 def _fold(n_inputs: int, t: _Tables) -> _Folded:
     """Find the constant positions and evaluate them once, one row per
-    member through ``_run``: the loop every row takes, so a row of member m
-    with bias input 1.0 gets these bits there too."""
+    member through ``_run``, the loop that evaluates the other positions,
+    so a row of member m gets the bits one full loop would give it."""
     n_slots = n_inputs + len(t.positions)
     known = np.zeros(n_slots + 1, dtype=bool)
     known[[n_inputs - 1, n_slots]] = True  # the bias input and the pad slot
@@ -387,14 +388,14 @@ class Phenotype:
     members that use it there. Only the ``input_slots`` some edge reads are
     copied in; a caller may leave the other input columns unfilled.
 
-    A position is constant when every member's edges into it read only the
-    bias input, the pad slot or earlier constant positions; an edgeless
-    node is one, and so is each output of a bias-only NEAT founder. When
-    every row's bias input is exactly 1.0, as ``Simulation`` always sets
-    it, a constant position's value depends on the member alone: ``folded``
-    evaluates those once per plan, through the same loop, and a batch only
-    copies each row's member value into their slots. Rows with any other
-    bias input take the full loop over every position.
+    The bias input is 1.0 by definition: ``evaluate_batch`` writes it
+    itself and never reads the caller's bias column. A position is
+    constant when every member's edges into it read only the bias input,
+    the pad slot or earlier constant positions; an edgeless node is one,
+    and so is each output of a bias-only NEAT founder. A constant
+    position's value depends on the member alone: ``folded`` evaluates
+    those once per plan, through the same loop, and a batch only copies
+    each row's member value into their slots.
 
     Immutable and sharable across threads; evaluation allocates its own
     scratch buffer per call.
@@ -433,7 +434,8 @@ class Phenotype:
 
         ``members[r]`` is the member whose plan evaluates row r; it may be
         omitted for a one-member plan. Every row gets the bits its member's
-        plan gives it alone.
+        plan gives it alone. The last column, the bias input, is ignored:
+        every row evaluates with the bias at 1.0.
         """
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim != 2 or inputs.shape[1] != self.n_inputs:
@@ -450,13 +452,11 @@ class Phenotype:
         values = np.empty((self.n_slots + 1, n))
         read = self.input_slots
         values[read] = inputs.T[read]  # no edge reads the other inputs' slots
+        values[self.n_inputs - 1] = 1.0  # the bias input
         values[-1] = -0.0  # the pad slot
-        t = self.tables
-        if (inputs[:, -1] == 1.0).all():
-            folded = self.folded
-            values[folded.slots] = folded.values[:, cols]
-            t = folded.varying
-        _run(values, t, cols)
+        folded = self.folded
+        values[folded.slots] = folded.values[:, cols]
+        _run(values, folded.varying, cols)
         return values.reshape(-1).take(self.output_slots.T[:, cols] * n + np.arange(n)).T
 
 
@@ -520,14 +520,6 @@ def compile_genome(genome: Genome) -> Phenotype:
     )
 
 
-def evaluate(phenotype: Phenotype, inputs) -> np.ndarray:
-    """Evaluate one input vector; length must equal n_inputs."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape != (phenotype.n_inputs,):
-        raise GenomeError(f"expected {phenotype.n_inputs} inputs, got shape {x.shape}")
-    return phenotype.evaluate_batch(x[None, :])[0]
-
-
 # -- serialization ----------------------------------------------------------
 #
 # JSON schema (round-trips exactly; floats use repr, i.e. shortest
@@ -560,18 +552,22 @@ def genome_to_dict(genome: Genome) -> dict:
 
 
 def genome_from_dict(data: dict) -> Genome:
+    """Read a genome by the ``json_scalar`` rule, then validate it."""
+
+    def read(entry: dict, key: str, kind: type):
+        return json_scalar(key, entry[key], kind)
+
     try:
-        g = Genome(
-            n_inputs=int(data["n_inputs"]),
-            n_outputs=int(data["n_outputs"]),
-            k_hidden=int(data["k_hidden"]),
-        )
+        g = Genome(read(data, "n_inputs", int), read(data, "n_outputs", int), read(data, "k_hidden", int))
         for n in data["nodes"]:
-            g.nodes[int(n["id"])] = NodeGene(int(n["id"]), n["kind"], n["activation"], float(n["bias"]))
+            node = NodeGene(read(n, "id", int), read(n, "kind", str), read(n, "activation", str), read(n, "bias", float))
+            g.nodes[node.id] = node
         for c in data["connections"]:
-            g.connections[int(c["innovation"])] = ConnectionGene(
-                int(c["innovation"]), int(c["from"]), int(c["to"]), float(c["weight"]), bool(c["enabled"])
+            conn = ConnectionGene(
+                read(c, "innovation", int), read(c, "from", int), read(c, "to", int),
+                read(c, "weight", float), read(c, "enabled", bool),
             )
+            g.connections[conn.innovation] = conn
     except (KeyError, TypeError) as exc:
         raise GenomeError(f"malformed genome data: {exc}") from exc
     validate_genome(g)
@@ -580,11 +576,3 @@ def genome_from_dict(data: dict) -> Genome:
 
 def genome_to_json(genome: Genome) -> str:
     return json.dumps(genome_to_dict(genome), indent=2)
-
-
-def genome_from_json(text: str) -> Genome:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GenomeError(f"genome JSON does not parse: {exc}") from exc
-    return genome_from_dict(data)

@@ -6,12 +6,13 @@ each stepped as one batch by ``run_population``. A member's fitness does
 not depend on which chunk it lands in, so the chunks fan out over a
 process pool, one per worker, and their results are joined in member
 order: the generational outcome is identical however the work was split.
-The EINCASM_THREADS environment variable caps the pool size (0 or unset =
-one worker per CPU, 1 = one batch, in-process).
 
-``evolve_run`` opens one pool for the whole run and closes it when the
-run ends, so its workers start once, not once per generation; every
-generation's chunks go to those same workers. A worker keeps only caches
+``evolve_run`` is the one place that opens a pool. Its size comes from
+the EINCASM_THREADS environment variable (0 or unset = one worker per
+CPU, 1 = no pool: one batch, in-process). The pool lives for the whole
+run and closes when the run ends, so its workers start once, not once per
+generation; every generation's chunks go to those same workers, through
+``evaluate_population``. A worker keeps only caches
 between generations (obstacle layouts, fluid work arrays, arenas), none
 of which a fitness depends on.
 """
@@ -34,12 +35,11 @@ from .physics import PhysicsParams
 
 
 def evaluation_workers() -> int:
-    raw = os.environ.get("EINCASM_THREADS", "0")
+    """The pool size EINCASM_THREADS asks for; one worker per CPU when it
+    is unset, not an integer, or not positive."""
     try:
-        n = int(raw)
+        n = int(os.environ.get("EINCASM_THREADS", "0"))
     except ValueError:
-        n = 0
-    if n < 0:
         n = 0
     return n if n > 0 else (os.cpu_count() or 1)
 
@@ -60,25 +60,23 @@ def evaluate_population(
     params: PhysicsParams,
     cfg: LifecycleConfig,
     run_seed: int,
-    workers: int | None = None,
     pool: Executor | None = None,
+    workers: int = 1,
 ) -> tuple[list[float], int]:
     """Fitness per member, joined in member order, and the number of
     lifecycles (member x environment evaluation) that a fluid failure cut
     short. Every member of one generation shares run_seed, so all face
-    identical environments. The members split into one contiguous chunk
-    per worker. More than one chunk runs on ``pool`` when given, else on
-    a pool opened for this call."""
+    identical environments. Without ``pool`` the members run in-process
+    as one batch; with it they split into ``workers`` contiguous chunks
+    that run on the pool."""
     if not members:
         return [], 0
-    workers = evaluation_workers() if workers is None else workers
+    if pool is None:
+        return _evaluate_chunk((members, envs, params, cfg, run_seed))
     workers = max(1, min(workers, len(members)))
     edges = [len(members) * i // workers for i in range(workers + 1)]
     tasks = [(members[a:b], envs, params, cfg, run_seed) for a, b in zip(edges, edges[1:])]
-    if workers == 1:
-        return _evaluate_chunk(tasks[0])
-    with ProcessPoolExecutor(max_workers=workers) if pool is None else contextlib.nullcontext(pool) as executor:
-        chunks = list(executor.map(_evaluate_chunk, tasks))
+    chunks = list(pool.map(_evaluate_chunk, tasks))
     return [fitness for chunk, _ in chunks for fitness in chunk], sum(n_failed for _, n_failed in chunks)
 
 
@@ -128,7 +126,7 @@ def evolve_run(cfg: RunConfig, on_generation=None, workers: int | None = None) -
         for gen in range(cfg.generations):
             run_seed = neat.evaluation_seed(cfg.evolution.seed, gen)
             fitnesses, n_failed = evaluate_population(
-                pop.members, cfg.environments, cfg.physics, cfg.lifecycle, run_seed, workers=workers, pool=pool
+                pop.members, cfg.environments, cfg.physics, cfg.lifecycle, run_seed, pool, pool_size
             )
             best_index = int(np.argmax(fitnesses))
             best = pop.members[best_index]

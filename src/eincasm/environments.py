@@ -17,13 +17,15 @@ import numpy as np
 
 from .substrate import GridShape, Statics
 
-#: Kind -> the ``params`` keys its builder reads. ``goal`` is allowed for every kind.
+#: Kind -> the ``params`` keys its builder reads and the type of each: a
+#: ``json_scalar`` kind, or ``tuple`` for a cell [x, y]. ``goal``, a ``Rect``
+#: [x, y, w, h], is allowed for every kind.
 KIND_PARAMS = {
-    "open_arena": (),
-    "obstacle_field": ("density",),
-    "maze": ("cell_size",),
-    "coordination": ("cluster_offset", "cluster_radius", "cluster_amount"),
-    "deceptive_chemo": ("false_peak_amplitude", "false_peak"),
+    "open_arena": {},
+    "obstacle_field": {"density": float},
+    "maze": {"cell_size": int},
+    "coordination": {"cluster_offset": int, "cluster_radius": int, "cluster_amount": float},
+    "deceptive_chemo": {"false_peak_amplitude": float, "false_peak": tuple},
 }
 
 
@@ -31,15 +33,17 @@ class EnvError(ValueError):
     """Unsatisfiable or malformed environment specification."""
 
 
-_SCALAR_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+_SCALAR_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+                 bool: (bool, "true or false")}
 
 
 def json_scalar(key: str, value, kind: type):
     """A JSON value checked against one scalar type, raising TypeError that
     names ``key``: an int takes an integer, a float an integer or a float
-    (stored as a float), a str a string; a bool or null is never a number."""
+    (stored as a float), a str a string, a bool only true or false; a bool
+    or null is never a number."""
     accepted, noun = _SCALAR_KINDS[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"{key!r} must be {noun}, got {value!r}")
     return kind(value)
 
@@ -317,13 +321,24 @@ def _generate_memo(spec: EnvSpec) -> EnvBundle:
 def generate(spec: EnvSpec) -> EnvBundle:
     """Build the static channels for a spec. Deterministic in (spec, seed).
 
-    The bundle's goal is the spec's ``goal`` param, else the kind's own.
+    Each param is first checked against its type in ``KIND_PARAMS``. The
+    bundle's goal is the spec's ``goal`` param, else the kind's own.
     """
     if spec.kind not in KIND_PARAMS:
         raise EnvError(f"unknown environment kind {spec.kind!r}")
-    for key, _ in spec.params:
-        if key != "goal" and key not in KIND_PARAMS[spec.kind]:
+    kinds = {"goal": Rect, **KIND_PARAMS[spec.kind]}
+    for key, value in spec.params:
+        if key not in kinds:
             raise EnvError(f"environment kind {spec.kind!r} does not read param {key!r}")
+        try:
+            if kinds[key] is Rect:
+                Rect.from_list(value)
+            elif kinds[key] is tuple:
+                x, y = (json_scalar(key, v, int) for v in value)  # exactly two integers
+            else:
+                json_scalar(key, value, kinds[key])
+        except (TypeError, ValueError) as exc:
+            raise EnvError(f"malformed param {key!r}: {exc}") from exc
     rng = np.random.default_rng(np.random.SeedSequence([max(spec.seed, 0), 17]))
     shape = spec.shape
     builder = {
@@ -336,10 +351,7 @@ def generate(spec: EnvSpec) -> EnvBundle:
     bundle = builder(spec, rng)
     goal = spec.param("goal")
     if goal is not None:
-        try:
-            bundle.goal = Rect.from_list(goal)
-        except (TypeError, ValueError) as exc:
-            raise EnvError(f"malformed goal {goal!r}: {exc}") from exc
+        bundle.goal = Rect.from_list(goal)
         if not bundle.goal.within(shape):
             raise EnvError(f"goal {bundle.goal} out of bounds")
 
@@ -365,7 +377,7 @@ def _gen_open(spec: EnvSpec, rng) -> EnvBundle:
 
 
 def _gen_obstacle_field(spec: EnvSpec, rng) -> EnvBundle:
-    density = float(spec.param("density", 0.15))
+    density = spec.param("density", 0.15)
     if not 0.0 <= density < 1.0:
         raise EnvError(f"obstacle density must lie in [0, 1), got {density}")
     seed_cell = spec.seed_cell or _default_seed_cell(spec)
@@ -390,7 +402,7 @@ def _gen_obstacle_field(spec: EnvSpec, rng) -> EnvBundle:
 
 
 def _gen_maze(spec: EnvSpec, rng) -> EnvBundle:
-    cell_size = int(spec.param("cell_size", 1))
+    cell_size = spec.param("cell_size", 1)
     if cell_size < 1:
         raise EnvError(f"maze cell_size must be >= 1, got {cell_size}")
     shape = spec.shape
@@ -423,9 +435,9 @@ def _gen_maze(spec: EnvSpec, rng) -> EnvBundle:
 
 
 def _gen_coordination(spec: EnvSpec, rng) -> EnvBundle:
-    offset = int(spec.param("cluster_offset", max(2, spec.shape.width // 2 - 3)))
-    radius = int(spec.param("cluster_radius", 1))
-    amount = float(spec.param("cluster_amount", 4.0))
+    offset = spec.param("cluster_offset", max(2, spec.shape.width // 2 - 3))
+    radius = spec.param("cluster_radius", 1)
+    amount = spec.param("cluster_amount", 4.0)
     cx, cy = spec.seed_cell or _default_seed_cell(spec)
     side = 2 * radius + 1
     cluster_a = Rect(cx - offset - radius, cy - radius, side, side)
@@ -447,14 +459,16 @@ def _gen_coordination(spec: EnvSpec, rng) -> EnvBundle:
 
 
 def _gen_deceptive(spec: EnvSpec, rng) -> EnvBundle:
-    amplitude = float(spec.param("false_peak_amplitude", 2.0))
+    amplitude = spec.param("false_peak_amplitude", 2.0)
     if amplitude <= 0:
         raise EnvError(f"false peak amplitude must be positive, got {amplitude}")
     base = _gen_open(spec, rng)
     food = base.statics.food
     w, h = spec.shape.width, spec.shape.height
     peak = spec.param("false_peak")
-    px, py = (int(peak[0]), int(peak[1])) if peak else (w // 4, h // 4)
+    px, py = peak if peak else (w // 4, h // 4)
+    if not spec.shape.contains(px, py):
+        raise EnvError(f"false peak ({px}, {py}) out of bounds")
     if food[py, px] > 0:
         raise EnvError(f"false peak ({px}, {py}) must sit on a food-free cell")
     # Cone bump with the same decay profile as the true gradient, masked to

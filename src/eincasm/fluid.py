@@ -18,7 +18,9 @@ its total exactly fixed and its values nonnegative by construction.
 
 A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
 worlds on one shared obstacle layout, advanced by the same array
-operations as a single lattice, which is the P = 1 case.
+operations as a single lattice, which is the P = 1 case. A step never
+raises for an unstable lattice: it returns each member's failure record,
+and the simulation decides what a failure ends.
 
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
@@ -72,17 +74,9 @@ _GROUP_WEIGHTS = np.array([WEIGHTS[0], WEIGHTS[1], WEIGHTS[5]]).reshape(3, 1, 1,
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
-class FluidInstability(RuntimeError):
-    """The lattice left its stable regime; identifies where and when."""
-
-    def __init__(self, reason: str, x: int, y: int, step: int | None = None):
-        super().__init__(str(FluidFailure(reason, x, y, step)))
-        self.reason, self.x, self.y, self.step = reason, x, y, step
-
-
 @dataclass(frozen=True)
 class FluidFailure:
-    """Why, where and at which step one lattice of a batch became unstable."""
+    """Why, where and at which step a lattice became unstable."""
 
     reason: str
     x: int
@@ -195,12 +189,10 @@ def equilibrium(rho, u) -> np.ndarray:
     return WEIGHTS.reshape((9,) + (1,) * len(shape)) * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
 
 
-def uniform_lattice(width: int, height: int, obstacles: np.ndarray | None = None,
-                    rho0: float = 1.0, tau: float = 0.8) -> Lattice:
+def uniform_lattice(width: int, height: int, obstacles: np.ndarray, rho0: float = 1.0, tau: float = 0.8) -> Lattice:
     """Fluid at rest at density rho0 on free cells, empty on obstacles."""
     f = np.ones((9, height, width)) * (WEIGHTS[:, None, None] * rho0)
-    if obstacles is not None:
-        f[:, np.asarray(obstacles) > 0.5] = 0.0
+    f[:, np.asarray(obstacles) > 0.5] = 0.0
     return Lattice(f, tau)
 
 
@@ -238,12 +230,10 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray | None
     isotropically as f_i += w_i * rho_src. Populations streaming into an
     obstacle cell or off the grid reverse direction in place (no-slip).
 
-    A lattice fails on negative/non-finite populations or |u| > 0.3. A
-    single lattice then raises FluidInstability and otherwise returns the
-    stepped Lattice. A batch never raises for it: it returns
-    ``(lattice, failures)``, where ``failures[p]`` is member p's
-    FluidFailure or None, and a failed member's populations come back
-    unchanged.
+    Returns ``(lattice, failures)``. A lattice fails on negative or
+    non-finite populations or |u| > 0.3; ``failures[p]`` is member p's
+    FluidFailure or None (one entry for a single lattice), and a failed
+    member's populations come back unchanged.
     """
     walls = walls_of(obstacles)
     if walls.solid.shape != lat.grid_shape:
@@ -261,12 +251,7 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray | None
         if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):
             raise ValueError("sources must be zero on obstacle cells")
     new, failures = _step_batch(f, walls, src, lat.tau, step_index)
-    if single:
-        if failures[0] is not None:
-            fail = failures[0]
-            raise FluidInstability(fail.reason, fail.x, fail.y, fail.step)
-        return Lattice(new[0], lat.tau)
-    return Lattice(new, lat.tau), failures
+    return Lattice(new[0] if single else new, lat.tau), failures
 
 
 class _Scratch:

@@ -260,10 +260,8 @@ def coordination_test(
     bundle = generate(spec)
     lifespan = cfg.lifespan(seed)
     t_r = max(1, int(lifespan * removal_fraction))
-    schedule = tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),)
-    sim = build_simulation(
-        genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]), schedule=schedule
-    )
+    cfg = replace(cfg, schedule=tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),))
+    sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]))
 
     half_x = spec.shape.width // 2
     snapshot = {}

@@ -202,7 +202,7 @@ def label_obstacles(obstacles: np.ndarray) -> np.ndarray:
     return labels
 
 
-def validate_schedule(world: WorldState | WorldStack, schedule) -> None:
+def validate_schedule(world: WorldState, schedule) -> None:
     """Reject malformed schedules up front, before any stepping happens.
 
     Every MoveObstacle is replayed in step order through
@@ -220,7 +220,7 @@ def validate_schedule(world: WorldState | WorldStack, schedule) -> None:
                 raise LifecycleError(f"degrade fraction must lie in [0, 1], got {event.fraction}")
         elif isinstance(event, MoveObstacle):
             if layout is None:
-                layout = (world.member(0) if isinstance(world, WorldStack) else world).copy()
+                layout = world.copy()
             try:
                 apply_perturbation(layout, event)
             except LifecycleError as exc:
@@ -294,6 +294,10 @@ class Simulation:
     update, its lattice the state before it), records its FluidFailure in
     ``failures`` and leaves the batch; the rest go on.
 
+    The schedule is ``cfg.schedule``. After an event that changes food or
+    obstacles, the chemoattractant is recomputed with ``chemo_params``,
+    the arena's (n_iters, decay).
+
     Confined to one logical thread. ``run_population`` wraps it; the test
     harness and ``render`` run a one-member simulation with an observer when
     they need mid-run measurements, read through ``world`` and ``lattice``.
@@ -306,8 +310,7 @@ class Simulation:
         params: PhysicsParams,
         cfg: LifecycleConfig,
         rngs: list[np.random.Generator],
-        schedule=(),
-        chemo_params: tuple[int, float] | None = None,
+        chemo_params: tuple[int, float],
     ):
         self.worlds = worlds  # the running members, in ``running`` order
         self.phenotypes = list(phenotypes)
@@ -318,10 +321,10 @@ class Simulation:
         self.cfg = cfg
         self.rngs = list(rngs)
         self.schedule: dict[int, list[PerturbationEvent]] = {}
-        for step_index, event in schedule:
+        for step_index, event in cfg.schedule:
             self.schedule.setdefault(int(step_index), []).append(event)
-        validate_schedule(worlds, schedule)
-        self.chemo_params = chemo_params  # (n_iters, decay) or None: skip recompute
+        validate_schedule(worlds.member(0), cfg.schedule)
+        self.chemo_params = chemo_params
         at_rest = fluid.uniform_lattice(worlds.shape.width, worlds.shape.height, worlds.obstacle, tau=cfg.tau)
         self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], worlds.n_members, axis=0), cfg.tau)
         self.running = list(range(worlds.n_members))
@@ -384,7 +387,6 @@ class Simulation:
         if len(sel_y):
             inputs = np.zeros((len(sel_y), self.rule.n_inputs))
             inputs[:, self.perceived] = perceive_cells(worlds, sel_y, sel_x, sel_m, self.perceived)
-            inputs[:, -1] = 1.0  # constant bias input
             outputs = self.rule.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
             k = worlds.k_hidden
             worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
@@ -427,9 +429,7 @@ class Simulation:
             if moved.any():
                 self._reconcile_lattice(obstacles_before)
             if statics_changed:
-                if self.chemo_params is not None:
-                    n_iters, decay = self.chemo_params
-                    worlds.chemo = chemoattractant_field(worlds.food, worlds.obstacle, n_iters, decay)
+                worlds.chemo = chemoattractant_field(worlds.food, worlds.obstacle, *self.chemo_params)
                 worlds.write_statics()
         self.step_index += 1
 
@@ -478,40 +478,33 @@ class Simulation:
 
 
 def build_simulation(
-    members,
+    genomes,
     bundle: EnvBundle,
     params: PhysicsParams,
     cfg: LifecycleConfig,
     step_seed,
-    k_hidden: int | None = None,
-    schedule=None,
 ) -> Simulation:
     """Assemble a seeded simulation from generated statics.
 
-    ``members`` is a genome or compiled phenotype, or a list of them that
-    share one hidden-channel count (``k_hidden`` is required for compiled
-    phenotypes). Every member starts from the same seeded world with its
-    own selection stream seeded from ``step_seed``.
+    ``genomes`` is a genome, or a list of genomes that share one
+    hidden-channel count; each is compiled here. Every member starts from
+    the same seeded world with its own selection stream seeded from
+    ``step_seed``, and runs ``cfg.schedule``.
     """
-    members = list(members) if isinstance(members, (list, tuple)) else [members]
-    if isinstance(members[0], Genome):
-        k_hidden = members[0].k_hidden
-        members = [compile_genome(genome) for genome in members]
-    if k_hidden is None:
-        raise LifecycleError("k_hidden required when passing a compiled phenotype")
-    if any(phenotype.n_inputs != io_sizes(k_hidden)[0] for phenotype in members):
+    genomes = list(genomes) if isinstance(genomes, (list, tuple)) else [genomes]
+    k_hidden = genomes[0].k_hidden
+    if any(genome.n_inputs != io_sizes(k_hidden)[0] for genome in genomes):
         raise LifecycleError(f"every member must read {k_hidden} hidden channels")
     world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
     seed_cell = cfg.seed_cell or bundle.seed_cell
     seed_organism(world, cfg, seed_cell)
     return Simulation(
-        WorldStack.of([world] * len(members)),
-        members,
+        WorldStack.of([world] * len(genomes)),
+        [compile_genome(genome) for genome in genomes],
         params,
         cfg,
-        [np.random.default_rng(step_seed) for _ in members],
-        schedule=cfg.schedule if schedule is None else schedule,
-        chemo_params=(bundle.spec.resolved_chemo_iters(), bundle.spec.chemo_decay),
+        [np.random.default_rng(step_seed) for _ in genomes],
+        (bundle.spec.resolved_chemo_iters(), bundle.spec.chemo_decay),
     )
 
 
@@ -533,18 +526,11 @@ def run_population(
     n_env_evals > 1. A member's record does not depend on the others.
     """
     lifespan = cfg.lifespan(run_seed)
-    phenotypes = [compile_genome(genome) for genome in genomes]
-
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
     for e in range(1, cfg.n_env_evals + 1):
         spec = env if cfg.n_env_evals == 1 else replace(env, seed=env.seed + e - 1)
         sim = build_simulation(
-            phenotypes,
-            environments.generate_cached(spec),
-            params,
-            cfg,
-            np.random.SeedSequence([run_seed, e, 1]),
-            k_hidden=genomes[0].k_hidden,
+            genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
         )
         for member, curve in enumerate(sim.run(lifespan)):
             failure = sim.failures[member]

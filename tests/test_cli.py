@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eincasm
 from eincasm import fileio
-from eincasm.cli import main
+from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
 from eincasm.cppn import genome_to_dict
 from eincasm.driver import evolve_run
@@ -130,6 +131,7 @@ class TestEvolveCommand:
             ("lifecycle", "schedule", [[2.5, {"kind": "remove_food", "region": [7, 5, 1, 1]}]]),
             ("physics", "alpha", True),
             ("io", "output_dir", 5),
+            pytest.param("lifecycle", "seed_cell", [40, 3], id="lifecycle-seed_cell-outside-arena"),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
@@ -235,10 +237,16 @@ class TestTestCommand:
         report = json.loads(Path(out).read_text())
         assert report["iq"] == 0.0
 
-    def test_corrupt_genome_exits_2(self, tmp_path):
+    def test_corrupt_genome_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad_genome.json"
         path.write_text("{broken")
         assert main(["test", str(path)]) == 2
+        data = genome_to_dict(chemotaxis_baseline())
+        data["connections"][0]["enabled"] = "false"  # a string is not a bool
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["test", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_dimension_mismatch_exits_2(self, tmp_path):
         genome = write_genome(tmp_path, chemotaxis_baseline(k_hidden=2))
@@ -279,6 +287,9 @@ class TestTestCommand:
         env = detour_spec().to_dict()
         tests = [{"name": "detour", "env": env}, {"name": "coordination"}]
         battery.write_text(json.dumps({"lifecycle": {"t_min": 20, "t_max": 20}, "tests": tests}))
+        # the keys the lifecycle section omits keep the harness's values
+        cfg = load_battery(str(battery))[1]
+        assert (cfg.t_min, cfg.p_update, cfg.tau, cfg.seed_nutrient) == (20, 1.0, 1.2, 24.0)
         out = str(tmp_path / "report.json")
         assert main(["test", genome, "--battery", str(battery), "--out", out]) == 0
         report = json.loads(Path(out).read_text())
@@ -399,3 +410,8 @@ def test_atomic_write_replaces_content(tmp_path):
     fileio.atomic_write_text(path, "two")
     assert Path(path).read_text() == "two"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+
+def test_every_public_name_resolves():
+    for name in eincasm.__all__:
+        assert hasattr(eincasm, name), name

@@ -17,8 +17,8 @@ from eincasm.cppn import (
     NodeGene,
     compile_genome,
     empty_genome,
-    evaluate,
-    genome_from_json,
+    genome_from_dict,
+    genome_to_dict,
     genome_to_json,
     io_sizes,
     stack,
@@ -44,8 +44,8 @@ def recursive_oracle(genome, inputs):
     def value(node_id):
         if node_id in memo:
             return memo[node_id]
-        if node_id < genome.n_inputs:
-            memo[node_id] = float(inputs[node_id])
+        if node_id < genome.n_inputs:  # the bias input is 1.0 by definition
+            memo[node_id] = 1.0 if node_id == genome.bias_input_id else float(inputs[node_id])
             return memo[node_id]
         node = genome.nodes[node_id]
         acc = node.bias
@@ -59,11 +59,13 @@ def recursive_oracle(genome, inputs):
 
 def reference_evaluate(phenotype, inputs):
     """One member's plan run node by node, edge by edge, in innovation
-    order: the evaluation a stacked plan must reproduce bit for bit."""
+    order, with the bias input at 1.0: the evaluation a stacked plan must
+    reproduce bit for bit."""
     (steps,) = phenotype.plans
     inputs = np.asarray(inputs, dtype=np.float64)
     values = np.empty((phenotype.n_slots, inputs.shape[0]))
     values[: phenotype.n_inputs] = inputs.T
+    values[phenotype.n_inputs - 1] = 1.0
     for step in steps:
         acc = np.full(inputs.shape[0], step.bias)
         for src_slot, weight in zip(step.src_slots, step.weights):
@@ -138,7 +140,7 @@ class TestCompile:
         phen = compile_genome(g)
         x = np.zeros(g.n_inputs)
         x[0] = 0.7
-        assert evaluate(phen, x)[0] == 0.7
+        assert phen.evaluate_batch(x[None])[0, 0] == 0.7
 
     def test_disabled_edge_contributes_nothing(self):
         g = tiny_genome()
@@ -146,7 +148,7 @@ class TestCompile:
         g.connections[0] = ConnectionGene(0, 0, g.n_inputs, 1.0, False)
         phen = compile_genome(g)
         x = np.full(g.n_inputs, 0.9)
-        assert evaluate(phen, x)[0] == 0.25  # identity(bias)
+        assert phen.evaluate_batch(x[None])[0, 0] == 0.25  # identity(bias)
 
     def test_cycle_detected(self):
         g = tiny_genome()
@@ -177,13 +179,13 @@ class TestEvaluate:
         phen = compile_genome(g)
         x = np.zeros(g.n_inputs)
         x[3] = 0.5
-        assert evaluate(phen, x)[0] == pytest.approx(math.tanh(1.0), abs=1e-15)
+        assert phen.evaluate_batch(x[None])[0, 0] == pytest.approx(math.tanh(1.0), abs=1e-15)
 
     def test_wrong_input_length(self):
         g = tiny_genome()
         phen = compile_genome(g)
         with pytest.raises(GenomeError):
-            evaluate(phen, np.zeros(phen.n_inputs - 1))
+            phen.evaluate_batch(np.zeros((1, phen.n_inputs - 1)))
 
     def test_oracle_equivalence_100_random_genomes(self):
         rng = np.random.default_rng(42)
@@ -193,7 +195,7 @@ class TestEvaluate:
             for _ in range(3):
                 x = rng.normal(size=g.n_inputs)
                 np.testing.assert_allclose(
-                    evaluate(phen, x), recursive_oracle(g, x), rtol=0, atol=1e-12
+                    phen.evaluate_batch(x[None])[0], recursive_oracle(g, x), rtol=0, atol=1e-12
                 )
 
     def test_batch_matches_single(self):
@@ -203,23 +205,23 @@ class TestEvaluate:
         batch = rng.normal(size=(17, g.n_inputs))
         out = phen.evaluate_batch(batch)
         for i in range(17):
-            np.testing.assert_array_equal(out[i], evaluate(phen, batch[i]))
+            np.testing.assert_array_equal(out[i], phen.evaluate_batch(batch[i][None])[0])
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(9)
         g = random_genome(rng)
         phen = compile_genome(g)
         x = rng.normal(size=g.n_inputs)
-        a, b = evaluate(phen, x), evaluate(phen, x)
+        a, b = phen.evaluate_batch(x[None])[0], phen.evaluate_batch(x[None])[0]
         assert (a == b).all()
 
 
 @st.composite
 def stacked_population(draw):
     """Random or mostly bias-fed genomes (0-6 hidden nodes, disabled edges,
-    every activation, signed-zero biases and weights), rows of inputs whose
-    bias input is 1.0 in about half the draws, and a random member per row:
-    some members get no rows, and there may be no rows at all."""
+    every activation, signed-zero biases and weights), rows of random
+    inputs, the bias column included, and a random member per row: some
+    members get no rows, and there may be no rows at all."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     genomes = []
     for _ in range(draw(st.integers(1, 6))):
@@ -244,8 +246,6 @@ def stacked_population(draw):
     inputs = rng.normal(scale=3.0, size=(n_rows, genomes[0].n_inputs))
     inputs[rng.random(inputs.shape) < 0.1] = -0.0
     inputs[rng.random(inputs.shape) < 0.1] = 0.0
-    if draw(st.booleans()):
-        inputs[:, -1] = 1.0  # the bias input as a simulation sets it: constant positions fold
     return genomes, inputs, members
 
 
@@ -304,7 +304,6 @@ class TestStackedPlan:
         assert (plan.folded.slots - plan.n_inputs).tolist() == list(range(6))
         assert plan.folded.varying.positions == ()
         x = np.random.default_rng(12).normal(size=(20, plan.n_inputs))
-        x[:, -1] = 1.0
         members = np.arange(20) % 5
         out = plan.evaluate_batch(x, members)
         for m, g in enumerate(founders):
@@ -313,15 +312,18 @@ class TestStackedPlan:
 
     @pytest.mark.parametrize("bias", [0.5, -1.0, 0.0, -0.0, np.nan])
     def test_rows_with_another_bias_match_the_reference(self, bias):
+        """The bias column is ignored: any value there gives the bits of 1.0."""
         rng = np.random.default_rng(13)
         founders = init_population(EvolutionConfig(population_size=3, seed=14), 4).members
         phenotypes = [compile_genome(g) for g in [chemotaxis_baseline(), *founders]]
         plan = stack(phenotypes)
         x = rng.normal(size=(24, plan.n_inputs))
         x[:, -1] = 1.0
-        x[::3, -1] = bias  # one row in three: any value but 1.0 leaves the folded path
+        other = x.copy()
+        other[::3, -1] = bias  # one row in three
         members = np.arange(24) % len(phenotypes)
-        out = plan.evaluate_batch(x, members)
+        out = plan.evaluate_batch(other, members)
+        np.testing.assert_array_equal(out.view(np.uint64), plan.evaluate_batch(x, members).view(np.uint64))
         for m, phenotype in enumerate(phenotypes):
             expected = reference_evaluate(phenotype, x[members == m])
             np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
@@ -373,7 +375,7 @@ class TestSerialization:
         for i, conn in enumerate(g.connections.values()):
             conn.weight = float(rng.normal() * 10.0 ** int(rng.integers(-12, 12)))
         text = genome_to_json(g)
-        g2 = genome_from_json(text)
+        g2 = genome_from_dict(json.loads(text))
         assert genome_to_json(g2) == text
         for innov, conn in g.connections.items():
             assert g2.connections[innov].weight == conn.weight  # bit-exact
@@ -390,9 +392,19 @@ class TestSerialization:
 
     def test_malformed_json_rejected(self):
         with pytest.raises(GenomeError):
-            genome_from_json("{nope")
-        with pytest.raises(GenomeError):
-            genome_from_json(json.dumps({"n_inputs": 3}))
+            genome_from_dict({"n_inputs": 3})
+        # a value of the wrong JSON type is rejected, never coerced
+        for section, key, value in [("connections", "enabled", "false"), ("connections", "enabled", 0),
+                                    ("connections", "from", 47.9), ("connections", "weight", "0.06"),
+                                    ("nodes", "id", True), ("nodes", "bias", None)]:
+            data = genome_to_dict(chemotaxis_baseline())
+            data[section][0][key] = value
+            with pytest.raises(GenomeError, match=key):
+                genome_from_dict(data)
+        data = genome_to_dict(chemotaxis_baseline())
+        data["k_hidden"] = 4.0
+        with pytest.raises(GenomeError, match="k_hidden"):
+            genome_from_dict(data)
 
 
 class TestInvariantValidation:

@@ -345,16 +345,22 @@ def test_envspec_json_round_trip():
         {"seed_cell": [4.5, 4]},
         {"seed_cell": [4, 4, 4]},
         {"shap": [8, 8]},
+        {"kind": "maze", "params": {"cell_size": 1.9}},
+        {"kind": "obstacle_field", "params": {"density": "0.2"}},
+        {"kind": "coordination", "shape": [24, 16], "params": {"cluster_offset": 8.5}},
+        {"kind": "deceptive_chemo", "params": {"false_peak": [2.5, 3]}},
+        {"kind": "deceptive_chemo", "params": {"false_peak": [-1, 3]}},
     ],
     ids=[
         "kind-5", "shape-16.5", "shape-true", "seed-2.7", "seed-null", "chemo_decay-string", "chemo_iters-32.0",
         "food-rect-1.5", "food-amount-string", "seed_cell-4.5", "seed_cell-triple",
-        "unknown-key",
+        "unknown-key", "cell_size-1.9", "density-string", "cluster_offset-8.5", "false_peak-2.5",
+        "false_peak-off-grid",
     ],
 )
 def test_malformed_spec_rejected(change):
     with pytest.raises(EnvError):
-        EnvSpec.from_dict({"kind": "open_arena", "shape": [16, 16], **change})
+        generate(EnvSpec.from_dict({"kind": "open_arena", "shape": [16, 16], **change}))
 
 
 def test_generate_cached_shares_read_only_statics():

@@ -304,7 +304,7 @@ class TestRunLifecycle:
             tau=1.1,
             schedule=((3, RemoveFood(Rect(1, 1))),),
         )
-        assert read_section("lifecycle", LifecycleConfig, json.loads(json.dumps(write_section(cfg)))) == cfg
+        assert read_section("lifecycle", LifecycleConfig(), json.loads(json.dumps(write_section(cfg)))) == cfg
 
 
 class TestWorldInvariantsThroughout:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eincasm.cppn import compile_genome, evaluate, genome_to_json, validate_genome
+from eincasm.cppn import ConnectionGene, NodeGene, compile_genome, empty_genome, genome_to_json, validate_genome
 from eincasm.neat import (
     EvolutionConfig,
     InnovationRegistry,
@@ -156,6 +156,25 @@ class TestCrossover:
         # binomial(1000, 0.5): 6 sigma ~ 95
         assert abs(from_b - 500) < 95
 
+    def test_reenabling_never_closes_a_cycle(self):
+        """A gene disabled in a parent comes back enabled a quarter of the
+        time, unless enabling it would close a cycle."""
+        g = empty_genome(K)
+        a, b = g.n_inputs + g.n_outputs, g.n_inputs + g.n_outputs + 1
+        for node in (a, b):
+            g.nodes[node] = NodeGene(node, "hidden", "identity", 0.0)
+        g.connections[0] = ConnectionGene(0, a, b, 1.0, True)
+        g.connections[1] = ConnectionGene(1, b, a, 1.0, False)  # would close a -> b -> a
+        g.connections[2] = ConnectionGene(2, 0, a, 1.0, False)
+        reenabled = 0
+        for t in range(400):
+            child = crossover(g, g, member_rng(5, 1, t, 0))
+            assert child.connections[0].enabled and not child.connections[1].enabled
+            validate_genome(child)
+            reenabled += child.connections[2].enabled
+        # binomial(400, 0.25): mean 100, 6 sigma ~ 52
+        assert abs(reenabled - 100) < 52
+
 
 class TestMutate:
     def test_zero_rates_is_identity(self):
@@ -171,15 +190,15 @@ class TestMutate:
         g = pop.members[0]
         for node in g.nodes.values():
             node.activation = "identity"
-        x = np.random.default_rng(0).normal(size=g.n_inputs)
-        before = evaluate(compile_genome(g), x)
+        x = np.random.default_rng(0).normal(size=(1, g.n_inputs))
+        before = compile_genome(g).evaluate_batch(x)
         found = False
         for t in range(50):  # find an rng draw whose new node got identity activation
             m = mutate(g, c, pop.registry, member_rng(100 + t, 1, 0, 0))
             new_nodes = [n for n in m.nodes.values() if n.id not in g.nodes]
             if new_nodes and all(n.activation == "identity" for n in new_nodes):
                 found = True
-                after = evaluate(compile_genome(m), x)
+                after = compile_genome(m).evaluate_batch(x)
                 np.testing.assert_allclose(after, before, atol=1e-12)
                 split = [c2 for c2 in m.connections.values() if not c2.enabled]
                 assert len(split) == 1  # the split edge is disabled

@@ -1,6 +1,8 @@
 """Population stepping: a batch of members gives each member the bits it
 gets alone, serially, pooled, and through failures and obstacle moves."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from eincasm import driver
 from eincasm.config import parse_config
 from eincasm.driver import evaluate_population, evolve_run
 from eincasm.environments import EnvSpec, Rect, generate
-from eincasm.fluid import FluidInstability, Lattice, equilibrium, step
+from eincasm.fluid import Lattice, equilibrium, step
 from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics, inert_genome
 from eincasm.lifecycle import (
     DegradeCells,
@@ -100,8 +102,9 @@ class TestSerialPooledPerMember:
         n_failed = sum(outcome.failed for per_env in records for r in per_env for outcome in r.per_env)
         assert n_failed > 0
 
-        serial, serial_failed = evaluate_population(members, envs, params, cfg, 7, workers=1)
-        pooled, pooled_failed = evaluate_population(members, envs, params, cfg, 7, workers=2)
+        serial, serial_failed = evaluate_population(members, envs, params, cfg, 7)
+        with ProcessPoolExecutor(2) as pool:
+            pooled, pooled_failed = evaluate_population(members, envs, params, cfg, 7, pool, workers=2)
         assert serial == per_member
         assert pooled == per_member
         assert serial_failed == pooled_failed == n_failed
@@ -261,15 +264,11 @@ def test_fluid_batch_equals_single_steps(grid, n, density, speed, seed):
 
     batch, failures = step(Lattice(f.copy(), 1.1), obstacles, sources, step_index=4)
     for p in range(n):
-        try:
-            alone = step(Lattice(f[p].copy(), 1.1), obstacles, sources[p], step_index=4)
-        except FluidInstability as exc:
-            fail = failures[p]
-            assert (fail.reason, fail.x, fail.y, fail.step) == (exc.reason, exc.x, exc.y, exc.step)
-            assert batch.f[p].tobytes() == f[p].tobytes()
-        else:
-            assert failures[p] is None
-            assert batch.f[p].tobytes() == alone.f.tobytes()
+        alone, (failure,) = step(Lattice(f[p].copy(), 1.1), obstacles, sources[p], step_index=4)
+        assert failures[p] == failure
+        assert batch.f[p].tobytes() == alone.f.tobytes()
+        if failure is not None:
+            assert alone.f.tobytes() == f[p].tobytes()
 
 
 @settings(max_examples=15, deadline=None)
