@@ -9,13 +9,14 @@ is reachable from it through free space (8-connected, matching both the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .substrate import GridShape, Statics
+from .substrate import RING_NEIGHBOURS, GridShape, Statics, flood_fill, neighbours
 
 #: Kind -> the ``params`` keys its builder reads and the type of each: a
 #: ``json_scalar`` kind, or ``tuple`` for a cell [x, y]. ``goal``, a ``Rect``
@@ -40,12 +41,20 @@ _SCALAR_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), st
 def json_scalar(key: str, value, kind: type):
     """A JSON value checked against one scalar type, raising TypeError that
     names ``key``: an int takes an integer, a float an integer or a float
-    (stored as a float), a str a string, a bool only true or false; a bool
-    or null is never a number."""
+    that is finite as a float (stored as a float), a str a string, a bool
+    only true or false; a bool or null is never a number."""
     accepted, noun = _SCALAR_KINDS[kind]
     if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
         raise TypeError(f"{key!r} must be {noun}, got {value!r}")
-    return kind(value)
+    if kind is not float:
+        return kind(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise TypeError(f"{key!r} must be a finite number, got {value!r:.40}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -180,10 +189,11 @@ def chemoattractant_field(food: np.ndarray, obstacles: np.ndarray, n_iters: int,
     monotone non-increasing with distance from food along free space and
     exactly zero wherever food cannot reach.
 
-    Each cell's eight neighbor indices are built once per call (a blocked
-    or off-grid neighbor is the cell itself; an obstacle cell reads a slot
-    that holds 0), so an iteration is one gather, the eight terms summed
-    in the fixed offset order and one maximum.
+    Each cell's eight neighbor indices are taken once per call from the
+    ``neighbours`` table (a blocked or off-grid neighbor is the cell
+    itself; an obstacle cell reads a slot that holds 0), so an iteration
+    is one gather, the eight terms summed in the fixed offset order and
+    one maximum.
     """
     if n_iters < 1:
         raise EnvError(f"n_iters must be >= 1, got {n_iters}")
@@ -193,14 +203,9 @@ def chemoattractant_field(food: np.ndarray, obstacles: np.ndarray, n_iters: int,
     h, w = solid.shape
     size = h * w
     f = np.where(solid, 0.0, np.asarray(food, dtype=np.float64)).reshape(size)
-    cell = np.arange(size).reshape(h, w)
-    neighbor = np.pad(cell, 1, constant_values=-1)
-    blocked = np.pad(solid, 1, constant_values=True)
-    gather = np.empty((8, size), dtype=np.intp)
-    offsets = [(dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dx, dy) != (0, 0)]
-    for row, (dx, dy) in enumerate(offsets):
-        window = (slice(1 + dy, 1 + dy + h), slice(1 + dx, 1 + dx + w))
-        gather[row] = np.where(blocked[window], cell, neighbor[window]).reshape(size)
+    ring = neighbours(h, w)[list(RING_NEIGHBOURS)]
+    blocked = np.append(solid.reshape(size), True)  # the off-grid slot blocks too
+    gather = np.where(blocked[ring], np.arange(size), ring)
     gather[:, solid.reshape(size)] = size
     c = np.zeros(size + 1)  # the last slot stays 0
     c[:size] = f
@@ -218,22 +223,8 @@ def chemoattractant_field(food: np.ndarray, obstacles: np.ndarray, n_iters: int,
 
 def reachable_from(obstacles: np.ndarray, x: int, y: int) -> np.ndarray:
     """8-connected free-space flood fill from one cell."""
-    solid = np.asarray(obstacles) > 0.5
-    h, w = solid.shape
-    seen = np.zeros((h, w), dtype=bool)
-    if solid[y, x]:
-        return seen
-    stack = [(x, y)]
-    seen[y, x] = True
-    while stack:
-        cx, cy = stack.pop()
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                nx, ny = cx + dx, cy + dy
-                if 0 <= nx < w and 0 <= ny < h and not seen[ny, nx] and not solid[ny, nx]:
-                    seen[ny, nx] = True
-                    stack.append((nx, ny))
-    return seen
+    free = ~(np.asarray(obstacles) > 0.5)
+    return flood_fill(free, RING_NEIGHBOURS, [y * free.shape[1] + x]) > 0
 
 
 def _place_obstacles(spec: EnvSpec, obstacles: np.ndarray) -> np.ndarray:

@@ -24,13 +24,13 @@ and the simulation decides what a failure ends.
 
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
-either the obstacle grid or its ``Walls``, so a caller that runs both in
-one step resolves the layout once. Streaming with bounce-back is one
-gather, precomputed once per layout. Each member's post-collision
-populations are followed by one zero slot, and every obstacle cell's
-destinations gather from that slot, so obstacle cells of a stepped
-lattice are exactly 0.0 whatever the input held there, with no masked
-write.
+either the obstacle grid or its ``Walls``, so a caller that keeps its
+``Walls`` resolves the layout only when it changes. Streaming with
+bounce-back is one gather, precomputed once per layout from the
+``substrate.neighbours`` table. Each member's post-collision populations
+are followed by one zero slot, and every obstacle cell's destinations
+gather from that slot, so obstacle cells of a stepped lattice are
+exactly 0.0 whatever the input held there, with no masked write.
 
 Work arrays: a step's intermediates (the injected and collided lattice
 with its zero slot, the moments and the collision terms) live in scratch
@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .substrate import neighbours
 
 EX = np.array([0, 1, 0, -1, 0, 1, -1, -1, 1])
 EY = np.array([0, 0, 1, 0, -1, 1, 1, -1, -1])
@@ -120,7 +122,8 @@ class MacroscopicFields:
 
 
 class Walls:
-    """One obstacle layout and the arrays streaming and advection derive from it."""
+    """One obstacle layout, ``solid`` (H, W), and the arrays streaming and
+    advection derive from it, built by ``walls_of``."""
 
     def __init__(self, solid: np.ndarray):
         self.solid = solid
@@ -133,22 +136,21 @@ class Walls:
         where f is followed by one zero slot at index 9 H W.
 
         A free cell receives direction i from its upstream neighbour
-        (cell - e_i) when that neighbour is in the grid and free; otherwise
-        it receives its own opposite population, bounced back in place. An
-        obstacle cell reads the zero slot. Each destination thus takes
-        exactly one population, so the gather is exact: shifting and adding
-        would only add zeros to it. No free cell reads an obstacle cell's
-        population, so whatever collision left there never propagates.
+        (cell - e_i, the neighbour table's row for offset -e_i) when that
+        neighbour is in the grid and free; otherwise it receives its own
+        opposite population, bounced back in place. An obstacle cell reads
+        the zero slot. Each destination thus takes exactly one population,
+        so the gather is exact: shifting and adding would only add zeros to
+        it. No free cell reads an obstacle cell's population, so whatever
+        collision left there never propagates.
         """
         h, w = self.solid.shape
         size = h * w
-        ys, xs = np.mgrid[0:h, 0:w]
-        cell = ys * w + xs
-        up_y, up_x = ys - EY[:, None, None], xs - EX[:, None, None]
-        blocked = np.pad(self.solid, 1, constant_values=True)[up_y + 1, up_x + 1]  # off-grid blocks too
-        direction = np.arange(9)[:, None, None]
-        gather = np.where(blocked, OPPOSITE[:, None, None] * size + cell, direction * size + up_y * w + up_x)
-        gather = np.where(self.solid, 9 * size, gather)
+        upstream = neighbours(h, w)[(1 - EY) * 3 + 1 - EX]  # the neighbour at -e_i, per direction
+        blocked = np.append(self.solid.reshape(size), True)[upstream]  # off-grid blocks too
+        direction = np.arange(9)[:, None]
+        gather = np.where(blocked, OPPOSITE[:, None] * size + np.arange(size), direction * size + upstream)
+        gather[:, self.solid.reshape(size)] = 9 * size
         return gather.ravel()
 
     @cached_property

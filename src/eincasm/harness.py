@@ -28,6 +28,7 @@ from .substrate import GridShape, N_BASE_CHANNELS, total_mass
 
 DEFAULT_K_HIDDEN = 4
 THETA_COORDINATION = 0.2  # redistribution index needed to count as completed
+REMOVAL_FRACTION = 1 / 3  # share of the lifespan after which cluster A vanishes
 M_GOAL = 0.1  # goal-cell mass needed to complete pathfinding
 
 
@@ -54,15 +55,14 @@ class TestScore:
 # -- builtin arenas -----------------------------------------------------------
 
 
-def corridor_spec(length: int = 16, food_amount: float = 8.0) -> EnvSpec:
-    """A straight corridor: the grid boundary is the wall, the organism
-    starts at one end, rich food fills the far end."""
-    grid = GridShape(length + 2, 5)
-    goal = Rect(length, 1, 2, 3)
+def corridor_spec() -> EnvSpec:
+    """A straight corridor 16 cells long: the grid boundary is the wall, the
+    organism starts at one end, rich food fills the far end."""
+    goal = Rect(16, 1, 2, 3)
     return EnvSpec(
         kind="open_arena",
-        shape=grid,
-        food=((goal, food_amount),),
+        shape=GridShape(18, 5),
+        food=((goal, 8.0),),
         seed_cell=(1, 2),
         chemo_decay=0.99,
         chemo_iters=160,
@@ -70,15 +70,14 @@ def corridor_spec(length: int = 16, food_amount: float = 8.0) -> EnvSpec:
     )
 
 
-def detour_spec(food_amount: float = 12.0) -> EnvSpec:
+def detour_spec() -> EnvSpec:
     """Arena with a vertical bar between start and goal; the
     chemoattractant ridge — and the organism — must bend around it."""
-    grid = GridShape(12, 9)
     goal = Rect(8, 3, 3, 3)
     return EnvSpec(
         kind="open_arena",
-        shape=grid,
-        food=((goal, food_amount),),
+        shape=GridShape(12, 9),
+        food=((goal, 12.0),),
         obstacles=(Rect(4, 2, 1, 5),),
         seed_cell=(1, 4),
         chemo_decay=0.99,
@@ -87,14 +86,14 @@ def detour_spec(food_amount: float = 12.0) -> EnvSpec:
     )
 
 
-def coordination_spec(cluster_amount: float = 6.0) -> EnvSpec:
+def coordination_spec() -> EnvSpec:
     return EnvSpec(
         kind="coordination",
         shape=GridShape(24, 16),
         seed_cell=(12, 8),
         chemo_decay=0.99,
         chemo_iters=200,
-        params=(("cluster_amount", cluster_amount), ("cluster_offset", 8), ("cluster_radius", 1)),
+        params=(("cluster_amount", 6.0), ("cluster_offset", 8), ("cluster_radius", 1)),
     )
 
 
@@ -105,13 +104,13 @@ def harness_physics() -> PhysicsParams:
     return PhysicsParams(alpha=0.0005, beta=1.0, gamma=0.5, kappa=8.0, rho_cap=0.25)
 
 
-def harness_lifecycle(t: int = 600, seed_nutrient: float = 24.0) -> LifecycleConfig:
+def harness_lifecycle(t: int = 600) -> LifecycleConfig:
     """Fixture lifecycle: fixed lifespan, synchronous updates (p_update=1
     keeps every cell's breathing oscillator on a shared clock, which the
     baseline's peristaltic pumping depends on), and a nutrient endowment
     large enough to cross a fixture arena without food along the way."""
     return LifecycleConfig(
-        t_min=t, t_max=t, p_update=1.0, seed_mass=1.0, seed_nutrient=seed_nutrient, tau=1.2
+        t_min=t, t_max=t, p_update=1.0, seed_mass=1.0, seed_nutrient=24.0, tau=1.2
     )
 
 
@@ -204,9 +203,8 @@ def pathfinding_test(
     spec: EnvSpec,
     seed: int,
     cfg: LifecycleConfig | None = None,
-    m_goal: float = M_GOAL,
 ) -> TestScore:
-    """Seed at the arena's start; complete by placing >= m_goal mass on any
+    """Seed at the arena's start; complete by placing >= M_GOAL mass on any
     goal cell before the lifespan ends. iq = 1 - steps_to_completion / T."""
     cfg = cfg or harness_lifecycle()
     bundle = build_arena(spec)
@@ -220,7 +218,7 @@ def pathfinding_test(
 
     def watch(s: Simulation):
         nonlocal completion_step
-        if completion_step is None and float(s.world.mass[goal_sl].max()) >= m_goal:
+        if completion_step is None and float(s.world.mass[goal_sl].max()) >= M_GOAL:
             completion_step = s.step_index
 
     curve = sim.run(lifespan, observer=watch)[0]
@@ -246,20 +244,18 @@ def coordination_test(
     seed: int,
     cfg: LifecycleConfig | None = None,
     spec: EnvSpec | None = None,
-    removal_fraction: float = 1 / 3,
-    theta: float = THETA_COORDINATION,
 ) -> TestScore:
-    """Two food clusters; cluster A vanishes at t_r = T * removal_fraction.
+    """Two food clusters; cluster A vanishes at t_r = T * REMOVAL_FRACTION.
 
     redistribution index = (mass in B's half at end - at t_r) / total at t_r;
-    completed iff the index exceeds theta; iq = clamp(index, 0, 1).
+    completed iff the index exceeds THETA_COORDINATION; iq = clamp(index, 0, 1).
     """
     cfg = cfg or harness_lifecycle()
     spec = spec or coordination_spec()
     spec = replace(spec, seed=seed)
     bundle = generate(spec)
     lifespan = cfg.lifespan(seed)
-    t_r = max(1, int(lifespan * removal_fraction))
+    t_r = max(1, int(lifespan * REMOVAL_FRACTION))
     cfg = replace(cfg, schedule=tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),))
     sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]))
 
@@ -280,7 +276,7 @@ def coordination_test(
     index = (mass_b_end - snapshot["mass_b"]) / total_r if total_r > 0 else 0.0
     recovery = total_mass(sim.world) / total_r if total_r > 0 else 0.0
     growth_rate = (curve[-1] - curve[0]) / max(len(curve) - 1, 1)
-    completed = index > theta
+    completed = index > THETA_COORDINATION
     return TestScore(
         name="coordination",
         completed=completed,

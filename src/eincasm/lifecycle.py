@@ -47,7 +47,8 @@ from .cppn import Genome, Phenotype, compile_genome, io_sizes, stack
 from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field, json_scalar
 from .fluid import FluidFailure
 from .physics import PhysicsParams
-from .substrate import WorldStack, WorldState, create_world, dilate3x3, perceive_cells, total_mass, total_nutrient
+from .substrate import EDGE_NEIGHBOURS, WorldStack, WorldState, create_world, dilate3x3, flood_fill, perceive_cells
+from .substrate import total_mass, total_nutrient
 
 
 class LifecycleError(ValueError):
@@ -183,23 +184,7 @@ def label_obstacles(obstacles: np.ndarray) -> np.ndarray:
     """4-connected components of the obstacle mask, labeled 1.. in
     row-major discovery order. Label 0 is free space."""
     solid = np.asarray(obstacles) > 0.5
-    h, w = solid.shape
-    labels = np.zeros((h, w), dtype=np.int32)
-    current = 0
-    for y in range(h):
-        for x in range(w):
-            if solid[y, x] and labels[y, x] == 0:
-                current += 1
-                stack = [(x, y)]
-                labels[y, x] = current
-                while stack:
-                    cx, cy = stack.pop()
-                    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                        nx, ny = cx + dx, cy + dy
-                        if 0 <= nx < w and 0 <= ny < h and solid[ny, nx] and labels[ny, nx] == 0:
-                            labels[ny, nx] = current
-                            stack.append((nx, ny))
-    return labels
+    return flood_fill(solid, EDGE_NEIGHBOURS, np.flatnonzero(solid).tolist())
 
 
 def validate_schedule(world: WorldState, schedule) -> None:
@@ -257,12 +242,8 @@ def apply_perturbation(world: WorldState | WorldStack, event: PerturbationEvent)
         dx, dy = event.displacement
         moved = np.zeros_like(cells)
         ys, xs = np.nonzero(cells)
-        if (
-            (xs + dx).min() < 0
-            or (xs + dx).max() >= world.shape.width
-            or (ys + dy).min() < 0
-            or (ys + dy).max() >= world.shape.height
-        ):
+        inside = world.shape.contains
+        if not (inside(xs.min() + dx, ys.min() + dy) and inside(xs.max() + dx, ys.max() + dy)):
             raise LifecycleError(f"obstacle {event.obstacle_id} pushed out of bounds")
         moved[ys + dy, xs + dx] = True
         world.obstacle[cells] = 0.0
@@ -294,9 +275,13 @@ class Simulation:
     update, its lattice the state before it), records its FluidFailure in
     ``failures`` and leaves the batch; the rest go on.
 
-    The schedule is ``cfg.schedule``. After an event that changes food or
-    obstacles, the chemoattractant is recomputed with ``chemo_params``,
-    the arena's (n_iters, decay).
+    Every step writes the channels of ``worlds`` in place, so perception
+    reads them from its store as they are. The obstacle layout is resolved
+    once into ``walls`` (and its complement, the ``free`` mask) and again
+    only after a MoveObstacle. The schedule is ``cfg.schedule``. After an
+    event that changes food or obstacles, the chemoattractant is
+    recomputed in place with ``chemo_params``, the arena's (n_iters,
+    decay).
 
     Confined to one logical thread. ``run_population`` wraps it; the test
     harness and ``render`` run a one-member simulation with an observer when
@@ -325,6 +310,8 @@ class Simulation:
             self.schedule.setdefault(int(step_index), []).append(event)
         validate_schedule(worlds.member(0), cfg.schedule)
         self.chemo_params = chemo_params
+        self.walls = fluid.walls_of(worlds.obstacle)  # re-resolved only when an obstacle moves
+        self.free = ~self.walls.solid
         at_rest = fluid.uniform_lattice(worlds.shape.width, worlds.shape.height, worlds.obstacle, tau=cfg.tau)
         self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], worlds.n_members, axis=0), cfg.tau)
         self.running = list(range(worlds.n_members))
@@ -368,7 +355,7 @@ class Simulation:
         p = self.params
 
         footprint = worlds.mass >= p.m_min
-        active = dilate3x3(footprint) & (worlds.obstacle <= 0.5)
+        active = dilate3x3(footprint) & self.free
         ms, ys, xs = np.nonzero(active)
         if selection_override is not None:
             chosen = selection_override[ys, xs]
@@ -408,29 +395,22 @@ class Simulation:
             rho = physics.reservoir_pressure(r_before, applied.delta_r, p)
             rho_src[cells] = np.clip(rho, -p.rho_cap, p.rho_cap)
 
-        walls = fluid.walls_of(worlds.obstacle)
-        self.lattices, failures = fluid.step(self.lattices, walls, rho_src, step_index=self.step_index)
+        self.lattices, failures = fluid.step(self.lattices, self.walls, rho_src, step_index=self.step_index)
         if any(failure is not None for failure in failures):
             self._drop_failed(failures)
             worlds = self.worlds
             if not self.running:
                 return
         velocity = fluid.macroscopic(self.lattices).u
-        worlds.nutrient = fluid.advect_scalar(worlds.nutrient, velocity, walls)
+        worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
 
         self.last_perturbations = self.schedule.get(self.step_index, [])
-        if self.last_perturbations:
-            obstacles_before = worlds.obstacle.copy()
-            statics_changed = False
-            for event in self.last_perturbations:
-                apply_perturbation(worlds, event)
-                statics_changed |= isinstance(event, (RemoveFood, MoveObstacle))
-            moved = worlds.obstacle != obstacles_before
-            if moved.any():
-                self._reconcile_lattice(obstacles_before)
-            if statics_changed:
-                worlds.chemo = chemoattractant_field(worlds.food, worlds.obstacle, *self.chemo_params)
-                worlds.write_statics()
+        for event in self.last_perturbations:
+            apply_perturbation(worlds, event)
+        if any(isinstance(event, MoveObstacle) for event in self.last_perturbations):
+            self._reconcile_lattice(self.walls.solid)
+        if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in self.last_perturbations):
+            worlds.chemo[...] = chemoattractant_field(worlds.food, worlds.obstacle, *self.chemo_params)
         self.step_index += 1
 
     def _drop_failed(self, failures: list[FluidFailure | None]) -> None:
@@ -448,11 +428,14 @@ class Simulation:
         self.worlds = self.worlds.select(keep)
         self.lattices = fluid.Lattice(self.lattices.f[keep], self.lattices.tau)
 
-    def _reconcile_lattice(self, obstacles_before: np.ndarray) -> None:
-        """Obstacle moves invalidate fluid state: covered cells lose their
-        populations; vacated cells start again at rest at unit density."""
-        now_solid = self.worlds.obstacle > 0.5
-        vacated = (obstacles_before > 0.5) & ~now_solid
+    def _reconcile_lattice(self, solid_before: np.ndarray) -> None:
+        """Resolve the moved obstacle layout. Obstacle moves invalidate
+        fluid state: covered cells lose their populations; vacated cells
+        start again at rest at unit density."""
+        self.walls = fluid.walls_of(self.worlds.obstacle)
+        now_solid = self.walls.solid
+        self.free = ~now_solid
+        vacated = solid_before & ~now_solid
         f = self.lattices.f
         f[:, :, now_solid] = 0.0
         f[:, :, vacated] = fluid.WEIGHTS[:, None]

@@ -12,19 +12,26 @@ groups:
 
 Conventions used across the whole package:
 
-* cells are addressed as ``(x, y)``; arrays are indexed ``[y, x]`` and are
-  C-contiguous float64, one array per channel (channel-major layout);
+* cells are addressed as ``(x, y)``; arrays are indexed ``[y, x]`` and
+  hold float64, one (H, W) grid per channel and member;
+* a ``WorldStack`` keeps all of a population's channels in one flat
+  store of planes, each the H*W cells row-major followed by one virtual
+  obstacle slot; its named channels are grid views of that store, so
+  every write lands where perception reads;
 * the perception channel order is ``[O, P, F, C, M, R, N, H0..H(K-1)]``
   and the 3x3 neighborhood is scanned row-major from ``(x-1, y-1)`` to
   ``(x+1, y+1)``; genome input indices depend on this order, so it is
   frozen;
 * reads outside the grid see a virtual obstacle cell: ``O=1``, every other
-  channel 0. There is no wraparound.
+  channel 0. There is no wraparound. ``neighbours`` is the one table of
+  the neighborhood: its off-grid entries point at the virtual slot, and
+  perception, the chemoattractant diffusion, fluid streaming and the flood
+  fills all index through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +41,8 @@ BASE_CHANNELS = ("obstacle", "poison", "food", "chemo", "mass", "reservoir", "nu
 N_BASE_CHANNELS = len(BASE_CHANNELS)
 #: Mass, reservoir, nutrient and the hidden channels change as the world runs.
 FIRST_DYNAMIC_CHANNEL = BASE_CHANNELS.index("mass")
+#: The channel fields of a WorldState, in order: the hidden stack last.
+CHANNELS = BASE_CHANNELS + ("hidden",)
 
 #: Offsets of the 3x3 neighborhood in scan order (dx, dy), row-major.
 NEIGHBORHOOD = tuple((dx, dy) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
@@ -104,36 +113,11 @@ class WorldState:
         return N_BASE_CHANNELS + self.k_hidden
 
     def channel_stack(self) -> np.ndarray:
-        """(C, H, W) view-copy of all channels in perception order."""
-        return np.concatenate(
-            [
-                np.stack(
-                    [
-                        self.obstacle,
-                        self.poison,
-                        self.food,
-                        self.chemo,
-                        self.mass,
-                        self.reservoir,
-                        self.nutrient,
-                    ]
-                ),
-                self.hidden,
-            ]
-        )
+        """(C, H, W) copy of all channels in perception order."""
+        return np.concatenate([np.stack([getattr(self, name) for name in BASE_CHANNELS]), self.hidden])
 
     def copy(self) -> "WorldState":
-        return WorldState(
-            shape=self.shape,
-            obstacle=self.obstacle.copy(),
-            poison=self.poison.copy(),
-            food=self.food.copy(),
-            chemo=self.chemo.copy(),
-            mass=self.mass.copy(),
-            reservoir=self.reservoir.copy(),
-            nutrient=self.nutrient.copy(),
-            hidden=self.hidden.copy(),
-        )
+        return WorldState(self.shape, *(getattr(self, name).copy() for name in CHANNELS))
 
     def validate(self, kappa: float | None = None, atol: float = 1e-9):
         """Check every structural invariant; raise WorldError on violation.
@@ -157,11 +141,9 @@ class WorldState:
         if (np.abs(self.hidden) > 1.0 + atol).any():
             raise WorldError("hidden channels must stay in [-1, 1]")
         blocked = self.obstacle > 0.5
-        for name in ("mass", "reservoir", "nutrient"):
-            if (np.abs(getattr(self, name)[blocked]) > atol).any():
+        for name in CHANNELS[FIRST_DYNAMIC_CHANNEL:]:
+            if (np.abs(getattr(self, name)[..., blocked]) > atol).any():
                 raise WorldError(f"channel {name} must be zero on obstacle cells")
-        if (np.abs(self.hidden[:, blocked]) > atol).any():
-            raise WorldError("hidden channels must be zero on obstacle cells")
         if kappa is not None:
             if (self.reservoir > kappa * self.mass + atol).any():
                 raise WorldError("reservoir exceeds kappa * mass")
@@ -179,68 +161,103 @@ def create_world(shape: GridShape, statics: Statics, k_hidden: int) -> WorldStat
     for name, arr in zip(("obstacle", "poison", "food", "chemo"), statics.arrays()):
         if np.asarray(arr).shape != yx:
             raise WorldError(f"static field {name} has shape {np.asarray(arr).shape}, expected {yx}")
-    world = WorldState(
-        shape=shape,
-        obstacle=np.array(statics.obstacle, dtype=np.float64),
-        poison=np.array(statics.poison, dtype=np.float64),
-        food=np.array(statics.food, dtype=np.float64),
-        chemo=np.array(statics.chemo, dtype=np.float64),
-        mass=np.zeros(yx),
-        reservoir=np.zeros(yx),
-        nutrient=np.zeros(yx),
-        hidden=np.zeros((k_hidden,) + yx),
-    )
+    copies = (np.array(arr, dtype=np.float64) for arr in statics.arrays())
+    world = WorldState(shape, *copies, np.zeros(yx), np.zeros(yx), np.zeros(yx), np.zeros((k_hidden,) + yx))
     world.validate()
     return world
 
 
-@dataclass
+@lru_cache(maxsize=16)
+def neighbours(h: int, w: int) -> np.ndarray:
+    """The 3x3 neighbour table of an H x W grid: (9, H*W), row k holding
+    each cell's neighbour at ``NEIGHBORHOOD[k]`` as a flat row-major cell
+    index, or H*W, the virtual obstacle slot, where that neighbour is off
+    the grid. Read-only and shared."""
+    ys, xs = np.divmod(np.arange(h * w), w)
+    table = np.empty((9, h * w), dtype=np.intp)
+    for row, (dx, dy) in enumerate(NEIGHBORHOOD):
+        ny, nx = ys + dy, xs + dx
+        table[row] = np.where((0 <= ny) & (ny < h) & (0 <= nx) & (nx < w), ny * w + nx, h * w)
+    table.setflags(write=False)
+    return table
+
+
+#: Rows of the neighbour table: the four edge neighbours, and all eight.
+EDGE_NEIGHBOURS = (1, 3, 5, 7)
+RING_NEIGHBOURS = (0, 1, 2, 3, 5, 6, 7, 8)
+
+
+def flood_fill(inside: np.ndarray, rows, starts) -> np.ndarray:
+    """Label the components of the (H, W) mask ``inside`` that connect
+    through the neighbour-table ``rows``: grown from each flat cell of
+    ``starts`` in turn and numbered 1, 2, ... in that order, as an int32
+    (H, W) grid with 0 elsewhere. A start outside the mask or already
+    labelled opens no component."""
+    h, w = inside.shape
+    steps = neighbours(h, w)[list(rows)].T.tolist()
+    open_ = inside.ravel().tolist() + [False]  # the virtual slot is never inside
+    labels = [0] * len(open_)
+    current = 0
+    for start in starts:
+        if not open_[start] or labels[start]:
+            continue
+        current += 1
+        labels[start] = current
+        stack = [start]
+        while stack:
+            for cell in steps[stack.pop()]:
+                if open_[cell] and not labels[cell]:
+                    labels[cell] = current
+                    stack.append(cell)
+    return np.array(labels[:-1], dtype=np.int32).reshape(h, w)
+
+
 class WorldStack:
     """P worlds on one arena, stacked so that each step is one set of
     array operations for all of them.
 
-    The static channels (H, W) are shared by every member; mass, reservoir
-    and nutrient are (P, H, W) and hidden is (P, K, H, W). ``padded`` is
-    the perception buffer (C, P, H+2, W+2), one plane per channel in
-    perception order, with a one-cell virtual-obstacle border (O=1,
-    everything else 0) that realizes the boundary rule once. Its static
-    channels are written by ``write_statics``; ``perceive_cells`` refreshes
-    the dynamic ones it reads.
+    Every channel lives in one flat float64 ``store`` of planes: first the
+    four static planes (obstacle, poison, food, chemo), shared by every
+    member, then per member its mass, reservoir, nutrient and K hidden
+    planes. A plane holds the H*W cells row-major and ends in one virtual
+    obstacle slot (O = 1, every other channel 0) that off-grid neighbours
+    of ``neighbours`` point at, so the boundary rule is stored once and
+    perception reads the store directly. The named channels are grid views
+    of the store: the statics (H, W), mass, reservoir and nutrient
+    (P, H, W), hidden (P, K, H, W). They are written in place: rebinding
+    one would detach it from what perception reads, so it raises.
     """
 
-    shape: GridShape
-    obstacle: np.ndarray
-    poison: np.ndarray
-    food: np.ndarray
-    chemo: np.ndarray
-    mass: np.ndarray
-    reservoir: np.ndarray
-    nutrient: np.ndarray
-    hidden: np.ndarray
-    padded: np.ndarray = field(init=False, repr=False)
+    def __init__(self, shape: GridShape, n_members: int, k_hidden: int):
+        h, w = shape.yx
+        self.shape = shape
+        self.store = np.zeros((4 + n_members * (3 + k_hidden)) * (h * w + 1))
+        planes = self.store.reshape(-1, h * w + 1)
+        planes[0, -1] = 1.0  # the obstacle plane's virtual slot
+        grids = planes[:, :-1].reshape(-1, h, w)
+        self.obstacle, self.poison, self.food, self.chemo = grids[:4]
+        self._statics = planes[:4]
+        self._members = planes[4:].reshape(n_members, 3 + k_hidden, h * w + 1)
+        members = grids[4:].reshape(n_members, 3 + k_hidden, h, w)
+        self.mass, self.reservoir, self.nutrient = members[:, 0], members[:, 1], members[:, 2]
+        self.hidden = members[:, 3:]
 
-    def __post_init__(self):
-        h, w = self.shape.yx
-        self.padded = np.zeros((N_BASE_CHANNELS + self.k_hidden, len(self.mass), h + 2, w + 2))
-        self.padded[0] = 1.0  # virtual obstacle border; interior overwritten below
-        self.write_statics()
+    def __setattr__(self, name: str, value) -> None:
+        if name in CHANNELS and name in vars(self):
+            raise AttributeError(f"WorldStack.{name} is a view of the store: write it in place")
+        super().__setattr__(name, value)
 
     @staticmethod
     def of(worlds: list[WorldState]) -> "WorldStack":
-        """Stack worlds that share the first one's static channels. The
-        dynamic channels are copied; the statics are taken by reference."""
+        """Stack worlds that share the first one's static channels, copying
+        every channel into a new store."""
         first = worlds[0]
-        return WorldStack(
-            shape=first.shape,
-            obstacle=first.obstacle,
-            poison=first.poison,
-            food=first.food,
-            chemo=first.chemo,
-            mass=np.stack([w.mass for w in worlds]),
-            reservoir=np.stack([w.reservoir for w in worlds]),
-            nutrient=np.stack([w.nutrient for w in worlds]),
-            hidden=np.stack([w.hidden for w in worlds]),
-        )
+        stack = WorldStack(first.shape, len(worlds), first.k_hidden)
+        for name in CHANNELS[:FIRST_DYNAMIC_CHANNEL]:
+            getattr(stack, name)[...] = getattr(first, name)
+        for name in CHANNELS[FIRST_DYNAMIC_CHANNEL:]:
+            getattr(stack, name)[...] = [getattr(world, name) for world in worlds]
+        return stack
 
     @property
     def n_members(self) -> int:
@@ -252,52 +269,28 @@ class WorldStack:
 
     def member(self, i: int) -> WorldState:
         """Member i as a WorldState of views: writes to it write the stack."""
-        return WorldState(
-            shape=self.shape,
-            obstacle=self.obstacle,
-            poison=self.poison,
-            food=self.food,
-            chemo=self.chemo,
-            mass=self.mass[i],
-            reservoir=self.reservoir[i],
-            nutrient=self.nutrient[i],
-            hidden=self.hidden[i],
-        )
+        return WorldState(self.shape, self.obstacle, self.poison, self.food, self.chemo,
+                          self.mass[i], self.reservoir[i], self.nutrient[i], self.hidden[i])
 
-    def select(self, keep: np.ndarray) -> "WorldStack":
-        """The stack of the members ``keep`` indexes, as new arrays."""
-        return WorldStack(
-            self.shape, self.obstacle, self.poison, self.food, self.chemo,
-            self.mass[keep], self.reservoir[keep], self.nutrient[keep], self.hidden[keep],
-        )
-
-    def write_statics(self) -> None:
-        """Copy the static channels into the perception buffer."""
-        for c, arr in enumerate((self.obstacle, self.poison, self.food, self.chemo)):
-            self.padded[c, :, 1:-1, 1:-1] = arr
-
-    def _write_dynamics(self, channels) -> None:
-        """Copy the given dynamic channels' current values into the
-        perception buffer."""
-        for c in channels:
-            if c < N_BASE_CHANNELS:
-                source = (self.mass, self.reservoir, self.nutrient)[c - FIRST_DYNAMIC_CHANNEL]
-            else:
-                source = self.hidden[:, c - N_BASE_CHANNELS]
-            self.padded[c, :, 1:-1, 1:-1] = source
+    def select(self, keep) -> "WorldStack":
+        """The stack of the members ``keep`` indexes, in a new store."""
+        stack = WorldStack(self.shape, len(keep), self.k_hidden)
+        stack._statics[...] = self._statics
+        stack._members[...] = self._members[keep]
+        return stack
 
 
 @lru_cache(maxsize=64)
-def _slot_plan(n_channels: int, plane: int, row: int, slots: bytes) -> tuple[tuple[int, ...], np.ndarray]:
-    """The dynamic channels a set of perception slots reads, and each
-    slot's offset from a cell's centre in the flat perception buffer."""
+def _slot_offsets(n_channels: int, size: int, slots: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per perception slot: its row's offset into the flat neighbour table
+    of a ``size``-cell grid, its channel's plane offset in a store, and
+    whether that channel is a member's own (dynamic) one."""
     slots = np.frombuffer(slots, dtype=np.intp)
-    neighbor, channel = np.divmod(slots, n_channels)
-    dx, dy = np.array(NEIGHBORHOOD, dtype=np.intp).T
-    offsets = channel * plane + dy[neighbor] * row + dx[neighbor]
-    offsets.setflags(write=False)  # the cache hands it to every caller
-    dynamic = tuple(sorted({int(c) for c in channel if c >= FIRST_DYNAMIC_CHANNEL}))
-    return dynamic, offsets
+    neighbour, channel = np.divmod(slots, n_channels)
+    plans = neighbour * size, channel * (size + 1), (channel >= FIRST_DYNAMIC_CHANNEL).astype(np.intp)
+    for array in plans:
+        array.setflags(write=False)  # the cache hands them to every caller
+    return plans
 
 
 def perceive_cells(
@@ -313,18 +306,22 @@ def perceive_cells(
     each cell's member. The full vector (``slots`` None) has 9 * n_channels
     columns: per cell, the 9 neighborhood cells in scan order, each
     contributing its channels in perception order. ``slots`` picks columns
-    of that vector, in the order given; only they are gathered, and only the
-    dynamic channels they read are refreshed from the world.
+    of that vector, in the order given. Only they are gathered, in one take
+    from the stack's store through ``neighbours``, so every value is the
+    one the world holds now.
     """
     if isinstance(world, WorldState):
-        world, members = WorldStack.of([world]), np.zeros(len(ys), dtype=np.intp)
-    c, p, hp, wp = world.padded.shape
+        world, members = WorldStack.of([world]), None
+    h, w = world.shape.yx
+    c = N_BASE_CHANNELS + world.k_hidden
     if slots is None:
         slots = np.arange(9 * c)
-    dynamic, offsets = _slot_plan(c, p * hp * wp, wp, np.asarray(slots, dtype=np.intp).tobytes())
-    world._write_dynamics(dynamic)
-    centre = (members * hp + ys + 1) * wp + xs + 1
-    return world.padded.reshape(-1).take(centre[:, None] + offsets)
+    neighbour, plane, dynamic = _slot_offsets(c, h * w, np.asarray(slots, dtype=np.intp).tobytes())
+    index = neighbours(h, w).take((ys * w + xs)[:, None] + neighbour)
+    index += plane
+    if world.n_members > 1:  # member 0's dynamic planes need no offset
+        index += np.multiply.outer(members * world._members[0].size, dynamic)
+    return world.store.take(index)
 
 
 def perception_vector(world: WorldState, x: int, y: int) -> np.ndarray:

@@ -132,6 +132,8 @@ class TestEvolveCommand:
             ("physics", "alpha", True),
             ("io", "output_dir", 5),
             pytest.param("lifecycle", "seed_cell", [40, 3], id="lifecycle-seed_cell-outside-arena"),
+            pytest.param("physics", "alpha", 10**400, id="physics-alpha-1e400"),
+            pytest.param("lifecycle", "tau", float("nan"), id="lifecycle-tau-NaN"),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
@@ -268,6 +270,7 @@ class TestTestCommand:
             pytest.param({"lifecycle": {"tmin": 5}, "tests": [{"name": "coordination"}]}, id="lifecycle-unknown-key"),
             pytest.param({"lifecycle": {"t_min": 2.9}, "tests": [{"name": "coordination"}]}, id="lifecycle-t_min-2.9"),
             pytest.param({"physics": {"alpha": True}, "tests": [{"name": "coordination"}]}, id="physics-alpha-true"),
+            pytest.param({"physics": {"alpha": 10**400}, "tests": [{"name": "coordination"}]}, id="physics-alpha-1e400"),
             pytest.param({"k_hidden": 4.0, "tests": [{"name": "coordination"}]}, id="k_hidden-4.0"),
             pytest.param({"lifecyle": {}, "tests": [{"name": "coordination"}]}, id="unknown-top-level-key"),
             pytest.param({"tests": [{"name": "coordination", "envv": {}}]}, id="unknown-test-key"),

@@ -396,7 +396,8 @@ class TestSerialization:
         # a value of the wrong JSON type is rejected, never coerced
         for section, key, value in [("connections", "enabled", "false"), ("connections", "enabled", 0),
                                     ("connections", "from", 47.9), ("connections", "weight", "0.06"),
-                                    ("nodes", "id", True), ("nodes", "bias", None)]:
+                                    ("nodes", "id", True), ("nodes", "bias", None),
+                                    ("connections", "weight", float("inf"))]:
             data = genome_to_dict(chemotaxis_baseline())
             data[section][0][key] = value
             with pytest.raises(GenomeError, match=key):

@@ -342,6 +342,7 @@ def test_envspec_json_round_trip():
         {"chemo_iters": 32.0},
         {"food": [[[1, 1, 1.5, 1], 2.0]]},
         {"food": [[[1, 1, 1, 1], "2"]]},
+        {"food": [[[1, 1, 1, 1], 10**400]]},
         {"seed_cell": [4.5, 4]},
         {"seed_cell": [4, 4, 4]},
         {"shap": [8, 8]},
@@ -353,7 +354,7 @@ def test_envspec_json_round_trip():
     ],
     ids=[
         "kind-5", "shape-16.5", "shape-true", "seed-2.7", "seed-null", "chemo_decay-string", "chemo_iters-32.0",
-        "food-rect-1.5", "food-amount-string", "seed_cell-4.5", "seed_cell-triple",
+        "food-rect-1.5", "food-amount-string", "food-amount-1e400", "seed_cell-4.5", "seed_cell-triple",
         "unknown-key", "cell_size-1.9", "density-string", "cluster_offset-8.5", "false_peak-2.5",
         "false_peak-off-grid",
     ],

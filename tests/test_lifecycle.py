@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from eincasm import fluid
 from eincasm.config import read_section, write_section
 from eincasm.cppn import ConnectionGene, empty_genome
 from eincasm.environments import EnvSpec, Rect, generate
@@ -222,6 +223,28 @@ class TestPerturbations:
         world = make_world(obstacles=ob)
         with pytest.raises(LifecycleError, match="out of bounds at step"):
             validate_schedule(world, schedule)
+
+    def test_obstacle_layout_resolved_only_when_it_moves(self, monkeypatch):
+        """A run resolves its obstacle grid into walls when it is built and
+        after each move, not on every step."""
+        resolved = []
+        walls_of = fluid.walls_of
+
+        def counting(obstacles):
+            if not isinstance(obstacles, fluid.Walls):
+                resolved.append(obstacles)
+            return walls_of(obstacles)
+
+        monkeypatch.setattr(fluid, "walls_of", counting)
+        spec = EnvSpec(kind="open_arena", shape=GridShape(10, 8), food=((Rect(7, 3, 2, 2), 3.0),),
+                       obstacles=(Rect(4, 1, 1, 3),), seed_cell=(2, 4))
+        cfg = default_cfg(t_min=30, t_max=30, schedule=((12, MoveObstacle(1, (0, 1))),))
+        sim = build_simulation(chemotaxis_baseline(4), generate(spec), PhysicsParams(), cfg, 1)
+        assert len(sim.run(30)[0]) == 31
+        assert len(resolved) == 2
+        np.testing.assert_array_equal(sim.walls.solid, sim.world.obstacle > 0.5)
+        np.testing.assert_array_equal(sim.free, sim.world.obstacle <= 0.5)
+        assert sim.world.obstacle[4, 4] == 1.0 and sim.world.obstacle[1, 4] == 0.0
 
     def test_label_obstacles_row_major_components(self):
         ob = np.zeros((5, 5))

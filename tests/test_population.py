@@ -2,6 +2,7 @@
 gets alone, serially, pooled, and through failures and obstacle moves."""
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genom
 from eincasm import driver
 from eincasm.config import parse_config
 from eincasm.driver import evaluate_population, evolve_run
-from eincasm.environments import EnvSpec, Rect, generate
+from eincasm.environments import EnvSpec, Rect, chemoattractant_field, generate
 from eincasm.fluid import Lattice, equilibrium, step
 from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics, inert_genome
 from eincasm.lifecycle import (
@@ -27,7 +28,7 @@ from eincasm.lifecycle import (
     run_population,
 )
 from eincasm.physics import PhysicsParams
-from eincasm.substrate import GridShape, Statics, WorldStack, create_world, dilate3x3, perceive_cells
+from eincasm.substrate import CHANNELS, GridShape, Statics, WorldStack, create_world, dilate3x3, perceive_cells
 
 K = 4
 
@@ -219,7 +220,7 @@ def test_perceived_slots_are_fresh_columns_of_the_full_vector(w, h, n, seed, sub
     for subset in subsets:
         stack.mass[...] = rng.random(stack.mass.shape)
         stack.reservoir[...] = rng.random(stack.reservoir.shape)
-        stack.nutrient = rng.random(stack.nutrient.shape)  # the step replaces nutrient
+        stack.nutrient[...] = rng.random(stack.nutrient.shape)
         stack.hidden[...] = rng.uniform(-1, 1, stack.hidden.shape)
         if subset == "empty":
             slots = np.empty(0, dtype=np.intp)
@@ -319,6 +320,26 @@ def test_population_simulation_matches_members_alone(seed, n, move_at):
     fresh = np.concatenate([perceive_cells(together.member_world(m), ys[rows == r], xs[rows == r])
                             for r, m in enumerate(together.running)])
     np.testing.assert_array_equal(perceive_cells(together.worlds, ys, xs, rows), fresh)
+
+
+def test_stepped_channels_stay_views_of_the_store():
+    """Every write of a run, the advected nutrient and the recomputed
+    chemoattractant included, lands in the stack's store."""
+    spec = EnvSpec(kind="open_arena", shape=GridShape(12, 9), food=((Rect(8, 3, 2, 2), 4.0),),
+                   obstacles=(Rect(5, 2, 1, 4),), seed_cell=(2, 4))
+    schedule = ((4, RemoveFood(Rect(8, 3, 1, 2))), (6, MoveObstacle(1, (1, 0))))
+    cfg = replace(harness_lifecycle(t=20), schedule=schedule)
+    genomes = [chemotaxis_baseline(K), random_genome(np.random.default_rng(3))]
+    sim = build_simulation(genomes, generate(spec), harness_physics(), cfg, 5)
+    sim.run(20)
+    worlds = sim.worlds
+    assert sim.running == [0, 1]
+    assert worlds.obstacle[2, 6] == 1.0 and worlds.obstacle[2, 5] == 0.0
+    for name in CHANNELS:
+        assert np.shares_memory(getattr(worlds, name), worlds.store)
+        with pytest.raises(AttributeError):
+            setattr(worlds, name, getattr(worlds, name).copy())
+    np.testing.assert_array_equal(worlds.chemo, chemoattractant_field(worlds.food, worlds.obstacle, *sim.chemo_params))
 
 
 def test_members_must_share_k_hidden():

@@ -7,6 +7,7 @@ from eincasm.substrate import (
     GridShape,
     Statics,
     WorldError,
+    WorldStack,
     create_world,
     dilate3x3,
     perceive_cells,
@@ -89,15 +90,24 @@ class TestPerception:
         assert not mass_entries.any()
 
     def test_matches_naive_extractor_exhaustively(self):
+        """One world, then a three-member stack of it read with no refresh
+        call after in-place writes to its statics and after a select."""
         rng = np.random.default_rng(7)
         k = 3
+
+        def randomized(world):
+            for name in ("mass", "reservoir", "nutrient"):
+                getattr(world, name)[:] = rng.random((4, 5))
+                getattr(world, name)[1, 2] = 0.0
+            world.hidden[:] = rng.uniform(-1, 1, world.hidden.shape)
+            world.hidden[:, 1, 2] = 0.0
+            return world
+
         world = make_world(5, 4, k)
         world.obstacle[1, 2] = 1.0
-        for name in ("poison", "food", "chemo", "mass", "reservoir", "nutrient"):
+        for name in ("poison", "food", "chemo"):
             getattr(world, name)[:] = rng.random((4, 5))
-        world.mass[1, 2] = world.reservoir[1, 2] = world.nutrient[1, 2] = 0.0
-        world.hidden[:] = rng.uniform(-1, 1, world.hidden.shape)
-        world.hidden[:, 1, 2] = 0.0
+        randomized(world)
 
         def naive(world, x, y):
             chans = world.channel_stack()
@@ -114,6 +124,23 @@ class TestPerception:
         for y in range(4):
             for x in range(5):
                 np.testing.assert_array_equal(perception_vector(world, x, y), naive(world, x, y))
+
+        def check(stack):
+            members, ys, xs = np.nonzero(np.ones(stack.mass.shape, dtype=bool))
+            got = perceive_cells(stack, ys, xs, members)
+            for row, (m, y, x) in enumerate(zip(members, ys, xs)):
+                np.testing.assert_array_equal(got[row], naive(stack.member(m), x, y))
+
+        stack = WorldStack.of([world, randomized(world.copy()), randomized(world.copy())])
+        check(stack)
+        stack.food[...] = rng.random((4, 5))
+        stack.chemo[2, 3] = 7.0
+        stack.member(1).poison[0, 0] = 3.0
+        check(stack)
+        stack = stack.select([2, 0])
+        stack.nutrient[0, 3, 4] = 5.0
+        stack.hidden[1, 2, 0, 0] = -0.5
+        check(stack)
 
     def test_pure_read(self):
         world = make_world(5, 5, 2)
