@@ -150,6 +150,8 @@ def load_genome_file(path: str):
 
 
 def cmd_test(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     genome = load_genome_file(args.genome)
     seed = args.seed
 
@@ -218,8 +220,13 @@ def resolve_arena(name_or_path: str) -> EnvSpec:
 
 
 def cmd_render(args) -> int:
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    for flag, value in (("--steps", args.steps), ("--frame-every", args.frame_every)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 < args.display_max < np.inf:  # NaN fails too
+        raise ConfigError(f"--display-max must be finite and > 0, got {args.display_max}")
     genome = load_genome_file(args.genome)
     spec = resolve_arena(args.env)
     params = harness.harness_physics()
@@ -229,7 +236,6 @@ def cmd_render(args) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    frame_every = max(1, args.frame_every)
     steps = cfg.t_min
     written = 0
 
@@ -254,7 +260,7 @@ def cmd_render(args) -> int:
 
     def observe(_):
         record()
-        if sim.step_index % frame_every == 0 or sim.step_index == steps:
+        if sim.step_index % args.frame_every == 0 or sim.step_index == steps:
             write_frame()
 
     write_frame()

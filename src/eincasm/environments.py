@@ -120,6 +120,9 @@ class EnvSpec:
     def __post_init__(self):
         if self.seed_cell is not None and len(self.seed_cell) != 2:
             raise EnvError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
+        for name in ("seed", "chemo_iters"):
+            if getattr(self, name) < 0:
+                raise EnvError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -330,7 +333,7 @@ def generate(spec: EnvSpec) -> EnvBundle:
                 json_scalar(key, value, kinds[key])
         except (TypeError, ValueError) as exc:
             raise EnvError(f"malformed param {key!r}: {exc}") from exc
-    rng = np.random.default_rng(np.random.SeedSequence([max(spec.seed, 0), 17]))
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     shape = spec.shape
     builder = {
         "open_arena": _gen_open,

@@ -125,6 +125,9 @@ class LifecycleConfig:
             raise LifecycleError(f"tau must exceed 0.5, got {self.tau}")
         if self.n_env_evals < 1:
             raise LifecycleError("n_env_evals must be >= 1")
+        for name in ("seed_mass", "seed_nutrient"):  # fields stay nonnegative
+            if getattr(self, name) < 0:
+                raise LifecycleError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed_cell is not None and len(self.seed_cell) != 2:
             raise LifecycleError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
 
@@ -273,7 +276,8 @@ class Simulation:
     reads (``perceived``); the other input columns stay 0. A member whose
     fluid fails freezes at that step (its world keeps the step's economy
     update, its lattice the state before it), records its FluidFailure in
-    ``failures`` and leaves the batch; the rest go on.
+    ``failures`` and leaves the batch: the rest move on to a new store and
+    lattice, and its world and lattice stay views of the old ones.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -321,8 +325,8 @@ class Simulation:
         self.last_perturbations: list[PerturbationEvent] = []
 
     def member_world(self, member: int) -> WorldState:
-        """A member's world: views into the batch while it runs, its frozen
-        copy once it failed."""
+        """A member's world: views into the batch while it runs, or into
+        the store it froze in once it failed."""
         if member in self._frozen:
             return self._frozen[member][0]
         return self.worlds.member(self.running.index(member))
@@ -422,8 +426,7 @@ class Simulation:
                 keep.append(row)
                 continue
             self.failures[member] = failure
-            frozen_lattice = fluid.Lattice(self.lattices.f[row].copy(), self.lattices.tau)
-            self._frozen[member] = (self.worlds.member(row).copy(), frozen_lattice)
+            self._frozen[member] = (self.worlds.member(row), fluid.Lattice(self.lattices.f[row], self.lattices.tau))
         self.running = [self.running[row] for row in keep]
         self.worlds = self.worlds.select(keep)
         self.lattices = fluid.Lattice(self.lattices.f[keep], self.lattices.tau)
@@ -482,7 +485,7 @@ def build_simulation(
     seed_cell = cfg.seed_cell or bundle.seed_cell
     seed_organism(world, cfg, seed_cell)
     return Simulation(
-        WorldStack.of([world] * len(genomes)),
+        world.stack.select([0] * len(genomes)),
         [compile_genome(genome) for genome in genomes],
         params,
         cfg,

@@ -71,6 +71,8 @@ class EvolutionConfig:
             raise ValueError("survival_fraction must lie in (0, 1]")
         if self.elitism < 0 or self.stagnation_limit < 1:
             raise ValueError("elitism must be >= 0 and stagnation_limit >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class InnovationRegistry:

@@ -13,11 +13,13 @@ groups:
 Conventions used across the whole package:
 
 * cells are addressed as ``(x, y)``; arrays are indexed ``[y, x]`` and
-  hold float64, one (H, W) grid per channel and member;
-* a ``WorldStack`` keeps all of a population's channels in one flat
-  store of planes, each the H*W cells row-major followed by one virtual
-  obstacle slot; its named channels are grid views of that store, so
-  every write lands where perception reads;
+  hold float64;
+* every world lives in a ``WorldStack``, whose one flat store of planes
+  (each the H*W cells row-major, then one virtual obstacle slot) holds
+  all its members' channels; a ``WorldState`` is one member's view, so a
+  one-member stack stands where one world is meant. The named channels
+  of both are grid views of the store, written in place, so every write
+  lands where perception reads;
 * the perception channel order is ``[O, P, F, C, M, R, N, H0..H(K-1)]``
   and the 3x3 neighborhood is scanned row-major from ``(x-1, y-1)`` to
   ``(x+1, y+1)``; genome input indices depend on this order, so it is
@@ -85,53 +87,55 @@ class Statics:
         return (self.obstacle, self.poison, self.food, self.chemo)
 
 
-@dataclass
-class WorldState:
-    """All channels of one simulated world. Single source of truth per run.
+class _StoreViews:
+    """What a WorldStack and its member views share: named channels that
+    are views of one store. They are written in place; rebinding one would
+    detach it from what perception reads, so it raises."""
 
-    Mutated in place by the lifecycle; everything else treats it as
-    read-only. Distinct WorldStates share no storage.
-    """
-
-    shape: GridShape
-    obstacle: np.ndarray
-    poison: np.ndarray
-    food: np.ndarray
-    chemo: np.ndarray
-    mass: np.ndarray
-    reservoir: np.ndarray
-    nutrient: np.ndarray
-    hidden: np.ndarray  # (K, height, width)
+    def __setattr__(self, name: str, value) -> None:
+        if name in CHANNELS and name in vars(self):
+            raise AttributeError(f"{type(self).__name__}.{name} is a view of the store: write it in place")
+        super().__setattr__(name, value)
 
     @property
     def k_hidden(self) -> int:
-        return self.hidden.shape[0]
+        return self.hidden.shape[-3]
 
     @property
     def n_channels(self) -> int:
         """Channels per cell as seen by perception."""
         return N_BASE_CHANNELS + self.k_hidden
 
+
+class WorldState(_StoreViews):
+    """One world: member ``index`` of the WorldStack ``stack``, made only by
+    ``stack.member``. Its channels are (H, W) grids, hidden (K, H, W), that
+    view the stack's store, the statics shared with the other members;
+    ``copy`` gives a world its own store. Mutated in place by the
+    lifecycle; everything else treats it as read-only.
+    """
+
+    def __init__(self, stack: "WorldStack", index: int):
+        self.stack, self.index, self.shape = stack, index, stack.shape
+        self.obstacle, self.poison, self.food, self.chemo = stack.obstacle, stack.poison, stack.food, stack.chemo
+        self.mass, self.reservoir, self.nutrient = stack.mass[index], stack.reservoir[index], stack.nutrient[index]
+        self.hidden = stack.hidden[index]
+
     def channel_stack(self) -> np.ndarray:
         """(C, H, W) copy of all channels in perception order."""
         return np.concatenate([np.stack([getattr(self, name) for name in BASE_CHANNELS]), self.hidden])
 
     def copy(self) -> "WorldState":
-        return WorldState(self.shape, *(getattr(self, name).copy() for name in CHANNELS))
+        """This world as member 0 of a new one-member stack."""
+        return self.stack.select([self.index]).member(0)
 
     def validate(self, kappa: float | None = None, atol: float = 1e-9):
-        """Check every structural invariant; raise WorldError on violation.
+        """Check every invariant of the channel values; raise WorldError on
+        violation.
 
         With ``kappa`` given, also checks the reservoir capacity bound
         R <= kappa * M. Used by tests after every mutating operation.
         """
-        yx = self.shape.yx
-        for name in BASE_CHANNELS:
-            arr = getattr(self, name)
-            if arr.shape != yx:
-                raise WorldError(f"channel {name} has shape {arr.shape}, expected {yx}")
-        if self.hidden.shape[1:] != yx:
-            raise WorldError(f"hidden channels have shape {self.hidden.shape[1:]}, expected {yx}")
         if not np.isin(self.obstacle, (0.0, 1.0)).all():
             raise WorldError("obstacle channel must be binary")
         for name in ("poison", "food", "chemo", "mass", "reservoir", "nutrient"):
@@ -150,19 +154,18 @@ class WorldState:
 
 
 def create_world(shape: GridShape, statics: Statics, k_hidden: int) -> WorldState:
-    """Build a world from environment statics with zeroed dynamic state.
-
-    Static fields are copied, so the caller's bundle stays untouched by the
-    simulation. Raises WorldError on shape mismatch or ``k_hidden < 1``.
+    """Build a world from environment statics with zeroed dynamic state, as
+    member 0 of a new one-member WorldStack. Static fields are copied into
+    its store, so the caller's bundle stays untouched by the simulation.
+    Raises WorldError on shape mismatch or ``k_hidden < 1``.
     """
     if k_hidden < 1:
         raise WorldError(f"k_hidden must be >= 1, got {k_hidden}")
-    yx = shape.yx
-    for name, arr in zip(("obstacle", "poison", "food", "chemo"), statics.arrays()):
-        if np.asarray(arr).shape != yx:
-            raise WorldError(f"static field {name} has shape {np.asarray(arr).shape}, expected {yx}")
-    copies = (np.array(arr, dtype=np.float64) for arr in statics.arrays())
-    world = WorldState(shape, *copies, np.zeros(yx), np.zeros(yx), np.zeros(yx), np.zeros((k_hidden,) + yx))
+    world = WorldStack(shape, 1, k_hidden).member(0)
+    for name, arr in zip(CHANNELS, statics.arrays()):
+        if np.shape(arr) != shape.yx:
+            raise WorldError(f"static field {name} has shape {np.shape(arr)}, expected {shape.yx}")
+        getattr(world, name)[...] = arr
     world.validate()
     return world
 
@@ -212,7 +215,7 @@ def flood_fill(inside: np.ndarray, rows, starts) -> np.ndarray:
     return np.array(labels[:-1], dtype=np.int32).reshape(h, w)
 
 
-class WorldStack:
+class WorldStack(_StoreViews):
     """P worlds on one arena, stacked so that each step is one set of
     array operations for all of them.
 
@@ -224,8 +227,8 @@ class WorldStack:
     of ``neighbours`` point at, so the boundary rule is stored once and
     perception reads the store directly. The named channels are grid views
     of the store: the statics (H, W), mass, reservoir and nutrient
-    (P, H, W), hidden (P, K, H, W). They are written in place: rebinding
-    one would detach it from what perception reads, so it raises.
+    (P, H, W), hidden (P, K, H, W), and ``member`` hands out each member's
+    WorldState view.
     """
 
     def __init__(self, shape: GridShape, n_members: int, k_hidden: int):
@@ -242,38 +245,16 @@ class WorldStack:
         self.mass, self.reservoir, self.nutrient = members[:, 0], members[:, 1], members[:, 2]
         self.hidden = members[:, 3:]
 
-    def __setattr__(self, name: str, value) -> None:
-        if name in CHANNELS and name in vars(self):
-            raise AttributeError(f"WorldStack.{name} is a view of the store: write it in place")
-        super().__setattr__(name, value)
-
-    @staticmethod
-    def of(worlds: list[WorldState]) -> "WorldStack":
-        """Stack worlds that share the first one's static channels, copying
-        every channel into a new store."""
-        first = worlds[0]
-        stack = WorldStack(first.shape, len(worlds), first.k_hidden)
-        for name in CHANNELS[:FIRST_DYNAMIC_CHANNEL]:
-            getattr(stack, name)[...] = getattr(first, name)
-        for name in CHANNELS[FIRST_DYNAMIC_CHANNEL:]:
-            getattr(stack, name)[...] = [getattr(world, name) for world in worlds]
-        return stack
-
     @property
     def n_members(self) -> int:
         return len(self.mass)
 
-    @property
-    def k_hidden(self) -> int:
-        return self.hidden.shape[1]
-
     def member(self, i: int) -> WorldState:
         """Member i as a WorldState of views: writes to it write the stack."""
-        return WorldState(self.shape, self.obstacle, self.poison, self.food, self.chemo,
-                          self.mass[i], self.reservoir[i], self.nutrient[i], self.hidden[i])
+        return WorldState(self, i)
 
     def select(self, keep) -> "WorldStack":
-        """The stack of the members ``keep`` indexes, in a new store."""
+        """The members ``keep`` indexes, copied into a new stack."""
         stack = WorldStack(self.shape, len(keep), self.k_hidden)
         stack._statics[...] = self._statics
         stack._members[...] = self._members[keep]
@@ -302,18 +283,19 @@ def perceive_cells(
 ) -> np.ndarray:
     """Perception vectors for many cells at once: (n, len(slots)).
 
-    ``world`` is one WorldState, or a WorldStack with ``members`` giving
-    each cell's member. The full vector (``slots`` None) has 9 * n_channels
-    columns: per cell, the 9 neighborhood cells in scan order, each
-    contributing its channels in perception order. ``slots`` picks columns
-    of that vector, in the order given. Only they are gathered, in one take
-    from the stack's store through ``neighbours``, so every value is the
-    one the world holds now.
+    ``world`` is a WorldStack with ``members`` giving each cell's member,
+    or one WorldState, read in place as member ``world.index`` of its
+    stack. The full vector (``slots`` None) has 9 * n_channels columns:
+    per cell, the 9 neighborhood cells in scan order, each contributing its
+    channels in perception order. ``slots`` picks columns of that vector,
+    in the order given. Only they are gathered, in one take from the
+    stack's store through ``neighbours``, so every value is the one the
+    world holds now.
     """
     if isinstance(world, WorldState):
-        world, members = WorldStack.of([world]), None
+        world, members = world.stack, world.index
     h, w = world.shape.yx
-    c = N_BASE_CHANNELS + world.k_hidden
+    c = world.n_channels
     if slots is None:
         slots = np.arange(9 * c)
     neighbour, plane, dynamic = _slot_offsets(c, h * w, np.asarray(slots, dtype=np.intp).tobytes())

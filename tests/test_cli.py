@@ -134,6 +134,11 @@ class TestEvolveCommand:
             pytest.param("lifecycle", "seed_cell", [40, 3], id="lifecycle-seed_cell-outside-arena"),
             pytest.param("physics", "alpha", 10**400, id="physics-alpha-1e400"),
             pytest.param("lifecycle", "tau", float("nan"), id="lifecycle-tau-NaN"),
+            ("evolution", "seed", -1),
+            ("lifecycle", "seed_mass", -1.0),
+            ("lifecycle", "seed_nutrient", -2.0),
+            ("environment", "seed", -1),
+            ("environment", "chemo_iters", -5),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
@@ -284,6 +289,30 @@ class TestTestCommand:
         assert main(["test", genome, "--battery", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "key, battery",
+        [
+            ("--seed", None),
+            ("seed_mass", {"lifecycle": {"seed_mass": -1.0}, "tests": [{"name": "coordination"}]}),
+            ("seed_nutrient", {"lifecycle": {"seed_nutrient": -2.0}, "tests": [{"name": "coordination"}]}),
+            ("seed", {"tests": [{"name": "detour", "env": {**detour_spec().to_dict(), "seed": -1}}]}),
+            ("chemo_iters", {"tests": [{"name": "detour", "env": {**detour_spec().to_dict(), "chemo_iters": -5}}]}),
+        ],
+    )
+    def test_negative_value_exits_2_naming_it(self, tmp_path, capsys, key, battery):
+        argv = ["test", write_genome(tmp_path, inert_genome())]
+        if battery is None:
+            argv += ["--seed", "-1"]
+        else:
+            path = tmp_path / "battery.json"
+            path.write_text(json.dumps(battery))
+            argv += ["--battery", str(path)]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
     def test_custom_battery_runs(self, tmp_path):
         genome = write_genome(tmp_path, inert_genome())
         battery = tmp_path / "battery.json"
@@ -306,12 +335,26 @@ class TestRenderCommand:
         env.write_text(json.dumps({"kind": "open_arena", "shape": [8, 8], "food": [[[9, 1, 1, 1], 2.0]]}))
         assert main(["render", genome, "--env", str(env), "--steps", "2", "--out", str(tmp_path / "r")]) == 2
 
-    @pytest.mark.parametrize("steps", ["0", "-5"])
-    def test_nonpositive_steps_exit_2(self, tmp_path, capsys, steps):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--steps", "0"], id="0"),
+            pytest.param(["--steps", "-5"], id="-5"),
+            pytest.param(["--seed", "-1"], id="seed--1"),
+            pytest.param(["--frame-every", "0"], id="frame-every-0"),
+            pytest.param(["--frame-every", "-5"], id="frame-every--5"),
+            pytest.param(["--display-max", "0"], id="display-max-0"),
+            pytest.param(["--display-max", "-1"], id="display-max--1"),
+            pytest.param(["--display-max", "nan"], id="display-max-nan"),
+            pytest.param(["--display-max", "inf"], id="display-max-inf"),
+        ],
+    )
+    def test_nonpositive_steps_exit_2(self, tmp_path, capsys, flags):
         genome = write_genome(tmp_path, inert_genome())
         out = str(tmp_path / "r")
-        assert main(["render", genome, "--steps", steps, "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["render", genome, *flags, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0] in err
         assert not os.path.exists(out)
 
     def test_fluid_failure_exits_1(self, tmp_path, capsys):

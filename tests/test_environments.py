@@ -2,7 +2,7 @@
 
 import json
 from collections import deque
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from eincasm.environments import (
 from eincasm.cppn import empty_genome
 from eincasm.lifecycle import LifecycleConfig, build_simulation
 from eincasm.physics import PhysicsParams
-from eincasm.substrate import GridShape
+from eincasm.substrate import CHANNELS, GridShape
 
 
 def bfs_reachable(obstacles, start):
@@ -338,6 +338,8 @@ def test_envspec_json_round_trip():
         {"shape": [16, True]},
         {"seed": 2.7},
         {"seed": None},
+        {"seed": -1},
+        {"chemo_iters": -5},
         {"chemo_decay": "0.5"},
         {"chemo_iters": 32.0},
         {"food": [[[1, 1, 1.5, 1], 2.0]]},
@@ -353,7 +355,8 @@ def test_envspec_json_round_trip():
         {"kind": "deceptive_chemo", "params": {"false_peak": [-1, 3]}},
     ],
     ids=[
-        "kind-5", "shape-16.5", "shape-true", "seed-2.7", "seed-null", "chemo_decay-string", "chemo_iters-32.0",
+        "kind-5", "shape-16.5", "shape-true", "seed-2.7", "seed-null", "seed-negative", "chemo_iters-negative",
+        "chemo_decay-string", "chemo_iters-32.0",
         "food-rect-1.5", "food-amount-string", "food-amount-1e400", "seed_cell-4.5", "seed_cell-triple",
         "unknown-key", "cell_size-1.9", "density-string", "cluster_offset-8.5", "false_peak-2.5",
         "false_peak-off-grid",
@@ -375,7 +378,7 @@ def test_generate_cached_shares_read_only_statics():
     cfg = LifecycleConfig(t_min=2, t_max=2)
     sims = [build_simulation(empty_genome(4), generate_cached(spec), PhysicsParams(), cfg, 1) for _ in range(2)]
     worlds = [sim.world for sim in sims]
-    for name in (f.name for f in fields(worlds[0]) if f.name != "shape"):
+    for name in CHANNELS:
         assert not np.shares_memory(getattr(worlds[0], name), getattr(worlds[1], name))
         for array in a.statics.arrays():
             assert not np.shares_memory(getattr(worlds[0], name), array)

@@ -177,29 +177,28 @@ class TestFailureRecord:
 def stacked_worlds(rng, w, h, n):
     obstacle = (rng.random((h, w)) < 0.2).astype(float)
     statics = Statics(obstacle, rng.random((h, w)), rng.random((h, w)), rng.random((h, w)))
-    worlds = []
-    for _ in range(n):
-        world = create_world(GridShape(w, h), statics, K)
-        free = obstacle < 0.5
+    stack = create_world(GridShape(w, h), statics, K).stack.select([0] * n)
+    free = obstacle < 0.5
+    for m in range(n):
+        world = stack.member(m)
         world.mass[free] = rng.random(int(free.sum()))
         world.reservoir[free] = rng.random(int(free.sum()))
         world.nutrient[free] = rng.random(int(free.sum()))
         world.hidden[:, free] = rng.uniform(-1, 1, (K, int(free.sum())))
-        worlds.append(world)
-    return worlds
+    return stack
 
 
 @settings(max_examples=25, deadline=None)
 @given(w=st.integers(3, 14), h=st.integers(3, 14), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_stack_layers_match_each_world(w, h, n, seed):
     rng = np.random.default_rng(seed)
-    worlds = stacked_worlds(rng, w, h, n)
-    stack = WorldStack.of(worlds)
+    stack = stacked_worlds(rng, w, h, n)
     members, ys, xs = np.nonzero(rng.random((n, h, w)) < 0.5)
     got = perceive_cells(stack, ys, xs, members)
-    for m, world in enumerate(worlds):
+    for m in range(n):
         rows = members == m
-        np.testing.assert_array_equal(got[rows], perceive_cells(world, ys[rows], xs[rows]))
+        for world in (stack.member(m), stack.member(m).copy()):  # in the stack, and alone
+            np.testing.assert_array_equal(got[rows], perceive_cells(world, ys[rows], xs[rows]))
     footprints = rng.random((n, h, w)) < 0.1
     dilated = dilate3x3(footprints)
     for m in range(n):
@@ -214,7 +213,7 @@ def test_perceived_slots_are_fresh_columns_of_the_full_vector(w, h, n, seed, sub
     the world holds now, whatever earlier calls read and whatever was
     written to the dynamic channels since."""
     rng = np.random.default_rng(seed)
-    stack = WorldStack.of(stacked_worlds(rng, w, h, n))
+    stack = stacked_worlds(rng, w, h, n)
     n_slots = 9 * (7 + K)
     members, ys, xs = np.nonzero(rng.random((n, h, w)) < 0.6)
     for subset in subsets:
@@ -335,11 +334,34 @@ def test_stepped_channels_stay_views_of_the_store():
     worlds = sim.worlds
     assert sim.running == [0, 1]
     assert worlds.obstacle[2, 6] == 1.0 and worlds.obstacle[2, 5] == 0.0
-    for name in CHANNELS:
-        assert np.shares_memory(getattr(worlds, name), worlds.store)
-        with pytest.raises(AttributeError):
-            setattr(worlds, name, getattr(worlds, name).copy())
+    for views in (worlds, sim.world):
+        for name in CHANNELS:
+            assert np.shares_memory(getattr(views, name), worlds.store)
+            with pytest.raises(AttributeError):
+                setattr(views, name, getattr(views, name).copy())
     np.testing.assert_array_equal(worlds.chemo, chemoattractant_field(worlds.food, worlds.obstacle, *sim.chemo_params))
+
+
+def test_member_perception_reads_the_stack_in_place(monkeypatch):
+    """Perceiving through one member's world builds no store: its rows are
+    the stack's own gather for that member."""
+    spec = EnvSpec(kind="open_arena", shape=GridShape(12, 9), food=((Rect(8, 3, 2, 2), 4.0),))
+    genomes = [chemotaxis_baseline(K), random_genome(np.random.default_rng(3)), inert_genome(K)]
+    sim = build_simulation(genomes, generate(spec), harness_physics(), harness_lifecycle(t=5), 5)
+    sim.run(5)
+    stores = []
+    original = WorldStack.__init__
+
+    def counted(self, *args):
+        stores.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(WorldStack, "__init__", counted)
+    ys, xs = np.nonzero(np.ones(spec.shape.yx, dtype=bool))
+    for member in range(3):
+        rows = perceive_cells(sim.member_world(member), ys, xs)
+        np.testing.assert_array_equal(rows, perceive_cells(sim.worlds, ys, xs, np.full(len(ys), member)))
+    assert stores == []
 
 
 def test_members_must_share_k_hidden():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from eincasm.substrate import (
+    CHANNELS,
     GridShape,
     Statics,
     WorldError,
-    WorldStack,
     create_world,
     dilate3x3,
     perceive_cells,
@@ -56,6 +56,20 @@ class TestCreateWorld:
     def test_k_hidden_must_be_positive(self):
         with pytest.raises(WorldError):
             create_world(GridShape(8, 8), empty_statics(8, 8), 0)
+
+    def test_world_is_a_member_view_and_copy_owns_its_store(self):
+        world = make_world(5, 4, 2)
+        world.mass[1, 2] = 0.5
+        assert (world.stack.n_members, world.index) == (1, 0)
+        copy = world.copy()
+        for name in CHANNELS:
+            assert np.shares_memory(getattr(world, name), world.stack.store)
+            assert not np.shares_memory(getattr(copy, name), world.stack.store)
+            np.testing.assert_array_equal(getattr(copy, name), getattr(world, name))
+            with pytest.raises(AttributeError):
+                setattr(world, name, getattr(world, name).copy())
+        copy.mass[1, 2] = 2.0
+        assert world.mass[1, 2] == 0.5
 
 
 class TestPerception:
@@ -131,7 +145,9 @@ class TestPerception:
             for row, (m, y, x) in enumerate(zip(members, ys, xs)):
                 np.testing.assert_array_equal(got[row], naive(stack.member(m), x, y))
 
-        stack = WorldStack.of([world, randomized(world.copy()), randomized(world.copy())])
+        stack = world.stack.select([0, 0, 0])
+        randomized(stack.member(1))
+        randomized(stack.member(2))
         check(stack)
         stack.food[...] = rng.random((4, 5))
         stack.chemo[2, 3] = 7.0
