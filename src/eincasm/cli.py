@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import fileio, harness
-from .config import ConfigError, RunConfig, load_config, parse_config, read_json, read_section
+from .config import ConfigError, RunConfig, check_arenas, load_config, parse_config, read_json, read_section
 from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec, json_scalar
@@ -97,6 +97,7 @@ def cmd_evolve(args) -> int:
     if args.generations is not None:
         data["generations"] = args.generations
     cfg = parse_config(data)
+    check_arenas(cfg)
 
     out = cfg.io.output_dir
     os.makedirs(out, exist_ok=True)
@@ -288,11 +289,11 @@ def cmd_replay(args) -> int:
             print("error: trajectory log has no steps", file=sys.stderr)
             return EXIT_USAGE
         ok = fileio.verify_trajectory(payload)
+        masses = [float(s["total_mass"]) for s in steps]
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed trajectory log: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    masses = [float(s["total_mass"]) for s in steps]
     print(
         f"steps={len(steps) - 1} initial_mass={masses[0]:.6f} final_mass={masses[-1]:.6f} "
         f"peak_mass={max(masses):.6f}"

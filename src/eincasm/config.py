@@ -26,6 +26,9 @@ environment) and ``schedule`` ([[step, event], ...], events as
 ``event_to_dict`` writes them) have forms of their own. The top-level
 counts take the int rule and must be >= 1.
 
+``check_arenas`` goes further than parsing: it generates every arena a
+run evaluates on and checks the seed cell and the schedule there.
+
 Every omitted key takes its documented default and the fully resolved
 document is echoed to ``resolved_config.json`` so a run can always be
 reproduced from its output directory alone. Without an "environment" key
@@ -40,10 +43,12 @@ import json
 import typing
 from dataclasses import dataclass, field, fields, replace
 
-from .environments import EnvSpec, json_scalar
-from .lifecycle import LifecycleConfig, event_from_dict, event_to_dict
+from .environments import EnvSpec, generate_cached, json_scalar
+from .lifecycle import LifecycleConfig, LifecycleError, env_evaluations, event_from_dict, event_to_dict
+from .lifecycle import seed_organism, validate_schedule
 from .neat import EvolutionConfig
 from .physics import PhysicsParams
+from .substrate import create_world
 
 
 #: The arena a config without an "environment" key gets: a 16x16 open
@@ -159,6 +164,29 @@ def parse_config(data: dict) -> RunConfig:
 
     counts = read_section("top level", RunConfig(), {key: data[key] for key in _COUNTS if key in data})
     return replace(counts, environments=environments, **sections)
+
+
+def check_arenas(cfg: RunConfig) -> None:
+    """Generate the arena of every environment evaluation a run makes and
+    check that its lifecycle can start there: the seed cell is free and
+    the schedule fits. A config that would otherwise fail mid-run fails
+    here, as a ConfigError naming the section and the key."""
+    life = cfg.lifecycle
+    for spec in (spec for env in cfg.environments for spec in env_evaluations(env, life)):
+        where = f"(arena seed {spec.seed})"
+        try:
+            bundle = generate_cached(spec)
+        except ValueError as exc:
+            raise ConfigError(f"config section 'environment' {where}: {exc}") from exc
+        world = create_world(spec.shape, bundle.statics, cfg.k_hidden)
+        try:
+            seed_organism(world, life, life.seed_cell or bundle.seed_cell)
+        except LifecycleError as exc:
+            raise ConfigError(f"config section 'lifecycle' {where}: 'seed_cell': {exc}") from exc
+        try:
+            validate_schedule(world, life.schedule)
+        except LifecycleError as exc:
+            raise ConfigError(f"config section 'lifecycle' {where}: 'schedule': {exc}") from exc
 
 
 def read_json(path: str, what: str):

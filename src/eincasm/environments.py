@@ -201,7 +201,7 @@ def chemoattractant_field(food: np.ndarray, obstacles: np.ndarray, n_iters: int,
     if n_iters < 1:
         raise EnvError(f"n_iters must be >= 1, got {n_iters}")
     if not 0.0 < decay < 1.0:
-        raise EnvError(f"decay must lie in (0, 1), got {decay}")
+        raise EnvError(f"chemo_decay must lie in (0, 1), got {decay}")
     solid = np.asarray(obstacles) > 0.5
     h, w = solid.shape
     size = h * w

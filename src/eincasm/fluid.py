@@ -26,7 +26,8 @@ Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
 either the obstacle grid or its ``Walls``, so a caller that keeps its
 ``Walls`` resolves the layout only when it changes. Streaming with
-bounce-back is one gather, precomputed once per layout from the
+bounce-back is one gather and advection's closed faces are one array of
+flat face indices per axis, both precomputed once per layout from the
 ``substrate.neighbours`` table. Each member's post-collision populations
 are followed by one zero slot, and every obstacle cell's destinations
 gather from that slot, so obstacle cells of a stepped lattice are
@@ -64,9 +65,6 @@ NEGATIVE_TOL = -1e-12
 #: below 1/3.
 LIMITER_IDLE_SPEED = float(np.nextafter(1 / 3, 0.0))
 
-# Moments use matmul with float vectors: on a batch it gives the same bits
-# per member as a single lattice's tensordot, where a stacked tensordot or
-# a (2, 9) matrix product does not.
 _EX_FLOAT = EX.astype(np.float64)
 _EY_FLOAT = EY.astype(np.float64)
 # The weight of each direction group of the collision: rest, axes, diagonals.
@@ -155,10 +153,13 @@ class Walls:
 
     @cached_property
     def closed_faces(self) -> tuple[np.ndarray, np.ndarray]:
-        """Faces between x-neighbours (H, W-1) and y-neighbours (H-1, W)
-        with an obstacle on either side."""
-        s = self.solid
-        return s[:, :-1] | s[:, 1:], s[:-1, :] | s[1:, :]
+        """Flat indices of the closed x-faces (cell k to k + 1, the table's
+        row 5) and y-faces (cell k to k + W, row 7): an obstacle on either
+        side, or the virtual slot on the far one, where an x-face wraps."""
+        h, w = self.solid.shape
+        blocked = np.append(self.solid.ravel(), True)
+        return tuple(np.flatnonzero(blocked[: h * w - k] | blocked[neighbours(h, w)[row, : h * w - k]])
+                     for row, k in ((5, 1), (7, w)))
 
 
 @lru_cache(maxsize=8)
@@ -403,17 +404,24 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, step_index):
 
 def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -> np.ndarray:
     """Donor-cell upwind transport of a nonnegative scalar field over one
-    lattice time step.
-
+    lattice time step. ``n`` (H, W) and ``u`` (2, H, W) may carry a
+    leading batch axis; ``obstacles`` is the obstacle grid or its ``Walls``.
     Face velocity is the mean of the two adjacent cell velocities; the
     upwind cell donates. Faces touching an obstacle or the grid edge carry
     no flux. Each cell's total outflow is limited to its content, which
     preserves nonnegativity without breaking conservation (the receiving
-    fluxes are scaled identically). ``n`` (H, W) and ``u`` (2, H, W) may
-    carry a leading batch axis; ``obstacles`` is the obstacle grid or its
-    ``Walls``.
+    fluxes are scaled identically). Requires the CFL bound
+    max(|ux|, |uy|) <= 0.5.
 
-    Requires the CFL bound max(|ux|, |uy|) <= 0.5.
+    Faces are numbered over the row-major cell axis (..., H W): x-face k
+    joins cell k to k + 1 and y-face k cell k to k + W, one pass over the
+    strides (1, W) serving both axes, x first. The x-faces that wrap from a
+    row's end to the next row's start are closed (flux +0.0), so each cell's
+    sums are the 2-D form's, in order, plus terms +0.0: the same bits where
+    ``n`` holds no -0.0. Nutrient never does: it starts at +0.0 or a positive
+    seed, and every later write is a rounded-to-nearest sum (-0.0 only if
+    both terms are) or difference a - b (only if a is), a product of
+    nonnegatives or a maximum with 0.0.
 
     The limiter runs only when max|u| exceeds B = LIMITER_IDLE_SPEED. At
     or below it, a nonnegative n never has ``out > n``, so every scale is
@@ -446,42 +454,34 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -
       anything (a < 1/2).
     * A zero donor gives zero fluxes, and NaN compares false.
     """
-    n = np.asarray(n, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    n, u = (np.asarray(a, dtype=np.float64) for a in (n, u))
     walls = walls_of(obstacles)
     u_max = float(np.max(np.abs(u), initial=0.0))
     if u_max > 0.5 + 1e-12:
         raise ValueError(f"CFL violated: max|u| = {u_max:.3f} > 0.5")
 
-    ux, uy = u[..., 0, :, :], u[..., 1, :, :]
-    # Face-normal velocities; zero where either side is solid.
-    ufx = 0.5 * (ux[..., :, :-1] + ux[..., :, 1:])
-    ufy = 0.5 * (uy[..., :-1, :] + uy[..., 1:, :])
-    if walls.any_solid:
-        closed_x, closed_y = walls.closed_faces
-        ufx[..., closed_x] = 0.0
-        ufy[..., closed_y] = 0.0
+    cells, velocity = (a.reshape(a.shape[:-2] + (-1,)) for a in (n, u))
 
-    # The upwind cell donates: the lower-index side of a face when its
-    # velocity is positive, the higher-index side otherwise.
-    flux_x = ufx * np.where(ufx > 0, n[..., :, :-1], n[..., :, 1:])
-    flux_y = ufy * np.where(ufy > 0, n[..., :-1, :], n[..., 1:, :])
+    # Per axis, the face velocity (zero where closed) times the upwind content.
+    faces = []
+    for axis, (stride, closed) in enumerate(zip((1, n.shape[-1]), walls.closed_faces)):
+        face_u = 0.5 * (velocity[..., axis, :-stride] + velocity[..., axis, stride:])
+        face_u[..., closed] = 0.0
+        faces.append((stride, face_u * np.where(face_u > 0, cells[..., :-stride], cells[..., stride:])))
 
     # Limit each donor's total outflow to what it holds, unless it cannot bind.
     if not u_max <= LIMITER_IDLE_SPEED:  # NaN included
-        out = np.zeros_like(n)
-        out[..., :, :-1] += np.maximum(flux_x, 0.0)
-        out[..., :, 1:] -= np.minimum(flux_x, 0.0)
-        out[..., :-1, :] += np.maximum(flux_y, 0.0)
-        out[..., 1:, :] -= np.minimum(flux_y, 0.0)
+        out = np.zeros_like(cells)
+        for stride, flux in faces:
+            out[..., :-stride] += np.maximum(flux, 0.0)
+            out[..., stride:] -= np.minimum(flux, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(out > n, n / np.maximum(out, 1e-300), 1.0)
-        flux_x *= np.where(flux_x > 0, scale[..., :, :-1], scale[..., :, 1:])
-        flux_y *= np.where(flux_y > 0, scale[..., :-1, :], scale[..., 1:, :])
+            scale = np.where(out > cells, cells / np.maximum(out, 1e-300), 1.0)
+        for stride, flux in faces:
+            flux *= np.where(flux > 0, scale[..., :-stride], scale[..., stride:])
 
-    result = n.copy()
-    result[..., :, :-1] -= flux_x
-    result[..., :, 1:] += flux_x
-    result[..., :-1, :] -= flux_y
-    result[..., 1:, :] += flux_y
-    return np.maximum(result, 0.0)
+    result = cells.copy()
+    for stride, flux in faces:
+        result[..., :-stride] -= flux
+        result[..., stride:] += flux
+    return np.maximum(result, 0.0).reshape(n.shape)

@@ -494,6 +494,13 @@ def build_simulation(
     )
 
 
+def env_evaluations(env: EnvSpec, cfg: LifecycleConfig) -> list[EnvSpec]:
+    """The arena spec of each of the cfg.n_env_evals environment
+    evaluations of ``env``: evaluation e (1-based) has arena seed
+    env.seed + (e - 1)."""
+    return [replace(env, seed=env.seed + e) for e in range(cfg.n_env_evals)]
+
+
 def run_population(
     genomes: list[Genome],
     env: EnvSpec,
@@ -507,14 +514,12 @@ def run_population(
 
     A fluid instability ends that member's run in that environment early
     with fitness equal to the total mass at the failure step — penalizing,
-    never crashing, the evolution driver. Environment evaluation e
-    (1-based) varies the arena seed as spec.seed + (e - 1) when
-    n_env_evals > 1. A member's record does not depend on the others.
+    never crashing, the evolution driver. The arenas are those of
+    ``env_evaluations``. A member's record does not depend on the others.
     """
     lifespan = cfg.lifespan(run_seed)
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
-    for e in range(1, cfg.n_env_evals + 1):
-        spec = env if cfg.n_env_evals == 1 else replace(env, seed=env.seed + e - 1)
+    for e, spec in enumerate(env_evaluations(env, cfg), start=1):
         sim = build_simulation(
             genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
         )

@@ -27,8 +27,8 @@ Conventions used across the whole package:
 * reads outside the grid see a virtual obstacle cell: ``O=1``, every other
   channel 0. There is no wraparound. ``neighbours`` is the one table of
   the neighborhood: its off-grid entries point at the virtual slot, and
-  perception, the chemoattractant diffusion, fluid streaming and the flood
-  fills all index through it.
+  perception, the chemoattractant diffusion, fluid streaming, advection's
+  closed faces and the flood fills all index through it.
 """
 
 from __future__ import annotations

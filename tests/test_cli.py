@@ -139,6 +139,9 @@ class TestEvolveCommand:
             ("lifecycle", "seed_nutrient", -2.0),
             ("environment", "seed", -1),
             ("environment", "chemo_iters", -5),
+            pytest.param("environment", "chemo_decay", 1.5, id="environment-chemo_decay-above-1"),
+            pytest.param("lifecycle", "schedule", [[2, {"kind": "remove_food", "region": [20, 20, 2, 2]}]],
+                         id="lifecycle-schedule-region-outside-arena"),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
@@ -148,6 +151,16 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert not os.path.exists(out)
+
+    def test_seed_cell_on_an_obstacle_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        cfg = smoke_config(out)
+        cfg["environment"]["obstacles"] = [[1, 1, 2, 2]]
+        cfg["lifecycle"]["seed_cell"] = [2, 2]  # on the obstacle; the arena's own, (6, 6), is free
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed_cell'" in err and "obstacle" in err
         assert not os.path.exists(out)
 
     def test_resolved_config_bytes_are_pinned(self, tmp_path, monkeypatch):
@@ -429,6 +442,17 @@ class TestReplayCommand:
 
     def test_empty_log_exits_2(self, tmp_path):
         assert main(["replay", self.make_log(tmp_path, empty=True)]) == 2
+
+    @pytest.mark.parametrize(
+        "steps",
+        [[{"step": 0}], [{"step": 0, "total_mass": "abc", "total_nutrient": "1.0"}], [5]],
+        ids=["no-total_mass", "total_mass-not-a-number", "step-not-an-object"],
+    )
+    def test_malformed_steps_with_a_matching_hash_exit_2(self, tmp_path, capsys, steps):
+        path = tmp_path / "traj.json"
+        path.write_text(json.dumps(fileio.trajectory_payload({"run": "x"}, steps)))
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: malformed trajectory log")
 
     def test_missing_log_exits_2(self, tmp_path):
         assert main(["replay", str(tmp_path / "none.json")]) == 2

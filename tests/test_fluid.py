@@ -18,6 +18,7 @@ from eincasm.fluid import (
     WEIGHTS,
     FluidFailure,
     Lattice,
+    Walls,
     advect_scalar,
     equilibrium,
     macroscopic,
@@ -402,6 +403,44 @@ class TestAdvectScalar:
             np.testing.assert_array_equal(
                 advect_scalar(n, u, obstacles).view(np.uint64), reference_advect_scalar(n, u, obstacles).view(np.uint64)
             )
+
+    @settings(max_examples=50, deadline=None)
+    @given(batch=st.integers(2, 4), h=st.integers(3, 9), w=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
+    def test_each_member_advects_as_it_does_alone(self, batch, h, w, seed):
+        # obstacles, subnormal and zero donors, and speeds up to the CFL
+        # limit, above the limiter's idle bound
+        rng = np.random.default_rng(seed)
+        obstacles = (rng.random((h, w)) < 0.3).astype(float)
+        n = rng.random((batch, h, w)) * 10.0 ** rng.integers(-8, 1, (batch, h, w))
+        n[rng.random(n.shape) < 0.2] = 0.0
+        n[rng.random(n.shape) < 0.1] = 5e-324 * rng.integers(1, 64)
+        n[:, obstacles > 0.5] = 0.0
+        u = rng.uniform(-0.5, 0.5, (batch, 2, h, w))
+        u[rng.random(u.shape) < 0.3] = 0.5
+        together = advect_scalar(n, u, obstacles)
+        for p in range(batch):
+            np.testing.assert_array_equal(
+                together[p].view(np.uint64), advect_scalar(n[p], u[p], obstacles).view(np.uint64)
+            )
+
+    def test_uniform_x_flow_never_wraps_to_the_next_row(self):
+        # every row's last cell is full and flows toward the grid edge:
+        # nothing leaves, least of all into the first cell of the next row
+        n = np.zeros((2, 4, 6))
+        n[..., -1] = [[1.0], [2.0]]
+        u = np.zeros((2, 2, 4, 6))
+        u[:, 0] = 0.4
+        np.testing.assert_array_equal(advect_scalar(n, u, np.zeros((4, 6))), n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(h=st.integers(3, 9), w=st.integers(3, 9), data=st.data())
+    def test_closed_faces_are_the_2d_masks_and_the_wrap_faces(self, h, w, data):
+        solid = data.draw(hnp.arrays(bool, (h, w), elements=st.booleans()))
+        closed_x, closed_y = Walls(solid).closed_faces
+        x_faces = np.ones((h, w), dtype=bool)  # the last column's x-face wraps
+        x_faces[:, :-1] = solid[:, :-1] | solid[:, 1:]
+        np.testing.assert_array_equal(closed_x, np.flatnonzero(x_faces.ravel()[:-1]))
+        np.testing.assert_array_equal(closed_y, np.flatnonzero(solid[:-1, :] | solid[1:, :]))
 
     def test_zero_velocity_is_identity(self):
         rng = np.random.default_rng(7)

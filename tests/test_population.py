@@ -342,6 +342,29 @@ def test_stepped_channels_stay_views_of_the_store():
     np.testing.assert_array_equal(worlds.chemo, chemoattractant_field(worlds.food, worlds.obstacle, *sim.chemo_params))
 
 
+def test_nutrient_never_holds_negative_zero():
+    """Advection keeps its 2-D form's bits only where nutrient holds no
+    -0.0: no write of a stochastic run makes one, the schedule's included."""
+    spec = EnvSpec(kind="open_arena", shape=GridShape(12, 9), food=((Rect(8, 3, 2, 2), 4.0),),
+                   obstacles=(Rect(5, 2, 1, 4),), seed_cell=(2, 4))
+    schedule = ((3, DegradeCells(Rect(3, 0, 9, 9), 1.0)), (4, RemoveFood(Rect(8, 3, 1, 2))),
+                (6, MoveObstacle(1, (1, 0))), (9, DegradeCells(Rect(1, 2, 4, 4), 0.5)))
+    cfg = replace(harness_lifecycle(t=30), p_update=0.6, schedule=schedule)
+    rng = np.random.default_rng(4)
+    genomes = [chemotaxis_baseline(K)] + [random_genome(rng) for _ in range(2)] + [wide_genome(rng)]
+    sim = build_simulation(genomes, generate(spec), harness_physics(), cfg, 5)
+    seen = []
+
+    def no_negative_zero(sim):
+        n = sim.worlds.nutrient
+        assert not (np.signbit(n) & (n == 0)).any()
+        seen.append(float(n.sum()))
+
+    no_negative_zero(sim)
+    sim.run(30, no_negative_zero)
+    assert len(seen) == 31 and min(seen[1:]) > 0.0
+
+
 def test_member_perception_reads_the_stack_in_place(monkeypatch):
     """Perceiving through one member's world builds no store: its rows are
     the stack's own gather for that member."""
