@@ -24,7 +24,8 @@ null are never numbers, and nothing is truncated or parsed from a string.
 Only the lifecycle's ``seed_cell`` (null or [x, y], inside every
 environment) and ``schedule`` ([[step, event], ...], events as
 ``event_to_dict`` writes them) have forms of their own. The top-level
-counts take the int rule and must be >= 1.
+counts take the int rule and must be >= 1. ``io.log_level`` is "info" or
+"quiet"; ``io.frame_every`` is read and echoed but nothing uses it.
 
 ``check_arenas`` goes further than parsing: it generates every arena a
 run evaluates on and checks the seed cell and the schedule there.
@@ -62,9 +63,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class IoConfig:
+    """Where a run writes and what it prints: ``log_level`` "info" prints a
+    line per generation, "quiet" does not. ``frame_every`` is read and
+    echoed to ``resolved_config.json``, but nothing uses it: ``render``
+    takes its own ``--frame-every``."""
+
     output_dir: str = "out"
-    frame_every: int = 0  # 0 = no frames
+    frame_every: int = 0
     log_level: str = "info"
+
+    def __post_init__(self):
+        if self.log_level not in ("info", "quiet"):
+            raise ValueError(f"log_level must be 'info' or 'quiet', got {self.log_level!r}")
 
 
 _SECTIONS = {"evolution": EvolutionConfig, "physics": PhysicsParams, "lifecycle": LifecycleConfig, "io": IoConfig}

@@ -9,8 +9,8 @@ Node ids are fixed by convention: inputs occupy ``0 .. n_inputs-1`` (the
 last one is the bias input), outputs occupy the next ``n_outputs`` ids,
 and hidden nodes take whatever ids the innovation registry hands out.
 
-A compiled ``Phenotype`` is an evaluation plan for one or more members:
-``compile_genome`` makes a one-member plan and ``stack`` joins plans, so a
+``compile_genome`` compiles a population's genomes, or one genome, into
+one ``Phenotype``: padded tables with one column per member, so the
 population's rule runs as one pass over all its cells, where
 ``members[r]`` names the member whose network evaluates input row r.
 Evaluation is pure and deterministic; identical inputs give bit-identical
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -220,15 +221,6 @@ def creates_cycle(genome: Genome, src: int, dst: int) -> bool:
 
 
 @dataclass(frozen=True)
-class _NodeStep:
-    slot: int
-    activation: str
-    bias: float
-    src_slots: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Position:
     """Node position j of a plan: each member's j-th non-input node, which
     writes slot n_inputs + j. ``edges`` are its rows in the edge tables and
@@ -252,35 +244,6 @@ class _Tables:
     codes: np.ndarray  # (positions, P) activation codes; -1 where a member has no node
     src: np.ndarray  # (edges, P) source slots; the pad slot where a member has no edge
     weight: np.ndarray  # (edges, P); 1.0 where a member has no edge
-
-
-def _pad(n_inputs: int, plans) -> _Tables:
-    n_members = len(plans)
-    n_positions = max(len(plan) for plan in plans)
-    fan_in = [
-        max((len(plan[j].src_slots) for plan in plans if j < len(plan)), default=0) for j in range(n_positions)
-    ]
-    starts = np.concatenate([[0], np.cumsum(fan_in, dtype=np.intp)]).tolist()
-    bias = np.zeros((n_positions, n_members))
-    codes = np.full((n_positions, n_members), -1, dtype=np.int8)
-    src = np.full((starts[-1], n_members), n_inputs + n_positions, dtype=np.intp)
-    weight = np.ones((starts[-1], n_members))
-    for m, plan in enumerate(plans):
-        for j, step in enumerate(plan):
-            bias[j, m] = step.bias
-            codes[j, m] = ACTIVATION_NAMES.index(step.activation)
-            edges = slice(starts[j], starts[j] + len(step.src_slots))
-            src[edges, m] = step.src_slots
-            weight[edges, m] = step.weights
-    positions = tuple(
-        _Position(
-            slot=n_inputs + j,
-            edges=slice(starts[j], starts[j + 1]),
-            activations=tuple((c, ACTIVATION_NAMES[c]) for c in sorted(set(codes[j].tolist()) - {-1})),
-        )
-        for j in range(n_positions)
-    )
-    return _Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight)
 
 
 def _activate(pre: np.ndarray, codes: np.ndarray, activations) -> np.ndarray:
@@ -376,17 +339,17 @@ def _fold(n_inputs: int, t: _Tables) -> _Folded:
 
 @dataclass(frozen=True, eq=False)
 class Phenotype:
-    """Topologically ordered evaluation plan for one or more members.
+    """The compiled rule of one or more members: one padded evaluation plan.
 
-    ``plans[m]`` is member m's node list. ``compile_genome`` puts non-input
-    node j of every genome in slot n_inputs + j, so the members line up
-    position by position; ``stack`` joins one-member plans, and the first
-    evaluation pads them to one position list (a member's missing edge adds
-    -0.0, which changes no bit; see ``_Tables``). ``evaluate_batch``
-    evaluates row r with the plan of member ``members[r]``: each position
-    runs once over all rows, and each activation only on the rows of the
-    members that use it there. Only the ``input_slots`` some edge reads are
-    copied in; a caller may leave the other input columns unfilled.
+    ``tables`` holds one column per member. ``compile_genome`` puts
+    non-input node j of every genome in slot n_inputs + j, so the members
+    line up position by position, and pads a member's missing node or edge
+    so that it changes no bit (see ``_Tables``). ``evaluate_batch``
+    evaluates row r with the network of member ``members[r]``: each
+    position runs once over all rows, and each activation only on the rows
+    of the members that use it there. Only the ``input_slots`` some edge
+    reads are copied in; a caller may leave the other input columns
+    unfilled.
 
     The bias input is 1.0 by definition: ``evaluate_batch`` writes it
     itself and never reads the caller's bias column. A position is
@@ -403,20 +366,16 @@ class Phenotype:
 
     n_inputs: int
     n_outputs: int
-    plans: tuple[tuple[_NodeStep, ...], ...]
+    tables: _Tables
     output_slots: np.ndarray  # (P, n_outputs)
 
     @property
     def n_members(self) -> int:
-        return len(self.plans)
+        return len(self.output_slots)
 
     @property
     def n_slots(self) -> int:
-        return self.n_inputs + max(len(plan) for plan in self.plans)
-
-    @cached_property
-    def tables(self) -> _Tables:
-        return _pad(self.n_inputs, self.plans)
+        return self.n_inputs + len(self.tables.positions)
 
     @cached_property
     def folded(self) -> _Folded:
@@ -426,8 +385,10 @@ class Phenotype:
     def input_slots(self) -> np.ndarray:
         """The sorted input slots that some member's enabled edges read; the
         other inputs reach no output."""
-        read = {int(s) for plan in self.plans for step in plan for s in step.src_slots if s < self.n_inputs}
-        return np.array(sorted(read), dtype=np.intp)
+        src = self.tables.src
+        read = np.zeros(self.n_inputs, dtype=bool)
+        read[src[src < self.n_inputs]] = True
+        return np.flatnonzero(read)
 
     def evaluate_batch(self, inputs: np.ndarray, members=None) -> np.ndarray:
         """Evaluate many input rows at once: (n, n_inputs) -> (n, n_outputs).
@@ -460,63 +421,58 @@ class Phenotype:
         return values.reshape(-1).take(self.output_slots.T[:, cols] * n + np.arange(n)).T
 
 
-def stack(phenotypes) -> Phenotype:
-    """One plan holding the members of every phenotype, in order."""
-    phenotypes = list(phenotypes)
-    if len(phenotypes) == 1:
-        return phenotypes[0]
-    first = phenotypes[0]
-    if any((p.n_inputs, p.n_outputs) != (first.n_inputs, first.n_outputs) for p in phenotypes):
-        raise GenomeError("stacked phenotypes must share their input and output sizes")
-    return Phenotype(
-        n_inputs=first.n_inputs,
-        n_outputs=first.n_outputs,
-        plans=tuple(plan for p in phenotypes for plan in p.plans),
-        output_slots=np.concatenate([p.output_slots for p in phenotypes]),
-    )
-
-
-def compile_genome(genome: Genome) -> Phenotype:
-    """Flatten a genome into a one-member evaluation plan.
+def compile_genome(genomes) -> Phenotype:
+    """Compile a genome, or a list of genomes of one size, into one plan
+    whose member m is genome m (a lone genome is member 0).
 
     Node value = activation(bias + sum of weight * upstream value over
-    enabled incoming edges); input nodes pass their input through. Nodes
-    with no enabled incoming edges evaluate to activation(bias). Non-input
-    node j in topological order takes slot n_inputs + j, which is what lets
-    ``stack`` line plans up position by position.
+    enabled incoming edges, in innovation order); input nodes pass their
+    input through, and a node with no enabled incoming edge evaluates to
+    activation(bias). Non-input node j of each genome in topological order
+    writes slot n_inputs + j. Position j gets as many edge rows as its
+    largest fan-in; the rows and positions a member lacks keep the pad
+    entries of ``_Tables``.
     """
-    order = topological_order(genome)
-    slot_of = {i: i for i in range(genome.n_inputs)}
-    next_slot = genome.n_inputs
-    for node_id in order:
-        if node_id >= genome.n_inputs:
-            slot_of[node_id] = next_slot
-            next_slot += 1
-    incoming: dict[int, list[ConnectionGene]] = {}
-    for conn in genome.sorted_connections():
-        if conn.enabled:
-            incoming.setdefault(conn.dst, []).append(conn)
-    steps = []
-    for node_id in order:
-        if node_id < genome.n_inputs:
-            continue
-        node = genome.nodes[node_id]
-        conns = incoming.get(node_id, [])
-        steps.append(
-            _NodeStep(
-                slot=slot_of[node_id],
-                activation=node.activation,
-                bias=node.bias,
-                src_slots=np.array([slot_of[c.src] for c in conns], dtype=np.intp),
-                weights=np.array([c.weight for c in conns]),
-            )
+    genomes = [genomes] if isinstance(genomes, Genome) else list(genomes)
+    n_inputs, n_outputs = genomes[0].n_inputs, genomes[0].n_outputs
+    if any((g.n_inputs, g.n_outputs) != (n_inputs, n_outputs) for g in genomes):
+        raise GenomeError("compiled genomes must share their input and output sizes")
+    plans, output_slots = [], []
+    for genome in genomes:
+        order = [i for i in topological_order(genome) if i >= n_inputs]
+        slot_of = {i: i for i in range(n_inputs)} | {node_id: n_inputs + j for j, node_id in enumerate(order)}
+        incoming: dict[int, list[tuple[int, float]]] = {}
+        for conn in genome.sorted_connections():
+            if conn.enabled:
+                incoming.setdefault(conn.dst, []).append((slot_of[conn.src], conn.weight))
+        plans.append([(genome.nodes[i], incoming.get(i, [])) for i in order])
+        output_slots.append([slot_of[i] for i in genome.output_ids()])
+    n_members, n_positions = len(plans), max(len(plan) for plan in plans)
+    fan_in = [max(len(plan[j][1]) for plan in plans if j < len(plan)) for j in range(n_positions)]
+    starts = [0, *accumulate(fan_in)]
+    bias = np.zeros((n_positions, n_members))
+    codes = np.full((n_positions, n_members), -1, dtype=np.int8)
+    src = np.full((starts[-1], n_members), n_inputs + n_positions, dtype=np.intp)  # the pad slot
+    weight = np.ones((starts[-1], n_members))
+    for m, plan in enumerate(plans):
+        for j, (node, edges) in enumerate(plan):
+            bias[j, m] = node.bias
+            codes[j, m] = ACTIVATION_NAMES.index(node.activation)
+            for row, (slot, w) in enumerate(edges, starts[j]):
+                src[row, m], weight[row, m] = slot, w
+    positions = tuple(
+        _Position(
+            slot=n_inputs + j,
+            edges=slice(starts[j], starts[j + 1]),
+            activations=tuple((c, ACTIVATION_NAMES[c]) for c in sorted(set(codes[j].tolist()) - {-1})),
         )
-    output_slots = np.array([[slot_of[i] for i in genome.output_ids()]], dtype=np.intp)
+        for j in range(n_positions)
+    )
     return Phenotype(
-        n_inputs=genome.n_inputs,
-        n_outputs=genome.n_outputs,
-        plans=(tuple(steps),),
-        output_slots=output_slots,
+        n_inputs=n_inputs,
+        n_outputs=n_outputs,
+        tables=_Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight),
+        output_slots=np.array(output_slots, dtype=np.intp),
     )
 
 

@@ -23,7 +23,7 @@ The per-step pipeline (normative order):
 The members of a generation share run_seed, and so the arena, the
 lifespan and the schedule: a ``Simulation`` steps them as one population,
 each pipeline stage one array operation over all members (the rule is one
-pass of a stacked CPPN plan, each selected cell evaluated with its own
+pass of the population's CPPN plan, each selected cell evaluated with its own
 member's network), except the per-member selection draws. Members never
 read each other's state, so a member's trajectory is the same in any
 population.
@@ -43,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from . import environments, fluid, physics
-from .cppn import Genome, Phenotype, compile_genome, io_sizes, stack
+from .cppn import Genome, Phenotype, compile_genome, io_sizes
 from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field, json_scalar
 from .fluid import FluidFailure
 from .physics import PhysicsParams
@@ -268,16 +268,16 @@ class Simulation:
     batch, step by step.
 
     The members share the arena, the schedule and the obstacle layout; each
-    has its own phenotype, selection stream, world and lattice. The
-    phenotypes are stacked once into ``rule``, one plan that evaluates the
-    selected cells of every running member in one call per step, each cell
-    with its own member's network; ``phenotype`` is the first member's
-    one-member plan. Cells perceive only the slots some member's rule
-    reads (``perceived``); the other input columns stay 0. A member whose
-    fluid fails freezes at that step (its world keeps the step's economy
-    update, its lattice the state before it), records its FluidFailure in
-    ``failures`` and leaves the batch: the rest move on to a new store and
-    lattice, and its world and lattice stay views of the old ones.
+    has its own network, selection stream, world and lattice. ``rule`` (also
+    ``phenotype``) is the population's one compiled plan, column m holding
+    member m's network: it evaluates the selected cells of every running
+    member in one call per step. Cells perceive only the slots some
+    member's rule reads (``perceived``); the other input columns stay 0. A
+    member whose fluid fails freezes at that step (its world keeps the
+    step's economy update, its lattice the state before it), records its
+    FluidFailure in ``failures`` and leaves the batch: the rest move on to
+    a new store and lattice, and its world and lattice stay views of the
+    old ones.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -295,17 +295,16 @@ class Simulation:
     def __init__(
         self,
         worlds: WorldStack,
-        phenotypes: list[Phenotype],
+        rule: Phenotype,
         params: PhysicsParams,
         cfg: LifecycleConfig,
         rngs: list[np.random.Generator],
         chemo_params: tuple[int, float],
     ):
         self.worlds = worlds  # the running members, in ``running`` order
-        self.phenotypes = list(phenotypes)
-        self.rule = stack(self.phenotypes)  # every member's plan, evaluated in one pass
-        read = self.rule.input_slots
-        self.perceived = read[read < self.rule.n_inputs - 1]  # the inputs before the bias are perception
+        self.rule = rule  # every member's network, evaluated in one pass
+        read = rule.input_slots
+        self.perceived = read[read < rule.n_inputs - 1]  # the inputs before the bias are perception
         self.params = params
         self.cfg = cfg
         self.rngs = list(rngs)
@@ -347,7 +346,7 @@ class Simulation:
 
     @property
     def phenotype(self) -> Phenotype:
-        return self.phenotypes[0]
+        return self.rule
 
     def step(self, selection_override: np.ndarray | None = None) -> None:
         """Advance every running member one step. ``selection_override`` (a
@@ -451,7 +450,7 @@ class Simulation:
         ``observer(sim)`` is called after every step that leaves a member
         running; the run ends early once every member has failed.
         """
-        curves = [[total_mass(self.member_world(m))] for m in range(len(self.phenotypes))]
+        curves = [[total_mass(self.member_world(m))] for m in range(self.rule.n_members)]
         for _ in range(steps):
             self.step()
             if not self.running:
@@ -473,9 +472,9 @@ def build_simulation(
     """Assemble a seeded simulation from generated statics.
 
     ``genomes`` is a genome, or a list of genomes that share one
-    hidden-channel count; each is compiled here. Every member starts from
-    the same seeded world with its own selection stream seeded from
-    ``step_seed``, and runs ``cfg.schedule``.
+    hidden-channel count, compiled once into the rule (member m runs genome
+    m). Every member starts from the same seeded world with its own
+    selection stream seeded from ``step_seed``, and runs ``cfg.schedule``.
     """
     genomes = list(genomes) if isinstance(genomes, (list, tuple)) else [genomes]
     k_hidden = genomes[0].k_hidden
@@ -486,7 +485,7 @@ def build_simulation(
     seed_organism(world, cfg, seed_cell)
     return Simulation(
         world.stack.select([0] * len(genomes)),
-        [compile_genome(genome) for genome in genomes],
+        compile_genome(genomes),
         params,
         cfg,
         [np.random.default_rng(step_seed) for _ in genomes],

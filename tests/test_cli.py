@@ -142,6 +142,9 @@ class TestEvolveCommand:
             pytest.param("environment", "chemo_decay", 1.5, id="environment-chemo_decay-above-1"),
             pytest.param("lifecycle", "schedule", [[2, {"kind": "remove_food", "region": [20, 20, 2, 2]}]],
                          id="lifecycle-schedule-region-outside-arena"),
+            ("evolution", "weight_perturb_std", -0.5),
+            ("physics", "v_min", 0),
+            ("io", "log_level", "quite"),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
@@ -289,6 +292,7 @@ class TestTestCommand:
             pytest.param({"lifecycle": {"t_min": 2.9}, "tests": [{"name": "coordination"}]}, id="lifecycle-t_min-2.9"),
             pytest.param({"physics": {"alpha": True}, "tests": [{"name": "coordination"}]}, id="physics-alpha-true"),
             pytest.param({"physics": {"alpha": 10**400}, "tests": [{"name": "coordination"}]}, id="physics-alpha-1e400"),
+            pytest.param({"physics": {"v_min": 0}, "tests": [{"name": "coordination"}]}, id="physics-v_min-0"),
             pytest.param({"k_hidden": 4.0, "tests": [{"name": "coordination"}]}, id="k_hidden-4.0"),
             pytest.param({"lifecyle": {}, "tests": [{"name": "coordination"}]}, id="unknown-top-level-key"),
             pytest.param({"tests": [{"name": "coordination", "envv": {}}]}, id="unknown-test-key"),

@@ -1,5 +1,5 @@
 """Genome compilation and evaluation against a definitional oracle, and
-stacked plans against each member's own per-edge evaluation."""
+population plans against each member's own per-edge evaluation."""
 
 import json
 import math
@@ -21,7 +21,7 @@ from eincasm.cppn import (
     genome_to_dict,
     genome_to_json,
     io_sizes,
-    stack,
+    topological_order,
     validate_genome,
 )
 from eincasm.harness import chemotaxis_baseline
@@ -57,21 +57,24 @@ def recursive_oracle(genome, inputs):
     return np.array([value(i) for i in genome.output_ids()])
 
 
-def reference_evaluate(phenotype, inputs):
-    """One member's plan run node by node, edge by edge, in innovation
-    order, with the bias input at 1.0: the evaluation a stacked plan must
-    reproduce bit for bit."""
-    (steps,) = phenotype.plans
+def reference_evaluate(genome, inputs):
+    """A genome run array-valued over the rows, node by node in topological
+    order and edge by edge in innovation order, with the bias input at
+    1.0: the evaluation a compiled plan must reproduce bit for bit."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    values = np.empty((phenotype.n_slots, inputs.shape[0]))
-    values[: phenotype.n_inputs] = inputs.T
-    values[phenotype.n_inputs - 1] = 1.0
-    for step in steps:
-        acc = np.full(inputs.shape[0], step.bias)
-        for src_slot, weight in zip(step.src_slots, step.weights):
-            acc += weight * values[src_slot]
-        values[step.slot] = ACTIVATIONS[step.activation](acc)
-    return values[phenotype.output_slots[0]].T
+    values = {i: inputs[:, i] for i in range(genome.n_inputs)}
+    values[genome.bias_input_id] = np.ones(inputs.shape[0])
+    enabled = [conn for conn in genome.sorted_connections() if conn.enabled]
+    for node_id in topological_order(genome):
+        if node_id < genome.n_inputs:
+            continue
+        node = genome.nodes[node_id]
+        acc = np.full(inputs.shape[0], node.bias)
+        for conn in enabled:
+            if conn.dst == node_id:
+                acc += conn.weight * values[conn.src]
+        values[node_id] = ACTIVATIONS[node.activation](acc)
+    return np.stack([values[i] for i in genome.output_ids()], axis=1)
 
 
 def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12, p_enabled=0.9):
@@ -254,19 +257,18 @@ class TestStackedPlan:
     @given(stacked_population())
     def test_each_row_gets_its_members_bits(self, population):
         genomes, inputs, members = population
-        phenotypes = [compile_genome(g) for g in genomes]
-        out = stack(phenotypes).evaluate_batch(inputs, members)
+        out = compile_genome(genomes).evaluate_batch(inputs, members)
         assert out.shape == (len(inputs), genomes[0].n_outputs)
-        for m, phenotype in enumerate(phenotypes):
+        for m, genome in enumerate(genomes):
             mine = members == m
-            expected = reference_evaluate(phenotype, inputs[mine])
+            expected = reference_evaluate(genome, inputs[mine])
             np.testing.assert_array_equal(out[mine].view(np.uint64), expected.view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(stacked_population())
     def test_only_the_input_slots_are_read(self, population):
         genomes, inputs, members = population
-        plan = stack([compile_genome(g) for g in genomes])
+        plan = compile_genome(genomes)
         sources = {c.src for g in genomes for c in g.connections.values() if c.enabled and c.src < g.n_inputs}
         assert plan.input_slots.tolist() == sorted(sources)
         poisoned = inputs.copy()
@@ -283,13 +285,13 @@ class TestStackedPlan:
             g.nodes[g.n_inputs].activation = name
             g.connections[0] = ConnectionGene(0, 3, g.n_inputs, -1.5, True)
             genomes.append(g)
-        plan = stack([compile_genome(g) for g in genomes])
+        plan = compile_genome(genomes)
         assert plan.tables.positions[0].activations == tuple(enumerate(ACTIVATION_NAMES))
         x = np.random.default_rng(1).normal(size=(30, plan.n_inputs))
         members = np.arange(30) % 7
         out = plan.evaluate_batch(x, members)
         for m, g in enumerate(genomes):
-            expected = reference_evaluate(compile_genome(g), x[members == m])
+            expected = reference_evaluate(g, x[members == m])
             np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
 
     def test_baseline_folds_its_input_free_positions(self):
@@ -300,14 +302,14 @@ class TestStackedPlan:
 
     def test_founders_fold_every_position(self):
         founders = init_population(EvolutionConfig(population_size=5, seed=11), 4).members
-        plan = stack([compile_genome(g) for g in founders])
+        plan = compile_genome(founders)
         assert (plan.folded.slots - plan.n_inputs).tolist() == list(range(6))
         assert plan.folded.varying.positions == ()
         x = np.random.default_rng(12).normal(size=(20, plan.n_inputs))
         members = np.arange(20) % 5
         out = plan.evaluate_batch(x, members)
         for m, g in enumerate(founders):
-            expected = reference_evaluate(compile_genome(g), x[members == m])
+            expected = reference_evaluate(g, x[members == m])
             np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("bias", [0.5, -1.0, 0.0, -0.0, np.nan])
@@ -315,36 +317,38 @@ class TestStackedPlan:
         """The bias column is ignored: any value there gives the bits of 1.0."""
         rng = np.random.default_rng(13)
         founders = init_population(EvolutionConfig(population_size=3, seed=14), 4).members
-        phenotypes = [compile_genome(g) for g in [chemotaxis_baseline(), *founders]]
-        plan = stack(phenotypes)
+        genomes = [chemotaxis_baseline(), *founders]
+        plan = compile_genome(genomes)
         x = rng.normal(size=(24, plan.n_inputs))
         x[:, -1] = 1.0
         other = x.copy()
         other[::3, -1] = bias  # one row in three
-        members = np.arange(24) % len(phenotypes)
+        members = np.arange(24) % len(genomes)
         out = plan.evaluate_batch(other, members)
         np.testing.assert_array_equal(out.view(np.uint64), plan.evaluate_batch(x, members).view(np.uint64))
-        for m, phenotype in enumerate(phenotypes):
-            expected = reference_evaluate(phenotype, x[members == m])
+        for m, genome in enumerate(genomes):
+            expected = reference_evaluate(genome, x[members == m])
             np.testing.assert_array_equal(out[members == m].view(np.uint64), expected.view(np.uint64))
 
-    def test_stack_of_one_is_that_plan(self):
-        phenotype = compile_genome(random_genome(np.random.default_rng(2)))
-        assert stack([phenotype]) is phenotype
-        assert phenotype.n_members == 1
+    def test_a_genome_and_a_list_of_it_compile_alike(self):
+        genome = random_genome(np.random.default_rng(2))
+        alone, listed = compile_genome(genome), compile_genome([genome])
+        assert alone.n_members == listed.n_members == 1
+        x = np.random.default_rng(4).normal(size=(10, alone.n_inputs))
+        np.testing.assert_array_equal(alone.evaluate_batch(x).view(np.uint64), listed.evaluate_batch(x).view(np.uint64))
 
     def test_several_members_need_member_ids(self):
         rng = np.random.default_rng(3)
-        plan = stack([compile_genome(random_genome(rng)) for _ in range(2)])
+        plan = compile_genome([random_genome(rng) for _ in range(2)])
         x = np.zeros((4, plan.n_inputs))
         with pytest.raises(GenomeError):
             plan.evaluate_batch(x)
         with pytest.raises(GenomeError):
             plan.evaluate_batch(x, [0, 1])
 
-    def test_stacked_sizes_must_agree(self):
+    def test_compiled_sizes_must_agree(self):
         with pytest.raises(GenomeError):
-            stack([compile_genome(tiny_genome(1)), compile_genome(tiny_genome(2))])
+            compile_genome([tiny_genome(1), tiny_genome(2)])
 
 
 class TestActivations:
