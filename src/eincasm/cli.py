@@ -20,7 +20,7 @@ from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec, json_scalar
 from .fileio import SCHEMA_VERSION
-from .lifecycle import build_simulation
+from .lifecycle import LifecycleError, build_simulation
 from .neat import Population
 from .substrate import total_mass, total_nutrient
 
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GenomeError, EnvError, harness.HarnessError) as exc:
+    except (ConfigError, GenomeError, EnvError, LifecycleError, harness.HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -199,7 +199,7 @@ def load_battery(path: str):
         for entry in data["tests"]:
             if not isinstance(entry, dict) or set(entry) - {"name", "env"}:
                 raise ConfigError(f"battery test {entry!r} must be an object of 'name' and optional 'env'")
-            name = entry["name"]
+            name = json_scalar("name", entry["name"], str)
             spec = EnvSpec.from_dict(entry["env"]) if entry.get("env") else None
             if name == "coordination" and spec is not None and spec.kind != "coordination":
                 raise ConfigError(f"battery test {name!r} needs an env of kind 'coordination', got {spec.kind!r}")

@@ -110,7 +110,7 @@ class EvolveResult:
     final_population: neat.Population | None = None
 
 
-def evolve_run(cfg: RunConfig, on_generation=None, workers: int | None = None) -> EvolveResult:
+def evolve_run(cfg: RunConfig, on_generation=None) -> EvolveResult:
     """Run cfg.generations evaluation waves, reproducing between them.
 
     ``on_generation(stats, population)`` fires after each wave — the CLI
@@ -120,8 +120,7 @@ def evolve_run(cfg: RunConfig, on_generation=None, workers: int | None = None) -
     """
     pop = neat.init_population(cfg.evolution, cfg.k_hidden)
     result = EvolveResult()
-    workers = evaluation_workers() if workers is None else workers
-    pool_size = min(workers, len(pop.members))
+    pool_size = min(evaluation_workers(), len(pop.members))
     with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else contextlib.nullcontext() as pool:
         for gen in range(cfg.generations):
             run_seed = neat.evaluation_seed(cfg.evolution.seed, gen)

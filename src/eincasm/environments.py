@@ -1,10 +1,11 @@
-"""Static-channel generators: arenas, obstacle fields, mazes, and the
+"""Arena generation: the static channels of every arena kind, and the
 chemoattractant field diffused outward from food.
 
-Every generator is deterministic in (spec, seed). Generated bundles
-guarantee that the organism's seed cell is free and that every food cell
-is reachable from it through free space (8-connected, matching both the
-3x3 update neighborhood and the diffusion stencil).
+One pipeline, ``generate``, builds every arena, deterministic in (spec,
+seed); a kind only lays out its own walls, food and marked cells. Every
+bundle's seed cell is free and reaches every food cell through free
+space (8-connected, matching both the 3x3 update neighborhood and the
+diffusion stencil). ``arena_chemo`` is the one chemoattractant rule.
 """
 
 from __future__ import annotations
@@ -17,18 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .substrate import RING_NEIGHBOURS, GridShape, Statics, flood_fill, neighbours
-
-#: Kind -> the ``params`` keys its builder reads and the type of each: a
-#: ``json_scalar`` kind, or ``tuple`` for a cell [x, y]. ``goal``, a ``Rect``
-#: [x, y, w, h], is allowed for every kind.
-KIND_PARAMS = {
-    "open_arena": {},
-    "obstacle_field": {"density": float},
-    "maze": {"cell_size": int},
-    "coordination": {"cluster_offset": int, "cluster_radius": int, "cluster_amount": float},
-    "deceptive_chemo": {"false_peak_amplitude": float, "false_peak": tuple},
-}
-
 
 class EnvError(ValueError):
     """Unsatisfiable or malformed environment specification."""
@@ -95,15 +84,15 @@ class Rect:
 class EnvSpec:
     """Declarative arena description, serialized into the run config.
 
-    ``obstacles`` are fixed wall rectangles, placed by every kind before
-    food, poison and the chemoattractant field. ``params`` carries the
-    kind-specific knobs (``KIND_PARAMS``): obstacle_field ``density`` of
+    ``obstacles`` are fixed wall rectangles, placed on every kind's own
+    walls before food, poison and the chemoattractant. ``params`` carries
+    the kind-specific knobs (``KINDS``): obstacle_field ``density`` of
     random walls; maze ``cell_size``; coordination ``cluster_offset``,
     ``cluster_radius`` and ``cluster_amount``; deceptive_chemo
-    ``false_peak_amplitude`` and ``false_peak`` position. Any kind may
-    carry a ``goal`` rect ([x, y, w, h]) for the pathfinding test; it
-    overrides the goal a kind sets itself (the maze's far corner).
-    ``generate`` rejects any other key.
+    ``false_peak_amplitude`` and ``false_peak``, a food-free peak that
+    survives every perturbation. Any kind may carry a ``goal`` rect ([x,
+    y, w, h]) for the pathfinding test; it overrides the kind's own goal
+    (the maze's far corner). ``generate`` rejects any other key.
     """
 
     kind: str
@@ -123,6 +112,9 @@ class EnvSpec:
         for name in ("seed", "chemo_iters"):
             if getattr(self, name) < 0:
                 raise EnvError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # a list param ([x, y] or a rect) is kept as a tuple, so the spec hashes
+        frozen = tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in self.params)
+        object.__setattr__(self, "params", frozen)
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -230,41 +222,6 @@ def reachable_from(obstacles: np.ndarray, x: int, y: int) -> np.ndarray:
     return flood_fill(free, RING_NEIGHBOURS, [y * free.shape[1] + x]) > 0
 
 
-def _place_obstacles(spec: EnvSpec, obstacles: np.ndarray) -> np.ndarray:
-    """Wall off the spec's fixed obstacle rects on top of a kind's own layout."""
-    for rect in spec.obstacles:
-        if not rect.within(spec.shape):
-            raise EnvError(f"obstacle {rect} out of bounds")
-        obstacles[rect.slices()] = 1.0
-    return obstacles
-
-
-def _place_fields(spec: EnvSpec, obstacles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    food = np.zeros(spec.shape.yx)
-    poison = np.zeros(spec.shape.yx)
-    for rect, amount in spec.food:
-        if amount <= 0:
-            raise EnvError(f"food amount must be positive, got {amount}")
-        if not rect.within(spec.shape):
-            raise EnvError(f"food region {rect} out of bounds")
-        sl = rect.slices()
-        if (obstacles[sl] > 0.5).all():
-            raise EnvError(f"food region {rect} lies entirely inside obstacles")
-        food[sl] = np.where(obstacles[sl] > 0.5, 0.0, amount)
-    for rect, amount in spec.poison:
-        if amount <= 0:
-            raise EnvError(f"poison amount must be positive, got {amount}")
-        if not rect.within(spec.shape):
-            raise EnvError(f"poison region {rect} out of bounds")
-        sl = rect.slices()
-        poison[sl] = np.where(obstacles[sl] > 0.5, 0.0, amount)
-    return food, poison
-
-
-def _default_seed_cell(spec: EnvSpec) -> tuple[int, int]:
-    return spec.shape.width // 2, spec.shape.height // 2
-
-
 def _carve_maze(logical_w: int, logical_h: int, rng: np.random.Generator) -> np.ndarray:
     """Recursive-backtracker perfect maze on a (2w+1, 2h+1) wall grid.
 
@@ -315,12 +272,18 @@ def _generate_memo(spec: EnvSpec) -> EnvBundle:
 def generate(spec: EnvSpec) -> EnvBundle:
     """Build the static channels for a spec. Deterministic in (spec, seed).
 
-    Each param is first checked against its type in ``KIND_PARAMS``. The
-    bundle's goal is the spec's ``goal`` param, else the kind's own.
+    The params are checked against their types in ``KINDS``, the spec's
+    seed cell and ``goal`` against the grid. The kind's layout gives its
+    walls, food and marks, and ``_place`` adds the spec's walls, food and
+    poison. The seed cell must be free and reach every food cell; only the
+    obstacle field redraws its layout, up to 100 times, until it does.
+    ``arena_chemo`` gives the chemoattractant; the spec's ``goal``
+    overrides the kind's.
     """
-    if spec.kind not in KIND_PARAMS:
+    if spec.kind not in KINDS:
         raise EnvError(f"unknown environment kind {spec.kind!r}")
-    kinds = {"goal": Rect, **KIND_PARAMS[spec.kind]}
+    layout, kind_params = KINDS[spec.kind]
+    kinds = {"goal": Rect, **kind_params}
     for key, value in spec.params:
         if key not in kinds:
             raise EnvError(f"environment kind {spec.kind!r} does not read param {key!r}")
@@ -333,69 +296,114 @@ def generate(spec: EnvSpec) -> EnvBundle:
                 json_scalar(key, value, kinds[key])
         except (TypeError, ValueError) as exc:
             raise EnvError(f"malformed param {key!r}: {exc}") from exc
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
     shape = spec.shape
-    builder = {
-        "open_arena": _gen_open,
-        "obstacle_field": _gen_obstacle_field,
-        "maze": _gen_maze,
-        "coordination": _gen_coordination,
-        "deceptive_chemo": _gen_deceptive,
-    }[spec.kind]
-    bundle = builder(spec, rng)
+    if spec.seed_cell is not None and not shape.contains(*spec.seed_cell):
+        raise EnvError(f"organism seed cell {tuple(spec.seed_cell)} is blocked or out of bounds")
     goal = spec.param("goal")
     if goal is not None:
-        bundle.goal = Rect.from_list(goal)
-        if not bundle.goal.within(shape):
-            raise EnvError(f"goal {bundle.goal} out of bounds")
+        goal = Rect.from_list(goal)
+        if not goal.within(shape):
+            raise EnvError(f"goal {goal} out of bounds")
+    attempts = 100 if spec.kind == "obstacle_field" else 1
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 17]))
+    for _ in range(attempts):
+        walls, food_rects, marks = layout(spec, rng)
+        marks = {"seed_cell": _seed_cell(spec), **marks}
+        obstacles, food, poison = _place(spec, walls, food_rects)
+        seed_x, seed_y = marks["seed_cell"]
+        if obstacles[seed_y, seed_x] > 0.5:
+            raise EnvError(f"organism seed cell ({seed_x}, {seed_y}) is blocked or out of bounds")
+        if not ((food > 0) & ~reachable_from(obstacles, seed_x, seed_y)).any():
+            break
+    else:
+        raise EnvError("some food is unreachable from the organism seed cell" if attempts == 1
+                       else f"could not place obstacles without cutting off food ({attempts} attempts)")
+    if goal is not None:
+        marks["goal"] = goal
+    statics = Statics(obstacles, poison, food, arena_chemo(spec, food, obstacles))
+    return EnvBundle(spec=spec, statics=statics, **marks)
 
-    seed_x, seed_y = bundle.seed_cell
-    obstacles = bundle.statics.obstacle
-    if not shape.contains(seed_x, seed_y) or obstacles[seed_y, seed_x] > 0.5:
-        raise EnvError(f"organism seed cell ({seed_x}, {seed_y}) is blocked or out of bounds")
-    reach = reachable_from(obstacles, seed_x, seed_y)
-    if ((bundle.statics.food > 0) & ~reach).any():
-        raise EnvError("some food is unreachable from the organism seed cell")
-    return bundle
 
-
-def _gen_open(spec: EnvSpec, rng) -> EnvBundle:
-    obstacles = _place_obstacles(spec, np.zeros(spec.shape.yx))
-    food, poison = _place_fields(spec, obstacles)
+def arena_chemo(spec: EnvSpec, food: np.ndarray, obstacles: np.ndarray) -> np.ndarray:
+    """The arena's chemoattractant over its current food and obstacles:
+    ``chemoattractant_field`` with the spec's iterations and decay and, on
+    a deceptive_chemo arena, the false peak's cone on top: amplitude *
+    decay**(Chebyshev distance to the peak) over the free space the peak
+    reaches. The simulation calls it again whenever food or obstacles
+    change, so the false peak survives every perturbation.
+    """
     chemo = chemoattractant_field(food, obstacles, spec.resolved_chemo_iters(), spec.chemo_decay)
-    return EnvBundle(
-        spec=spec,
-        statics=Statics(obstacles, poison, food, chemo),
-        seed_cell=spec.seed_cell or _default_seed_cell(spec),
-    )
+    if spec.kind != "deceptive_chemo":
+        return chemo
+    amplitude = spec.param("false_peak_amplitude", 2.0)
+    if amplitude <= 0:
+        raise EnvError(f"false peak amplitude must be positive, got {amplitude}")
+    w, h = spec.shape.width, spec.shape.height
+    px, py = spec.param("false_peak") or (w // 4, h // 4)
+    if not spec.shape.contains(px, py):
+        raise EnvError(f"false peak ({px}, {py}) out of bounds")
+    if food[py, px] > 0:
+        raise EnvError(f"false peak ({px}, {py}) must sit on a food-free cell")
+    yy, xx = np.mgrid[0:h, 0:w]
+    bump = amplitude * spec.chemo_decay ** np.maximum(np.abs(xx - px), np.abs(yy - py))
+    bump[~reachable_from(obstacles, px, py)] = 0.0
+    chemo = np.maximum(chemo, bump)
+    chemo[obstacles > 0.5] = 0.0
+    return chemo
 
 
-def _gen_obstacle_field(spec: EnvSpec, rng) -> EnvBundle:
+def _place(spec: EnvSpec, walls: np.ndarray, food_rects) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(obstacles, food, poison): the spec's fixed wall rects on top of a
+    layout's walls (in place), then ``food_rects`` and the spec's poison
+    rects laid on the free cells."""
+    for rect in spec.obstacles:
+        if not rect.within(spec.shape):
+            raise EnvError(f"obstacle {rect} out of bounds")
+        walls[rect.slices()] = 1.0
+    solid = walls > 0.5
+    food, poison = np.zeros(spec.shape.yx), np.zeros(spec.shape.yx)
+    for name, rects, field in (("food", food_rects, food), ("poison", spec.poison, poison)):
+        for rect, amount in rects:
+            if amount <= 0:
+                raise EnvError(f"{name} amount must be positive, got {amount}")
+            if not rect.within(spec.shape):
+                raise EnvError(f"{name} region {rect} out of bounds")
+            sl = rect.slices()
+            if field is food and solid[sl].all():
+                raise EnvError(f"food region {rect} lies entirely inside obstacles")
+            field[sl] = np.where(solid[sl], 0.0, amount)
+    return walls, food, poison
+
+
+# -- layouts: (spec, rng) -> (own walls, food rects, marks) -------------------
+# The seed_cell mark defaults to ``_seed_cell``.
+
+
+def _seed_cell(spec: EnvSpec) -> tuple[int, int]:
+    return spec.seed_cell or (spec.shape.width // 2, spec.shape.height // 2)
+
+
+def _open_layout(spec: EnvSpec, rng):
+    return np.zeros(spec.shape.yx), spec.food, {}
+
+
+def _obstacle_layout(spec: EnvSpec, rng):
+    """Random walls of the given density, never on the seed cell or food."""
     density = spec.param("density", 0.15)
     if not 0.0 <= density < 1.0:
         raise EnvError(f"obstacle density must lie in [0, 1), got {density}")
-    seed_cell = spec.seed_cell or _default_seed_cell(spec)
+    seed_x, seed_y = _seed_cell(spec)
     protected = np.zeros(spec.shape.yx, dtype=bool)
-    protected[seed_cell[1], seed_cell[0]] = True
+    protected[seed_y, seed_x] = True
     for rect, _ in spec.food:
         if rect.within(spec.shape):
             protected[rect.slices()] = True
-    # Rejection loop: redraw until every food cell stays reachable.
-    for _ in range(100):
-        obstacles = _place_obstacles(spec, ((rng.random(spec.shape.yx) < density) & ~protected).astype(np.float64))
-        food, poison = _place_fields(spec, obstacles)
-        reach = reachable_from(obstacles, *seed_cell)
-        if not ((food > 0) & ~reach).any():
-            chemo = chemoattractant_field(food, obstacles, spec.resolved_chemo_iters(), spec.chemo_decay)
-            return EnvBundle(
-                spec=spec,
-                statics=Statics(obstacles, poison, food, chemo),
-                seed_cell=seed_cell,
-            )
-    raise EnvError("could not place obstacles without cutting off food (100 attempts)")
+    return ((rng.random(spec.shape.yx) < density) & ~protected).astype(np.float64), spec.food, {}
 
 
-def _gen_maze(spec: EnvSpec, rng) -> EnvBundle:
+def _maze_layout(spec: EnvSpec, rng):
+    """A perfect maze scaled by cell_size: start in the near corner block,
+    the goal (and food, unless the spec gives some) in the far one."""
     cell_size = spec.param("cell_size", 1)
     if cell_size < 1:
         raise EnvError(f"maze cell_size must be >= 1, got {cell_size}")
@@ -404,74 +412,41 @@ def _gen_maze(spec: EnvSpec, rng) -> EnvBundle:
     logical_h = (shape.height // cell_size - 1) // 2
     if logical_w < 2 or logical_h < 2:
         raise EnvError(f"grid {shape.width}x{shape.height} too small for a maze with cell_size {cell_size}")
-    walls = _carve_maze(logical_w, logical_h, rng)
-    obstacles = np.ones(shape.yx)
-    scaled = np.kron(walls, np.ones((cell_size, cell_size)))
-    obstacles[: scaled.shape[0], : scaled.shape[1]] = scaled
-    _place_obstacles(spec, obstacles)
+    walls = np.ones(shape.yx)
+    scaled = np.kron(_carve_maze(logical_w, logical_h, rng), np.ones((cell_size, cell_size)))
+    walls[: scaled.shape[0], : scaled.shape[1]] = scaled
 
     def block(lx: int, ly: int) -> Rect:
         return Rect((2 * lx + 1) * cell_size, (2 * ly + 1) * cell_size, cell_size, cell_size)
 
-    start = block(0, 0)
-    goal = block(logical_w - 1, logical_h - 1)
-    food_spec = spec.food or ((goal, 8.0),)
-    enriched = replace(spec, food=tuple(food_spec))
-    food, poison = _place_fields(enriched, obstacles)
-    chemo = chemoattractant_field(food, obstacles, spec.resolved_chemo_iters(), spec.chemo_decay)
-    return EnvBundle(
-        spec=spec,
-        statics=Statics(obstacles, poison, food, chemo),
-        seed_cell=spec.seed_cell or (start.x, start.y),
-        start=start,
-        goal=goal,
-    )
+    start, goal = block(0, 0), block(logical_w - 1, logical_h - 1)
+    marks = {"seed_cell": spec.seed_cell or (start.x, start.y), "start": start, "goal": goal}
+    return walls, spec.food or ((goal, 8.0),), marks
 
 
-def _gen_coordination(spec: EnvSpec, rng) -> EnvBundle:
+def _coordination_layout(spec: EnvSpec, rng):
+    """Two equal food clusters, offset left and right of the seed cell."""
     offset = spec.param("cluster_offset", max(2, spec.shape.width // 2 - 3))
     radius = spec.param("cluster_radius", 1)
     amount = spec.param("cluster_amount", 4.0)
-    cx, cy = spec.seed_cell or _default_seed_cell(spec)
+    cx, cy = _seed_cell(spec)
     side = 2 * radius + 1
     cluster_a = Rect(cx - offset - radius, cy - radius, side, side)
     cluster_b = Rect(cx + offset - radius, cy - radius, side, side)
     for rect, name in ((cluster_a, "A"), (cluster_b, "B")):
         if not rect.within(spec.shape):
             raise EnvError(f"coordination cluster {name} {rect} out of bounds")
-    enriched = replace(spec, food=spec.food + ((cluster_a, amount), (cluster_b, amount)))
-    obstacles = _place_obstacles(spec, np.zeros(spec.shape.yx))
-    food, poison = _place_fields(enriched, obstacles)
-    chemo = chemoattractant_field(food, obstacles, spec.resolved_chemo_iters(), spec.chemo_decay)
-    return EnvBundle(
-        spec=spec,
-        statics=Statics(obstacles, poison, food, chemo),
-        seed_cell=(cx, cy),
-        cluster_a=cluster_a,
-        cluster_b=cluster_b,
-    )
+    food = spec.food + ((cluster_a, amount), (cluster_b, amount))
+    return np.zeros(spec.shape.yx), food, {"cluster_a": cluster_a, "cluster_b": cluster_b}
 
 
-def _gen_deceptive(spec: EnvSpec, rng) -> EnvBundle:
-    amplitude = spec.param("false_peak_amplitude", 2.0)
-    if amplitude <= 0:
-        raise EnvError(f"false peak amplitude must be positive, got {amplitude}")
-    base = _gen_open(spec, rng)
-    food = base.statics.food
-    w, h = spec.shape.width, spec.shape.height
-    peak = spec.param("false_peak")
-    px, py = peak if peak else (w // 4, h // 4)
-    if not spec.shape.contains(px, py):
-        raise EnvError(f"false peak ({px}, {py}) out of bounds")
-    if food[py, px] > 0:
-        raise EnvError(f"false peak ({px}, {py}) must sit on a food-free cell")
-    # Cone bump with the same decay profile as the true gradient, masked to
-    # space reachable from the peak so unreachable pockets stay at zero.
-    yy, xx = np.mgrid[0:h, 0:w]
-    cheb = np.maximum(np.abs(xx - px), np.abs(yy - py))
-    bump = amplitude * spec.chemo_decay**cheb
-    bump[~reachable_from(base.statics.obstacle, px, py)] = 0.0
-    chemo = np.maximum(base.statics.chemo, bump)
-    chemo[base.statics.obstacle > 0.5] = 0.0
-    base.statics.chemo = chemo
-    return base
+#: Kind -> (its layout, the ``params`` keys it reads and the type of each:
+#: a ``json_scalar`` kind, or ``tuple`` for a cell [x, y]). ``goal``, a
+#: ``Rect`` [x, y, w, h], is allowed for every kind.
+KINDS = {
+    "open_arena": (_open_layout, {}),
+    "obstacle_field": (_obstacle_layout, {"density": float}),
+    "maze": (_maze_layout, {"cell_size": int}),
+    "coordination": (_coordination_layout, {"cluster_offset": int, "cluster_radius": int, "cluster_amount": float}),
+    "deceptive_chemo": (_open_layout, {"false_peak_amplitude": float, "false_peak": tuple}),
+}

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import environments, fluid, physics
 from .cppn import Genome, Phenotype, compile_genome, io_sizes
-from .environments import EnvBundle, EnvSpec, Rect, chemoattractant_field, json_scalar
+from .environments import EnvBundle, EnvSpec, Rect, arena_chemo, json_scalar
 from .fluid import FluidFailure
 from .physics import PhysicsParams
 from .substrate import EDGE_NEIGHBOURS, WorldStack, WorldState, create_world, dilate3x3, flood_fill, perceive_cells
@@ -284,8 +284,8 @@ class Simulation:
     once into ``walls`` (and its complement, the ``free`` mask) and again
     only after a MoveObstacle. The schedule is ``cfg.schedule``. After an
     event that changes food or obstacles, the chemoattractant is
-    recomputed in place with ``chemo_params``, the arena's (n_iters,
-    decay).
+    recomputed in place by the arena's own rule, ``arena_chemo`` of
+    ``spec``, so a deceptive arena keeps its false peak.
 
     Confined to one logical thread. ``run_population`` wraps it; the test
     harness and ``render`` run a one-member simulation with an observer when
@@ -299,7 +299,7 @@ class Simulation:
         params: PhysicsParams,
         cfg: LifecycleConfig,
         rngs: list[np.random.Generator],
-        chemo_params: tuple[int, float],
+        spec: EnvSpec,
     ):
         self.worlds = worlds  # the running members, in ``running`` order
         self.rule = rule  # every member's network, evaluated in one pass
@@ -312,7 +312,7 @@ class Simulation:
         for step_index, event in cfg.schedule:
             self.schedule.setdefault(int(step_index), []).append(event)
         validate_schedule(worlds.member(0), cfg.schedule)
-        self.chemo_params = chemo_params
+        self.spec = spec  # the arena's spec: its chemoattractant rule
         self.walls = fluid.walls_of(worlds.obstacle)  # re-resolved only when an obstacle moves
         self.free = ~self.walls.solid
         at_rest = fluid.uniform_lattice(worlds.shape.width, worlds.shape.height, worlds.obstacle, tau=cfg.tau)
@@ -413,7 +413,7 @@ class Simulation:
         if any(isinstance(event, MoveObstacle) for event in self.last_perturbations):
             self._reconcile_lattice(self.walls.solid)
         if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in self.last_perturbations):
-            worlds.chemo[...] = chemoattractant_field(worlds.food, worlds.obstacle, *self.chemo_params)
+            worlds.chemo[...] = arena_chemo(self.spec, worlds.food, worlds.obstacle)
         self.step_index += 1
 
     def _drop_failed(self, failures: list[FluidFailure | None]) -> None:
@@ -489,7 +489,7 @@ def build_simulation(
         params,
         cfg,
         [np.random.default_rng(step_seed) for _ in genomes],
-        (bundle.spec.resolved_chemo_iters(), bundle.spec.chemo_decay),
+        bundle.spec,
     )
 
 

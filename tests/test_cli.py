@@ -21,6 +21,9 @@ from eincasm.harness import chemotaxis_baseline, detour_spec, inert_genome
 from eincasm.substrate import GridShape, Statics, WorldState, create_world
 
 
+DETOUR_TESTS = [{"name": "detour", "env": detour_spec().to_dict()}]
+
+
 def smoke_config(out_dir, pop=6, generations=2, seed=5):
     return {
         "evolution": {"population_size": pop, "seed": seed},
@@ -166,6 +169,16 @@ class TestEvolveCommand:
         assert err.startswith("error:") and "'seed_cell'" in err and "obstacle" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("seed_cell", [[40, 3], [-1, 3]], ids=["40-3", "negative"])
+    def test_obstacle_field_seed_cell_off_the_grid_exits_2(self, tmp_path, capsys, seed_cell):
+        out = str(tmp_path / "o")
+        cfg = smoke_config(out)
+        cfg["environment"].update(kind="obstacle_field", seed_cell=seed_cell)
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"seed cell ({seed_cell[0]}, {seed_cell[1]})" in err
+        assert not os.path.exists(out)
+
     def test_resolved_config_bytes_are_pinned(self, tmp_path, monkeypatch):
         """resolved_config.json of a config with a seed cell and a two-event
         schedule, pinned byte for byte: a run is reproduced from this file,
@@ -223,22 +236,24 @@ class TestEvolveCommand:
 
 
 class TestDefaultConfig:
-    def test_default_arena_has_food_and_evolution_beats_seed_energy(self):
+    def test_default_arena_has_food_and_evolution_beats_seed_energy(self, monkeypatch):
         cfg = parse_config(
             {"evolution": {"population_size": 8}, "lifecycle": {"t_min": 20, "t_max": 20}, "generations": 2}
         )
         (env,) = cfg.environments
         assert env.to_dict() == EnvSpec.from_dict(DEFAULT_ENVIRONMENT).to_dict()
         assert len(env.food) == 1
-        result = evolve_run(cfg, workers=1)
+        monkeypatch.setenv("EINCASM_THREADS", "1")
+        result = evolve_run(cfg)
         seed_energy = cfg.lifecycle.seed_nutrient + cfg.physics.beta * cfg.lifecycle.seed_mass
         assert result.best_fitness > seed_energy
 
-    def test_evolution_beats_its_founders(self):
+    def test_evolution_beats_its_founders(self, monkeypatch):
         cfg = parse_config(
             {"evolution": {"population_size": 8, "seed": 5}, "lifecycle": {"t_min": 20, "t_max": 20}, "generations": 3}
         )
-        stats = evolve_run(cfg, workers=1).stats
+        monkeypatch.setenv("EINCASM_THREADS", "1")
+        stats = evolve_run(cfg).stats
         assert [s.generation for s in stats] == [0, 1, 2]
         assert stats[-1].best_fitness > stats[0].best_fitness
 
@@ -297,14 +312,21 @@ class TestTestCommand:
             pytest.param({"lifecyle": {}, "tests": [{"name": "coordination"}]}, id="unknown-top-level-key"),
             pytest.param({"tests": [{"name": "coordination", "envv": {}}]}, id="unknown-test-key"),
             pytest.param([], id="not-an-object"),
+            pytest.param({"lifecycle": {"seed_cell": [4, 3]}, "tests": DETOUR_TESTS},  # on the detour's bar
+                         id="lifecycle-seed_cell-on-an-obstacle"),
+            pytest.param({"lifecycle": {"schedule": [[2, {"kind": "remove_food", "region": [30, 3, 2, 2]}]]},
+                          "tests": DETOUR_TESTS}, id="lifecycle-schedule-region-outside-arena"),
+            pytest.param({"tests": [{"name": 5, "env": detour_spec().to_dict()}]}, id="tests-name-5"),
         ],
     )
     def test_malformed_battery_exits_2(self, tmp_path, capsys, battery):
         genome = write_genome(tmp_path, inert_genome())
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(battery))
-        assert main(["test", genome, "--battery", str(path)]) == 2
+        out = tmp_path / "report.json"
+        assert main(["test", genome, "--battery", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, battery",

@@ -1,5 +1,6 @@
 """Arena generation and the chemoattractant field."""
 
+import hashlib
 import json
 from collections import deque
 from dataclasses import replace
@@ -14,13 +15,15 @@ from eincasm.environments import (
     EnvError,
     EnvSpec,
     Rect,
+    arena_chemo,
     chemoattractant_field,
     generate,
     generate_cached,
     reachable_from,
 )
 from eincasm.cppn import empty_genome
-from eincasm.lifecycle import LifecycleConfig, build_simulation
+from eincasm.harness import coordination_spec, corridor_spec, detour_spec
+from eincasm.lifecycle import LifecycleConfig, MoveObstacle, RemoveFood, build_simulation
 from eincasm.physics import PhysicsParams
 from eincasm.substrate import CHANNELS, GridShape
 
@@ -198,6 +201,115 @@ class TestGenerate:
             generate(spec)  # maze border is wall
 
 
+def bundle_digest(bundle) -> str:
+    """sha256 over a bundle's four statics and its marks."""
+    digest = hashlib.sha256()
+    for array in bundle.statics.arrays():
+        digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    marks = (bundle.seed_cell, bundle.start, bundle.goal, bundle.cluster_a, bundle.cluster_b)
+    digest.update(repr(marks).encode())
+    return digest.hexdigest()
+
+
+#: One arena of every kind whose statics are plain arithmetic (the
+#: deceptive cone uses ``**``, which is the platform's pow), with fixed
+#: walls and poison where the kind allows them, and the harness arenas.
+PINNED_ARENAS = {
+    "open": EnvSpec(kind="open_arena", shape=GridShape(12, 10), food=((Rect(8, 6, 2, 2), 3.0),),
+                    poison=((Rect(2, 7, 2, 1), 1.5),), obstacles=(Rect(5, 2, 1, 5),), seed_cell=(2, 3)),
+    "obstacle_field": EnvSpec(kind="obstacle_field", shape=GridShape(16, 14), food=((Rect(12, 10, 2, 2), 3.0),),
+                              poison=((Rect(3, 10, 3, 2), 1.0),), obstacles=(Rect(8, 0, 1, 4),),
+                              params=(("density", 0.3),)),
+    "maze-1": EnvSpec(kind="maze", shape=GridShape(15, 13), params=(("cell_size", 1),)),
+    "maze-2": EnvSpec(kind="maze", shape=GridShape(22, 18), chemo_iters=40, params=(("cell_size", 2),)),
+    "coordination": EnvSpec(kind="coordination", shape=GridShape(20, 12), poison=((Rect(9, 1, 2, 1), 0.5),),
+                            obstacles=(Rect(10, 8, 1, 3),), params=(("cluster_offset", 6),)),
+    "corridor": corridor_spec(),
+    "detour": detour_spec(),
+    "harness-coordination": coordination_spec(),
+}
+
+#: bundle_digest of each pinned arena at two seeds, recorded when every
+#: kind still had a generator of its own.
+ARENA_DIGESTS = {
+    ("open", 0): "9e027ab5cc108debb6875a8370239ee832d9dd4d482579b01ce15998e5cde796",
+    ("open", 3): "9e027ab5cc108debb6875a8370239ee832d9dd4d482579b01ce15998e5cde796",
+    ("obstacle_field", 0): "40d6c9c1da25d8715bcf1a6cbb1099a4136466f4b545825a3c6c6de017d174aa",
+    ("obstacle_field", 3): "375d4eb1376fc8f367e8de8b40b8c04422aff5b3f31bfee4c94ca1b0df658163",
+    ("maze-1", 0): "6ff3df6dd9574eac72359db46b1be6be678192770b62841d0d9880d493f39692",
+    ("maze-1", 3): "8ec24b2a45092255472c78e6c9807760531dbe7d758df87e3deab1a25f82f75e",
+    ("maze-2", 0): "db0d0851300edc387dd36357be7f56349e10b488d4c23ad8a9f502fd85301eb9",
+    ("maze-2", 3): "6dd78c7243a6f97e56088e5199162a1b713504155516c89c89e04aa417102acf",
+    ("coordination", 0): "082cdcc4c585245e00acca620cdab70d5d55f449583b9bc1585800def6b7011b",
+    ("coordination", 3): "082cdcc4c585245e00acca620cdab70d5d55f449583b9bc1585800def6b7011b",
+    ("corridor", 0): "859202451a01edd2ea436402810040373786f82aaaf181f75c398962632b2306",
+    ("corridor", 3): "859202451a01edd2ea436402810040373786f82aaaf181f75c398962632b2306",
+    ("detour", 0): "1c31e6045c9fc9263f2cc47a189d266256e30644a0e727ccac9d07cfe231600b",
+    ("detour", 3): "1c31e6045c9fc9263f2cc47a189d266256e30644a0e727ccac9d07cfe231600b",
+    ("harness-coordination", 0): "3e5559a8859181a649cf64d4923320c48c6e4da547a8ab3eea62543f99a53e9f",
+    ("harness-coordination", 3): "3e5559a8859181a649cf64d4923320c48c6e4da547a8ab3eea62543f99a53e9f",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(ARENA_DIGESTS), ids=lambda v: str(v))
+def test_generated_statics_and_marks_are_pinned(name, seed):
+    assert bundle_digest(generate(replace(PINNED_ARENAS[name], seed=seed))) == ARENA_DIGESTS[(name, seed)]
+
+
+# Messages of failing specs, recorded as ARENA_DIGESTS were.
+@pytest.mark.parametrize("spec, message", [
+    (EnvSpec(kind="obstacle_field", shape=GridShape(16, 16), food=((Rect(14, 14), 1.0),), params=(("density", 0.9),)),
+     "could not place obstacles without cutting off food (100 attempts)"),
+    (EnvSpec(kind="open_arena", shape=GridShape(10, 8), food=((Rect(7, 4), 2.0),), seed_cell=(2, 2),
+             obstacles=(Rect(5, 0, 1, 8),)),
+     "some food is unreachable from the organism seed cell"),
+    (EnvSpec(kind="maze", shape=GridShape(21, 21), seed_cell=(0, 0), params=(("cell_size", 1),)),
+     "organism seed cell (0, 0) is blocked or out of bounds"),
+    (EnvSpec(kind="maze", shape=GridShape(12, 12), params=(("cell_size", 3),)),
+     "grid 12x12 too small for a maze with cell_size 3"),
+    (EnvSpec(kind="coordination", shape=GridShape(12, 8), params=(("cluster_offset", 6),)),
+     "coordination cluster A Rect(x=-1, y=3, w=3, h=3) out of bounds"),
+    (EnvSpec(kind="open_arena", shape=GridShape(8, 8), food=((Rect(1, 1, 2, 2), 2.0),), obstacles=(Rect(0, 0, 4, 4),)),
+     "food region Rect(x=1, y=1, w=2, h=2) lies entirely inside obstacles"),
+    (EnvSpec(kind="open_arena", shape=GridShape(8, 8), obstacles=(Rect(6, 6, 3, 1),)),
+     "obstacle Rect(x=6, y=6, w=3, h=1) out of bounds"),
+    (EnvSpec(kind="open_arena", shape=GridShape(8, 8), poison=((Rect(1, 1), 0.0),)),
+     "poison amount must be positive, got 0.0"),
+    (EnvSpec(kind="deceptive_chemo", shape=GridShape(16, 16), food=((Rect(3, 3), 2.0),),
+             params=(("false_peak", [3, 3]),)),
+     "false peak (3, 3) must sit on a food-free cell"),
+    (EnvSpec(kind="deceptive_chemo", shape=GridShape(16, 16), params=(("false_peak_amplitude", 0.0),)),
+     "false peak amplitude must be positive, got 0.0"),
+    (EnvSpec(kind="obstacle_field", shape=GridShape(16, 16), params=(("density", 1.0),)),
+     "obstacle density must lie in [0, 1), got 1.0"),
+    (EnvSpec(kind="open_arena", shape=GridShape(8, 8), params=(("goal", [7, 7, 2, 1]),)),
+     "goal Rect(x=7, y=7, w=2, h=1) out of bounds"),
+    (EnvSpec(kind="open_arena", shape=GridShape(8, 8), chemo_decay=1.0), "chemo_decay must lie in (0, 1), got 1.0"),
+])
+def test_failing_spec_messages_are_pinned(spec, message):
+    with pytest.raises(EnvError) as caught:
+        generate(spec)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("event", [RemoveFood(Rect(12, 3)), MoveObstacle(1, (1, 0))], ids=lambda e: e.kind)
+def test_deceptive_false_peak_survives_perturbations(event):
+    """The simulation recomputes the chemoattractant by the arena's own
+    rule, so a deceptive arena keeps its false peak after food or an
+    obstacle changes."""
+    food = ((Rect(12, 12, 2, 2), 4.0), (Rect(12, 3), 4.0))
+    spec = EnvSpec(kind="deceptive_chemo", shape=GridShape(16, 16), food=food,
+                   obstacles=(Rect(8, 10, 1, 2),), seed_cell=(8, 8), params=(("false_peak", [3, 3]),))
+    cfg = LifecycleConfig(t_min=2, t_max=2, p_update=1.0, schedule=((0, event),))
+    sim = build_simulation(empty_genome(4), generate(spec), PhysicsParams(), cfg, 1)
+    assert sim.world.chemo[3, 3] == 2.0
+    sim.step()
+    world = sim.world
+    assert sim.last_perturbations == [event]
+    np.testing.assert_array_equal(world.chemo, arena_chemo(spec, world.food, world.obstacle))
+    assert world.chemo[3, 3] == 2.0
+
+
 def reference_chemoattractant_field(food, obstacles, n_iters, decay):
     """The field as eight NaN-marked shifts per iteration: the form the
     one-gather ``chemoattractant_field`` must reproduce bit for bit."""
@@ -353,13 +465,15 @@ def test_envspec_json_round_trip():
         {"kind": "coordination", "shape": [24, 16], "params": {"cluster_offset": 8.5}},
         {"kind": "deceptive_chemo", "params": {"false_peak": [2.5, 3]}},
         {"kind": "deceptive_chemo", "params": {"false_peak": [-1, 3]}},
+        {"kind": "obstacle_field", "seed_cell": [40, 3]},
+        {"kind": "obstacle_field", "seed_cell": [-1, 3]},
     ],
     ids=[
         "kind-5", "shape-16.5", "shape-true", "seed-2.7", "seed-null", "seed-negative", "chemo_iters-negative",
         "chemo_decay-string", "chemo_iters-32.0",
         "food-rect-1.5", "food-amount-string", "food-amount-1e400", "seed_cell-4.5", "seed_cell-triple",
         "unknown-key", "cell_size-1.9", "density-string", "cluster_offset-8.5", "false_peak-2.5",
-        "false_peak-off-grid",
+        "false_peak-off-grid", "obstacle_field-seed_cell-40", "obstacle_field-seed_cell-negative",
     ],
 )
 def test_malformed_spec_rejected(change):
@@ -382,3 +496,11 @@ def test_generate_cached_shares_read_only_statics():
         assert not np.shares_memory(getattr(worlds[0], name), getattr(worlds[1], name))
         for array in a.statics.arrays():
             assert not np.shares_memory(getattr(worlds[0], name), array)
+
+
+def test_list_params_are_kept_as_tuples_so_any_spec_caches():
+    spec = EnvSpec.from_dict({"kind": "deceptive_chemo", "shape": [16, 16], "params": {"false_peak": [3, 3]}})
+    assert spec.param("false_peak") == (3, 3)
+    assert json.dumps(spec.to_dict()["params"]) == '{"false_peak": [3, 3]}'
+    assert generate_cached(spec).statics.chemo[3, 3] == 2.0
+    assert generate_cached(corridor_spec()).goal == Rect(16, 1, 2, 3)

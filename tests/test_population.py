@@ -13,7 +13,7 @@ from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genom
 from eincasm import driver
 from eincasm.config import parse_config
 from eincasm.driver import evaluate_population, evolve_run
-from eincasm.environments import EnvSpec, Rect, chemoattractant_field, generate
+from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
 from eincasm.fluid import Lattice, equilibrium, step
 from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics, inert_genome
 from eincasm.lifecycle import (
@@ -122,9 +122,11 @@ class TestSerialPooledPerMember:
         cfg = parse_config(
             {"evolution": {"population_size": 6, "seed": 2}, "lifecycle": {"t_min": 15, "t_max": 15}, "generations": 3}
         )
-        serial = evolve_run(cfg, workers=1)
+        monkeypatch.setenv("EINCASM_THREADS", "1")
+        serial = evolve_run(cfg)
         assert opened == []
-        pooled = evolve_run(cfg, workers=2)
+        monkeypatch.setenv("EINCASM_THREADS", "2")
+        pooled = evolve_run(cfg)
         assert opened == [2]  # one pool for all three generations
         assert [s.generation for s in pooled.stats] == [0, 1, 2]
         assert pooled.stats == serial.stats
@@ -339,7 +341,7 @@ def test_stepped_channels_stay_views_of_the_store():
             assert np.shares_memory(getattr(views, name), worlds.store)
             with pytest.raises(AttributeError):
                 setattr(views, name, getattr(views, name).copy())
-    np.testing.assert_array_equal(worlds.chemo, chemoattractant_field(worlds.food, worlds.obstacle, *sim.chemo_params))
+    np.testing.assert_array_equal(worlds.chemo, arena_chemo(sim.spec, worlds.food, worlds.obstacle))
 
 
 def test_nutrient_never_holds_negative_zero():
