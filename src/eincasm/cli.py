@@ -299,7 +299,7 @@ def cmd_replay(args) -> int:
         f"peak_mass={max(masses):.6f}"
     )
     if not ok:
-        print("hash mismatch: trajectory was tampered with or is nondeterministic", file=sys.stderr)
+        print("hash mismatch: the trajectory log was changed after the run wrote it", file=sys.stderr)
         return EXIT_RUNTIME
     print("hash verified")
     return EXIT_OK

@@ -21,14 +21,15 @@ environment specs (``environments.json_scalar``): an unknown key is an
 error; an int field takes a JSON integer; a float field takes an integer
 or a float and stores a float; a str field takes a string; true, false and
 null are never numbers, and nothing is truncated or parsed from a string.
-Only the lifecycle's ``seed_cell`` (null or [x, y], inside every
-environment) and ``schedule`` ([[step, event], ...], events as
-``event_to_dict`` writes them) have forms of their own. The top-level
-counts take the int rule and must be >= 1. ``io.log_level`` is "info" or
-"quiet"; ``io.frame_every`` is read and echoed but nothing uses it.
+Only the lifecycle's ``seed_cell`` (null or [x, y]) and ``schedule``
+([[step, event], ...], events as ``event_to_dict`` writes them, each step
+in [0, t_max)) have forms of their own. The top-level counts take the int
+rule and must be >= 1. ``io.log_level`` is "info" or "quiet";
+``io.frame_every`` is read and echoed but nothing uses it.
 
-``check_arenas`` goes further than parsing: it generates every arena a
-run evaluates on and checks the seed cell and the schedule there.
+``parse_config`` checks each section on its own; ``check_arenas`` checks
+them together by building the simulation of every arena a run evaluates
+on, so the seed cell and the schedule are checked by the code that uses them.
 
 Every omitted key takes its documented default and the fully resolved
 document is echoed to ``resolved_config.json`` so a run can always be
@@ -44,12 +45,12 @@ import json
 import typing
 from dataclasses import dataclass, field, fields, replace
 
-from .environments import EnvSpec, generate_cached, json_scalar
+from .cppn import empty_genome
+from .environments import EnvError, EnvSpec, generate_cached, json_scalar
 from .lifecycle import LifecycleConfig, LifecycleError, env_evaluations, event_from_dict, event_to_dict
-from .lifecycle import seed_organism, validate_schedule
+from .lifecycle import build_simulation
 from .neat import EvolutionConfig
 from .physics import PhysicsParams
-from .substrate import create_world
 
 
 #: The arena a config without an "environment" key gets: a 16x16 open
@@ -164,39 +165,23 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"config section 'environment': {exc}") from exc
     if not environments:
         raise ConfigError("config section 'environment': need at least one environment")
-    seed_cell = sections["lifecycle"].seed_cell
-    for spec in environments:
-        if seed_cell is not None and not spec.shape.contains(*seed_cell):
-            raise ConfigError(
-                f"config section 'lifecycle': 'seed_cell' {list(seed_cell)} lies outside a "
-                f"{spec.shape.width}x{spec.shape.height} environment"
-            )
 
     counts = read_section("top level", RunConfig(), {key: data[key] for key in _COUNTS if key in data})
     return replace(counts, environments=environments, **sections)
 
 
 def check_arenas(cfg: RunConfig) -> None:
-    """Generate the arena of every environment evaluation a run makes and
-    check that its lifecycle can start there: the seed cell is free and
-    the schedule fits. A config that would otherwise fail mid-run fails
-    here, as a ConfigError naming the section and the key."""
-    life = cfg.lifecycle
-    for spec in (spec for env in cfg.environments for spec in env_evaluations(env, life)):
-        where = f"(arena seed {spec.seed})"
+    """Build the simulation of every environment evaluation a run makes,
+    with one empty genome: its arena, seed cell and schedule. A config that
+    would otherwise fail mid-run fails here, as a ConfigError naming the
+    section, the arena seed and the key."""
+    for spec in (spec for env in cfg.environments for spec in env_evaluations(env, cfg.lifecycle)):
         try:
-            bundle = generate_cached(spec)
-        except ValueError as exc:
-            raise ConfigError(f"config section 'environment' {where}: {exc}") from exc
-        world = create_world(spec.shape, bundle.statics, cfg.k_hidden)
-        try:
-            seed_organism(world, life, life.seed_cell or bundle.seed_cell)
+            build_simulation(empty_genome(cfg.k_hidden), generate_cached(spec), cfg.physics, cfg.lifecycle, 0)
+        except EnvError as exc:
+            raise ConfigError(f"config section 'environment' (arena seed {spec.seed}): {exc}") from exc
         except LifecycleError as exc:
-            raise ConfigError(f"config section 'lifecycle' {where}: 'seed_cell': {exc}") from exc
-        try:
-            validate_schedule(world, life.schedule)
-        except LifecycleError as exc:
-            raise ConfigError(f"config section 'lifecycle' {where}: 'schedule': {exc}") from exc
+            raise ConfigError(f"config section 'lifecycle' (arena seed {spec.seed}): {exc}") from exc
 
 
 def read_json(path: str, what: str):

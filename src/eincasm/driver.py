@@ -88,7 +88,6 @@ class GenerationStats:
     n_species: int
     best_genome_nodes: int
     best_genome_connections: int
-    best_index: int
     n_failed: int = 0  # lifecycles cut short by a fluid failure; not in log.csv
 
     def to_row(self) -> dict:
@@ -136,7 +135,6 @@ def evolve_run(cfg: RunConfig, on_generation=None) -> EvolveResult:
                 n_species=len(pop.species),
                 best_genome_nodes=len(best.nodes),
                 best_genome_connections=len(best.connections),
-                best_index=best_index,
                 n_failed=n_failed,
             )
             result.stats.append(stats)

@@ -58,9 +58,6 @@ class Rect:
     def slices(self) -> tuple[slice, slice]:
         return slice(self.y, self.y + self.h), slice(self.x, self.x + self.w)
 
-    def contains(self, x: int, y: int) -> bool:
-        return self.x <= x < self.x + self.w and self.y <= y < self.y + self.h
-
     def within(self, shape: GridShape) -> bool:
         return (
             0 <= self.x

@@ -13,7 +13,9 @@ Formats:
   a write-only snapshot for inspection: it omits species state, so no
   run resumes from it;
 * trajectory JSON: per-step records plus a SHA-256 over their canonical
-  serialization — replay verifies the hash to detect nondeterminism;
+  serialization — replay recomputes the hash, which catches an edit made
+  to the records after the run wrote them; it does not re-simulate the
+  run, so it cannot tell a nondeterministic run from a deterministic one;
 * frames: binary PPM (P6), 8-bit, mass/chemoattractant/reservoir mapped
   to R/G/B with obstacles white.
 """
@@ -45,12 +47,18 @@ LOG_COLUMNS = (
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it
+    over ``path``. The file gets the mode a plain ``open`` would give it,
+    0o666 less the umask, not the temporary file's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

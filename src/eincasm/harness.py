@@ -256,7 +256,8 @@ def coordination_test(
     bundle = generate(spec)
     lifespan = cfg.lifespan(seed)
     t_r = max(1, int(lifespan * REMOVAL_FRACTION))
-    cfg = replace(cfg, schedule=tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),))
+    removal = ((t_r, RemoveFood(bundle.cluster_a)),) if t_r < lifespan else ()  # a one-step life never reaches it
+    cfg = replace(cfg, schedule=tuple(cfg.schedule) + removal)
     sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]))
 
     half_x = spec.shape.width // 2

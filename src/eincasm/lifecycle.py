@@ -130,6 +130,9 @@ class LifecycleConfig:
                 raise LifecycleError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed_cell is not None and len(self.seed_cell) != 2:
             raise LifecycleError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
+        for step, _ in self.schedule:  # events run after step s only while s < lifespan <= t_max
+            if not 0 <= step < self.t_max:
+                raise LifecycleError(f"schedule step {step} lies outside [0, t_max = {self.t_max}) and never fires")
 
     def lifespan(self, run_seed: int) -> int:
         """The lifespan every evaluation seeded by run_seed shares, drawn
@@ -173,11 +176,11 @@ def seed_organism(world: WorldState, cfg: LifecycleConfig, seed_cell: tuple[int,
     """Endow one free cell with the initial mass and nutrient. In place."""
     x, y = seed_cell
     if not world.shape.contains(x, y):
-        raise LifecycleError(f"seed cell ({x}, {y}) out of bounds")
+        raise LifecycleError(f"'seed_cell': seed cell ({x}, {y}) out of bounds")
     if world.obstacle[y, x] > 0.5:
-        raise LifecycleError(f"seed cell ({x}, {y}) is an obstacle")
+        raise LifecycleError(f"'seed_cell': seed cell ({x}, {y}) is an obstacle")
     if total_mass(world) > 0:
-        raise LifecycleError("world is already inhabited")
+        raise LifecycleError("'seed_cell': world is already inhabited")
     world.mass[y, x] = cfg.seed_mass
     world.nutrient[y, x] = cfg.seed_nutrient
     return world
@@ -199,8 +202,6 @@ def validate_schedule(world: WorldState, schedule) -> None:
     """
     layout = None
     for step, event in sorted(schedule, key=lambda se: se[0]):
-        if step < 0:
-            raise LifecycleError(f"schedule step {step} is negative")
         if isinstance(event, (RemoveFood, DegradeCells)):
             if not event.region.within(world.shape):
                 raise LifecycleError(f"perturbation region {event.region} out of bounds")
@@ -267,6 +268,13 @@ class Simulation:
     """Owns a population of P worlds on one arena and advances them as one
     batch, step by step.
 
+    It is built from what fixes a lifecycle: ``genomes`` (one, or a list
+    sharing a hidden-channel count; member m runs genome m), the arena's
+    ``bundle``, the physics, the config and ``step_seed``, which seeds each
+    member's selection stream. Every member starts from one world seeded at
+    ``cfg.seed_cell or bundle.seed_cell``; a seed cell or schedule that does
+    not fit the arena raises a LifecycleError naming its key.
+
     The members share the arena, the schedule and the obstacle layout; each
     has its own network, selection stream, world and lattice. ``rule`` (also
     ``phenotype``) is the population's one compiled plan, column m holding
@@ -292,33 +300,34 @@ class Simulation:
     they need mid-run measurements, read through ``world`` and ``lattice``.
     """
 
-    def __init__(
-        self,
-        worlds: WorldStack,
-        rule: Phenotype,
-        params: PhysicsParams,
-        cfg: LifecycleConfig,
-        rngs: list[np.random.Generator],
-        spec: EnvSpec,
-    ):
-        self.worlds = worlds  # the running members, in ``running`` order
-        self.rule = rule  # every member's network, evaluated in one pass
+    def __init__(self, genomes, bundle: EnvBundle, params: PhysicsParams, cfg: LifecycleConfig, step_seed):
+        genomes = list(genomes) if isinstance(genomes, (list, tuple)) else [genomes]
+        k_hidden = genomes[0].k_hidden
+        if any(genome.n_inputs != io_sizes(k_hidden)[0] for genome in genomes):
+            raise LifecycleError(f"every member must read {k_hidden} hidden channels")
+        world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
+        seed_organism(world, cfg, cfg.seed_cell or bundle.seed_cell)
+        self.worlds = world.stack.select([0] * len(genomes))  # the running members, in ``running`` order
+        self.rule = rule = compile_genome(genomes)  # every member's network, evaluated in one pass
         read = rule.input_slots
         self.perceived = read[read < rule.n_inputs - 1]  # the inputs before the bias are perception
         self.params = params
         self.cfg = cfg
-        self.rngs = list(rngs)
+        self.rngs = [np.random.default_rng(step_seed) for _ in genomes]
         self.schedule: dict[int, list[PerturbationEvent]] = {}
         for step_index, event in cfg.schedule:
             self.schedule.setdefault(int(step_index), []).append(event)
-        validate_schedule(worlds.member(0), cfg.schedule)
-        self.spec = spec  # the arena's spec: its chemoattractant rule
-        self.walls = fluid.walls_of(worlds.obstacle)  # re-resolved only when an obstacle moves
+        try:
+            validate_schedule(world, cfg.schedule)
+        except LifecycleError as exc:
+            raise LifecycleError(f"'schedule': {exc}") from exc
+        self.spec = bundle.spec  # the arena's spec: its chemoattractant rule
+        self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         self.free = ~self.walls.solid
-        at_rest = fluid.uniform_lattice(worlds.shape.width, worlds.shape.height, worlds.obstacle, tau=cfg.tau)
-        self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], worlds.n_members, axis=0), cfg.tau)
-        self.running = list(range(worlds.n_members))
-        self.failures: list[FluidFailure | None] = [None] * worlds.n_members
+        at_rest = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle, tau=cfg.tau)
+        self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], len(genomes), axis=0), cfg.tau)
+        self.running = list(range(len(genomes)))
+        self.failures: list[FluidFailure | None] = [None] * len(genomes)
         self._frozen: dict[int, tuple[WorldState, fluid.Lattice]] = {}
         self.step_index = 0
         self.last_perturbations: list[PerturbationEvent] = []
@@ -462,35 +471,9 @@ class Simulation:
         return curves
 
 
-def build_simulation(
-    genomes,
-    bundle: EnvBundle,
-    params: PhysicsParams,
-    cfg: LifecycleConfig,
-    step_seed,
-) -> Simulation:
-    """Assemble a seeded simulation from generated statics.
-
-    ``genomes`` is a genome, or a list of genomes that share one
-    hidden-channel count, compiled once into the rule (member m runs genome
-    m). Every member starts from the same seeded world with its own
-    selection stream seeded from ``step_seed``, and runs ``cfg.schedule``.
-    """
-    genomes = list(genomes) if isinstance(genomes, (list, tuple)) else [genomes]
-    k_hidden = genomes[0].k_hidden
-    if any(genome.n_inputs != io_sizes(k_hidden)[0] for genome in genomes):
-        raise LifecycleError(f"every member must read {k_hidden} hidden channels")
-    world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
-    seed_cell = cfg.seed_cell or bundle.seed_cell
-    seed_organism(world, cfg, seed_cell)
-    return Simulation(
-        world.stack.select([0] * len(genomes)),
-        compile_genome(genomes),
-        params,
-        cfg,
-        [np.random.default_rng(step_seed) for _ in genomes],
-        bundle.spec,
-    )
+def build_simulation(genomes, bundle, params, cfg, step_seed) -> Simulation:
+    """``Simulation``, under the name the benchmark traces as a span."""
+    return Simulation(genomes, bundle, params, cfg, step_seed)
 
 
 def env_evaluations(env: EnvSpec, cfg: LifecycleConfig) -> list[EnvSpec]:

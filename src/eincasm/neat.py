@@ -28,7 +28,6 @@ from .cppn import (
     creates_cycle,
     empty_genome,
     io_sizes,
-    validate_genome,
 )
 
 STREAM_INIT, STREAM_REPRO, STREAM_EVAL = 0, 1, 2

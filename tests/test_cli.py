@@ -145,6 +145,12 @@ class TestEvolveCommand:
             pytest.param("environment", "chemo_decay", 1.5, id="environment-chemo_decay-above-1"),
             pytest.param("lifecycle", "schedule", [[2, {"kind": "remove_food", "region": [20, 20, 2, 2]}]],
                          id="lifecycle-schedule-region-outside-arena"),
+            pytest.param("lifecycle", "schedule", [[10, {"kind": "remove_food", "region": [7, 5, 1, 1]}]],
+                         id="lifecycle-schedule-step-at-t_max"),
+            pytest.param("lifecycle", "schedule", [[50, {"kind": "remove_food", "region": [7, 5, 1, 1]}]],
+                         id="lifecycle-schedule-step-beyond-t_max"),
+            pytest.param("lifecycle", "schedule", [[-1, {"kind": "remove_food", "region": [7, 5, 1, 1]}]],
+                         id="lifecycle-schedule-step-negative"),
             ("evolution", "weight_perturb_std", -0.5),
             ("physics", "v_min", 0),
             ("io", "log_level", "quite"),
@@ -317,6 +323,9 @@ class TestTestCommand:
             pytest.param({"lifecycle": {"schedule": [[2, {"kind": "remove_food", "region": [30, 3, 2, 2]}]]},
                           "tests": DETOUR_TESTS}, id="lifecycle-schedule-region-outside-arena"),
             pytest.param({"tests": [{"name": 5, "env": detour_spec().to_dict()}]}, id="tests-name-5"),
+            pytest.param({"lifecycle": {"t_min": 20, "t_max": 20,
+                                        "schedule": [[20, {"kind": "remove_food", "region": [8, 3, 1, 1]}]]},
+                          "tests": DETOUR_TESTS}, id="lifecycle-schedule-step-at-t_max"),
         ],
     )
     def test_malformed_battery_exits_2(self, tmp_path, capsys, battery):
@@ -327,6 +336,24 @@ class TestTestCommand:
         assert main(["test", genome, "--battery", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lifecycle, message",
+        [
+            ({"seed_cell": [4, 3]}, "error: 'seed_cell': seed cell (4, 3) is an obstacle"),
+            ({"schedule": [[2, {"kind": "remove_food", "region": [30, 3, 2, 2]}]]},
+             "error: 'schedule': perturbation region Rect(x=30, y=3, w=2, h=2) out of bounds"),
+        ],
+        ids=["seed_cell", "schedule"],
+    )
+    def test_battery_lifecycle_errors_name_the_key(self, tmp_path, capsys, lifecycle, message):
+        """A battery's lifecycle fails on a test arena with the message an
+        evolve config gets, which names the key."""
+        genome = write_genome(tmp_path, inert_genome())
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"lifecycle": lifecycle, "tests": DETOUR_TESTS}))
+        assert main(["test", genome, "--battery", str(path), "--out", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.strip() == message
 
     @pytest.mark.parametrize(
         "key, battery",
@@ -491,11 +518,14 @@ class TestReplayCommand:
 
 
 def test_console_entry_point_runs():
-    # exercise the installed script end to end in a subprocess
+    # exercise the script end to end in a subprocess that imports this package
+    package_root = os.path.dirname(os.path.dirname(eincasm.__file__))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "eincasm.cli", "replay", "/nonexistent.json"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
 
@@ -506,6 +536,21 @@ def test_atomic_write_replaces_content(tmp_path):
     fileio.atomic_write_text(path, "two")
     assert Path(path).read_text() == "two"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=["022", "077", "002"])
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
+    saved = os.umask(umask)
+    try:
+        fileio.atomic_write_text(str(tmp_path / "atomic.txt"), "text")
+        with open(tmp_path / "plain.txt", "w") as handle:
+            handle.write("text")
+    finally:
+        os.umask(saved)
+    mode = (tmp_path / "atomic.txt").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
+    assert (tmp_path / "atomic.txt").read_text() == "text"
 
 
 def test_every_public_name_resolves():

@@ -65,6 +65,12 @@ class TestInertGenome:
         assert score.metrics["redistribution_index"] == 0.0
         assert score.iq_component == 0.0
 
+    def test_one_step_coordination_schedules_no_removal(self):
+        """Its cluster removal would come after the only step, where no
+        schedule may put an event; the test runs without it."""
+        score = coordination_test(inert_genome(), harness_physics(), 0, harness_lifecycle(t=1))
+        assert score.metrics["removal_step"] == 1 and score.metrics["redistribution_index"] == 0.0
+
 
 class TestBaseline:
     def test_baseline_completes_corridor(self):

@@ -315,6 +315,10 @@ class TestRunLifecycle:
             LifecycleConfig(p_update=0.0)
         with pytest.raises(LifecycleError):
             LifecycleConfig(tau=0.5)
+        for step in (-1, 10, 50):  # events run after step s only while s < lifespan <= t_max
+            with pytest.raises(LifecycleError, match=rf"schedule step {step} lies outside \[0, t_max = 10\)"):
+                LifecycleConfig(t_min=5, t_max=10, schedule=((step, RemoveFood(Rect(1, 1))),))
+        LifecycleConfig(t_min=5, t_max=10, schedule=((0, RemoveFood(Rect(1, 1))), (9, RemoveFood(Rect(1, 1)))))
 
     def test_lifecycle_config_round_trip(self):
         cfg = LifecycleConfig(
