@@ -9,7 +9,7 @@ from .fluid import Lattice, advect_scalar, equilibrium, macroscopic
 from .lifecycle import FitnessRecord, LifecycleConfig, Simulation, run_lifecycle, run_population
 from .neat import EvolutionConfig, Population, init_population, next_generation
 from .physics import PhysicsParams, constrain
-from .substrate import GridShape, Statics, WorldState, create_world, perception_vector, total_mass
+from .substrate import GridShape, Statics, WorldState, create_world, total_mass
 
 __all__ = [
     "Genome",
@@ -37,7 +37,6 @@ __all__ = [
     "Statics",
     "WorldState",
     "create_world",
-    "perception_vector",
     "total_mass",
     "__version__",
 ]

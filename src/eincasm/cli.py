@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import fileio, harness
-from .config import ConfigError, RunConfig, check_arenas, load_config, parse_config, read_json, read_section
+from .config import ConfigError, RunConfig, check_arenas, parse_config, read_json, read_section
 from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec, json_scalar
@@ -85,17 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_evolve(args) -> int:
-    data = load_config(args.config).to_dict()
-    # overrides go through the same validation as the file's own values
+    data = read_json(args.config, "config")
+    # overrides join the document before its one parse, so the file's own
+    # values and the flags pass the same validation
     for section, key, value in (
         ("evolution", "seed", args.seed),
         ("evolution", "population_size", args.pop),
         ("io", "output_dir", args.out),
+        (None, "generations", args.generations),
     ):
-        if value is not None:
-            data[section][key] = value
-    if args.generations is not None:
-        data["generations"] = args.generations
+        if value is not None and isinstance(data, dict):
+            target = data if section is None else data.setdefault(section, {})
+            if isinstance(target, dict):  # else parse_config names the malformed section
+                target[key] = value
     cfg = parse_config(data)
     check_arenas(cfg)
 

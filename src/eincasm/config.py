@@ -21,15 +21,18 @@ environment specs (``environments.json_scalar``): an unknown key is an
 error; an int field takes a JSON integer; a float field takes an integer
 or a float and stores a float; a str field takes a string; true, false and
 null are never numbers, and nothing is truncated or parsed from a string.
-Only the lifecycle's ``seed_cell`` (null or [x, y]) and ``schedule``
-([[step, event], ...], events as ``event_to_dict`` writes them, each step
-in [0, t_max)) have forms of their own. The top-level counts take the int
-rule and must be >= 1. ``io.log_level`` is "info" or "quiet";
-``io.frame_every`` is read and echoed but nothing uses it.
+Only the lifecycle's ``seed_cell`` (null or an [x, y] ``json_pair``) and
+``schedule`` ([[step, event], ...], events as ``event_to_dict`` writes
+them, each step in [0, t_max)) have forms of their own. The top-level
+counts take the int rule and must be >= 1. ``io.log_level`` is "info" or
+"quiet"; ``io.frame_every`` is read and echoed but nothing uses it.
 
 ``parse_config`` checks each section on its own; ``check_arenas`` checks
 them together by building the simulation of every arena a run evaluates
 on, so the seed cell and the schedule are checked by the code that uses them.
+``evolve`` writes its command-line overrides into the JSON document and
+then parses it once, so a flag's value passes the checks a file's value
+does, and a file value that a flag replaces is never read.
 
 Every omitted key takes its documented default and the fully resolved
 document is echoed to ``resolved_config.json`` so a run can always be
@@ -46,7 +49,7 @@ import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .cppn import empty_genome
-from .environments import EnvError, EnvSpec, generate_cached, json_scalar
+from .environments import EnvError, EnvSpec, generate_cached, json_pair, json_scalar
 from .lifecycle import LifecycleConfig, LifecycleError, env_evaluations, event_from_dict, event_to_dict
 from .lifecycle import build_simulation
 from .neat import EvolutionConfig
@@ -132,7 +135,7 @@ def read_section(name: str, base, data):
 
 def _read_field(key: str, kind, value):
     if key == "seed_cell":  # null or [x, y]
-        return None if value is None else tuple(json_scalar(key, v, int) for v in value)
+        return None if value is None else json_pair(key, value)
     if key == "schedule":  # [[step, event], ...]
         return tuple((json_scalar(key, step, int), event_from_dict(event)) for step, event in value)
     return json_scalar(key, value, kind)
@@ -194,8 +197,3 @@ def read_json(path: str, what: str):
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-
-
-def load_config(path: str) -> RunConfig:
-    """Read and validate a config file; semantic errors name the key."""
-    return parse_config(read_json(path, "config"))

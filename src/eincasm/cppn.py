@@ -19,7 +19,6 @@ outputs, whatever the batch and whichever other members share the plan.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
@@ -31,7 +30,8 @@ from .substrate import N_BASE_CHANNELS
 
 
 class GenomeError(ValueError):
-    """Structurally invalid genome (cycles, bad ids, duplicate innovations)."""
+    """Structurally invalid genome (cycles, bad or repeated node ids,
+    repeated innovation numbers)."""
 
 
 def _sigmoid(x):
@@ -508,7 +508,8 @@ def genome_to_dict(genome: Genome) -> dict:
 
 
 def genome_from_dict(data: dict) -> Genome:
-    """Read a genome by the ``json_scalar`` rule, then validate it."""
+    """Read a genome by the ``json_scalar`` rule, then validate it. A node
+    id or innovation number given twice is a GenomeError naming it."""
 
     def read(entry: dict, key: str, kind: type):
         return json_scalar(key, entry[key], kind)
@@ -517,18 +518,18 @@ def genome_from_dict(data: dict) -> Genome:
         g = Genome(read(data, "n_inputs", int), read(data, "n_outputs", int), read(data, "k_hidden", int))
         for n in data["nodes"]:
             node = NodeGene(read(n, "id", int), read(n, "kind", str), read(n, "activation", str), read(n, "bias", float))
+            if node.id in g.nodes:
+                raise GenomeError(f"node id {node.id} appears twice")
             g.nodes[node.id] = node
         for c in data["connections"]:
             conn = ConnectionGene(
                 read(c, "innovation", int), read(c, "from", int), read(c, "to", int),
                 read(c, "weight", float), read(c, "enabled", bool),
             )
+            if conn.innovation in g.connections:
+                raise GenomeError(f"innovation number {conn.innovation} appears twice")
             g.connections[conn.innovation] = conn
     except (KeyError, TypeError) as exc:
         raise GenomeError(f"malformed genome data: {exc}") from exc
     validate_genome(g)
     return g
-
-
-def genome_to_json(genome: Genome) -> str:
-    return json.dumps(genome_to_dict(genome), indent=2)

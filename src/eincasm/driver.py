@@ -50,7 +50,7 @@ def _evaluate_chunk(task) -> tuple[list[float], int]:
     genomes, envs, params, cfg, run_seed = task
     per_env = [run_population(genomes, env, params, cfg, run_seed) for env in envs]
     fitness = [float(np.mean([record.fitness for record in member])) for member in zip(*per_env)]
-    n_failed = sum(outcome.failed for records in per_env for record in records for outcome in record.per_env)
+    n_failed = sum(outcome.failure is not None for records in per_env for record in records for outcome in record.per_env)
     return fitness, n_failed
 
 

@@ -46,6 +46,14 @@ def json_scalar(key: str, value, kind: type):
     return number
 
 
+def json_pair(key: str, value) -> tuple[int, int]:
+    """A JSON pair such as [x, y]: an array of exactly two integers by the
+    ``json_scalar`` rule, raising TypeError that names ``key``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(f"{key!r} must be a pair of integers, got {value!r}")
+    return tuple(json_scalar(key, v, int) for v in value)
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned cell rectangle: origin (x, y), extent (w, h), inclusive of origin."""
@@ -138,23 +146,27 @@ class EnvSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "EnvSpec":
-        """Read a spec by the ``json_scalar`` rule; an unknown key is an error."""
+        """Read a spec by the ``json_scalar`` rule: ``shape`` is a
+        ``json_pair``, ``seed_cell`` null or one, ``params`` an object; an
+        unknown key is an error."""
         known = [f.name for f in fields(EnvSpec)]
         if not isinstance(data, dict) or set(data) - set(known):
             raise EnvError(f"environment spec must be an object of the keys {known}, got {data!r}")
-        cell = data.get("seed_cell")
+        cell, params = data.get("seed_cell"), data.get("params", {})
         try:
+            if not isinstance(params, dict):
+                raise TypeError(f"'params' must be an object, got {params!r}")
             return EnvSpec(
                 kind=json_scalar("kind", data["kind"], str),
-                shape=GridShape(*[json_scalar("shape", v, int) for v in data["shape"]]),
+                shape=GridShape(*json_pair("shape", data["shape"])),
                 food=tuple((Rect.from_list(r), json_scalar("food", a, float)) for r, a in data.get("food", ())),
                 poison=tuple((Rect.from_list(r), json_scalar("poison", a, float)) for r, a in data.get("poison", ())),
                 obstacles=tuple(Rect.from_list(r) for r in data.get("obstacles", ())),
                 seed=json_scalar("seed", data.get("seed", 0), int),
-                seed_cell=tuple(json_scalar("seed_cell", v, int) for v in cell) if cell else None,
+                seed_cell=None if cell is None else json_pair("seed_cell", cell),
                 chemo_decay=json_scalar("chemo_decay", data.get("chemo_decay", 0.9), float),
                 chemo_iters=json_scalar("chemo_iters", data.get("chemo_iters", 0), int),
-                params=tuple(sorted((str(k), v) for k, v in dict(data.get("params", {})).items())),
+                params=tuple(sorted(params.items())),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise EnvError(f"malformed environment spec: {exc}") from exc
@@ -288,7 +300,7 @@ def generate(spec: EnvSpec) -> EnvBundle:
             if kinds[key] is Rect:
                 Rect.from_list(value)
             elif kinds[key] is tuple:
-                x, y = (json_scalar(key, v, int) for v in value)  # exactly two integers
+                json_pair(key, value)
             else:
                 json_scalar(key, value, kinds[key])
         except (TypeError, ValueError) as exc:
@@ -438,8 +450,8 @@ def _coordination_layout(spec: EnvSpec, rng):
 
 
 #: Kind -> (its layout, the ``params`` keys it reads and the type of each:
-#: a ``json_scalar`` kind, or ``tuple`` for a cell [x, y]). ``goal``, a
-#: ``Rect`` [x, y, w, h], is allowed for every kind.
+#: a ``json_scalar`` kind, or ``tuple`` for a ``json_pair`` cell [x, y]).
+#: ``goal``, a ``Rect`` [x, y, w, h], is allowed for every kind.
 KINDS = {
     "open_arena": (_open_layout, {}),
     "obstacle_field": (_obstacle_layout, {"density": float}),

@@ -102,16 +102,6 @@ class Lattice:
         if self.f.ndim not in (3, 4) or self.f.shape[-3] != 9:
             raise ValueError(f"f must have shape (9, H, W) or (P, 9, H, W), got {self.f.shape}")
 
-    @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.f.shape[-2:]
-
-    def total(self) -> float:
-        return float(self.f.sum())
-
-    def copy(self) -> "Lattice":
-        return Lattice(self.f.copy(), self.tau)
-
 
 @dataclass
 class MacroscopicFields:
@@ -120,11 +110,14 @@ class MacroscopicFields:
 
 
 class Walls:
-    """One obstacle layout, ``solid`` (H, W), and the arrays streaming and
-    advection derive from it, built by ``walls_of``."""
+    """One obstacle layout, ``solid`` (H, W), its complement ``free``, and
+    the arrays streaming and advection derive from it, built by
+    ``walls_of``."""
 
     def __init__(self, solid: np.ndarray):
         self.solid = solid
+        self.free = ~solid
+        self.free.flags.writeable = False  # shared by every simulation on this layout, as solid is
         self.any_solid = bool(solid.any())
 
     @cached_property
@@ -223,11 +216,10 @@ def macroscopic(lat: Lattice) -> MacroscopicFields:
     return MacroscopicFields(rho=rho[0], u=u[0])
 
 
-def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray | None = None,
-         step_index: int | None = None):
+def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray, step_index: int | None = None):
     """One inject -> collide -> stream -> bounce-back cycle.
 
-    ``obstacles`` is the obstacle grid or its ``Walls``. ``sources`` is a
+    ``obstacles`` is the obstacle grid or its ``Walls``. ``sources`` is the
     per-cell density source (already capped by the caller, exactly zero
     on obstacle cells), one grid per member of a batch; it is distributed
     isotropically as f_i += w_i * rho_src. Populations streaming into an
@@ -239,20 +231,18 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray | None
     member's populations come back unchanged.
     """
     walls = walls_of(obstacles)
-    if walls.solid.shape != lat.grid_shape:
-        raise ValueError(f"obstacle layout {walls.solid.shape} does not match grid {lat.grid_shape}")
+    grid = lat.f.shape[-2:]
+    if walls.solid.shape != grid:
+        raise ValueError(f"obstacle layout {walls.solid.shape} does not match grid {grid}")
     single = lat.f.ndim == 3
     f = lat.f[None] if single else lat.f
-    src = None
-    if sources is not None:
-        src = np.asarray(sources, dtype=np.float64)
-        expected = lat.f.shape[:-3] + tuple(lat.grid_shape)
-        if src.shape != expected:
-            raise ValueError(f"sources shape {src.shape} does not match grid {expected}")
-        src = src.reshape(f.shape[:1] + f.shape[2:])
-        # true for every value but +-0.0, NaN included
-        if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):
-            raise ValueError("sources must be zero on obstacle cells")
+    src = np.asarray(sources, dtype=np.float64)
+    if src.shape != lat.f.shape[:-3] + grid:
+        raise ValueError(f"sources shape {src.shape} does not match grid {lat.f.shape[:-3] + grid}")
+    src = src.reshape(f.shape[:1] + grid)
+    # true for every value but +-0.0, NaN included
+    if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):
+        raise ValueError("sources must be zero on obstacle cells")
     new, failures = _step_batch(f, walls, src, lat.tau, step_index)
     return Lattice(new[0] if single else new, lat.tau), failures
 
@@ -360,11 +350,8 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, step_index):
     n = len(f0)
     s = _scratch(f0.shape)
     f = s.f
-    if src is not None:
-        np.multiply(WEIGHTS[:, None, None, None], src, out=f)
-        f += f0.transpose(1, 0, 2, 3)  # f0 + w * src: addition commutes exactly
-    else:
-        np.copyto(f, f0.transpose(1, 0, 2, 3))
+    np.multiply(WEIGHTS[:, None, None, None], src, out=f)
+    f += f0.transpose(1, 0, 2, 3)  # f0 + w * src: addition commutes exactly
 
     # member-major views, as the moments of a (P, 9, H, W) batch
     _moments(f.transpose(1, 0, 2, 3), s.rho, s.u.transpose(1, 0, 2, 3), s.tmp)

@@ -189,11 +189,6 @@ def chemotaxis_baseline(k_hidden: int = DEFAULT_K_HIDDEN) -> Genome:
     return g
 
 
-def inert_genome(k_hidden: int = DEFAULT_K_HIDDEN) -> Genome:
-    """All outputs identically zero: the organism just sits there."""
-    return empty_genome(k_hidden)
-
-
 # -- tests --------------------------------------------------------------------
 
 

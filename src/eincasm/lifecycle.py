@@ -43,8 +43,8 @@ from typing import Optional
 import numpy as np
 
 from . import environments, fluid, physics
-from .cppn import Genome, Phenotype, compile_genome, io_sizes
-from .environments import EnvBundle, EnvSpec, Rect, arena_chemo, json_scalar
+from .cppn import Genome, compile_genome, io_sizes
+from .environments import EnvBundle, EnvSpec, Rect, arena_chemo, json_pair, json_scalar
 from .fluid import FluidFailure
 from .physics import PhysicsParams
 from .substrate import EDGE_NEIGHBOURS, WorldStack, WorldState, create_world, dilate3x3, flood_fill, perceive_cells
@@ -97,8 +97,8 @@ def event_from_dict(data: dict) -> PerturbationEvent:
     if kind == "degrade_cells":
         return DegradeCells(Rect.from_list(data["region"]), json_scalar("fraction", data["fraction"], float))
     if kind == "move_obstacle":
-        dx, dy = (json_scalar("displacement", v, int) for v in data["displacement"])
-        return MoveObstacle(json_scalar("obstacle_id", data["obstacle_id"], int), (dx, dy))
+        displacement = json_pair("displacement", data["displacement"])
+        return MoveObstacle(json_scalar("obstacle_id", data["obstacle_id"], int), displacement)
     raise LifecycleError(f"unknown perturbation kind {kind!r}")
 
 
@@ -143,29 +143,28 @@ class LifecycleConfig:
 
 @dataclass
 class EnvOutcome:
-    """Per-environment evaluation result. ``failure`` says why, where and at
-    which step the fluid failed when ``failed`` is set."""
+    """One lifecycle in one environment: its arena seed, its mass curve
+    (the total mass before the first step and after each step it
+    completed) and the FluidFailure that cut it short, or None. Its
+    fitness is ``mass_curve[-1]``; it ran ``len(mass_curve) - 1`` steps."""
 
     env_seed: int
-    fitness: float
-    steps_run: int
-    failed: bool
     mass_curve: list[float]
-    failure: FluidFailure | None = None
+    failure: FluidFailure | None
 
 
 @dataclass
 class FitnessRecord:
     """Outcome of one full fitness evaluation (possibly several environments).
 
-    ``fitness`` is the final entry of ``mass_curve``; with several
-    environments the curve is the elementwise mean (curves cut short by a
-    fluid failure are padded by holding their final value).
+    ``mass_curve`` is the elementwise mean of the environments' curves
+    over the whole lifespan, ``len(mass_curve) - 1`` steps; a curve cut
+    short by a fluid failure is padded by holding its final value.
+    ``fitness`` is its final entry.
     """
 
     fitness: float
     mass_curve: list[float]
-    steps_run: int
     per_env: list[EnvOutcome]
 
 
@@ -173,14 +172,13 @@ class FitnessRecord:
 
 
 def seed_organism(world: WorldState, cfg: LifecycleConfig, seed_cell: tuple[int, int]) -> WorldState:
-    """Endow one free cell with the initial mass and nutrient. In place."""
+    """Endow one free cell of a fresh world with the initial mass and
+    nutrient. In place."""
     x, y = seed_cell
     if not world.shape.contains(x, y):
         raise LifecycleError(f"'seed_cell': seed cell ({x}, {y}) out of bounds")
     if world.obstacle[y, x] > 0.5:
         raise LifecycleError(f"'seed_cell': seed cell ({x}, {y}) is an obstacle")
-    if total_mass(world) > 0:
-        raise LifecycleError("'seed_cell': world is already inhabited")
     world.mass[y, x] = cfg.seed_mass
     world.nutrient[y, x] = cfg.seed_nutrient
     return world
@@ -275,13 +273,13 @@ class Simulation:
     ``cfg.seed_cell or bundle.seed_cell``; a seed cell or schedule that does
     not fit the arena raises a LifecycleError naming its key.
 
-    The members share the arena, the schedule and the obstacle layout; each
-    has its own network, selection stream, world and lattice. ``rule`` (also
-    ``phenotype``) is the population's one compiled plan, column m holding
+    The members share the arena, the schedule and the obstacle layout;
+    each has its own network, selection stream, world and lattice.
+    ``phenotype`` is the population's one compiled plan, column m holding
     member m's network: it evaluates the selected cells of every running
     member in one call per step. Cells perceive only the slots some
-    member's rule reads (``perceived``); the other input columns stay 0. A
-    member whose fluid fails freezes at that step (its world keeps the
+    member's plan reads (``perceived``); the other input columns stay 0.
+    A member whose fluid fails freezes at that step (its world keeps the
     step's economy update, its lattice the state before it), records its
     FluidFailure in ``failures`` and leaves the batch: the rest move on to
     a new store and lattice, and its world and lattice stay views of the
@@ -289,11 +287,12 @@ class Simulation:
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
-    once into ``walls`` (and its complement, the ``free`` mask) and again
-    only after a MoveObstacle. The schedule is ``cfg.schedule``. After an
-    event that changes food or obstacles, the chemoattractant is
-    recomputed in place by the arena's own rule, ``arena_chemo`` of
-    ``spec``, so a deceptive arena keeps its false peak.
+    once into ``walls``, whose ``free`` mask bounds the active set, and
+    again only after a MoveObstacle. The events of a step are the entries
+    of ``cfg.schedule`` at ``step_index``, in their order. After an event
+    that changes food or obstacles, the chemoattractant is recomputed in
+    place by the arena's own rule, ``arena_chemo`` of ``spec``, so a
+    deceptive arena keeps its false peak.
 
     Confined to one logical thread. ``run_population`` wraps it; the test
     harness and ``render`` run a one-member simulation with an observer when
@@ -308,22 +307,18 @@ class Simulation:
         world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
         seed_organism(world, cfg, cfg.seed_cell or bundle.seed_cell)
         self.worlds = world.stack.select([0] * len(genomes))  # the running members, in ``running`` order
-        self.rule = rule = compile_genome(genomes)  # every member's network, evaluated in one pass
-        read = rule.input_slots
-        self.perceived = read[read < rule.n_inputs - 1]  # the inputs before the bias are perception
+        self.phenotype = plan = compile_genome(genomes)  # every member's network, evaluated in one pass
+        read = plan.input_slots
+        self.perceived = read[read < plan.n_inputs - 1]  # the inputs before the bias are perception
         self.params = params
         self.cfg = cfg
         self.rngs = [np.random.default_rng(step_seed) for _ in genomes]
-        self.schedule: dict[int, list[PerturbationEvent]] = {}
-        for step_index, event in cfg.schedule:
-            self.schedule.setdefault(int(step_index), []).append(event)
         try:
             validate_schedule(world, cfg.schedule)
         except LifecycleError as exc:
             raise LifecycleError(f"'schedule': {exc}") from exc
         self.spec = bundle.spec  # the arena's spec: its chemoattractant rule
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
-        self.free = ~self.walls.solid
         at_rest = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle, tau=cfg.tau)
         self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], len(genomes), axis=0), cfg.tau)
         self.running = list(range(len(genomes)))
@@ -353,10 +348,6 @@ class Simulation:
     def lattice(self) -> fluid.Lattice:
         return self.member_lattice(0)
 
-    @property
-    def phenotype(self) -> Phenotype:
-        return self.rule
-
     def step(self, selection_override: np.ndarray | None = None) -> None:
         """Advance every running member one step. ``selection_override`` (a
         boolean (H, W) cell mask, applied to every member) replaces the
@@ -367,7 +358,7 @@ class Simulation:
         p = self.params
 
         footprint = worlds.mass >= p.m_min
-        active = dilate3x3(footprint) & self.free
+        active = dilate3x3(footprint) & self.walls.free
         ms, ys, xs = np.nonzero(active)
         if selection_override is not None:
             chosen = selection_override[ys, xs]
@@ -384,9 +375,9 @@ class Simulation:
 
         rho_src = np.zeros(worlds.mass.shape)
         if len(sel_y):
-            inputs = np.zeros((len(sel_y), self.rule.n_inputs))
+            inputs = np.zeros((len(sel_y), self.phenotype.n_inputs))
             inputs[:, self.perceived] = perceive_cells(worlds, sel_y, sel_x, sel_m, self.perceived)
-            outputs = self.rule.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
+            outputs = self.phenotype.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
             k = worlds.k_hidden
             worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
             dr_des, dm_des = physics.squash_outputs(outputs[:, k], outputs[:, k + 1], p)
@@ -416,7 +407,7 @@ class Simulation:
         velocity = fluid.macroscopic(self.lattices).u
         worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
 
-        self.last_perturbations = self.schedule.get(self.step_index, [])
+        self.last_perturbations = [event for step, event in self.cfg.schedule if step == self.step_index]
         for event in self.last_perturbations:
             apply_perturbation(worlds, event)
         if any(isinstance(event, MoveObstacle) for event in self.last_perturbations):
@@ -445,7 +436,6 @@ class Simulation:
         start again at rest at unit density."""
         self.walls = fluid.walls_of(self.worlds.obstacle)
         now_solid = self.walls.solid
-        self.free = ~now_solid
         vacated = solid_before & ~now_solid
         f = self.lattices.f
         f[:, :, now_solid] = 0.0
@@ -459,7 +449,7 @@ class Simulation:
         ``observer(sim)`` is called after every step that leaves a member
         running; the run ends early once every member has failed.
         """
-        curves = [[total_mass(self.member_world(m))] for m in range(self.rule.n_members)]
+        curves = [[total_mass(self.member_world(m))] for m in range(self.phenotype.n_members)]
         for _ in range(steps):
             self.step()
             if not self.running:
@@ -494,10 +484,11 @@ def run_population(
     then per environment evaluation one simulation that steps every member
     as a batch; each member's environments are averaged.
 
-    A fluid instability ends that member's run in that environment early
-    with fitness equal to the total mass at the failure step — penalizing,
-    never crashing, the evolution driver. The arenas are those of
-    ``env_evaluations``. A member's record does not depend on the others.
+    Each record keeps one EnvOutcome per environment, the arenas of
+    ``env_evaluations``. A fluid instability ends that member's run in that
+    environment early: its curve stops at the total mass of the failure
+    step and its outcome keeps the failure — penalizing, never crashing,
+    the evolution driver. A member's record does not depend on the others.
     """
     lifespan = cfg.lifespan(run_seed)
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
@@ -506,17 +497,7 @@ def run_population(
             genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
         )
         for member, curve in enumerate(sim.run(lifespan)):
-            failure = sim.failures[member]
-            outcomes[member].append(
-                EnvOutcome(
-                    env_seed=spec.seed,
-                    fitness=curve[-1],
-                    steps_run=len(curve) - 1,
-                    failed=failure is not None,
-                    mass_curve=curve,
-                    failure=failure,
-                )
-            )
+            outcomes[member].append(EnvOutcome(spec.seed, curve, sim.failures[member]))
     return [_fitness_record(member_outcomes, lifespan) for member_outcomes in outcomes]
 
 
@@ -526,12 +507,7 @@ def _fitness_record(outcomes: list[EnvOutcome], lifespan: int) -> FitnessRecord:
         padded[i, : len(outcome.mass_curve)] = outcome.mass_curve
         padded[i, len(outcome.mass_curve) :] = outcome.mass_curve[-1]
     mean_curve = padded.mean(axis=0)
-    return FitnessRecord(
-        fitness=float(mean_curve[-1]),
-        mass_curve=[float(v) for v in mean_curve],
-        steps_run=lifespan,
-        per_env=outcomes,
-    )
+    return FitnessRecord(fitness=float(mean_curve[-1]), mass_curve=[float(v) for v in mean_curve], per_env=outcomes)
 
 
 def run_lifecycle(

@@ -306,17 +306,6 @@ def perceive_cells(
     return world.store.take(index)
 
 
-def perception_vector(world: WorldState, x: int, y: int) -> np.ndarray:
-    """Flat perception vector of length 9 * (7 + K) for one in-bounds cell.
-
-    Out-of-grid neighbors read as virtual obstacle cells. Pure read: never
-    modifies the world.
-    """
-    if not world.shape.contains(x, y):
-        raise WorldError(f"cell ({x}, {y}) out of bounds for {world.shape.width}x{world.shape.height}")
-    return perceive_cells(world, np.array([y]), np.array([x]))[0]
-
-
 def total_mass(world: WorldState) -> float:
     """Sum of the mass channel over all cells — the fitness quantity."""
     return float(world.mass.sum())

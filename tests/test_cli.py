@@ -14,14 +14,47 @@ import eincasm
 from eincasm import fileio
 from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
-from eincasm.cppn import genome_to_dict
+from eincasm.cppn import empty_genome, genome_to_dict
 from eincasm.driver import evolve_run
 from eincasm.environments import EnvSpec
-from eincasm.harness import chemotaxis_baseline, detour_spec, inert_genome
+from eincasm.harness import chemotaxis_baseline, detour_spec
 from eincasm.substrate import GridShape, Statics, WorldState, create_world
 
 
 DETOUR_TESTS = [{"name": "detour", "env": detour_spec().to_dict()}]
+
+PAIR = "must be a pair of integers"
+# An arena whose [x, y] pair or params object is malformed: (updates, message).
+ENV_PAIR_CASES = [
+    pytest.param({"shape": [12]}, f"'shape' {PAIR}", id="shape-one"),
+    pytest.param({"shape": "12"}, f"'shape' {PAIR}", id="shape-string"),
+    pytest.param({"seed_cell": []}, f"'seed_cell' {PAIR}", id="seed_cell-empty"),
+    pytest.param({"seed_cell": False}, f"'seed_cell' {PAIR}", id="seed_cell-false"),
+    pytest.param({"seed_cell": 0}, f"'seed_cell' {PAIR}", id="seed_cell-0"),
+    pytest.param({"seed_cell": [1, 2, 3]}, f"'seed_cell' {PAIR}", id="seed_cell-three"),
+    pytest.param({"params": [["goal", [1, 1, 2, 2]]]}, "'params' must be an object", id="params-pairs"),
+    pytest.param({"kind": "deceptive_chemo", "params": {"false_peak": [3]}}, f"'false_peak' {PAIR}",
+                 id="false_peak-one"),
+    pytest.param({"kind": "deceptive_chemo", "params": {"false_peak": True}}, f"'false_peak' {PAIR}",
+                 id="false_peak-true"),
+]
+
+
+def move_obstacle(displacement):
+    return {"schedule": [[2, {"kind": "move_obstacle", "obstacle_id": 1, "displacement": displacement}]]}
+
+
+EVOLVE_PAIR_CASES = [
+    pytest.param({"environment": case.values[0]}, case.values[1], id=f"environment-{case.id}")
+    for case in ENV_PAIR_CASES
+] + [
+    pytest.param({"lifecycle": {"seed_cell": []}}, f"'seed_cell' {PAIR}", id="lifecycle-seed_cell-empty"),
+    pytest.param({"lifecycle": {"seed_cell": False}}, f"'seed_cell' {PAIR}", id="lifecycle-seed_cell-false"),
+    pytest.param({"lifecycle": {"seed_cell": 0}}, f"'seed_cell' {PAIR}", id="lifecycle-seed_cell-0"),
+    pytest.param({"lifecycle": move_obstacle([1])}, f"'displacement' {PAIR}", id="displacement-one"),
+    pytest.param({"lifecycle": move_obstacle(True)}, f"'displacement' {PAIR}", id="displacement-true"),
+    pytest.param({"lifecycle": move_obstacle([1, 0, 0])}, f"'displacement' {PAIR}", id="displacement-three"),
+]
 
 
 def smoke_config(out_dir, pop=6, generations=2, seed=5):
@@ -185,6 +218,43 @@ class TestEvolveCommand:
         assert err.startswith("error:") and f"seed cell ({seed_cell[0]}, {seed_cell[1]})" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("updates, message", EVOLVE_PAIR_CASES)
+    def test_malformed_pair_exits_2_naming_the_key(self, tmp_path, capsys, updates, message):
+        out = str(tmp_path / "o")
+        cfg = smoke_config(out)
+        for section, values in updates.items():
+            cfg[section].update(values)
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not os.path.exists(out)
+
+    def test_flag_replaces_a_faulty_file_value(self, tmp_path):
+        """The config is parsed once, with the flags in it: a file value
+        that a flag overrides is never read."""
+        out = str(tmp_path / "o")
+        cfg = smoke_config(out)
+        cfg["evolution"]["population_size"] = 1
+        assert main(["evolve", "--config", write_config(tmp_path, cfg), "--pop", "4"]) == 0
+        resolved = json.loads(Path(out, "resolved_config.json").read_text())
+        assert resolved["evolution"]["population_size"] == 4
+
+    @pytest.mark.parametrize(
+        "document, flags, message",
+        [
+            pytest.param([1, 2], ["--pop", "4"], "config root must be a JSON object", id="root-list"),
+            pytest.param("text", ["--generations", "2"], "config root must be a JSON object", id="root-string"),
+            pytest.param({"evolution": []}, ["--seed", "3"], "config section 'evolution' must be", id="evolution"),
+            pytest.param({"io": "out"}, ["--out", "x"], "config section 'io' must be", id="io"),
+        ],
+    )
+    def test_non_object_with_a_flag_exits_2(self, tmp_path, capsys, document, flags, message):
+        path = write_config(tmp_path, document)
+        assert main(["evolve", "--config", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_resolved_config_bytes_are_pinned(self, tmp_path, monkeypatch):
         """resolved_config.json of a config with a seed cell and a two-event
         schedule, pinned byte for byte: a run is reproduced from this file,
@@ -275,7 +345,7 @@ class TestTestCommand:
         assert report["iq"] > 0.0
 
     def test_inert_genome_scores_zero(self, tmp_path):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "report.json")
         assert main(["test", genome, "--seed", "0", "--out", out]) == 0
         report = json.loads(Path(out).read_text())
@@ -291,6 +361,25 @@ class TestTestCommand:
         capsys.readouterr()
         assert main(["test", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["test", "render"])
+    @pytest.mark.parametrize("gene", ["connection", "node"])
+    def test_repeated_gene_exits_2(self, tmp_path, capsys, command, gene):
+        data = genome_to_dict(chemotaxis_baseline())
+        if gene == "connection":
+            first = next(c for c in data["connections"] if c["innovation"] == 1)
+            data["connections"].append({**first, "weight": 99.0})
+            message = "innovation number 1 appears twice"
+        else:
+            output = next(n for n in data["nodes"] if n["kind"] == "output")
+            data["nodes"].append({**output, "activation": "sine"})
+            message = f"node id {output['id']} appears twice"
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_dimension_mismatch_exits_2(self, tmp_path):
         genome = write_genome(tmp_path, chemotaxis_baseline(k_hidden=2))
@@ -329,7 +418,7 @@ class TestTestCommand:
         ],
     )
     def test_malformed_battery_exits_2(self, tmp_path, capsys, battery):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(battery))
         out = tmp_path / "report.json"
@@ -349,7 +438,7 @@ class TestTestCommand:
     def test_battery_lifecycle_errors_name_the_key(self, tmp_path, capsys, lifecycle, message):
         """A battery's lifecycle fails on a test arena with the message an
         evolve config gets, which names the key."""
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps({"lifecycle": lifecycle, "tests": DETOUR_TESTS}))
         assert main(["test", genome, "--battery", str(path), "--out", str(tmp_path / "report.json")]) == 2
@@ -366,7 +455,7 @@ class TestTestCommand:
         ],
     )
     def test_negative_value_exits_2_naming_it(self, tmp_path, capsys, key, battery):
-        argv = ["test", write_genome(tmp_path, inert_genome())]
+        argv = ["test", write_genome(tmp_path, empty_genome(4))]
         if battery is None:
             argv += ["--seed", "-1"]
         else:
@@ -380,7 +469,7 @@ class TestTestCommand:
         assert not out.exists()
 
     def test_custom_battery_runs(self, tmp_path):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         battery = tmp_path / "battery.json"
         env = detour_spec().to_dict()
         tests = [{"name": "detour", "env": env}, {"name": "coordination"}]
@@ -396,10 +485,21 @@ class TestTestCommand:
 
 class TestRenderCommand:
     def test_rejected_arena_exits_2(self, tmp_path):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         env = tmp_path / "env.json"
         env.write_text(json.dumps({"kind": "open_arena", "shape": [8, 8], "food": [[[9, 1, 1, 1], 2.0]]}))
         assert main(["render", genome, "--env", str(env), "--steps", "2", "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("updates, message", ENV_PAIR_CASES)
+    def test_malformed_pair_exits_2_naming_the_key(self, tmp_path, capsys, updates, message):
+        genome = write_genome(tmp_path, empty_genome(4))
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"kind": "open_arena", "shape": [12, 12], "food": [[[7, 5, 2, 2], 3.0]], **updates}))
+        out = tmp_path / "r"
+        assert main(["render", genome, "--env", str(env), "--steps", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",
@@ -416,7 +516,7 @@ class TestRenderCommand:
         ],
     )
     def test_nonpositive_steps_exit_2(self, tmp_path, capsys, flags):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "r")
         assert main(["render", genome, *flags, "--out", out]) == 2
         err = capsys.readouterr().err
@@ -436,7 +536,7 @@ class TestRenderCommand:
         assert not (out / "trajectory.json").exists()
 
     def test_frames_and_trajectory(self, tmp_path):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "frames")
         code = main(
             ["render", genome, "--env", "corridor", "--steps", "8", "--frame-every", "9", "--out", out]
@@ -511,7 +611,7 @@ class TestReplayCommand:
         assert main(["replay", str(tmp_path / "none.json")]) == 2
 
     def test_render_then_replay_round_trip(self, tmp_path):
-        genome = write_genome(tmp_path, inert_genome())
+        genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "frames")
         assert main(["render", genome, "--steps", "5", "--out", out]) == 0
         assert main(["replay", os.path.join(out, "trajectory.json")]) == 0

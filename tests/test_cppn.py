@@ -19,7 +19,6 @@ from eincasm.cppn import (
     empty_genome,
     genome_from_dict,
     genome_to_dict,
-    genome_to_json,
     io_sizes,
     topological_order,
     validate_genome,
@@ -378,9 +377,9 @@ class TestSerialization:
         # adversarial weights: tiny, huge, and full-precision doubles
         for i, conn in enumerate(g.connections.values()):
             conn.weight = float(rng.normal() * 10.0 ** int(rng.integers(-12, 12)))
-        text = genome_to_json(g)
+        text = json.dumps(genome_to_dict(g), indent=2)
         g2 = genome_from_dict(json.loads(text))
-        assert genome_to_json(g2) == text
+        assert json.dumps(genome_to_dict(g2), indent=2) == text
         for innov, conn in g.connections.items():
             assert g2.connections[innov].weight == conn.weight  # bit-exact
         for node_id, node in g.nodes.items():
@@ -389,7 +388,7 @@ class TestSerialization:
     def test_json_schema_keys(self):
         g = tiny_genome()
         g.connections[0] = ConnectionGene(0, 0, g.n_inputs, 0.5, True)
-        data = json.loads(genome_to_json(g))
+        data = json.loads(json.dumps(genome_to_dict(g), indent=2))
         assert set(data) == {"n_inputs", "n_outputs", "k_hidden", "nodes", "connections"}
         assert set(data["connections"][0]) == {"innovation", "from", "to", "weight", "enabled"}
         assert set(data["nodes"][0]) == {"id", "kind", "activation", "bias"}
@@ -409,6 +408,20 @@ class TestSerialization:
         data = genome_to_dict(chemotaxis_baseline())
         data["k_hidden"] = 4.0
         with pytest.raises(GenomeError, match="k_hidden"):
+            genome_from_dict(data)
+
+    def test_repeated_gene_rejected(self):
+        """A repeated innovation number or node id is named; the last copy
+        never silently replaces the first."""
+        data = genome_to_dict(chemotaxis_baseline())
+        first = next(c for c in data["connections"] if c["innovation"] == 1)
+        data["connections"].append({**first, "weight": 99.0})
+        with pytest.raises(GenomeError, match="innovation number 1 appears twice"):
+            genome_from_dict(data)
+        data = genome_to_dict(chemotaxis_baseline())
+        output = next(n for n in data["nodes"] if n["kind"] == "output")
+        data["nodes"].append({**output, "activation": "sine"})
+        with pytest.raises(GenomeError, match=f"node id {output['id']} appears twice"):
             genome_from_dict(data)
 
 

@@ -24,6 +24,7 @@ from eincasm.fluid import (
     macroscopic,
     step,
     uniform_lattice,
+    walls_of,
 )
 
 
@@ -32,8 +33,9 @@ def closed_box(width, height, tau=0.8, rho0=1.0):
 
 
 def stable_step(lat, obstacles, sources=None):
-    """One step of a single lattice that must not fail."""
-    lat, failures = step(lat, obstacles, sources)
+    """One step of a single lattice that must not fail; no sources unless
+    given."""
+    lat, failures = step(lat, obstacles, np.zeros(lat.f.shape[-2:]) if sources is None else sources)
     assert failures == [None]
     return lat
 
@@ -116,11 +118,11 @@ class TestStep:
     def test_mass_conserved_in_closed_box(self):
         rng = np.random.default_rng(4)
         lat = stable_random_lattice(rng, 16, 12)
-        total0 = lat.total()
+        total0 = lat.f.sum()
         obstacles = np.zeros((12, 16))
         for _ in range(200):
             lat = stable_step(lat, obstacles)
-        assert lat.total() == pytest.approx(total0, rel=1e-12)
+        assert lat.f.sum() == pytest.approx(total0, rel=1e-12)
 
     def test_injection_ledger(self):
         rng = np.random.default_rng(5)
@@ -128,9 +130,9 @@ class TestStep:
         obstacles = np.zeros((10, 10))
         for _ in range(20):
             src = 0.05 * rng.standard_normal((10, 10))
-            before = lat.total()
+            before = lat.f.sum()
             lat = stable_step(lat, obstacles, src)
-            assert lat.total() == pytest.approx(before + src.sum(), rel=1e-12, abs=1e-12)
+            assert lat.f.sum() == pytest.approx(before + src.sum(), rel=1e-12, abs=1e-12)
 
     def test_source_pulse_pushes_outward(self):
         lat = closed_box(11, 11)
@@ -158,15 +160,15 @@ class TestStep:
         obstacles[4:8, 6] = 1.0
         lat = stable_random_lattice(rng, 12, 12)
         lat.f[:, obstacles > 0.5] = 0.0
-        total0 = lat.total()
+        total0 = lat.f.sum()
         for _ in range(100):
             lat = stable_step(lat, obstacles)
-        assert lat.total() == pytest.approx(total0, rel=1e-12)
+        assert lat.f.sum() == pytest.approx(total0, rel=1e-12)
 
     def test_velocity_blowup_detected(self):
         f = equilibrium(1.0, np.zeros(2))[:, None, None] * np.ones((9, 5, 5))
         f[1, 2, 2] += 2.0  # violent momentum spike
-        stepped, failures = step(Lattice(f), np.zeros((5, 5)), step_index=7)
+        stepped, failures = step(Lattice(f), np.zeros((5, 5)), np.zeros((5, 5)), step_index=7)
         assert failures == [FluidFailure("velocity 0.667 exceeds 0.3", 2, 2, 7)]
         assert stepped.f.tobytes() == f.tobytes()  # a failed lattice comes back unchanged
 
@@ -299,6 +301,19 @@ def test_step_equals_shift_and_bounce_reference(members, w, h, density, tau, see
         rho, u = (moments.rho, moments.u) if members else (moments.rho[None], moments.u[None])
         assert rho.tobytes() == np.stack([r for r, _ in reference]).tobytes()
         assert u.tobytes() == np.stack([v for _, v in reference]).tobytes()
+
+
+def test_walls_free_is_the_read_only_complement_of_solid():
+    """``walls_of`` hands one Walls to every caller with the same layout,
+    so no caller may write the masks the others read."""
+    obstacles = np.zeros((5, 6))
+    obstacles[1:3, 2] = 1.0
+    walls = walls_of(obstacles)
+    np.testing.assert_array_equal(walls.free, obstacles <= 0.5)
+    for mask in (walls.solid, walls.free):
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = True
+    assert walls_of(obstacles.copy()) is walls
 
 
 def test_step_allocates_only_the_lattice_it_returns():

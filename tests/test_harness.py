@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from eincasm.cppn import empty_genome
 from eincasm.environments import chemoattractant_field, generate
 from eincasm.harness import (
     HarnessError,
@@ -18,7 +19,6 @@ from eincasm.harness import (
     detour_spec,
     harness_lifecycle,
     harness_physics,
-    inert_genome,
     iq_report,
     pathfinding_test,
     run_battery,
@@ -54,13 +54,13 @@ class TestScoring:
 
 class TestInertGenome:
     def test_inert_pathfinding_scores_zero(self):
-        score = pathfinding_test(inert_genome(), harness_physics(), corridor_spec(), 0)
+        score = pathfinding_test(empty_genome(4), harness_physics(), corridor_spec(), 0)
         assert not score.completed
         assert score.iq_component == 0.0
         assert score.steps_to_completion is None
 
     def test_inert_coordination_index_zero(self):
-        score = coordination_test(inert_genome(), harness_physics(), 0)
+        score = coordination_test(empty_genome(4), harness_physics(), 0)
         assert not score.completed
         assert score.metrics["redistribution_index"] == 0.0
         assert score.iq_component == 0.0
@@ -68,7 +68,7 @@ class TestInertGenome:
     def test_one_step_coordination_schedules_no_removal(self):
         """Its cluster removal would come after the only step, where no
         schedule may put an event; the test runs without it."""
-        score = coordination_test(inert_genome(), harness_physics(), 0, harness_lifecycle(t=1))
+        score = coordination_test(empty_genome(4), harness_physics(), 0, harness_lifecycle(t=1))
         assert score.metrics["removal_step"] == 1 and score.metrics["redistribution_index"] == 0.0
 
 
@@ -120,7 +120,7 @@ class TestArenas:
 
 
 def test_run_battery_reports_three_tests():
-    report = run_battery(inert_genome(), harness_physics(), 0)
+    report = run_battery(empty_genome(4), harness_physics(), 0)
     assert isinstance(report, IqReport)
     assert [t.name for t in report.tests] == ["coordination", "pathfinding", "pathfinding_detour"]
     assert report.iq == 0.0

@@ -1,9 +1,11 @@
 """Evolution machinery: innovation tracking, speciation, reproduction."""
 
+import json
+
 import numpy as np
 import pytest
 
-from eincasm.cppn import ConnectionGene, NodeGene, compile_genome, empty_genome, genome_to_json, validate_genome
+from eincasm.cppn import ConnectionGene, NodeGene, compile_genome, empty_genome, genome_to_dict, validate_genome
 from eincasm.neat import (
     EvolutionConfig,
     InnovationRegistry,
@@ -39,7 +41,7 @@ class TestInitPopulation:
         a = init_population(cfg(seed=5), K)
         b = init_population(cfg(seed=5), K)
         for ga, gb in zip(a.members, b.members):
-            assert genome_to_json(ga) == genome_to_json(gb)
+            assert json.dumps(genome_to_dict(ga), indent=2) == json.dumps(genome_to_dict(gb), indent=2)
 
     def test_different_seeds_differ(self):
         hits = 0
@@ -182,7 +184,7 @@ class TestMutate:
         pop = init_population(c, K)
         g = pop.members[0]
         m = mutate(g, c, pop.registry, member_rng(1, 1, 0, 0))
-        assert genome_to_json(m) == genome_to_json(g)
+        assert json.dumps(genome_to_dict(m), indent=2) == json.dumps(genome_to_dict(g), indent=2)
 
     def test_add_node_preserves_function_with_identity_activations(self):
         c = cfg(weight_mutation_rate=0.0, add_node_rate=1.0, add_connection_rate=0.0, disable_rate=0.0, seed=11)
@@ -258,9 +260,9 @@ class TestNextGeneration:
         c = cfg(population_size=10, elitism=1, seed=19)
         pop = init_population(c, K)
         fitnesses = np.arange(10, dtype=float)
-        best_json = genome_to_json(pop.members[9])
+        best_json = json.dumps(genome_to_dict(pop.members[9]), indent=2)
         new = next_generation(pop, fitnesses, c)
-        assert any(genome_to_json(g) == best_json for g in new.members)
+        assert any(json.dumps(genome_to_dict(g), indent=2) == best_json for g in new.members)
 
     def test_population_size_exactly_preserved(self):
         c = cfg(population_size=13, seed=23, compatibility_threshold=0.5)
@@ -315,9 +317,9 @@ class TestNextGeneration:
             for gen in range(5):
                 pop = next_generation(pop, rng.random(8), c)
             if trial == 0:
-                reference = [genome_to_json(g) for g in pop.members]
+                reference = [json.dumps(genome_to_dict(g), indent=2) for g in pop.members]
             else:
-                assert [genome_to_json(g) for g in pop.members] == reference
+                assert [json.dumps(genome_to_dict(g), indent=2) for g in pop.members] == reference
 
 
 def test_evaluation_seed_is_stable():

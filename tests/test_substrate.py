@@ -11,7 +11,6 @@ from eincasm.substrate import (
     create_world,
     dilate3x3,
     perceive_cells,
-    perception_vector,
     total_mass,
 )
 
@@ -76,17 +75,17 @@ class TestPerception:
     def test_length_is_9_channels(self):
         for k in (1, 3, 4):
             world = make_world(5, 5, k)
-            vec = perception_vector(world, 2, 2)
+            vec = perceive_cells(world, np.array([2]), np.array([2]))[0]
             assert vec.shape == (9 * (7 + k),)
 
     def test_empty_center_is_all_zero(self):
         world = make_world(3, 3, 1)
-        assert perception_vector(world, 1, 1).shape == (72,)
-        assert not perception_vector(world, 1, 1).any()
+        assert perceive_cells(world, np.array([1]), np.array([1]))[0].shape == (72,)
+        assert not perceive_cells(world, np.array([1]), np.array([1]))[0].any()
 
     def test_corner_sees_five_virtual_obstacles(self):
         world = make_world(3, 3, 1)
-        vec = perception_vector(world, 0, 0)
+        vec = perceive_cells(world, np.array([0]), np.array([0]))[0]
         c = world.n_channels
         obstacle_flags = vec[0::c]
         # neighbors 0,1,2,3,6 are out of grid for the corner cell (0,0)
@@ -97,7 +96,7 @@ class TestPerception:
         # food at (2,1) seen from (1,1) lands at neighbor index 5, slot F
         world = make_world(4, 4, 1)
         world.food[1, 2] = 0.5
-        vec = perception_vector(world, 1, 1)
+        vec = perceive_cells(world, np.array([1]), np.array([1]))[0]
         c = world.n_channels
         assert vec[5 * c + 2] == 0.5
         mass_entries = vec[4::c]
@@ -137,7 +136,8 @@ class TestPerception:
 
         for y in range(4):
             for x in range(5):
-                np.testing.assert_array_equal(perception_vector(world, x, y), naive(world, x, y))
+                got = perceive_cells(world, np.array([y]), np.array([x]))[0]
+                np.testing.assert_array_equal(got, naive(world, x, y))
 
         def check(stack):
             members, ys, xs = np.nonzero(np.ones(stack.mass.shape, dtype=bool))
@@ -162,16 +162,9 @@ class TestPerception:
         world = make_world(5, 5, 2)
         world.mass[2, 2] = 1.5
         before = world.channel_stack()
-        perception_vector(world, 2, 2)
         perceive_cells(world, np.array([0, 4]), np.array([0, 4]))
         np.testing.assert_array_equal(world.channel_stack(), before)
 
-    def test_out_of_bounds_query(self):
-        world = make_world(4, 4, 1)
-        with pytest.raises(WorldError):
-            perception_vector(world, 4, 0)
-        with pytest.raises(WorldError):
-            perception_vector(world, 0, -1)
 
 
 class TestTotalMass:
