@@ -18,8 +18,8 @@ from . import fileio, harness
 from .config import ConfigError, RunConfig, check_arenas, parse_config, read_json, read_section
 from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
-from .environments import EnvError, EnvSpec, json_scalar
-from .fileio import SCHEMA_VERSION
+from .environments import EnvError, EnvSpec
+from .fileio import SCHEMA_VERSION, json_scalar, read_record
 from .lifecycle import LifecycleError, build_simulation
 from .neat import Population
 from .substrate import total_mass, total_nutrient
@@ -188,21 +188,25 @@ def cmd_test(args) -> int:
 
 def load_battery(path: str):
     """Read a battery file, {"physics": {...}, "lifecycle": {...}, "k_hidden":
-    int, "tests": [{"name": str, "env": {...}}, ...]}, by the config typing
-    rule (see ``config``); a key a section omits keeps the harness's own."""
+    int, "tests": [{"name": str, "env": {...}}, ...]}, by the typing rule of
+    ``fileio``; a key a section omits keeps the harness's own, and ``tests``
+    is a non-empty array."""
     data = read_json(path, "battery")
     if not isinstance(data, dict) or set(data) - {"physics", "lifecycle", "k_hidden", "tests"}:
         raise ConfigError(f"battery {path} must be an object of 'physics', 'lifecycle', 'k_hidden' and 'tests'")
     params = read_section("physics", harness.harness_physics(), data.get("physics", {}))
     cfg = read_section("lifecycle", harness.harness_lifecycle(), data.get("lifecycle", {}))
+    entries = data.get("tests")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"battery {path}: 'tests' must be a non-empty array, got {entries!r}")
     try:
         k_expected = json_scalar("k_hidden", data.get("k_hidden", harness.DEFAULT_K_HIDDEN), int)
         tests = []
-        for entry in data["tests"]:
+        for entry in entries:
             if not isinstance(entry, dict) or set(entry) - {"name", "env"}:
                 raise ConfigError(f"battery test {entry!r} must be an object of 'name' and optional 'env'")
             name = json_scalar("name", entry["name"], str)
-            spec = EnvSpec.from_dict(entry["env"]) if entry.get("env") else None
+            spec = read_record(EnvSpec, entry["env"], "env") if entry.get("env") else None
             if name == "coordination" and spec is not None and spec.kind != "coordination":
                 raise ConfigError(f"battery test {name!r} needs an env of kind 'coordination', got {spec.kind!r}")
             if name != "coordination" and spec is None:
@@ -219,7 +223,11 @@ def load_battery(path: str):
 def resolve_arena(name_or_path: str) -> EnvSpec:
     if name_or_path in BUILTIN_ARENAS:
         return BUILTIN_ARENAS[name_or_path]()
-    return EnvSpec.from_dict(read_json(name_or_path, "arena"))
+    data = read_json(name_or_path, "arena")
+    try:
+        return read_record(EnvSpec, data, "arena")
+    except (TypeError, ValueError) as exc:
+        raise EnvError(f"malformed arena {name_or_path}: {exc}") from exc
 
 
 def cmd_render(args) -> int:

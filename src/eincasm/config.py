@@ -13,19 +13,12 @@ Layout:
       "checkpoint_every": int
     }
 
-This module is the one place that knows the JSON form of the sections
-(``EvolutionConfig``, ``PhysicsParams``, ``LifecycleConfig``,
-``IoConfig``): ``read_section`` reads and ``write_section`` writes each one
-from its dataclass fields, in field order. The typing rule, shared with
-environment specs (``environments.json_scalar``): an unknown key is an
-error; an int field takes a JSON integer; a float field takes an integer
-or a float and stores a float; a str field takes a string; true, false and
-null are never numbers, and nothing is truncated or parsed from a string.
-Only the lifecycle's ``seed_cell`` (null or an [x, y] ``json_pair``) and
-``schedule`` ([[step, event], ...], events as ``event_to_dict`` writes
-them, each step in [0, t_max)) have forms of their own. The top-level
-counts take the int rule and must be >= 1. ``io.log_level`` is "info" or
-"quiet"; ``io.frame_every`` is read and echoed but nothing uses it.
+Each section is a dataclass (``EvolutionConfig``, ``PhysicsParams``,
+``LifecycleConfig``, ``IoConfig``, and an ``EnvSpec`` per environment), read
+and written by the typing rule of ``fileio``. Each ``schedule`` step must
+lie in [0, t_max). The top-level counts take the int rule and must be >= 1.
+``io.log_level`` is "info" or "quiet"; ``io.frame_every`` is read and echoed
+but nothing uses it.
 
 ``parse_config`` checks each section on its own; ``check_arenas`` checks
 them together by building the simulation of every arena a run evaluates
@@ -45,13 +38,12 @@ without food caps fitness at the seed energy).
 from __future__ import annotations
 
 import json
-import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .cppn import empty_genome
-from .environments import EnvError, EnvSpec, generate_cached, json_pair, json_scalar
-from .lifecycle import LifecycleConfig, LifecycleError, env_evaluations, event_from_dict, event_to_dict
-from .lifecycle import build_simulation
+from .environments import EnvError, EnvSpec, generate_cached
+from .fileio import read_record, write_value
+from .lifecycle import LifecycleConfig, LifecycleError, build_simulation, env_evaluations
 from .neat import EvolutionConfig
 from .physics import PhysicsParams
 
@@ -102,54 +94,23 @@ class RunConfig:
                 raise ValueError(f"{key!r} must be >= 1, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
-        envs = [e.to_dict() for e in self.environments]
-        return {
-            "evolution": write_section(self.evolution),
-            "physics": write_section(self.physics),
-            "lifecycle": write_section(self.lifecycle),
-            "environment": envs[0] if len(envs) == 1 else envs,
-            "io": write_section(self.io),
-            "generations": self.generations,
-            "k_hidden": self.k_hidden,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        """The document ``parse_config`` reads back; one environment is an object."""
+        data = {("environment" if key == "environments" else key): value for key, value in write_value(self).items()}
+        if len(self.environments) == 1:
+            data["environment"] = data["environment"][0]
+        return data
 
 
 def read_section(name: str, base, data):
     """The dataclass ``base`` with the fields its JSON object ``data``
-    gives, read by the typing rule; an omitted field keeps its value in
-    ``base``. Raises ConfigError naming the section and the key."""
+    gives, read by ``fileio.read_record``; an omitted field keeps its value
+    in ``base``. Raises ConfigError naming the section and the key."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object, got {data!r}")
-    types = typing.get_type_hints(type(base))
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ConfigError(f"config section {name!r}: unknown keys {sorted(unknown)}")
     try:
-        return replace(base, **{key: _read_field(key, types[key], value) for key, value in data.items()})
-    except KeyError as exc:  # an event without one of its keys
-        raise ConfigError(f"config section {name!r}: missing key {exc}") from exc
+        return read_record(type(base), data, name, base)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section {name!r}: {exc}") from exc
-
-
-def _read_field(key: str, kind, value):
-    if key == "seed_cell":  # null or [x, y]
-        return None if value is None else json_pair(key, value)
-    if key == "schedule":  # [[step, event], ...]
-        return tuple((json_scalar(key, step, int), event_from_dict(event)) for step, event in value)
-    return json_scalar(key, value, kind)
-
-
-def write_section(section) -> dict:
-    """The JSON object ``read_section`` reads back into ``section``: its
-    fields in field order."""
-    data = {f.name: getattr(section, f.name) for f in fields(section)}
-    if "seed_cell" in data:
-        data["seed_cell"] = list(data["seed_cell"]) if data["seed_cell"] else None
-    if "schedule" in data:
-        data["schedule"] = [[step, event_to_dict(event)] for step, event in data["schedule"]]
-    return data
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -163,8 +124,8 @@ def parse_config(data: dict) -> RunConfig:
     env_data = data.get("environment", DEFAULT_ENVIRONMENT)
     env_list = env_data if isinstance(env_data, list) else [env_data]
     try:
-        environments = [EnvSpec.from_dict(e) for e in env_list]
-    except (TypeError, ValueError, KeyError) as exc:
+        environments = [read_record(EnvSpec, env, "environment") for env in env_list]
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config section 'environment': {exc}") from exc
     if not environments:
         raise ConfigError("config section 'environment': need at least one environment")

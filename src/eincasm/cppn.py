@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .environments import json_scalar
+from .fileio import json_scalar
 from .substrate import N_BASE_CHANNELS
 
 
@@ -478,11 +478,13 @@ def compile_genome(genomes) -> Phenotype:
 
 # -- serialization ----------------------------------------------------------
 #
-# JSON schema (round-trips exactly; floats use repr, i.e. shortest
-# round-trip decimal form):
-# {n_inputs, n_outputs, k_hidden,
-#  nodes: [{id, kind, activation, bias}],
-#  connections: [{innovation, from, to, weight, enabled}]}
+# A genome file is an object of these keys, each of its nodes and connections
+# an object of theirs, in the order the genes take them. It round-trips
+# exactly: floats use repr, the shortest round-trip decimal form.
+
+_GENOME_KEYS = {"n_inputs": int, "n_outputs": int, "k_hidden": int, "nodes": list, "connections": list}
+_NODE_KEYS = {"id": int, "kind": str, "activation": str, "bias": float}
+_CONNECTION_KEYS = {"innovation": int, "from": int, "to": int, "weight": float, "enabled": bool}
 
 
 def genome_to_dict(genome: Genome) -> dict:
@@ -508,24 +510,28 @@ def genome_to_dict(genome: Genome) -> dict:
 
 
 def genome_from_dict(data: dict) -> Genome:
-    """Read a genome by the ``json_scalar`` rule, then validate it. A node
-    id or innovation number given twice is a GenomeError naming it."""
+    """Read a genome by the ``json_scalar`` rule, then validate it. An
+    unknown key, or a node id or innovation number given twice, is a
+    GenomeError naming it."""
 
-    def read(entry: dict, key: str, kind: type):
-        return json_scalar(key, entry[key], kind)
+    def read(entry: dict, what: str, kinds: dict) -> list:
+        if not isinstance(entry, dict):
+            raise GenomeError(f"{what} must be an object, got {entry!r}")
+        unknown = sorted(set(entry) - set(kinds))
+        if unknown:
+            raise GenomeError(f"{what} has unknown keys {unknown}")
+        return [entry[key] if kind is list else json_scalar(key, entry[key], kind) for key, kind in kinds.items()]
 
     try:
-        g = Genome(read(data, "n_inputs", int), read(data, "n_outputs", int), read(data, "k_hidden", int))
-        for n in data["nodes"]:
-            node = NodeGene(read(n, "id", int), read(n, "kind", str), read(n, "activation", str), read(n, "bias", float))
+        *sizes, nodes, connections = read(data, "genome", _GENOME_KEYS)
+        g = Genome(*sizes)
+        for n in nodes:
+            node = NodeGene(*read(n, "node", _NODE_KEYS))
             if node.id in g.nodes:
                 raise GenomeError(f"node id {node.id} appears twice")
             g.nodes[node.id] = node
-        for c in data["connections"]:
-            conn = ConnectionGene(
-                read(c, "innovation", int), read(c, "from", int), read(c, "to", int),
-                read(c, "weight", float), read(c, "enabled", bool),
-            )
+        for c in connections:
+            conn = ConnectionGene(*read(c, "connection", _CONNECTION_KEYS))
             if conn.innovation in g.connections:
                 raise GenomeError(f"innovation number {conn.innovation} appears twice")
             g.connections[conn.innovation] = conn

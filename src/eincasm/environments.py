@@ -10,48 +10,18 @@ diffusion stencil). ``arena_chemo`` is the one chemoattractant rule.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from .fileio import read_value
 from .substrate import RING_NEIGHBOURS, GridShape, Statics, flood_fill, neighbours
+
 
 class EnvError(ValueError):
     """Unsatisfiable or malformed environment specification."""
-
-
-_SCALAR_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
-                 bool: (bool, "true or false")}
-
-
-def json_scalar(key: str, value, kind: type):
-    """A JSON value checked against one scalar type, raising TypeError that
-    names ``key``: an int takes an integer, a float an integer or a float
-    that is finite as a float (stored as a float), a str a string, a bool
-    only true or false; a bool or null is never a number."""
-    accepted, noun = _SCALAR_KINDS[kind]
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        raise TypeError(f"{key!r} must be {noun}, got {value!r}")
-    if kind is not float:
-        return kind(value)
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise TypeError(f"{key!r} must be a finite number, got {value!r:.40}")
-    return number
-
-
-def json_pair(key: str, value) -> tuple[int, int]:
-    """A JSON pair such as [x, y]: an array of exactly two integers by the
-    ``json_scalar`` rule, raising TypeError that names ``key``."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise TypeError(f"{key!r} must be a pair of integers, got {value!r}")
-    return tuple(json_scalar(key, v, int) for v in value)
 
 
 @dataclass(frozen=True)
@@ -76,18 +46,10 @@ class Rect:
             and self.y + self.h <= shape.height
         )
 
-    def to_list(self) -> list[int]:
-        return [self.x, self.y, self.w, self.h]
-
-    @staticmethod
-    def from_list(v) -> "Rect":
-        x, y, w, h = (json_scalar("rect", t, int) for t in v)
-        return Rect(x, y, w, h)
-
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Declarative arena description, serialized into the run config.
+    """Declarative arena description, read and written by ``fileio``'s rule.
 
     ``obstacles`` are fixed wall rectangles, placed on every kind's own
     walls before food, poison and the chemoattractant. ``params`` carries
@@ -102,9 +64,9 @@ class EnvSpec:
 
     kind: str
     shape: GridShape
-    food: tuple = ()          # ((Rect, amount), ...)
-    poison: tuple = ()        # ((Rect, amount), ...)
-    obstacles: tuple = ()     # (Rect, ...)
+    food: tuple[tuple[Rect, float], ...] = ()
+    poison: tuple[tuple[Rect, float], ...] = ()
+    obstacles: tuple[Rect, ...] = ()
     seed: int = 0
     seed_cell: Optional[tuple[int, int]] = None
     chemo_decay: float = 0.9
@@ -112,8 +74,6 @@ class EnvSpec:
     params: tuple = ()        # kind-specific, as a sorted (key, value) tuple
 
     def __post_init__(self):
-        if self.seed_cell is not None and len(self.seed_cell) != 2:
-            raise EnvError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
         for name in ("seed", "chemo_iters"):
             if getattr(self, name) < 0:
                 raise EnvError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -122,54 +82,10 @@ class EnvSpec:
         object.__setattr__(self, "params", frozen)
 
     def param(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        return dict(self.params).get(key, default)
 
     def resolved_chemo_iters(self) -> int:
         return self.chemo_iters if self.chemo_iters > 0 else 2 * max(self.shape.width, self.shape.height)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "shape": [self.shape.width, self.shape.height],
-            "food": [[r.to_list(), amount] for r, amount in self.food],
-            "poison": [[r.to_list(), amount] for r, amount in self.poison],
-            "obstacles": [r.to_list() for r in self.obstacles],
-            "seed": self.seed,
-            "seed_cell": list(self.seed_cell) if self.seed_cell else None,
-            "chemo_decay": self.chemo_decay,
-            "chemo_iters": self.chemo_iters,
-            "params": {k: v for k, v in self.params},
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "EnvSpec":
-        """Read a spec by the ``json_scalar`` rule: ``shape`` is a
-        ``json_pair``, ``seed_cell`` null or one, ``params`` an object; an
-        unknown key is an error."""
-        known = [f.name for f in fields(EnvSpec)]
-        if not isinstance(data, dict) or set(data) - set(known):
-            raise EnvError(f"environment spec must be an object of the keys {known}, got {data!r}")
-        cell, params = data.get("seed_cell"), data.get("params", {})
-        try:
-            if not isinstance(params, dict):
-                raise TypeError(f"'params' must be an object, got {params!r}")
-            return EnvSpec(
-                kind=json_scalar("kind", data["kind"], str),
-                shape=GridShape(*json_pair("shape", data["shape"])),
-                food=tuple((Rect.from_list(r), json_scalar("food", a, float)) for r, a in data.get("food", ())),
-                poison=tuple((Rect.from_list(r), json_scalar("poison", a, float)) for r, a in data.get("poison", ())),
-                obstacles=tuple(Rect.from_list(r) for r in data.get("obstacles", ())),
-                seed=json_scalar("seed", data.get("seed", 0), int),
-                seed_cell=None if cell is None else json_pair("seed_cell", cell),
-                chemo_decay=json_scalar("chemo_decay", data.get("chemo_decay", 0.9), float),
-                chemo_iters=json_scalar("chemo_iters", data.get("chemo_iters", 0), int),
-                params=tuple(sorted(params.items())),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EnvError(f"malformed environment spec: {exc}") from exc
 
 
 @dataclass
@@ -297,12 +213,7 @@ def generate(spec: EnvSpec) -> EnvBundle:
         if key not in kinds:
             raise EnvError(f"environment kind {spec.kind!r} does not read param {key!r}")
         try:
-            if kinds[key] is Rect:
-                Rect.from_list(value)
-            elif kinds[key] is tuple:
-                json_pair(key, value)
-            else:
-                json_scalar(key, value, kinds[key])
+            read_value(key, value, kinds[key])
         except (TypeError, ValueError) as exc:
             raise EnvError(f"malformed param {key!r}: {exc}") from exc
     shape = spec.shape
@@ -310,7 +221,7 @@ def generate(spec: EnvSpec) -> EnvBundle:
         raise EnvError(f"organism seed cell {tuple(spec.seed_cell)} is blocked or out of bounds")
     goal = spec.param("goal")
     if goal is not None:
-        goal = Rect.from_list(goal)
+        goal = Rect(*goal)
         if not goal.within(shape):
             raise EnvError(f"goal {goal} out of bounds")
     attempts = 100 if spec.kind == "obstacle_field" else 1
@@ -449,13 +360,13 @@ def _coordination_layout(spec: EnvSpec, rng):
     return np.zeros(spec.shape.yx), food, {"cluster_a": cluster_a, "cluster_b": cluster_b}
 
 
-#: Kind -> (its layout, the ``params`` keys it reads and the type of each:
-#: a ``json_scalar`` kind, or ``tuple`` for a ``json_pair`` cell [x, y]).
-#: ``goal``, a ``Rect`` [x, y, w, h], is allowed for every kind.
+#: Kind -> (its layout, the ``params`` keys it reads and the type each is
+#: read as, by the typing rule of ``fileio``). ``goal``, a ``Rect`` [x, y,
+#: w, h], is allowed for every kind.
 KINDS = {
     "open_arena": (_open_layout, {}),
     "obstacle_field": (_obstacle_layout, {"density": float}),
     "maze": (_maze_layout, {"cell_size": int}),
     "coordination": (_coordination_layout, {"cluster_offset": int, "cluster_radius": int, "cluster_amount": float}),
-    "deceptive_chemo": (_open_layout, {"false_peak_amplitude": float, "false_peak": tuple}),
+    "deceptive_chemo": (_open_layout, {"false_peak_amplitude": float, "false_peak": tuple[int, int]}),
 }

@@ -18,16 +18,38 @@ Formats:
   run, so it cannot tell a nondeterministic run from a deterministic one;
 * frames: binary PPM (P6), 8-bit, mass/chemoattractant/reservoir mapped
   to R/G/B with obstacles white.
+
+Every config, arena and event record is read by ``read_value`` and
+``read_record`` and written by ``write_value``, in a JSON form that follows
+from its dataclass field hints alone. Every error is a TypeError or
+ValueError that names the innermost key.
+
+* a scalar is read by ``json_scalar``; ``X | None`` is null or an X;
+* ``tuple[X, ...]`` is an array of X, ``tuple[X, Y]`` one of exactly an X
+  and a Y, and a record of ints only (``Rect``, ``GridShape``) one of its
+  fields in order, such as [x, y, w, h];
+* any other record is an object of its fields, in field order: an unknown
+  or a missing required key is an error, and an omitted key keeps its value
+  in the base record, or else its default;
+* a union of records (``PerturbationEvent``) is the member whose
+  ``ClassVar`` ``kind`` is the object's "kind", written first;
+* a bare ``tuple`` (``EnvSpec.params``) is an object of free values, kept
+  as (key, value) pairs in key order.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
+import types
+import typing
 
 import numpy as np
 
@@ -44,6 +66,106 @@ LOG_COLUMNS = (
     "best_genome_nodes",
     "best_genome_connections",
 )
+
+
+_SCALAR_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+                 bool: (bool, "true or false")}
+
+
+def json_scalar(key: str, value, kind: type):
+    """A JSON value checked against one scalar type, raising TypeError that
+    names ``key``: an int takes an integer, a float an integer or a float
+    that is finite as a float (stored as a float), a str a string, a bool
+    only true or false. True, false and null are never numbers, and nothing
+    is truncated or parsed from a string."""
+    accepted, noun = _SCALAR_KINDS[kind]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key!r} must be {noun}, got {value!r}")
+    if kind is not float:
+        return kind(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise TypeError(f"{key!r} must be a finite number, got {value!r:.40}")
+    return number
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    """The type hint of each field of the dataclass ``cls``, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _int_record(hint) -> bool:
+    return dataclasses.is_dataclass(hint) and set(_hints(hint).values()) == {int}
+
+
+def read_value(key: str, value, hint):
+    """The JSON value ``value`` read as the type ``hint`` by the rule in the
+    module docstring, found under ``key``."""
+    if hint in _SCALAR_KINDS:
+        return json_scalar(key, value, hint)
+    if hint is tuple:
+        if not isinstance(value, dict):
+            raise TypeError(f"{key!r} must be an object, got {value!r}")
+        return tuple(sorted(value.items()))
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        members = {getattr(member, "kind", None): member for member in args if member is not type(None)}
+        if len(members) == 1:  # X | None
+            return read_value(key, value, *members.values())
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if kind not in members:
+            raise ValueError(f"{key!r} must be an object whose \"kind\" is one of {sorted(members)}, got {value!r}")
+        return read_record(members[kind], {k: v for k, v in value.items() if k != "kind"}, key)
+    if dataclasses.is_dataclass(hint) and not _int_record(hint):
+        return read_record(hint, value, key)
+    items = args or (int,) * len(_hints(hint))
+    many = items[-1] is Ellipsis
+    if not isinstance(value, (list, tuple)) or not many and len(value) != len(items):
+        count = "a pair of" if len(items) == 2 else f"an array of {len(items)}"
+        noun = "an array" if many else f"{count} {'integers' if set(items) == {int} else 'values'}"
+        raise TypeError(f"{key!r} must be {noun}, got {value!r}")
+    read = tuple(read_value(key, item, items[0] if many else items[i]) for i, item in enumerate(value))
+    return read if args else hint(*read)
+
+
+def read_record(cls, data, name: str, base=None):
+    """The dataclass ``cls`` read from the JSON object ``data`` found under
+    ``name``; a field ``data`` omits keeps its value in ``base``, if given."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{name!r} must be an object, got {data!r}")
+    hints = _hints(cls)
+    unknown = sorted(set(data) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    missing = base is None and [f.name for f in dataclasses.fields(cls) if f.name not in data
+                                and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    values = {key: read_value(key, data[key], hint) for key, hint in hints.items() if key in data}
+    return cls(**values) if base is None else dataclasses.replace(base, **values)
+
+
+def write_value(value):
+    """The JSON form that ``read_value`` reads back into ``value``."""
+    if isinstance(value, (list, tuple)):
+        return [write_value(item) for item in value]
+    if not dataclasses.is_dataclass(value):
+        return value
+    hints = _hints(type(value))
+    if _int_record(type(value)):
+        return [getattr(value, key) for key in hints]
+    data = {} if "kind" in hints or not hasattr(value, "kind") else {"kind": value.kind}
+    for key, hint in hints.items():
+        item = write_value(getattr(value, key))
+        data[key] = dict(item) if hint is tuple else item  # params: [[key, value], ...] as an object
+    return data
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:

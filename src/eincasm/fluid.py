@@ -142,6 +142,7 @@ class Walls:
         direction = np.arange(9)[:, None]
         gather = np.where(blocked, OPPOSITE[:, None] * size + np.arange(size), direction * size + upstream)
         gather[:, self.solid.reshape(size)] = 9 * size
+        gather.flags.writeable = False  # shared by every simulation on this layout
         return gather.ravel()
 
     @cached_property
@@ -151,8 +152,11 @@ class Walls:
         side, or the virtual slot on the far one, where an x-face wraps."""
         h, w = self.solid.shape
         blocked = np.append(self.solid.ravel(), True)
-        return tuple(np.flatnonzero(blocked[: h * w - k] | blocked[neighbours(h, w)[row, : h * w - k]])
-                     for row, k in ((5, 1), (7, w)))
+        faces = tuple(np.flatnonzero(blocked[: h * w - k] | blocked[neighbours(h, w)[row, : h * w - k]])
+                      for row, k in ((5, 1), (7, w)))
+        for closed in faces:
+            closed.flags.writeable = False  # shared, as stream_gather is
+        return faces
 
 
 @lru_cache(maxsize=8)

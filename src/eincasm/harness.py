@@ -16,7 +16,7 @@ straight corridor and the single-obstacle detour fixtures.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def corridor_spec() -> EnvSpec:
         seed_cell=(1, 2),
         chemo_decay=0.99,
         chemo_iters=160,
-        params=(("goal", goal.to_list()),),
+        params=(("goal", astuple(goal)),),
     )
 
 
@@ -82,7 +82,7 @@ def detour_spec() -> EnvSpec:
         seed_cell=(1, 4),
         chemo_decay=0.99,
         chemo_iters=200,
-        params=(("goal", goal.to_list()),),
+        params=(("goal", astuple(goal)),),
     )
 
 

@@ -37,14 +37,14 @@ per member — so results are independent of scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from . import environments, fluid, physics
 from .cppn import Genome, compile_genome, io_sizes
-from .environments import EnvBundle, EnvSpec, Rect, arena_chemo, json_pair, json_scalar
+from .environments import EnvBundle, EnvSpec, Rect, arena_chemo
 from .fluid import FluidFailure
 from .physics import PhysicsParams
 from .substrate import EDGE_NEIGHBOURS, WorldStack, WorldState, create_world, dilate3x3, flood_fill, perceive_cells
@@ -60,46 +60,25 @@ class LifecycleError(ValueError):
 
 @dataclass(frozen=True)
 class RemoveFood:
+    kind: ClassVar[str] = "remove_food"
     region: Rect
-    kind: str = field(default="remove_food", init=False)
 
 
 @dataclass(frozen=True)
 class DegradeCells:
+    kind: ClassVar[str] = "degrade_cells"
     region: Rect
     fraction: float
-    kind: str = field(default="degrade_cells", init=False)
 
 
 @dataclass(frozen=True)
 class MoveObstacle:
+    kind: ClassVar[str] = "move_obstacle"
     obstacle_id: int  # 1-based component index, row-major discovery order
     displacement: tuple[int, int]
-    kind: str = field(default="move_obstacle", init=False)
 
 
 PerturbationEvent = RemoveFood | DegradeCells | MoveObstacle
-
-
-def event_to_dict(event: PerturbationEvent) -> dict:
-    if isinstance(event, RemoveFood):
-        return {"kind": event.kind, "region": event.region.to_list()}
-    if isinstance(event, DegradeCells):
-        return {"kind": event.kind, "region": event.region.to_list(), "fraction": event.fraction}
-    return {"kind": event.kind, "obstacle_id": event.obstacle_id, "displacement": list(event.displacement)}
-
-
-def event_from_dict(data: dict) -> PerturbationEvent:
-    """Read an event by the ``json_scalar`` rule."""
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "remove_food":
-        return RemoveFood(Rect.from_list(data["region"]))
-    if kind == "degrade_cells":
-        return DegradeCells(Rect.from_list(data["region"]), json_scalar("fraction", data["fraction"], float))
-    if kind == "move_obstacle":
-        displacement = json_pair("displacement", data["displacement"])
-        return MoveObstacle(json_scalar("obstacle_id", data["obstacle_id"], int), displacement)
-    raise LifecycleError(f"unknown perturbation kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +93,7 @@ class LifecycleConfig:
     seed_nutrient: float = 1.0
     n_env_evals: int = 1
     tau: float = 0.8  # fluid BGK relaxation time
-    schedule: tuple = ()  # ((step, PerturbationEvent), ...)
+    schedule: tuple[tuple[int, PerturbationEvent], ...] = ()
 
     def __post_init__(self):
         if not 0 < self.t_min <= self.t_max:
@@ -128,8 +107,6 @@ class LifecycleConfig:
         for name in ("seed_mass", "seed_nutrient"):  # fields stay nonnegative
             if getattr(self, name) < 0:
                 raise LifecycleError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.seed_cell is not None and len(self.seed_cell) != 2:
-            raise LifecycleError(f"seed_cell must be [x, y], got {list(self.seed_cell)}")
         for step, _ in self.schedule:  # events run after step s only while s < lifespan <= t_max
             if not 0 <= step < self.t_max:
                 raise LifecycleError(f"schedule step {step} lies outside [0, t_max = {self.t_max}) and never fires")

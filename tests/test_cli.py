@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 import eincasm
-from eincasm import fileio
+from eincasm import fileio, harness
 from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
 from eincasm.cppn import empty_genome, genome_to_dict
 from eincasm.driver import evolve_run
 from eincasm.environments import EnvSpec
+from eincasm.fileio import read_record, write_value
 from eincasm.harness import chemotaxis_baseline, detour_spec
 from eincasm.substrate import GridShape, Statics, WorldState, create_world
 
 
-DETOUR_TESTS = [{"name": "detour", "env": detour_spec().to_dict()}]
+DETOUR_TESTS = [{"name": "detour", "env": write_value(detour_spec())}]
 
 PAIR = "must be a pair of integers"
 # An arena whose [x, y] pair or params object is malformed: (updates, message).
@@ -54,6 +55,20 @@ EVOLVE_PAIR_CASES = [
     pytest.param({"lifecycle": move_obstacle([1])}, f"'displacement' {PAIR}", id="displacement-one"),
     pytest.param({"lifecycle": move_obstacle(True)}, f"'displacement' {PAIR}", id="displacement-true"),
     pytest.param({"lifecycle": move_obstacle([1, 0, 0])}, f"'displacement' {PAIR}", id="displacement-three"),
+]
+
+
+# A record whose form is wrong: (section, updates, the key the error names).
+MALFORMED_RECORD_CASES = [
+    pytest.param("lifecycle", {"schedule": [[2, {"kind": "remove_food", "region": [1, 1, 2, 2], "fraction": 0.5}]]},
+                 "fraction", id="remove_food-fraction"),
+    pytest.param("environment", {"food": [[[1, 1, 1], 2.0]]}, "food", id="food-rect-three"),
+    pytest.param("environment", {"obstacles": [[1, 1, "a", 1]]}, "obstacles", id="obstacles-rect-string"),
+    pytest.param("environment", {"obstacles": [5]}, "obstacles", id="obstacles-rect-5"),
+    pytest.param("environment", {"obstacles": "abcd"}, "obstacles", id="obstacles-string"),
+    pytest.param("lifecycle", {"schedule": [[1, 2, 3]]}, "schedule", id="schedule-entry-three"),
+    pytest.param("lifecycle", {"schedule": [[2, {"kind": "remove_food", "region": [1, 1, 2]}]]}, "region",
+                 id="region-three"),
 ]
 
 
@@ -229,6 +244,16 @@ class TestEvolveCommand:
         assert err.startswith("error:") and message in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("section, updates, key", MALFORMED_RECORD_CASES)
+    def test_malformed_record_exits_2_naming_the_key(self, tmp_path, capsys, section, updates, key):
+        out = str(tmp_path / "o")
+        cfg = smoke_config(out)
+        cfg[section].update(updates)
+        assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
+        assert not os.path.exists(out)
+
     def test_flag_replaces_a_faulty_file_value(self, tmp_path):
         """The config is parsed once, with the flags in it: a file value
         that a flag overrides is never read."""
@@ -317,7 +342,7 @@ class TestDefaultConfig:
             {"evolution": {"population_size": 8}, "lifecycle": {"t_min": 20, "t_max": 20}, "generations": 2}
         )
         (env,) = cfg.environments
-        assert env.to_dict() == EnvSpec.from_dict(DEFAULT_ENVIRONMENT).to_dict()
+        assert write_value(env) == write_value(read_record(EnvSpec, DEFAULT_ENVIRONMENT, "environment"))
         assert len(env.food) == 1
         monkeypatch.setenv("EINCASM_THREADS", "1")
         result = evolve_run(cfg)
@@ -381,6 +406,19 @@ class TestTestCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["test", "render"])
+    @pytest.mark.parametrize("level, key", [("genome", "extra"), ("node", "weight"), ("connection", "gain")])
+    def test_unknown_genome_key_exits_2(self, tmp_path, capsys, command, level, key):
+        data = genome_to_dict(chemotaxis_baseline())
+        entry = {"genome": data, "node": data["nodes"][0], "connection": data["connections"][0]}[level]
+        entry[key] = 1.0
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {level} has unknown keys ['{key}']\n"
+        assert not out.exists()
+
     def test_dimension_mismatch_exits_2(self, tmp_path):
         genome = write_genome(tmp_path, chemotaxis_baseline(k_hidden=2))
         battery = tmp_path / "battery.json"
@@ -411,7 +449,7 @@ class TestTestCommand:
                          id="lifecycle-seed_cell-on-an-obstacle"),
             pytest.param({"lifecycle": {"schedule": [[2, {"kind": "remove_food", "region": [30, 3, 2, 2]}]]},
                           "tests": DETOUR_TESTS}, id="lifecycle-schedule-region-outside-arena"),
-            pytest.param({"tests": [{"name": 5, "env": detour_spec().to_dict()}]}, id="tests-name-5"),
+            pytest.param({"tests": [{"name": 5, "env": write_value(detour_spec())}]}, id="tests-name-5"),
             pytest.param({"lifecycle": {"t_min": 20, "t_max": 20,
                                         "schedule": [[20, {"kind": "remove_food", "region": [8, 3, 1, 1]}]]},
                           "tests": DETOUR_TESTS}, id="lifecycle-schedule-step-at-t_max"),
@@ -424,6 +462,26 @@ class TestTestCommand:
         out = tmp_path / "report.json"
         assert main(["test", genome, "--battery", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "battery",
+        [
+            pytest.param({"tests": "ab"}, id="string"),
+            pytest.param({"tests": {"name": "coordination"}}, id="object"),
+            pytest.param({"k_hidden": 4}, id="missing"),
+            pytest.param({"tests": []}, id="empty"),
+        ],
+    )
+    def test_battery_tests_must_be_a_non_empty_array(self, tmp_path, capsys, monkeypatch, battery):
+        monkeypatch.setattr(harness, "run_battery", lambda *args: pytest.fail("a test ran"))
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(battery))
+        out = tmp_path / "report.json"
+        genome = write_genome(tmp_path, empty_genome(4))
+        assert main(["test", genome, "--battery", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'tests' must be a non-empty array" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -450,8 +508,8 @@ class TestTestCommand:
             ("--seed", None),
             ("seed_mass", {"lifecycle": {"seed_mass": -1.0}, "tests": [{"name": "coordination"}]}),
             ("seed_nutrient", {"lifecycle": {"seed_nutrient": -2.0}, "tests": [{"name": "coordination"}]}),
-            ("seed", {"tests": [{"name": "detour", "env": {**detour_spec().to_dict(), "seed": -1}}]}),
-            ("chemo_iters", {"tests": [{"name": "detour", "env": {**detour_spec().to_dict(), "chemo_iters": -5}}]}),
+            ("seed", {"tests": [{"name": "detour", "env": {**write_value(detour_spec()), "seed": -1}}]}),
+            ("chemo_iters", {"tests": [{"name": "detour", "env": {**write_value(detour_spec()), "chemo_iters": -5}}]}),
         ],
     )
     def test_negative_value_exits_2_naming_it(self, tmp_path, capsys, key, battery):
@@ -471,7 +529,7 @@ class TestTestCommand:
     def test_custom_battery_runs(self, tmp_path):
         genome = write_genome(tmp_path, empty_genome(4))
         battery = tmp_path / "battery.json"
-        env = detour_spec().to_dict()
+        env = write_value(detour_spec())
         tests = [{"name": "detour", "env": env}, {"name": "coordination"}]
         battery.write_text(json.dumps({"lifecycle": {"t_min": 20, "t_max": 20}, "tests": tests}))
         # the keys the lifecycle section omits keep the harness's values

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from collections import deque
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,9 @@ from eincasm.environments import (
     generate_cached,
     reachable_from,
 )
+from eincasm.cli import resolve_arena
 from eincasm.cppn import empty_genome
+from eincasm.fileio import read_record, read_value, write_value
 from eincasm.harness import coordination_spec, corridor_spec, detour_spec
 from eincasm.lifecycle import LifecycleConfig, MoveObstacle, RemoveFood, build_simulation
 from eincasm.physics import PhysicsParams
@@ -191,7 +193,7 @@ class TestGenerate:
         maze = EnvSpec(kind="maze", shape=GridShape(21, 21), params=(("cell_size", 1),))
         assert generate(maze).goal == Rect(19, 19)  # the far corner cell
         goal = Rect(1, 3, 1, 1)
-        assert generate(replace(maze, params=maze.params + (("goal", goal.to_list()),))).goal == goal
+        assert generate(replace(maze, params=maze.params + (("goal", astuple(goal)),))).goal == goal
         with pytest.raises(EnvError, match="goal"):
             generate(replace(maze, params=(("goal", [20, 20, 2, 2]),)))
 
@@ -435,11 +437,11 @@ def test_envspec_json_round_trip():
         chemo_iters=64,
         params=(("cluster_amount", 4.0),),
     )
-    again = EnvSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    again = read_value("environment", json.loads(json.dumps(write_value(spec))), EnvSpec)
     assert again == spec
-    old = spec.to_dict()
+    old = write_value(spec)
     del old["obstacles"]  # a spec written before fixed obstacles existed
-    assert EnvSpec.from_dict(old) == replace(spec, obstacles=())
+    assert read_record(EnvSpec, old, "environment") == replace(spec, obstacles=())
 
 
 @pytest.mark.parametrize(
@@ -476,9 +478,11 @@ def test_envspec_json_round_trip():
         "false_peak-off-grid", "obstacle_field-seed_cell-40", "obstacle_field-seed_cell-negative",
     ],
 )
-def test_malformed_spec_rejected(change):
+def test_malformed_spec_rejected(tmp_path, change):
+    arena = tmp_path / "arena.json"
+    arena.write_text(json.dumps({"kind": "open_arena", "shape": [16, 16], **change}))
     with pytest.raises(EnvError):
-        generate(EnvSpec.from_dict({"kind": "open_arena", "shape": [16, 16], **change}))
+        generate(resolve_arena(str(arena)))
 
 
 def test_generate_cached_shares_read_only_statics():
@@ -499,8 +503,8 @@ def test_generate_cached_shares_read_only_statics():
 
 
 def test_list_params_are_kept_as_tuples_so_any_spec_caches():
-    spec = EnvSpec.from_dict({"kind": "deceptive_chemo", "shape": [16, 16], "params": {"false_peak": [3, 3]}})
+    spec = read_record(EnvSpec, {"kind": "deceptive_chemo", "shape": [16, 16], "params": {"false_peak": [3, 3]}}, "env")
     assert spec.param("false_peak") == (3, 3)
-    assert json.dumps(spec.to_dict()["params"]) == '{"false_peak": [3, 3]}'
+    assert json.dumps(write_value(spec)["params"]) == '{"false_peak": [3, 3]}'
     assert generate_cached(spec).statics.chemo[3, 3] == 2.0
     assert generate_cached(corridor_spec()).goal == Rect(16, 1, 2, 3)

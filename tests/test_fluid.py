@@ -316,6 +316,19 @@ def test_walls_free_is_the_read_only_complement_of_solid():
     assert walls_of(obstacles.copy()) is walls
 
 
+def test_walls_derived_arrays_are_read_only():
+    """The stream gather and the closed faces are cached with their Walls,
+    so a write to them would reach every later simulation on the layout."""
+    obstacles = np.zeros((4, 4))
+    obstacles[1, 1] = 1.0
+    walls = walls_of(obstacles)
+    for array in (walls.stream_gather, *walls.closed_faces):
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert walls_of(obstacles.copy()).stream_gather[0] != 5
+
+
 def test_step_allocates_only_the_lattice_it_returns():
     """Warmed up, a step of a 16-member 16x16 batch peaks at its returned
     lattice plus less than two (P, H, W) planes of other allocations: its

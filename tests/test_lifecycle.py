@@ -7,22 +7,22 @@ import numpy as np
 import pytest
 
 from eincasm import fluid
-from eincasm.config import read_section, write_section
+from eincasm.config import read_section
 from eincasm.cppn import ConnectionGene, empty_genome
 from eincasm.environments import EnvSpec, Rect, generate
+from eincasm.fileio import read_value, write_value
 from eincasm.harness import chemotaxis_baseline
 from eincasm.lifecycle import (
     DegradeCells,
     LifecycleConfig,
     LifecycleError,
     MoveObstacle,
+    PerturbationEvent,
     RemoveFood,
     Simulation,
     apply_perturbation,
     build_simulation,
     energy_total,
-    event_from_dict,
-    event_to_dict,
     label_obstacles,
     run_lifecycle,
     seed_organism,
@@ -255,7 +255,7 @@ class TestPerturbations:
             MoveObstacle(2, (1, -1)),
         ]
         for ev in events:
-            assert event_from_dict(event_to_dict(ev)) == ev
+            assert read_value("event", json.loads(json.dumps(write_value(ev))), PerturbationEvent) == ev
 
     def test_scheduled_removal_recomputes_chemo(self):
         spec = open_spec(w=10, h=10, food=((Rect(7, 7), 3.0),), seed_cell=(2, 2))
@@ -324,7 +324,7 @@ class TestRunLifecycle:
             tau=1.1,
             schedule=((3, RemoveFood(Rect(1, 1))),),
         )
-        assert read_section("lifecycle", LifecycleConfig(), json.loads(json.dumps(write_section(cfg)))) == cfg
+        assert read_section("lifecycle", LifecycleConfig(), json.loads(json.dumps(write_value(cfg)))) == cfg
 
 
 class TestWorldInvariantsThroughout:
