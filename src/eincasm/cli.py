@@ -19,7 +19,7 @@ from .config import ConfigError, RunConfig, check_arenas, parse_config, read_jso
 from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec
-from .fileio import SCHEMA_VERSION, json_scalar, read_record
+from .fileio import SCHEMA_VERSION, json_scalar, read_record, read_value
 from .lifecycle import LifecycleError, build_simulation
 from .neat import Population
 from .substrate import total_mass, total_nutrient
@@ -105,10 +105,10 @@ def cmd_evolve(args) -> int:
     os.makedirs(out, exist_ok=True)
     fileio.write_json(os.path.join(out, "resolved_config.json"), cfg.to_dict())
 
-    rows: list[dict] = []
+    logged = []
 
     def on_generation(stats, pop: Population):
-        rows.append(stats.to_row())
+        logged.append(stats)
         if cfg.io.log_level != "quiet":
             print(
                 f"gen {stats.generation:4d}  best {stats.best_fitness:10.4f}  "
@@ -119,12 +119,11 @@ def cmd_evolve(args) -> int:
 
     try:
         result = evolve_run(cfg, on_generation=on_generation)
-    except Exception as exc:  # runtime failure: log what we have, then report
-        fileio.atomic_write_text(os.path.join(out, "log.csv"), fileio.log_rows_to_csv(rows))
+    except Exception as exc:  # runtime failure: report it; the log keeps the finished generations
         print(f"error: evolution failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-    fileio.atomic_write_text(os.path.join(out, "log.csv"), fileio.log_rows_to_csv(rows))
+    finally:
+        fileio.atomic_write_text(os.path.join(out, "log.csv"), fileio.log_rows_to_csv(logged))
     if result.best_genome is not None:
         fileio.write_json(os.path.join(out, "best_genome.json"), genome_to_dict(result.best_genome))
     write_checkpoint(os.path.join(out, "checkpoint_final.json"), cfg, result.final_population)
@@ -206,7 +205,7 @@ def load_battery(path: str):
             if not isinstance(entry, dict) or set(entry) - {"name", "env"}:
                 raise ConfigError(f"battery test {entry!r} must be an object of 'name' and optional 'env'")
             name = json_scalar("name", entry["name"], str)
-            spec = read_record(EnvSpec, entry["env"], "env") if entry.get("env") else None
+            spec = read_value("env", entry.get("env"), EnvSpec | None)
             if name == "coordination" and spec is not None and spec.kind != "coordination":
                 raise ConfigError(f"battery test {name!r} needs an env of kind 'coordination', got {spec.kind!r}")
             if name != "coordination" and spec is None:
@@ -260,14 +259,11 @@ def cmd_render(args) -> int:
     trajectory: list[dict] = []
 
     def record():
-        entry = {
+        trajectory.append({
             "step": sim.step_index,
             "total_mass": repr(total_mass(sim.world)),
             "total_nutrient": repr(total_nutrient(sim.world)),
-        }
-        if sim.last_perturbations:
-            entry["perturbation"] = [p.kind for p in sim.last_perturbations]
-        trajectory.append(entry)
+        })
 
     def observe(_):
         record()

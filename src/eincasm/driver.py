@@ -4,12 +4,13 @@ Every member of a generation shares run_seed, and with it the arena, the
 lifespan and the schedule, so members are evaluated in contiguous chunks,
 each stepped as one batch by ``run_population``. A member's fitness does
 not depend on which chunk it lands in, so the chunks fan out over a
-process pool, one per worker, and their results are joined in member
-order: the generational outcome is identical however the work was split.
+process pool, one per worker (without a pool, one chunk runs through the
+builtin ``map``), and their results are joined in member order: the
+generational outcome is identical however the work was split.
 
 ``evolve_run`` is the one place that opens a pool. Its size comes from
 the EINCASM_THREADS environment variable (0 or unset = one worker per
-CPU, 1 = no pool: one batch, in-process). The pool lives for the whole
+CPU, 1 = no pool: one chunk, in-process). The pool lives for the whole
 run and closes when the run ends, so its workers start once, not once per
 generation; every generation's chunks go to those same workers, through
 ``evaluate_population``. A worker keeps only caches
@@ -66,17 +67,15 @@ def evaluate_population(
     """Fitness per member, joined in member order, and the number of
     lifecycles (member x environment evaluation) that a fluid failure cut
     short. Every member of one generation shares run_seed, so all face
-    identical environments. Without ``pool`` the members run in-process
-    as one batch; with it they split into ``workers`` contiguous chunks
-    that run on the pool."""
+    identical environments. The members split into ``workers`` contiguous
+    chunks that run on ``pool``, or into one chunk run in-process without
+    it."""
     if not members:
         return [], 0
-    if pool is None:
-        return _evaluate_chunk((members, envs, params, cfg, run_seed))
-    workers = max(1, min(workers, len(members)))
+    workers = 1 if pool is None else max(1, min(workers, len(members)))
     edges = [len(members) * i // workers for i in range(workers + 1)]
     tasks = [(members[a:b], envs, params, cfg, run_seed) for a, b in zip(edges, edges[1:])]
-    chunks = list(pool.map(_evaluate_chunk, tasks))
+    chunks = list((map if pool is None else pool.map)(_evaluate_chunk, tasks))
     return [fitness for chunk, _ in chunks for fitness in chunk], sum(n_failed for _, n_failed in chunks)
 
 
@@ -89,16 +88,6 @@ class GenerationStats:
     best_genome_nodes: int
     best_genome_connections: int
     n_failed: int = 0  # lifecycles cut short by a fluid failure; not in log.csv
-
-    def to_row(self) -> dict:
-        return {
-            "generation": self.generation,
-            "best_fitness": repr(self.best_fitness),
-            "mean_fitness": repr(self.mean_fitness),
-            "n_species": self.n_species,
-            "best_genome_nodes": self.best_genome_nodes,
-            "best_genome_connections": self.best_genome_connections,
-        }
 
 
 @dataclass

@@ -59,7 +59,8 @@ class EnvSpec:
     ``false_peak_amplitude`` and ``false_peak``, a food-free peak that
     survives every perturbation. Any kind may carry a ``goal`` rect ([x,
     y, w, h]) for the pathfinding test; it overrides the kind's own goal
-    (the maze's far corner). ``generate`` rejects any other key.
+    (the maze's far corner). ``generate`` rejects any other key. A value
+    is a JSON scalar or a flat array of them.
     """
 
     kind: str
@@ -79,6 +80,10 @@ class EnvSpec:
                 raise EnvError(f"{name} must be >= 0, got {getattr(self, name)}")
         # a list param ([x, y] or a rect) is kept as a tuple, so the spec hashes
         frozen = tuple((k, tuple(v) if isinstance(v, list) else v) for k, v in self.params)
+        for key, value in frozen:
+            items = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(item, (int, float, str, type(None))) for item in items):  # bool is an int
+                raise EnvError(f"param {key!r} must be a scalar or a flat array of scalars, got {value!r}")
         object.__setattr__(self, "params", frozen)
 
     def param(self, key: str, default=None):

@@ -196,12 +196,14 @@ def write_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
-def log_rows_to_csv(rows: list[dict]) -> str:
+def log_rows_to_csv(records: list) -> str:
+    """The evolution log: the LOG_COLUMNS header, then those fields of each
+    generation's record (a dataclass), a float as its repr."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=LOG_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=LOG_COLUMNS, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({**row, "schema_version": SCHEMA_VERSION})
+    for record in records:
+        writer.writerow({**dataclasses.asdict(record), "schema_version": SCHEMA_VERSION})
     return buf.getvalue()
 
 

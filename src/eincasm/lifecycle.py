@@ -38,6 +38,8 @@ per member — so results are independent of scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -120,28 +122,23 @@ class LifecycleConfig:
 
 @dataclass
 class EnvOutcome:
-    """One lifecycle in one environment: its arena seed, its mass curve
-    (the total mass before the first step and after each step it
-    completed) and the FluidFailure that cut it short, or None. Its
-    fitness is ``mass_curve[-1]``; it ran ``len(mass_curve) - 1`` steps."""
+    """One lifecycle in one environment: its mass curve (the total mass
+    before the first step and after each step it completed) and the
+    FluidFailure that cut it short, or None. It ran ``len(mass_curve) - 1``
+    steps and ended at the mass ``mass_curve[-1]``."""
 
-    env_seed: int
     mass_curve: list[float]
     failure: FluidFailure | None
 
 
 @dataclass
 class FitnessRecord:
-    """Outcome of one full fitness evaluation (possibly several environments).
-
-    ``mass_curve`` is the elementwise mean of the environments' curves
-    over the whole lifespan, ``len(mass_curve) - 1`` steps; a curve cut
-    short by a fluid failure is padded by holding its final value.
-    ``fitness`` is its final entry.
-    """
+    """Outcome of one full fitness evaluation: one EnvOutcome per
+    environment evaluation, in evaluation order. ``fitness`` is their mean
+    final mass: the final masses added left to right in that order, then
+    divided by their count."""
 
     fitness: float
-    mass_curve: list[float]
     per_env: list[EnvOutcome]
 
 
@@ -302,7 +299,6 @@ class Simulation:
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
         self._frozen: dict[int, tuple[WorldState, fluid.Lattice]] = {}
         self.step_index = 0
-        self.last_perturbations: list[PerturbationEvent] = []
 
     def member_world(self, member: int) -> WorldState:
         """A member's world: views into the batch while it runs, or into
@@ -325,10 +321,10 @@ class Simulation:
     def lattice(self) -> fluid.Lattice:
         return self.member_lattice(0)
 
-    def step(self, selection_override: np.ndarray | None = None) -> None:
-        """Advance every running member one step. ``selection_override`` (a
-        boolean (H, W) cell mask, applied to every member) replaces the
-        stochastic selection; tests use it to force or suppress updates."""
+    def step(self) -> None:
+        """Advance every running member one step by the module's pipeline.
+        Member m draws its selection off ``rngs[m]``, one ``random`` call per
+        step, and draws nothing at p_update 1."""
         if not self.running:
             return
         worlds = self.worlds
@@ -337,10 +333,7 @@ class Simulation:
         footprint = worlds.mass >= p.m_min
         active = dilate3x3(footprint) & self.walls.free
         ms, ys, xs = np.nonzero(active)
-        if selection_override is not None:
-            chosen = selection_override[ys, xs]
-            cells = (ms[chosen], ys[chosen], xs[chosen])
-        elif self.cfg.p_update == 1.0:
+        if self.cfg.p_update == 1.0:
             cells = (ms, ys, xs)  # every draw in [0, 1) would select its cell
         else:
             # One draw per active cell, row-major, off each member's own stream.
@@ -384,12 +377,12 @@ class Simulation:
         velocity = fluid.macroscopic(self.lattices).u
         worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
 
-        self.last_perturbations = [event for step, event in self.cfg.schedule if step == self.step_index]
-        for event in self.last_perturbations:
+        events = [event for step, event in self.cfg.schedule if step == self.step_index]
+        for event in events:
             apply_perturbation(worlds, event)
-        if any(isinstance(event, MoveObstacle) for event in self.last_perturbations):
+        if any(isinstance(event, MoveObstacle) for event in events):
             self._reconcile_lattice(self.walls.solid)
-        if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in self.last_perturbations):
+        if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in events):
             worlds.chemo[...] = arena_chemo(self.spec, worlds.food, worlds.obstacle)
         self.step_index += 1
 
@@ -459,10 +452,12 @@ def run_population(
 ) -> list[FitnessRecord]:
     """Evaluate genomes that share run_seed: one lifespan drawn from it,
     then per environment evaluation one simulation that steps every member
-    as a batch; each member's environments are averaged.
+    as a batch.
 
     Each record keeps one EnvOutcome per environment, the arenas of
-    ``env_evaluations``. A fluid instability ends that member's run in that
+    ``env_evaluations``, and its fitness is their final masses folded left
+    to right and divided by their count (``sum`` and a 1-D ``np.mean``
+    round differently). A fluid instability ends that member's run in that
     environment early: its curve stops at the total mass of the failure
     step and its outcome keeps the failure — penalizing, never crashing,
     the evolution driver. A member's record does not depend on the others.
@@ -474,17 +469,8 @@ def run_population(
             genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
         )
         for member, curve in enumerate(sim.run(lifespan)):
-            outcomes[member].append(EnvOutcome(spec.seed, curve, sim.failures[member]))
-    return [_fitness_record(member_outcomes, lifespan) for member_outcomes in outcomes]
-
-
-def _fitness_record(outcomes: list[EnvOutcome], lifespan: int) -> FitnessRecord:
-    padded = np.full((len(outcomes), lifespan + 1), np.nan)
-    for i, outcome in enumerate(outcomes):
-        padded[i, : len(outcome.mass_curve)] = outcome.mass_curve
-        padded[i, len(outcome.mass_curve) :] = outcome.mass_curve[-1]
-    mean_curve = padded.mean(axis=0)
-    return FitnessRecord(fitness=float(mean_curve[-1]), mass_curve=[float(v) for v in mean_curve], per_env=outcomes)
+            outcomes[member].append(EnvOutcome(curve, sim.failures[member]))
+    return [FitnessRecord(reduce(add, [o.mass_curve[-1] for o in runs]) / len(runs), runs) for runs in outcomes]
 
 
 def run_lifecycle(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eincasm
-from eincasm import fileio, harness
+from eincasm import fileio, harness, neat
 from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
 from eincasm.cppn import empty_genome, genome_to_dict
@@ -25,6 +25,7 @@ from eincasm.substrate import GridShape, Statics, WorldState, create_world
 DETOUR_TESTS = [{"name": "detour", "env": write_value(detour_spec())}]
 
 PAIR = "must be a pair of integers"
+FLAT = "must be a scalar or a flat array of scalars"
 # An arena whose [x, y] pair or params object is malformed: (updates, message).
 ENV_PAIR_CASES = [
     pytest.param({"shape": [12]}, f"'shape' {PAIR}", id="shape-one"),
@@ -34,6 +35,8 @@ ENV_PAIR_CASES = [
     pytest.param({"seed_cell": 0}, f"'seed_cell' {PAIR}", id="seed_cell-0"),
     pytest.param({"seed_cell": [1, 2, 3]}, f"'seed_cell' {PAIR}", id="seed_cell-three"),
     pytest.param({"params": [["goal", [1, 1, 2, 2]]]}, "'params' must be an object", id="params-pairs"),
+    pytest.param({"params": {"goal": [[1, 2], 3, 4, 5]}}, f"'goal' {FLAT}", id="goal-nested-array"),
+    pytest.param({"params": {"goal": {"a": 1}}}, f"'goal' {FLAT}", id="goal-object"),
     pytest.param({"kind": "deceptive_chemo", "params": {"false_peak": [3]}}, f"'false_peak' {PAIR}",
                  id="false_peak-one"),
     pytest.param({"kind": "deceptive_chemo", "params": {"false_peak": True}}, f"'false_peak' {PAIR}",
@@ -253,6 +256,25 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
         assert not os.path.exists(out)
+
+    def test_failed_run_keeps_the_log_of_its_finished_generations(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EINCASM_THREADS", "1")
+        one = str(tmp_path / "one")
+        assert main(["evolve", "--config", write_config(tmp_path, smoke_config(one, generations=1))]) == 0
+        capsys.readouterr()
+
+        def fail(*args):
+            raise RuntimeError("no offspring")
+
+        monkeypatch.setattr(neat, "next_generation", fail)
+        out = str(tmp_path / "out")
+        assert main(["evolve", "--config", write_config(tmp_path, smoke_config(out), "c2.json")]) == 1
+        assert capsys.readouterr().err.startswith("error: evolution failed: no offspring")
+        log = Path(out, "log.csv").read_bytes()
+        assert len(log.splitlines()) == 2  # the header and generation 0
+        assert log == Path(one, "log.csv").read_bytes()
+        assert not os.path.exists(os.path.join(out, "best_genome.json"))
+        assert not os.path.exists(os.path.join(out, "checkpoint_final.json"))
 
     def test_flag_replaces_a_faulty_file_value(self, tmp_path):
         """The config is parsed once, with the flags in it: a file value
@@ -483,6 +505,27 @@ class TestTestCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'tests' must be a non-empty array" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("env", [0, False, "", [], {}], ids=["0", "false", "empty-string", "empty-array",
+                                                               "empty-object"])
+    def test_falsy_battery_env_exits_2(self, tmp_path, capsys, monkeypatch, env):
+        """A test's env is read whenever the key is present: only null means
+        no env."""
+        monkeypatch.setattr(harness, "run_battery", lambda *args: pytest.fail("a test ran"))
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"tests": [{"name": "coordination", "env": env}]}))
+        out = tmp_path / "report.json"
+        assert main(["test", write_genome(tmp_path, empty_genome(4)), "--battery", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_null_battery_env_runs_the_default_arena(self, tmp_path):
+        path = tmp_path / "battery.json"
+        tests = [{"name": "coordination", "env": None}]
+        path.write_text(json.dumps({"lifecycle": {"t_min": 20, "t_max": 20}, "tests": tests}))
+        out = tmp_path / "report.json"
+        assert main(["test", write_genome(tmp_path, empty_genome(4)), "--battery", str(path), "--out", str(out)]) == 0
+        assert [t["name"] for t in json.loads(out.read_text())["tests"]] == ["coordination"]
 
     @pytest.mark.parametrize(
         "lifecycle, message",

@@ -25,7 +25,7 @@ from eincasm.cli import resolve_arena
 from eincasm.cppn import empty_genome
 from eincasm.fileio import read_record, read_value, write_value
 from eincasm.harness import coordination_spec, corridor_spec, detour_spec
-from eincasm.lifecycle import LifecycleConfig, MoveObstacle, RemoveFood, build_simulation
+from eincasm.lifecycle import LifecycleConfig, MoveObstacle, RemoveFood, apply_perturbation, build_simulation
 from eincasm.physics import PhysicsParams
 from eincasm.substrate import CHANNELS, GridShape
 
@@ -305,9 +305,11 @@ def test_deceptive_false_peak_survives_perturbations(event):
     cfg = LifecycleConfig(t_min=2, t_max=2, p_update=1.0, schedule=((0, event),))
     sim = build_simulation(empty_genome(4), generate(spec), PhysicsParams(), cfg, 1)
     assert sim.world.chemo[3, 3] == 2.0
+    fired = apply_perturbation(sim.world.copy(), event)
     sim.step()
     world = sim.world
-    assert sim.last_perturbations == [event]
+    for static in ("food", "obstacle"):  # the event fired after step 0
+        np.testing.assert_array_equal(getattr(world, static), getattr(fired, static))
     np.testing.assert_array_equal(world.chemo, arena_chemo(spec, world.food, world.obstacle))
     assert world.chemo[3, 3] == 2.0
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,10 +75,11 @@ class TestSeeding:
 class TestStepPipeline:
     def test_no_selection_freezes_economy(self):
         bundle = generate(open_spec())
-        sim = build_simulation(grower_genome(), bundle, PhysicsParams(), default_cfg(), 1)
+        sim = build_simulation(grower_genome(), bundle, PhysicsParams(), default_cfg(p_update=0.5), 1)
+        sim.rngs = [SimpleNamespace(random=np.ones)]  # every draw 1.0: no cell is selected
         before_m = sim.world.mass.copy()
         before_r = sim.world.reservoir.copy()
-        sim.step(selection_override=np.zeros((8, 8), dtype=bool))
+        sim.step()
         np.testing.assert_array_equal(sim.world.mass, before_m)
         np.testing.assert_array_equal(sim.world.reservoir, before_r)
 
@@ -113,10 +115,8 @@ class TestStepPipeline:
         g = chemotaxis_baseline()
         a = build_simulation(g, bundle, PhysicsParams(), default_cfg(), 7)
         b = build_simulation(g, bundle, PhysicsParams(), default_cfg(), 7)
-        mask = np.zeros((8, 8), dtype=bool)
-        mask[3:6, 3:6] = True
-        a.step(selection_override=mask)
-        b.step(selection_override=mask)
+        a.step()
+        b.step()
         np.testing.assert_array_equal(a.world.channel_stack(), b.world.channel_stack())
 
     def test_active_set_is_dilated_footprint(self):
@@ -273,8 +273,8 @@ class TestRunLifecycle:
     def test_inert_genome_keeps_seed_mass(self):
         rec = run_lifecycle(empty_genome(4), open_spec(), PhysicsParams(), default_cfg(), 3)
         assert rec.fitness == pytest.approx(1.0)
-        assert rec.mass_curve[-1] == rec.fitness
-        assert len(rec.mass_curve) == 20 + 1
+        assert rec.per_env[0].mass_curve[-1] == rec.fitness
+        assert len(rec.per_env[0].mass_curve) == 20 + 1
 
     def test_deterministic_bit_for_bit(self):
         cfg = default_cfg(t_min=15, t_max=30, p_update=0.5)
@@ -282,7 +282,7 @@ class TestRunLifecycle:
         g = chemotaxis_baseline()
         recs = [run_lifecycle(g, spec, PhysicsParams(), cfg, 99) for _ in range(2)]
         digests = [
-            hashlib.sha256(json.dumps([repr(v) for v in r.mass_curve]).encode()).hexdigest()
+            hashlib.sha256(json.dumps([repr(v) for v in r.per_env[0].mass_curve]).encode()).hexdigest()
             for r in recs
         ]
         assert digests[0] == digests[1]
@@ -291,7 +291,7 @@ class TestRunLifecycle:
         cfg = default_cfg(t_min=7, t_max=7)
         for seed in (1, 2, 3):
             rec = run_lifecycle(empty_genome(4), open_spec(), PhysicsParams(), cfg, seed)
-            assert len(rec.mass_curve) == 7 + 1
+            assert len(rec.per_env[0].mass_curve) == 7 + 1
 
     def test_multi_env_average(self):
         cfg = default_cfg(n_env_evals=3)

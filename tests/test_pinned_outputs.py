@@ -8,7 +8,7 @@ under the test's own directory, so no path reaches the files. Serial and
 pooled evaluation must write the same bytes. A digest recorded under
 another numpy than ``bench/reference.json``'s is skipped, as the
 benchmark skips it, because numpy's SIMD ``exp`` and ``tanh`` may move
-fitness bits.
+fitness bits. The bytes do not depend on the string-hash seed either.
 """
 
 import contextlib
@@ -16,10 +16,13 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import eincasm
 from eincasm import cli
 
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "reference.json")
@@ -59,12 +62,16 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pooled"])
-def test_scheduled_evolve_outputs_are_pinned(tmp_path, monkeypatch, threads):
+def skip_under_another_numpy():
     with open(REFERENCE, encoding="utf-8") as handle:
         recorded = json.load(handle).get("numpy")
     if recorded != np.__version__:
         pytest.skip(f"digests recorded with numpy {recorded}, running numpy {np.__version__}")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pooled"])
+def test_scheduled_evolve_outputs_are_pinned(tmp_path, monkeypatch, threads):
+    skip_under_another_numpy()
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("EINCASM_THREADS", threads)
     (tmp_path / "config.json").write_text(json.dumps(CONFIG))
@@ -73,4 +80,21 @@ def test_scheduled_evolve_outputs_are_pinned(tmp_path, monkeypatch, threads):
         assert cli.main(["evolve", "--config", "config.json", "--out", "out"]) == 0
     got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in sorted(os.listdir("out"))}
     got["stdout"] = sha256(stdout.getvalue().encode("utf-8"))
+    assert got == DIGESTS
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path, hash_seed):
+    """The same run, serial, in a fresh interpreter per PYTHONHASHSEED."""
+    skip_under_another_numpy()
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    package_root = os.path.dirname(os.path.dirname(eincasm.__file__))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed, "EINCASM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eincasm.cli", "evolve", "--config", "config.json", "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, check=True,
+    )
+    got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in sorted(os.listdir(tmp_path / "out"))}
+    got["stdout"] = sha256(proc.stdout)
     assert got == DIGESTS

@@ -3,6 +3,7 @@ gets alone, serially, pooled, and through failures and obstacle moves."""
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,6 +155,27 @@ class TestSerialPooledPerMember:
         for genome, record in zip(members, together):
             assert record == run_lifecycle(genome, spec, params, cfg, 4)
         assert len({record.fitness for record in together}) == len(members)
+
+
+def test_fitness_keeps_the_bits_of_the_padded_mean_curve():
+    """A fitness is its evaluations' final masses folded in evaluation
+    order, then divided by their count: the bits of the last entry of the
+    mean over the rows of the (E, lifespan + 1) curves, each padded by
+    holding its final mass. At p_update 0.9 each evaluation draws its own
+    selection stream: the baseline's fluid fails in every one, at its own
+    final mass, and the other member's in none."""
+    members = [chemotaxis_baseline(K), random_genome(np.random.default_rng(9))]
+    for n_env_evals in range(1, 13):
+        cfg = replace(harness_lifecycle(t=40), p_update=0.9, n_env_evals=n_env_evals)
+        records = run_population(members, blowup_spec(), harness_physics(), cfg, 7)
+        lifespan = cfg.lifespan(7)
+        for record in records:
+            curves = [o.mass_curve + o.mass_curve[-1:] * (lifespan + 1 - len(o.mass_curve)) for o in record.per_env]
+            expected = np.array(curves).mean(axis=0)[-1]
+            assert np.float64(record.fitness).view(np.uint64) == expected.view(np.uint64)
+        assert all(o.failure is not None for o in records[0].per_env)
+        assert not any(o.failure is not None for o in records[1].per_env)
+        assert len({o.mass_curve[-1] for o in records[0].per_env}) == n_env_evals
 
 
 class TestFailureRecord:
@@ -393,17 +415,18 @@ def test_members_must_share_k_hidden():
 
 def test_full_update_draws_nothing_and_selects_every_active_cell():
     """At p_update 1 a two-member simulation steps exactly as one whose
-    every cell is forced to update, and its selection streams stay unread."""
+    every cell is forced to update, and its selection streams stay unread.
+    The forced one draws every cell 0.0 at p_update 0.5."""
     spec = EnvSpec(kind="open_arena", shape=GridShape(13, 11), food=((Rect(8, 4, 2, 2), 2.0),))
     params, cfg = harness_physics(), harness_lifecycle(t=60)
     genomes = [chemotaxis_baseline(K), random_genome(np.random.default_rng(9))]
     stochastic = build_simulation(genomes, generate(spec), params, cfg, 5)
-    forced = build_simulation(genomes, generate(spec), params, cfg, 5)
+    forced = build_simulation(genomes, generate(spec), params, replace(cfg, p_update=0.5), 5)
+    forced.rngs = [SimpleNamespace(random=np.zeros)] * 2
     unread = [rng.bit_generator.state for rng in stochastic.rngs]
-    everywhere = np.ones(spec.shape.yx, dtype=bool)
     for _ in range(60):
         stochastic.step()
-        forced.step(everywhere)
+        forced.step()
         assert stochastic.running == forced.running == [0, 1]
         for m in (0, 1):
             expected = forced.member_world(m).channel_stack().tobytes()
