@@ -31,8 +31,10 @@ population.
 Determinism: (genome, environment spec, physics, lifecycle config,
 run_seed) fully determine the trajectory. Random streams are derived from
 named SeedSequence tuples — the lifespan from (run_seed, 0), and cell
-selection in environment evaluation e from (run_seed, e, 1), one stream
-per member — so results are independent of scheduling.
+selection in evaluation e from (run_seed, e, 1), one stream per member,
+e restarting at 1 in each environment — so results are independent of
+scheduling. Fitness (``mean_final_mass``) is per environment the mean of
+its evaluations' final masses, then the mean of those, each a left fold.
 """
 
 from __future__ import annotations
@@ -133,10 +135,10 @@ class EnvOutcome:
 
 @dataclass
 class FitnessRecord:
-    """Outcome of one full fitness evaluation: one EnvOutcome per
-    environment evaluation, in evaluation order. ``fitness`` is their mean
-    final mass: the final masses added left to right in that order, then
-    divided by their count."""
+    """One member's evaluation: one EnvOutcome per (environment,
+    evaluation), environment-major, and ``fitness``, their
+    ``mean_final_mass``: per environment the mean of its final masses, then
+    the mean of those."""
 
     fitness: float
     per_env: list[EnvOutcome]
@@ -443,34 +445,43 @@ def env_evaluations(env: EnvSpec, cfg: LifecycleConfig) -> list[EnvSpec]:
     return [replace(env, seed=env.seed + e) for e in range(cfg.n_env_evals)]
 
 
+def mean_final_mass(per_env: list[EnvOutcome], n_env_evals: int) -> float:
+    """The one average of final masses. ``per_env`` is environment-major:
+    each environment's n_env_evals final masses are added left to right and
+    divided by n_env_evals, and those means likewise by their count."""
+    finals = [outcome.mass_curve[-1] for outcome in per_env]
+    means = [reduce(add, finals[i : i + n_env_evals]) / n_env_evals for i in range(0, len(finals), n_env_evals)]
+    return reduce(add, means) / len(means)
+
+
 def run_population(
     genomes: list[Genome],
-    env: EnvSpec,
+    envs: list[EnvSpec],
     params: PhysicsParams,
     cfg: LifecycleConfig,
     run_seed: int,
 ) -> list[FitnessRecord]:
-    """Evaluate genomes that share run_seed: one lifespan drawn from it,
-    then per environment evaluation one simulation that steps every member
-    as a batch.
+    """Evaluate genomes that share run_seed in every environment of
+    ``envs``: one lifespan drawn from run_seed, then per arena of
+    ``env_evaluations`` one simulation stepping every member as a batch.
 
-    Each record keeps one EnvOutcome per environment, the arenas of
-    ``env_evaluations``, and its fitness is their final masses folded left
-    to right and divided by their count (``sum`` and a 1-D ``np.mean``
-    round differently). A fluid instability ends that member's run in that
-    environment early: its curve stops at the total mass of the failure
-    step and its outcome keeps the failure — penalizing, never crashing,
-    the evolution driver. A member's record does not depend on the others.
+    Each record holds one EnvOutcome per (environment, evaluation),
+    environment-major; evaluation e of every environment draws selection
+    from (run_seed, e, 1). Its fitness is per environment the mean of the
+    final masses, then the mean of those (``mean_final_mass``). A fluid
+    failure ends a member's run in that evaluation early, penalizing, never
+    crashing, the driver. A member's record does not depend on the others.
     """
     lifespan = cfg.lifespan(run_seed)
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
-    for e, spec in enumerate(env_evaluations(env, cfg), start=1):
-        sim = build_simulation(
-            genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
-        )
-        for member, curve in enumerate(sim.run(lifespan)):
-            outcomes[member].append(EnvOutcome(curve, sim.failures[member]))
-    return [FitnessRecord(reduce(add, [o.mass_curve[-1] for o in runs]) / len(runs), runs) for runs in outcomes]
+    for env in envs:
+        for e, spec in enumerate(env_evaluations(env, cfg), start=1):
+            sim = build_simulation(
+                genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
+            )
+            for member, curve in enumerate(sim.run(lifespan)):
+                outcomes[member].append(EnvOutcome(curve, sim.failures[member]))
+    return [FitnessRecord(mean_final_mass(runs, cfg.n_env_evals), runs) for runs in outcomes]
 
 
 def run_lifecycle(
@@ -480,8 +491,8 @@ def run_lifecycle(
     cfg: LifecycleConfig,
     run_seed: int,
 ) -> FitnessRecord:
-    """Evaluate one genome: the one-member case of ``run_population``."""
-    return run_population([genome], env, params, cfg, run_seed)[0]
+    """The one-member, one-environment case of ``run_population``."""
+    return run_population([genome], [env], params, cfg, run_seed)[0]
 
 
 def energy_total(world: WorldState, p: PhysicsParams) -> float:

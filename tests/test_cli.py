@@ -731,6 +731,22 @@ def test_console_entry_point_runs():
     assert proc.returncode == 2
 
 
+def test_cli_import_loads_no_process_pool():
+    """Only ``evolve`` opens a pool, so importing the CLI leaves the
+    process-pool machinery unloaded for ``test``, ``render`` and ``replay``."""
+    package_root = os.path.dirname(os.path.dirname(eincasm.__file__))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys, eincasm.cli\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_atomic_write_replaces_content(tmp_path):
     path = str(tmp_path / "file.txt")
     fileio.atomic_write_text(path, "one")

@@ -26,6 +26,7 @@ from eincasm.lifecycle import (
     energy_total,
     label_obstacles,
     run_lifecycle,
+    run_population,
     seed_organism,
     validate_schedule,
 )
@@ -294,10 +295,28 @@ class TestRunLifecycle:
             assert len(rec.per_env[0].mass_curve) == 7 + 1
 
     def test_multi_env_average(self):
-        cfg = default_cfg(n_env_evals=3)
-        rec = run_lifecycle(empty_genome(4), open_spec(), PhysicsParams(), cfg, 5)
-        assert len(rec.per_env) == 3
-        assert rec.fitness == pytest.approx(np.mean([e.mass_curve[-1] for e in rec.per_env]))
+        """Fitness is the two-level fold: per environment its final masses
+        added left to right and divided by n_env_evals, then those means
+        added left to right and divided by the number of environments. At
+        8 or more values a 1-D np.mean sums pairwise and differs."""
+        envs = [open_spec(food=((Rect(1 + i % 6, 1 + i // 6 * 5, 2, 2), 1.0 + i),)) for i in range(12)]
+        for n_env_evals in (1, 2, 3):
+            cfg = default_cfg(t_min=6, t_max=6, p_update=0.5, n_env_evals=n_env_evals)
+            for n_envs in range(1, 13):
+                for record in run_population([chemotaxis_baseline()], envs[:n_envs], PhysicsParams(), cfg, 5):
+                    finals = [outcome.mass_curve[-1] for outcome in record.per_env]
+                    assert len(finals) == len(set(finals)) == n_envs * n_env_evals
+                    means = []
+                    for env in range(n_envs):
+                        total = finals[env * n_env_evals]
+                        for final in finals[env * n_env_evals + 1 : (env + 1) * n_env_evals]:
+                            total += final
+                        means.append(total / n_env_evals)
+                    total = means[0]
+                    for mean in means[1:]:
+                        total += mean
+                    expected = np.float64(total / n_envs)
+                    assert np.float64(record.fitness).view(np.uint64) == expected.view(np.uint64)
 
     def test_config_validation(self):
         with pytest.raises(LifecycleError):

@@ -1,6 +1,7 @@
 """Population stepping: a batch of members gives each member the bits it
 gets alone, serially, pooled, and through failures and obstacle moves."""
 
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
@@ -11,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genome
-from eincasm import driver
 from eincasm.config import parse_config
 from eincasm.driver import evaluate_population, evolve_run
 from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
@@ -84,6 +84,10 @@ def blowup_spec():
     )
 
 
+def bits(value):
+    return int(np.float64(value).view(np.uint64))
+
+
 def mixed_members():
     members = [empty_genome(K), chemotaxis_baseline(K)]
     members += [random_genome(np.random.default_rng(seed)) for seed in range(3)]
@@ -95,31 +99,32 @@ class TestSerialPooledPerMember:
         members = mixed_members()
         small = EnvSpec(kind="open_arena", shape=GridShape(13, 11), food=((Rect(8, 4, 2, 2), 2.0),))
         envs = [blowup_spec(), small]
-        params, cfg = harness_physics(), harness_lifecycle(t=40)
-        records = [[run_lifecycle(g, env, params, cfg, 7) for g in members] for env in envs]
-        per_member = [float(np.mean([r[i].fitness for r in records])) for i in range(len(members))]
-        failed = [r.per_env[0].failure is not None for r in records[0]]
+        params, cfg = harness_physics(), replace(harness_lifecycle(t=40), n_env_evals=2)
+        alone = [[run_lifecycle(g, env, params, cfg, 7) for env in envs] for g in members]
+        failed = [records[0].per_env[0].failure is not None for records in alone]
         assert any(failed) and not all(failed)
 
-        n_failed = sum(outcome.failure is not None for per_env in records for r in per_env for outcome in r.per_env)
-        assert n_failed > 0
-
-        serial, serial_failed = evaluate_population(members, envs, params, cfg, 7)
+        serial = evaluate_population(members, envs, params, cfg, 7)
         with ProcessPoolExecutor(2) as pool:
-            pooled, pooled_failed = evaluate_population(members, envs, params, cfg, 7, pool, workers=2)
-        assert serial == per_member
-        assert pooled == per_member
-        assert serial_failed == pooled_failed == n_failed
+            pooled = evaluate_population(members, envs, params, cfg, 7, pool, workers=2)
+
+        def outcomes(record):
+            return [(bits(o.mass_curve[-1]), len(o.mass_curve) - 1, o.failure) for o in record.per_env]
+
+        for member, records in enumerate(alone):
+            expected = [outcome for record in records for outcome in outcomes(record)]  # environment-major
+            assert outcomes(serial[member]) == outcomes(pooled[member]) == expected
+            assert bits(serial[member].fitness) == bits(pooled[member].fitness)
 
     def test_evolve_run_pooled_equals_serial_on_one_pool(self, monkeypatch):
         opened = []
 
-        class CountedPool(driver.ProcessPoolExecutor):
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 opened.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(driver, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
         cfg = parse_config(
             {"evolution": {"population_size": 6, "seed": 2}, "lifecycle": {"t_min": 15, "t_max": 15}, "generations": 3}
         )
@@ -141,7 +146,7 @@ class TestSerialPooledPerMember:
     def test_population_records_equal_single_records(self):
         members = mixed_members()
         cfg = LifecycleConfig(t_min=20, t_max=40, p_update=0.5, seed_nutrient=24.0, n_env_evals=2, tau=1.2)
-        together = run_population(members, blowup_spec(), harness_physics(), cfg, 11)
+        together = run_population(members, [blowup_spec()], harness_physics(), cfg, 11)
         for genome, record in zip(members, together):
             alone = run_lifecycle(genome, blowup_spec(), harness_physics(), cfg, 11)
             assert record == alone
@@ -151,7 +156,7 @@ class TestSerialPooledPerMember:
         members = [hidden_genome(rng, n_hidden) for n_hidden in (0, 1, 2, 3, 4)]
         spec = EnvSpec(kind="open_arena", shape=GridShape(13, 11), food=((Rect(8, 4, 2, 2), 2.0),))
         params, cfg = harness_physics(), harness_lifecycle(t=30)
-        together = run_population(members, spec, params, cfg, 4)
+        together = run_population(members, [spec], params, cfg, 4)
         for genome, record in zip(members, together):
             assert record == run_lifecycle(genome, spec, params, cfg, 4)
         assert len({record.fitness for record in together}) == len(members)
@@ -167,12 +172,12 @@ def test_fitness_keeps_the_bits_of_the_padded_mean_curve():
     members = [chemotaxis_baseline(K), random_genome(np.random.default_rng(9))]
     for n_env_evals in range(1, 13):
         cfg = replace(harness_lifecycle(t=40), p_update=0.9, n_env_evals=n_env_evals)
-        records = run_population(members, blowup_spec(), harness_physics(), cfg, 7)
+        records = run_population(members, [blowup_spec()], harness_physics(), cfg, 7)
         lifespan = cfg.lifespan(7)
         for record in records:
             curves = [o.mass_curve + o.mass_curve[-1:] * (lifespan + 1 - len(o.mass_curve)) for o in record.per_env]
             expected = np.array(curves).mean(axis=0)[-1]
-            assert np.float64(record.fitness).view(np.uint64) == expected.view(np.uint64)
+            assert bits(record.fitness) == bits(expected)
         assert all(o.failure is not None for o in records[0].per_env)
         assert not any(o.failure is not None for o in records[1].per_env)
         assert len({o.mass_curve[-1] for o in records[0].per_env}) == n_env_evals
