@@ -9,6 +9,7 @@ logs, checkpoints, and frames. Exit codes: 0 success, 1 runtime failure
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -132,16 +133,16 @@ def cmd_evolve(args) -> int:
 
 
 def write_checkpoint(path: str, cfg: RunConfig, pop: Population) -> None:
-    fileio.write_json(
-        path,
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "generation": pop.generation,
-            "registry": pop.registry.counters(),
-            "genomes": [genome_to_dict(g) for g in pop.members],
-        },
-    )
+    """The population as compact one-line JSON: without ``indent``, ``json``
+    encodes it in C, several times faster than its indenting Python encoder."""
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config": cfg.to_dict(),
+        "generation": pop.generation,
+        "registry": pop.registry.counters(),
+        "genomes": [genome_to_dict(g) for g in pop.members],
+    }
+    fileio.atomic_write_text(path, json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 # -- test ---------------------------------------------------------------------

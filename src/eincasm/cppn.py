@@ -91,8 +91,13 @@ class Genome:
     """NEAT-encoded CPPN: node genes plus innovation-tagged connections.
 
     ``nodes`` is keyed by node id and ``connections`` by innovation number;
-    both preserve insertion order, which downstream code relies on only via
-    explicit sorts.
+    both preserve insertion order, which ``neat.mutate`` reads.
+
+    A genome pickles, and copies, as its three sizes and one plain tuple
+    per gene, in dict order, rebuilt as equal genes in that order. This is
+    how a process pool ships genomes to its workers: most nodes are fixed
+    inputs, and as tuples of shared strings and floats a genome pickles
+    to about half the bytes of its gene objects.
     """
 
     n_inputs: int
@@ -109,19 +114,25 @@ class Genome:
         return range(self.n_inputs, self.n_inputs + self.n_outputs)
 
     def copy(self) -> "Genome":
-        return Genome(
-            n_inputs=self.n_inputs,
-            n_outputs=self.n_outputs,
-            k_hidden=self.k_hidden,
-            nodes={i: NodeGene(n.id, n.kind, n.activation, n.bias) for i, n in self.nodes.items()},
-            connections={
-                i: ConnectionGene(c.innovation, c.src, c.dst, c.weight, c.enabled)
-                for i, c in self.connections.items()
-            },
-        )
+        rebuild, genes = self.__reduce__()
+        return rebuild(*genes)
 
     def sorted_connections(self) -> list[ConnectionGene]:
         return [self.connections[i] for i in sorted(self.connections)]
+
+    def __reduce__(self):
+        nodes = tuple((n.id, n.kind, n.activation, n.bias) for n in self.nodes.values())
+        connections = tuple((c.innovation, c.src, c.dst, c.weight, c.enabled) for c in self.connections.values())
+        return _genome_from_genes, (self.n_inputs, self.n_outputs, self.k_hidden, nodes, connections)
+
+
+def _genome_from_genes(n_inputs: int, n_outputs: int, k_hidden: int, nodes: tuple, connections: tuple) -> Genome:
+    """The genome ``Genome.__reduce__`` pickled, its genes in the same order."""
+    return Genome(
+        n_inputs, n_outputs, k_hidden,
+        {gene[0]: NodeGene(*gene) for gene in nodes},
+        {gene[0]: ConnectionGene(*gene) for gene in connections},
+    )
 
 
 def empty_genome(k_hidden: int) -> Genome:

@@ -10,12 +10,17 @@ member order. A member's fitness is its record's: per environment the
 mean of its final masses, then the mean of those; the driver averages
 no masses itself.
 
+What crosses to a worker is one pickled chunk of genomes, each as plain
+gene tuples (``Genome.__reduce__``), with the environments, physics,
+lifecycle config and run seed bound to ``run_population``; what comes
+back is the chunk's records.
+
 ``evolve_run`` is the one place that opens a pool, and so imports
 ``ProcessPoolExecutor`` itself. Its size comes from EINCASM_THREADS (0 or
-unset = one worker per CPU, 1 = no pool). The pool lives for the whole
-run, so its workers start once; a worker keeps only caches between
-generations (obstacle layouts, fluid work arrays, arenas), none of which
-a fitness depends on.
+unset = one worker per CPU this process may run on, 1 = no pool). The
+pool lives for the whole run, so its workers start once; a worker keeps
+only caches between generations (obstacle layouts, fluid work arrays,
+arenas), none of which a fitness depends on.
 """
 
 from __future__ import annotations
@@ -37,13 +42,18 @@ from .physics import PhysicsParams
 
 
 def evaluation_workers() -> int:
-    """The pool size EINCASM_THREADS asks for; one worker per CPU when it
-    is unset, not an integer, or not positive."""
+    """The pool size EINCASM_THREADS asks for. When it is unset, not an
+    integer, or not positive, one worker per CPU this process may run on,
+    so a run pinned by ``taskset`` or a cpuset forks no idle workers."""
     try:
         n = int(os.environ.get("EINCASM_THREADS", "0"))
     except ValueError:
         n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+    if n > 0:
+        return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def evaluate_population(

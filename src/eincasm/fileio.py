@@ -11,7 +11,11 @@ Formats:
   mean_fitness, n_species, best_genome_nodes, best_genome_connections;
 * checkpoint JSON: {schema_version, config, generation, registry, genomes},
   a write-only snapshot for inspection: it omits species state, so no
-  run resumes from it;
+  run resumes from it. It is compact one-line JSON, because ``json``
+  encodes in C only without ``indent``, and a checkpoint of a whole
+  population is the largest file a run writes, once per checkpoint
+  interval. The small files a person reads (config, best genome, test
+  report, trajectory) keep ``indent=2`` through ``write_json``;
 * trajectory JSON: per-step records plus a SHA-256 over their canonical
   serialization — replay recomputes the hash, which catches an edit made
   to the records after the run wrote them; it does not re-simulate the

@@ -152,7 +152,7 @@ def init_population(cfg: EvolutionConfig, k_hidden: int) -> Population:
         rng = member_rng(cfg.seed, STREAM_INIT, 0, index)
         g = empty_genome(k_hidden)
         for j, out_id in enumerate(g.output_ids()):
-            g.nodes[out_id].activation = str(rng.choice(ACTIVATION_NAMES))
+            g.nodes[out_id].activation = ACTIVATION_NAMES[int(rng.integers(len(ACTIVATION_NAMES)))]
             innov = registry.connection_innovation(g.bias_input_id, out_id)
             g.connections[innov] = ConnectionGene(
                 innov, g.bias_input_id, out_id, float(rng.normal()), True
@@ -267,7 +267,7 @@ def mutate(genome: Genome, cfg: EvolutionConfig, registry: InnovationRegistry,
             node_id, innov_in, innov_out = registry.split_ids(conn.innovation)
             if node_id not in g.nodes and innov_in not in g.connections and innov_out not in g.connections:
                 conn.enabled = False
-                activation = str(rng.choice(ACTIVATION_NAMES))
+                activation = ACTIVATION_NAMES[int(rng.integers(len(ACTIVATION_NAMES)))]
                 g.nodes[node_id] = NodeGene(node_id, HIDDEN, activation, 0.0)
                 g.connections[innov_in] = ConnectionGene(innov_in, conn.src, node_id, 1.0, True)
                 g.connections[innov_out] = ConnectionGene(innov_out, node_id, conn.dst, conn.weight, True)

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import eincasm
-from eincasm import fileio, harness, neat
+from eincasm import cli, fileio, harness, neat
 from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
-from eincasm.cppn import empty_genome, genome_to_dict
+from eincasm.cppn import empty_genome, genome_from_dict, genome_to_dict
 from eincasm.driver import evolve_run
 from eincasm.environments import EnvSpec
 from eincasm.fileio import read_record, write_value
@@ -328,17 +328,32 @@ class TestEvolveCommand:
         resolved = Path("sched-out", "resolved_config.json").read_bytes()
         assert hashlib.sha256(resolved).hexdigest() == "e57123f277c6a7470a885d2ea23454c9a126900eddbdc505211d82e394d5a6ca"
 
-    def test_checkpoint_written_and_loadable(self, tmp_path):
+    def test_checkpoint_written_and_loadable(self, tmp_path, monkeypatch):
+        """A checkpoint is one line of JSON that reads back into the run's
+        config and the final population's genomes."""
+        runs = []
+
+        def recorded(cfg, on_generation=None):
+            runs.append((cfg, evolve_run(cfg, on_generation)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(cli, "evolve_run", recorded)
         out = str(tmp_path / "out")
         cfg = smoke_config(out)
         cfg["checkpoint_every"] = 1
         assert main(["evolve", "--config", write_config(tmp_path, cfg)]) == 0
-        with open(os.path.join(out, "checkpoint_final.json"), encoding="utf-8") as handle:
-            checkpoint = json.load(handle)
+        text = Path(out, "checkpoint_final.json").read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        checkpoint = json.loads(text)
         assert checkpoint["schema_version"] == fileio.SCHEMA_VERSION
         assert checkpoint["generation"] == 1  # the last of the two generations evaluated
         assert set(checkpoint["registry"]) == {"next_innovation", "next_node_id"}
-        assert len(checkpoint["genomes"]) == 6
+        [(run_cfg, result)] = runs
+        members = result.final_population.members
+        assert len(checkpoint["genomes"]) == len(members) == 6
+        for data, member in zip(checkpoint["genomes"], members):
+            assert genome_to_dict(genome_from_dict(data)) == genome_to_dict(member)
+        assert parse_config(checkpoint["config"]).to_dict() == run_cfg.to_dict()
 
     def test_no_stray_temp_files(self, tmp_path):
         out = str(tmp_path / "out")

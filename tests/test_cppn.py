@@ -3,6 +3,7 @@ population plans against each member's own per-edge evaluation."""
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -423,6 +424,25 @@ class TestSerialization:
         data["nodes"].append({**output, "activation": "sine"})
         with pytest.raises(GenomeError, match=f"node id {output['id']} appears twice"):
             genome_from_dict(data)
+
+    def test_pickle_keeps_every_gene_and_its_order(self):
+        """A genome crosses to a pool worker by pickle: hidden nodes added out
+        of id order, a disabled connection and a nonzero bias all come back,
+        and both gene dicts keep their insertion order."""
+        g = tiny_genome(k_hidden=2)
+        out = g.n_inputs
+        g.nodes[out].bias = -0.3125
+        for node_id in (out + 9, out + 5):
+            g.nodes[node_id] = NodeGene(node_id, "hidden", "sine", 0.1 * node_id)
+        g.connections[7] = ConnectionGene(7, 0, out + 9, 0.75, True)
+        g.connections[2] = ConnectionGene(2, out + 9, out, -1.5, False)
+        g.connections[4] = ConnectionGene(4, out + 5, out + 1, 1e-300, True)
+        validate_genome(g)
+        back = pickle.loads(pickle.dumps(g))
+        assert back == g
+        assert list(back.nodes) == list(g.nodes)
+        assert list(back.connections) == list(g.connections) == [7, 2, 4]
+        assert back.nodes[out].bias == -0.3125 and not back.connections[2].enabled
 
 
 class TestInvariantValidation:

@@ -5,7 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from eincasm.cppn import ConnectionGene, NodeGene, compile_genome, empty_genome, genome_to_dict, validate_genome
+from eincasm.cppn import (
+    ACTIVATION_NAMES,
+    ConnectionGene,
+    NodeGene,
+    compile_genome,
+    empty_genome,
+    genome_to_dict,
+    validate_genome,
+)
 from eincasm.neat import (
     EvolutionConfig,
     InnovationRegistry,
@@ -325,3 +333,15 @@ class TestNextGeneration:
 def test_evaluation_seed_is_stable():
     assert evaluation_seed(5, 3) == evaluation_seed(5, 3)
     assert evaluation_seed(5, 3) != evaluation_seed(5, 4)
+
+
+def test_activation_drawn_by_index_equals_choice():
+    """NEAT draws an activation as an index into the palette. Without
+    ``p``, ``Generator.choice`` draws ``integers(0, n)``, so both forms name
+    the same activations and leave the generator in the same state."""
+    for seed in range(200):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            drawn = ACTIVATION_NAMES[int(by_index.integers(len(ACTIVATION_NAMES)))]
+            assert str(by_choice.choice(ACTIVATION_NAMES)) == drawn
+        assert by_choice.random() == by_index.random()

@@ -48,10 +48,10 @@ CONFIG = {
 # sha256 of each file in ``out`` and of stdout.
 DIGESTS = {
     "best_genome.json": "cdd7f345833364c8d91e095de530bf70ff3f11403ef7fbe6a5d135fb4b75d6ec",
-    "checkpoint_0000.json": "010135b203b9450cd5cf4d987dc2cc278cfea9354e3256713fc024fb313a8c5f",
-    "checkpoint_0001.json": "6decebf66d920de1b057126cfec6d37b76899b4b2c17a379362e5541de60f3a9",
-    "checkpoint_0002.json": "2d649c2711e3d37269dce11d2ae76ece4173ab19048878e284515fc6c901123b",
-    "checkpoint_final.json": "2d649c2711e3d37269dce11d2ae76ece4173ab19048878e284515fc6c901123b",
+    "checkpoint_0000.json": "7c1db48ac44e0cad4cbe43f729a87967fe74b478808333e5398f374a6d30f2b7",
+    "checkpoint_0001.json": "dd963fa4a9dd61e13c2a12c7802cc3038036cdb754a78bee3b1805dc721ca971",
+    "checkpoint_0002.json": "bd5eb673499fa27f517a132dbde89894e703a9bd59c7fd0483cd30267c7fbb93",
+    "checkpoint_final.json": "bd5eb673499fa27f517a132dbde89894e703a9bd59c7fd0483cd30267c7fbb93",
     "log.csv": "ac04a8a24d2cc5f5a1bee91d4a4c7758e427f6ae4151b0b3b3448afe80b624c5",
     "resolved_config.json": "58ae69337b2d8bbc028928b3f1f1645dcc3370354ea82b6557e5621edd5fa8c7",
     "stdout": "9fa9554419138a9c3b3b8e698d65e818af9c77dbff43d314064306e8760fa1a9",

@@ -2,6 +2,7 @@
 gets alone, serially, pooled, and through failures and obstacle moves."""
 
 import concurrent.futures
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genome
 from eincasm.config import parse_config
-from eincasm.driver import evaluate_population, evolve_run
+from eincasm.driver import evaluate_population, evaluation_workers, evolve_run
 from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
 from eincasm.fluid import Lattice, equilibrium, step
 from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics
@@ -160,6 +161,25 @@ class TestSerialPooledPerMember:
         for genome, record in zip(members, together):
             assert record == run_lifecycle(genome, spec, params, cfg, 4)
         assert len({record.fitness for record in together}) == len(members)
+
+
+@pytest.mark.parametrize("threads, expected", [(None, 5), ("0", 5), ("-2", 5), ("abc", 5), ("3", 3)])
+def test_evaluation_workers_default_to_the_cpus_this_process_may_use(monkeypatch, threads, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 3, 5, 6}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    if threads is None:
+        monkeypatch.delenv("EINCASM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("EINCASM_THREADS", threads)
+    assert evaluation_workers() == expected
+
+
+def test_evaluation_workers_fall_back_to_the_cpu_count(monkeypatch):
+    """Where the platform has no CPU affinity, one worker per CPU."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("EINCASM_THREADS", raising=False)
+    assert evaluation_workers() == 8
 
 
 def test_fitness_keeps_the_bits_of_the_padded_mean_curve():
