@@ -5,9 +5,12 @@ network with heterogeneous activations that maps the 3x3 perception
 vector (plus a trailing constant-1 bias input) to ``K`` hidden-channel
 writes followed by the desired reservoir and mass changes.
 
-Node ids are fixed by convention: inputs occupy ``0 .. n_inputs-1`` (the
-last one is the bias input), outputs occupy the next ``n_outputs`` ids,
-and hidden nodes take whatever ids the innovation registry hands out.
+A node's id fixes its kind: ids ``0 .. n_inputs-1`` are the inputs (the
+last one is the bias input), the next ``n_outputs`` ids are the outputs,
+and higher ids are hidden nodes, numbered by the innovation registry; a
+negative id is none of these. Inputs are fixed (identity, bias 0), so a
+genome stores node genes for its output and hidden nodes only, and no
+node stores its kind.
 
 ``compile_genome`` compiles a population's genomes, or one genome, into
 one ``Phenotype``: padded tables with one column per member, so the
@@ -31,7 +34,7 @@ from .substrate import N_BASE_CHANNELS
 
 class GenomeError(ValueError):
     """Structurally invalid genome (cycles, bad or repeated node ids,
-    repeated innovation numbers)."""
+    repeated innovation numbers, sizes that fit no world)."""
 
 
 def _sigmoid(x):
@@ -72,7 +75,6 @@ def io_sizes(k_hidden: int) -> tuple[int, int]:
 @dataclass
 class NodeGene:
     id: int
-    kind: str
     activation: str
     bias: float = 0.0
 
@@ -90,14 +92,14 @@ class ConnectionGene:
 class Genome:
     """NEAT-encoded CPPN: node genes plus innovation-tagged connections.
 
-    ``nodes`` is keyed by node id and ``connections`` by innovation number;
-    both preserve insertion order, which ``neat.mutate`` reads.
+    ``nodes`` holds the output and hidden nodes, keyed by node id, and
+    ``connections`` is keyed by innovation number; both preserve insertion
+    order, which ``neat.mutate`` reads. The fixed inputs are not stored:
+    an id in ``range(n_inputs)`` names one.
 
     A genome pickles, and copies, as its three sizes and one plain tuple
-    per gene, in dict order, rebuilt as equal genes in that order. This is
-    how a process pool ships genomes to its workers: most nodes are fixed
-    inputs, and as tuples of shared strings and floats a genome pickles
-    to about half the bytes of its gene objects.
+    per stored gene, in dict order, rebuilt as equal genes in that order.
+    This is how a process pool ships genomes to its workers.
     """
 
     n_inputs: int
@@ -121,7 +123,7 @@ class Genome:
         return [self.connections[i] for i in sorted(self.connections)]
 
     def __reduce__(self):
-        nodes = tuple((n.id, n.kind, n.activation, n.bias) for n in self.nodes.values())
+        nodes = tuple((n.id, n.activation, n.bias) for n in self.nodes.values())
         connections = tuple((c.innovation, c.src, c.dst, c.weight, c.enabled) for c in self.connections.values())
         return _genome_from_genes, (self.n_inputs, self.n_outputs, self.k_hidden, nodes, connections)
 
@@ -136,34 +138,27 @@ def _genome_from_genes(n_inputs: int, n_outputs: int, k_hidden: int, nodes: tupl
 
 
 def empty_genome(k_hidden: int) -> Genome:
-    """All input and output nodes, no connections. Outputs use identity."""
+    """The output nodes, no connections. Outputs use identity."""
     n_in, n_out = io_sizes(k_hidden)
     g = Genome(n_inputs=n_in, n_outputs=n_out, k_hidden=k_hidden)
-    for i in range(n_in):
-        g.nodes[i] = NodeGene(i, INPUT, "identity", 0.0)
-    for j in range(n_in, n_in + n_out):
-        g.nodes[j] = NodeGene(j, OUTPUT, "identity", 0.0)
+    for j in g.output_ids():
+        g.nodes[j] = NodeGene(j, "identity", 0.0)
     return g
 
 
 def validate_genome(genome: Genome):
     """Raise GenomeError unless every structural invariant holds."""
-    n_in, n_out = genome.n_inputs, genome.n_outputs
-    if (n_in, n_out) != io_sizes(genome.k_hidden):
+    n_in = genome.n_inputs
+    if genome.k_hidden < 1:
+        raise GenomeError("k_hidden must be >= 1")
+    if (n_in, genome.n_outputs) != io_sizes(genome.k_hidden):
         raise GenomeError("n_inputs/n_outputs inconsistent with k_hidden")
-    for i in range(n_in):
-        node = genome.nodes.get(i)
-        if node is None or node.kind != INPUT:
-            raise GenomeError(f"node {i} must be an input node")
-        if node.activation != "identity" or node.bias != 0.0:
-            raise GenomeError(f"input node {i} must be identity with zero bias")
-    for j in range(n_in, n_in + n_out):
-        node = genome.nodes.get(j)
-        if node is None or node.kind != OUTPUT:
+    for j in genome.output_ids():
+        if j not in genome.nodes:
             raise GenomeError(f"node {j} must be an output node")
     for node in genome.nodes.values():
-        if node.id >= n_in + n_out and node.kind != HIDDEN:
-            raise GenomeError(f"node {node.id} outside io range must be hidden")
+        if node.id < n_in:  # an input id, or a negative one
+            raise GenomeError(f"node {node.id} is not an output or hidden id")
         if node.activation not in ACTIVATIONS:
             raise GenomeError(f"unknown activation {node.activation!r}")
     for innov, conn in genome.connections.items():
@@ -171,17 +166,17 @@ def validate_genome(genome: Genome):
             raise GenomeError("connection key does not match its innovation number")
         if conn.src == conn.dst:
             raise GenomeError(f"self-connection at innovation {innov}")
-        if conn.src not in genome.nodes or conn.dst not in genome.nodes:
-            raise GenomeError(f"connection {innov} references a missing node")
-        if genome.nodes[conn.dst].kind == INPUT:
+        if 0 <= conn.dst < n_in:
             raise GenomeError(f"connection {innov} targets an input node")
-        if genome.nodes[conn.src].kind == OUTPUT:
+        if conn.dst not in genome.nodes or not (0 <= conn.src < n_in or conn.src in genome.nodes):
+            raise GenomeError(f"connection {innov} references a missing node")
+        if conn.src in genome.output_ids():
             raise GenomeError(f"connection {innov} leaves an output node")
     topological_order(genome)  # raises on enabled cycles
 
 
 def topological_order(genome: Genome) -> list[int]:
-    """Kahn's algorithm over enabled connections, all nodes included.
+    """Kahn's algorithm over the stored nodes; inputs come first, so their edges order nothing.
 
     Ties broken by node id so the order (and therefore float accumulation)
     is reproducible. Raises GenomeError if the enabled subgraph has a cycle.
@@ -189,7 +184,7 @@ def topological_order(genome: Genome) -> list[int]:
     successors: dict[int, list[int]] = {i: [] for i in genome.nodes}
     indegree = {i: 0 for i in genome.nodes}
     for conn in genome.sorted_connections():
-        if conn.enabled:
+        if conn.enabled and conn.src >= genome.n_inputs:
             successors[conn.src].append(conn.dst)
             indegree[conn.dst] += 1
     ready = sorted(i for i, d in indegree.items() if d == 0)
@@ -450,7 +445,7 @@ def compile_genome(genomes) -> Phenotype:
         raise GenomeError("compiled genomes must share their input and output sizes")
     plans, output_slots = [], []
     for genome in genomes:
-        order = [i for i in topological_order(genome) if i >= n_inputs]
+        order = topological_order(genome)
         slot_of = {i: i for i in range(n_inputs)} | {node_id: n_inputs + j for j, node_id in enumerate(order)}
         incoming: dict[int, list[tuple[int, float]]] = {}
         for conn in genome.sorted_connections():
@@ -495,17 +490,26 @@ def compile_genome(genomes) -> Phenotype:
 
 _GENOME_KEYS = {"n_inputs": int, "n_outputs": int, "k_hidden": int, "nodes": list, "connections": list}
 _NODE_KEYS = {"id": int, "kind": str, "activation": str, "bias": float}
+_WRONG_KIND = {
+    INPUT: "node {} must be an input node",
+    OUTPUT: "node {} must be an output node",
+    HIDDEN: "node {} outside io range must be hidden",
+}
 _CONNECTION_KEYS = {"innovation": int, "from": int, "to": int, "weight": float, "enabled": bool}
 
 
 def genome_to_dict(genome: Genome) -> dict:
+    outputs = genome.output_ids()
     return {
         "n_inputs": genome.n_inputs,
         "n_outputs": genome.n_outputs,
         "k_hidden": genome.k_hidden,
         "nodes": [
-            {"id": n.id, "kind": n.kind, "activation": n.activation, "bias": n.bias}
-            for n in (genome.nodes[i] for i in sorted(genome.nodes))
+            *({"id": i, "kind": INPUT, "activation": "identity", "bias": 0.0} for i in range(genome.n_inputs)),
+            *(
+                {"id": i, "kind": OUTPUT if i in outputs else HIDDEN, "activation": n.activation, "bias": n.bias}
+                for i, n in sorted(genome.nodes.items())
+            ),
         ],
         "connections": [
             {
@@ -521,9 +525,11 @@ def genome_to_dict(genome: Genome) -> dict:
 
 
 def genome_from_dict(data: dict) -> Genome:
-    """Read a genome by the ``json_scalar`` rule, then validate it. An
-    unknown key, or a node id or innovation number given twice, is a
-    GenomeError naming it."""
+    """Read a genome by the ``json_scalar`` rule and validate it, then check
+    that the file lists the nodes ``genome_to_dict`` writes for it: every
+    fixed input, and each node's kind. An unknown key, a node id or
+    innovation number given twice, or a failed check is a GenomeError
+    naming it."""
 
     def read(entry: dict, what: str, kinds: dict) -> list:
         if not isinstance(entry, dict):
@@ -536,11 +542,14 @@ def genome_from_dict(data: dict) -> Genome:
     try:
         *sizes, nodes, connections = read(data, "genome", _GENOME_KEYS)
         g = Genome(*sizes)
+        listed = {}
         for n in nodes:
-            node = NodeGene(*read(n, "node", _NODE_KEYS))
-            if node.id in g.nodes:
-                raise GenomeError(f"node id {node.id} appears twice")
-            g.nodes[node.id] = node
+            node_id, kind, activation, bias = read(n, "node", _NODE_KEYS)
+            if node_id in listed:
+                raise GenomeError(f"node id {node_id} appears twice")
+            listed[node_id] = (kind, activation, bias)
+            if not 0 <= node_id < g.n_inputs:  # a negative id too, which validate_genome rejects
+                g.nodes[node_id] = NodeGene(node_id, activation, bias)
         for c in connections:
             conn = ConnectionGene(*read(c, "connection", _CONNECTION_KEYS))
             if conn.innovation in g.connections:
@@ -549,4 +558,10 @@ def genome_from_dict(data: dict) -> Genome:
     except (KeyError, TypeError) as exc:
         raise GenomeError(f"malformed genome data: {exc}") from exc
     validate_genome(g)
+    for node in genome_to_dict(g)["nodes"]:  # every id listed is here: an input or a stored node
+        kind, activation, bias = listed.get(node["id"], (None, None, None))
+        if kind != node["kind"]:
+            raise GenomeError(_WRONG_KIND[node["kind"]].format(node["id"]))
+        if (activation, bias) != (node["activation"], node["bias"]):  # only an input's can differ
+            raise GenomeError(f"input node {node['id']} must be identity with zero bias")
     return g

@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 import os
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -81,14 +81,13 @@ class GenerationStats:
     best_fitness: float
     mean_fitness: float
     n_species: int
-    best_genome_nodes: int
+    best_genome_nodes: int  # the fixed inputs included, as in the genome file
     best_genome_connections: int
     n_failed: int = 0  # failed outcomes in the generation's records; not in log.csv
 
 
 @dataclass
 class EvolveResult:
-    stats: list[GenerationStats] = field(default_factory=list)
     best_genome: Genome | None = None
     best_fitness: float = -np.inf
     final_population: neat.Population | None = None
@@ -120,11 +119,10 @@ def evolve_run(cfg: RunConfig, on_generation=None) -> EvolveResult:
                 best_fitness=float(fitnesses[best_index]),
                 mean_fitness=float(np.mean(fitnesses)),
                 n_species=len(pop.species),
-                best_genome_nodes=len(best.nodes),
+                best_genome_nodes=best.n_inputs + len(best.nodes),
                 best_genome_connections=len(best.connections),
                 n_failed=sum(outcome.failure is not None for record in records for outcome in record.per_env),
             )
-            result.stats.append(stats)
             if stats.best_fitness > result.best_fitness:
                 result.best_fitness = stats.best_fitness
                 result.best_genome = best.copy()

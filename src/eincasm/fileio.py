@@ -16,6 +16,10 @@ Formats:
   population is the largest file a run writes, once per checkpoint
   interval. The small files a person reads (config, best genome, test
   report, trajectory) keep ``indent=2`` through ``write_json``;
+* genome JSON (``cppn.genome_to_dict``): it lists every fixed input node
+  and each node's kind, which follow from the node ids and which a
+  ``Genome`` does not store; the reader checks them. Dropping them changes
+  the format, so it waits for a schema bump (ROADMAP item 4);
 * trajectory JSON: per-step records plus a SHA-256 over their canonical
   serialization — replay recomputes the hash, which catches an edit made
   to the records after the run wrote them; it does not re-simulate the

@@ -23,7 +23,6 @@ from .cppn import (
     ACTIVATION_NAMES,
     ConnectionGene,
     Genome,
-    HIDDEN,
     NodeGene,
     creates_cycle,
     empty_genome,
@@ -142,7 +141,7 @@ class Population:
 
 
 def init_population(cfg: EvolutionConfig, k_hidden: int) -> Population:
-    """Minimal-topology founders: every input and output node present, one
+    """Minimal-topology founders: every output node present, one
     enabled bias->output connection per output with Normal(0,1) weight,
     output activations drawn uniformly from the palette."""
     n_in, n_out = io_sizes(k_hidden)
@@ -246,8 +245,8 @@ def mutate(genome: Genome, cfg: EvolutionConfig, registry: InnovationRegistry,
             g.connections[innov].weight += float(rng.normal(0.0, cfg.weight_perturb_std))
 
     if rng.random() < cfg.add_connection_rate:
-        sources = [n.id for n in g.nodes.values() if n.kind != "output"]
-        targets = [n.id for n in g.nodes.values() if n.kind != "input"]
+        sources = [*range(g.n_inputs), *(i for i in g.nodes if i not in g.output_ids())]
+        targets = list(g.nodes)
         existing = {(c.src, c.dst) for c in g.connections.values()}
         for _ in range(20):
             src = sources[int(rng.integers(len(sources)))]
@@ -268,7 +267,7 @@ def mutate(genome: Genome, cfg: EvolutionConfig, registry: InnovationRegistry,
             if node_id not in g.nodes and innov_in not in g.connections and innov_out not in g.connections:
                 conn.enabled = False
                 activation = ACTIVATION_NAMES[int(rng.integers(len(ACTIVATION_NAMES)))]
-                g.nodes[node_id] = NodeGene(node_id, HIDDEN, activation, 0.0)
+                g.nodes[node_id] = NodeGene(node_id, activation, 0.0)
                 g.connections[innov_in] = ConnectionGene(innov_in, conn.src, node_id, 1.0, True)
                 g.connections[innov_out] = ConnectionGene(innov_out, node_id, conn.dst, conn.weight, True)
 

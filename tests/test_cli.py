@@ -14,7 +14,7 @@ import eincasm
 from eincasm import cli, fileio, harness, neat
 from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
-from eincasm.cppn import empty_genome, genome_from_dict, genome_to_dict
+from eincasm.cppn import GenomeError, empty_genome, genome_from_dict, genome_to_dict, io_sizes
 from eincasm.driver import evolve_run
 from eincasm.environments import EnvSpec
 from eincasm.fileio import read_record, write_value
@@ -391,7 +391,8 @@ class TestDefaultConfig:
             {"evolution": {"population_size": 8, "seed": 5}, "lifecycle": {"t_min": 20, "t_max": 20}, "generations": 3}
         )
         monkeypatch.setenv("EINCASM_THREADS", "1")
-        stats = evolve_run(cfg).stats
+        stats = []
+        evolve_run(cfg, on_generation=lambda generation_stats, pop: stats.append(generation_stats))
         assert [s.generation for s in stats] == [0, 1, 2]
         assert stats[-1].best_fitness > stats[0].best_fitness
 
@@ -454,6 +455,69 @@ class TestTestCommand:
         out = tmp_path / "out"
         assert main([command, str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {level} has unknown keys ['{key}']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["test", "render"])
+    @pytest.mark.parametrize("k_hidden", [0, -1])
+    def test_k_hidden_below_one_exits_2(self, tmp_path, capsys, command, k_hidden):
+        """Sizes that agree with a k_hidden below 1 still make no world."""
+        data = genome_to_dict(empty_genome(k_hidden))
+        assert (data["n_inputs"], data["n_outputs"]) == io_sizes(k_hidden)
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: k_hidden must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("node, edge", [
+        pytest.param({"id": -1, "kind": "hidden", "activation": "tanh", "bias": 0.0}, True, id="hidden-wired"),
+        pytest.param({"id": -1, "kind": "hidden", "activation": "tanh", "bias": 0.0}, False, id="hidden-dead-end"),
+        pytest.param({"id": -1, "kind": "input", "activation": "identity", "bias": 0.0}, False, id="input"),
+    ])
+    def test_negative_node_id_exits_2(self, tmp_path, capsys, node, edge):
+        data = genome_to_dict(chemotaxis_baseline())
+        data["nodes"].append(node)
+        if edge:
+            data["connections"].append({"innovation": 99, "from": -1, "to": data["n_inputs"], "weight": 1.0,
+                                        "enabled": True})
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["test", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: node -1 is not an output or hidden id\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(lambda d: d["nodes"][3].update(activation="tanh"),
+                     "input node 3 must be identity with zero bias", id="input-activation"),
+        pytest.param(lambda d: d["nodes"][3].update(bias=0.5),
+                     "input node 3 must be identity with zero bias", id="input-bias"),
+        pytest.param(lambda d: d["nodes"].pop(3), "node 3 must be an input node", id="input-missing"),
+        pytest.param(lambda d: d["nodes"][101].update(kind="hidden"),
+                     "node 101 must be an output node", id="output-labelled-hidden"),
+        pytest.param(lambda d: d["nodes"].append({"id": 106, "kind": "output", "activation": "tanh", "bias": 0.0}),
+                     "node 106 outside io range must be hidden", id="hidden-labelled-output"),
+        pytest.param(lambda d: d["connections"].append({"innovation": 8, "from": 5, "to": 3, "weight": 1.0,
+                                                        "enabled": True}),
+                     "connection 8 targets an input node", id="edge-into-input"),
+        pytest.param(lambda d: d.update(n_inputs=99), "n_inputs/n_outputs inconsistent with k_hidden",
+                     id="n_inputs"),
+    ])
+    def test_one_fault_in_a_genome_file_is_named(self, tmp_path, capsys, fault, message):
+        """The reader checks the fixed input nodes and every node's kind a
+        genome file lists: each single fault exits 2 with its own message."""
+        data = genome_to_dict(chemotaxis_baseline())
+        assert [n["id"] for n in data["nodes"]] == list(range(106))
+        fault(data)
+        with pytest.raises(GenomeError) as raised:
+            genome_from_dict(data)
+        assert str(raised.value) == message
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["test", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_dimension_mismatch_exits_2(self, tmp_path):

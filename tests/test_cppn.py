@@ -83,7 +83,7 @@ def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12, p_enabled=0.9):
     hidden_ids = []
     next_id = g.n_inputs + g.n_outputs
     for _ in range(n_hidden):
-        g.nodes[next_id] = NodeGene(next_id, "hidden", str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
+        g.nodes[next_id] = NodeGene(next_id, str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
         hidden_ids.append(next_id)
         next_id += 1
     for out_id in g.output_ids():
@@ -117,7 +117,7 @@ def bias_fed_genome(rng, k_hidden=1, max_hidden=4):
     sources = [bias]
     next_id = g.n_inputs + g.n_outputs
     for _ in range(int(rng.integers(0, max_hidden + 1))):
-        g.nodes[next_id] = NodeGene(next_id, "hidden", str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
+        g.nodes[next_id] = NodeGene(next_id, str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
         sources.append(next_id)
         next_id += 1
     # hidden node i reads earlier sources only, so the wiring stays acyclic
@@ -156,8 +156,8 @@ class TestCompile:
     def test_cycle_detected(self):
         g = tiny_genome()
         a, b = 900, 901
-        g.nodes[a] = NodeGene(a, "hidden", "identity", 0.0)
-        g.nodes[b] = NodeGene(b, "hidden", "identity", 0.0)
+        g.nodes[a] = NodeGene(a, "identity", 0.0)
+        g.nodes[b] = NodeGene(b, "identity", 0.0)
         g.connections[0] = ConnectionGene(0, a, b, 1.0, True)
         g.connections[1] = ConnectionGene(1, b, a, 1.0, True)
         with pytest.raises(GenomeError):
@@ -166,8 +166,8 @@ class TestCompile:
     def test_cycle_of_disabled_edges_is_fine(self):
         g = tiny_genome()
         a, b = 900, 901
-        g.nodes[a] = NodeGene(a, "hidden", "identity", 0.0)
-        g.nodes[b] = NodeGene(b, "hidden", "identity", 0.0)
+        g.nodes[a] = NodeGene(a, "identity", 0.0)
+        g.nodes[b] = NodeGene(b, "identity", 0.0)
         g.connections[0] = ConnectionGene(0, a, b, 1.0, True)
         g.connections[1] = ConnectionGene(1, b, a, 1.0, False)
         compile_genome(g)
@@ -237,8 +237,8 @@ def stacked_population(draw):
                 n_conns=draw(st.integers(0, 24)),
                 p_enabled=draw(st.sampled_from([0.5, 0.9, 1.0])),
             )
-        for node in g.nodes.values():
-            if node.kind != "input" and rng.random() < 0.1:
+        for node in g.nodes.values():  # the output and hidden nodes
+            if rng.random() < 0.1:
                 node.bias = float(rng.choice([0.0, -0.0]))
         for conn in g.connections.values():
             if rng.random() < 0.1:
@@ -428,12 +428,13 @@ class TestSerialization:
     def test_pickle_keeps_every_gene_and_its_order(self):
         """A genome crosses to a pool worker by pickle: hidden nodes added out
         of id order, a disabled connection and a nonzero bias all come back,
-        and both gene dicts keep their insertion order."""
+        and both gene dicts keep their insertion order. No fixed input
+        crosses, yet the file form is the same."""
         g = tiny_genome(k_hidden=2)
         out = g.n_inputs
         g.nodes[out].bias = -0.3125
         for node_id in (out + 9, out + 5):
-            g.nodes[node_id] = NodeGene(node_id, "hidden", "sine", 0.1 * node_id)
+            g.nodes[node_id] = NodeGene(node_id, "sine", 0.1 * node_id)
         g.connections[7] = ConnectionGene(7, 0, out + 9, 0.75, True)
         g.connections[2] = ConnectionGene(2, out + 9, out, -1.5, False)
         g.connections[4] = ConnectionGene(4, out + 5, out + 1, 1e-300, True)
@@ -443,6 +444,11 @@ class TestSerialization:
         assert list(back.nodes) == list(g.nodes)
         assert list(back.connections) == list(g.connections) == [7, 2, 4]
         assert back.nodes[out].bias == -0.3125 and not back.connections[2].enabled
+        assert not {i for i in back.nodes if i < g.n_inputs}
+        assert genome_to_dict(back) == genome_to_dict(g)
+        founder = init_population(EvolutionConfig(population_size=2, seed=3), 4).members[0]
+        _, (_, _, _, nodes, _) = founder.__reduce__()
+        assert len(nodes) == founder.n_outputs
 
 
 class TestInvariantValidation:
@@ -452,17 +458,25 @@ class TestInvariantValidation:
         with pytest.raises(GenomeError):
             validate_genome(g)
 
+    @pytest.mark.parametrize("node_id", [0, 3, -1])
+    def test_stored_input_or_negative_id_rejected(self, node_id):
+        """A genome stores no input node, and a negative id is no node."""
+        g = tiny_genome()
+        g.nodes[node_id] = NodeGene(node_id, "identity", 0.0)
+        with pytest.raises(GenomeError, match=f"node {node_id} is not an output or hidden id"):
+            validate_genome(g)
+
     def test_connection_out_of_output_rejected(self):
         g = tiny_genome()
         out = g.n_inputs
-        g.nodes[990] = NodeGene(990, "hidden", "tanh", 0.0)
+        g.nodes[990] = NodeGene(990, "tanh", 0.0)
         g.connections[0] = ConnectionGene(0, out, 990, 1.0, True)
         with pytest.raises(GenomeError):
             validate_genome(g)
 
     def test_self_loop_rejected(self):
         g = tiny_genome()
-        g.nodes[990] = NodeGene(990, "hidden", "tanh", 0.0)
+        g.nodes[990] = NodeGene(990, "tanh", 0.0)
         g.connections[0] = ConnectionGene(0, 990, 990, 1.0, True)
         with pytest.raises(GenomeError):
             validate_genome(g)

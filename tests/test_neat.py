@@ -172,7 +172,7 @@ class TestCrossover:
         g = empty_genome(K)
         a, b = g.n_inputs + g.n_outputs, g.n_inputs + g.n_outputs + 1
         for node in (a, b):
-            g.nodes[node] = NodeGene(node, "hidden", "identity", 0.0)
+            g.nodes[node] = NodeGene(node, "identity", 0.0)
         g.connections[0] = ConnectionGene(0, a, b, 1.0, True)
         g.connections[1] = ConnectionGene(1, b, a, 1.0, False)  # would close a -> b -> a
         g.connections[2] = ConnectionGene(2, 0, a, 1.0, False)

@@ -66,7 +66,7 @@ def hidden_genome(rng, n_hidden):
     innovation = max(g.connections) + 1
     for conn in list(g.connections.values())[:n_hidden]:
         conn.enabled = False
-        g.nodes[node_id] = NodeGene(node_id, "hidden", str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
+        g.nodes[node_id] = NodeGene(node_id, str(rng.choice(ACTIVATION_NAMES)), float(rng.normal()))
         g.connections[innovation] = ConnectionGene(innovation, conn.src, node_id, 1.0, True)
         g.connections[innovation + 1] = ConnectionGene(innovation + 1, node_id, conn.dst, conn.weight, True)
         innovation += 2
@@ -129,14 +129,15 @@ class TestSerialPooledPerMember:
         cfg = parse_config(
             {"evolution": {"population_size": 6, "seed": 2}, "lifecycle": {"t_min": 15, "t_max": 15}, "generations": 3}
         )
+        serial_stats, pooled_stats = [], []
         monkeypatch.setenv("EINCASM_THREADS", "1")
-        serial = evolve_run(cfg)
+        serial = evolve_run(cfg, on_generation=lambda stats, pop: serial_stats.append(stats))
         assert opened == []
         monkeypatch.setenv("EINCASM_THREADS", "2")
-        pooled = evolve_run(cfg)
+        pooled = evolve_run(cfg, on_generation=lambda stats, pop: pooled_stats.append(stats))
         assert opened == [2]  # one pool for all three generations
-        assert [s.generation for s in pooled.stats] == [0, 1, 2]
-        assert pooled.stats == serial.stats
+        assert [s.generation for s in pooled_stats] == [0, 1, 2]
+        assert pooled_stats == serial_stats
         assert pooled.best_fitness == serial.best_fitness
         assert pooled.best_genome == serial.best_genome
         final, expected = pooled.final_population, serial.final_population
