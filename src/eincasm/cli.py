@@ -148,14 +148,10 @@ def write_checkpoint(path: str, cfg: RunConfig, pop: Population) -> None:
 # -- test ---------------------------------------------------------------------
 
 
-def load_genome_file(path: str):
-    return genome_from_dict(read_json(path, "genome"))
-
-
 def cmd_test(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    genome = load_genome_file(args.genome)
+    genome = genome_from_dict(read_json(args.genome, "genome"))
     seed = args.seed
 
     if args.battery == "standard":
@@ -181,7 +177,11 @@ def cmd_test(args) -> int:
     fileio.write_json(out_path, payload)
     for score in report.tests:
         steps = score.steps_to_completion if score.completed else "-"
-        print(f"{score.name:22s} completed={str(score.completed):5s} steps={steps} iq={score.iq_component:.3f}")
+        failure = score.metrics.get("fluid_failure")
+        print(
+            f"{score.name:22s} completed={str(score.completed):5s} steps={steps} iq={score.iq_component:.3f}"
+            + (f" fluid failure: {failure}" if failure else "")
+        )
     print(f"IQ {report.iq:.4f} -> {out_path}")
     return EXIT_OK
 
@@ -238,7 +238,7 @@ def cmd_render(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 0 < args.display_max < np.inf:  # NaN fails too
         raise ConfigError(f"--display-max must be finite and > 0, got {args.display_max}")
-    genome = load_genome_file(args.genome)
+    genome = genome_from_dict(read_json(args.genome, "genome"))
     spec = resolve_arena(args.env)
     params = harness.harness_physics()
     cfg = harness.harness_lifecycle(t=args.steps)
@@ -276,7 +276,7 @@ def cmd_render(args) -> int:
     sim.run(steps, observe)
     failure = sim.failures[0]
     if failure is not None:
-        print(f"error: simulation failed at step {failure.step + 1}: {failure}", file=sys.stderr)
+        print(f"error: simulation failed: {failure}", file=sys.stderr)
         return EXIT_RUNTIME
 
     meta = {"genome": os.path.basename(args.genome), "env": args.env, "seed": args.seed, "steps": steps}

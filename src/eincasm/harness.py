@@ -4,7 +4,8 @@ Each test is a pure function of (genome, physics, arena spec, seed). The
 coordination test removes one of two food clusters mid-run and measures
 how much mass shifts toward the surviving cluster's half of the arena;
 the pathfinding test seeds the organism at a start cell and checks
-whether enough mass ever reaches the food-rich goal region.
+whether enough mass ever reaches the food-rich goal region. A run the
+fluid cuts short is scored as it stands, its failure in ``fluid_failure``.
 
 The handcrafted chemotaxis baseline genome is the harness's standing
 regression reference: a fixed four-connection CPPN whose cells grow
@@ -192,6 +193,13 @@ def chemotaxis_baseline(k_hidden: int = DEFAULT_K_HIDDEN) -> Genome:
 # -- tests --------------------------------------------------------------------
 
 
+def _note_failure(sim: Simulation, metrics: dict) -> dict:
+    """Add ``fluid_failure`` to metrics if the fluid cut the run short."""
+    if sim.failures[0] is not None:
+        metrics["fluid_failure"] = str(sim.failures[0])
+    return metrics
+
+
 def pathfinding_test(
     genome: Genome,
     params: PhysicsParams,
@@ -224,11 +232,11 @@ def pathfinding_test(
         completed=completed,
         steps_to_completion=completion_step,
         growth_rate=growth_rate,
-        metrics={
+        metrics=_note_failure(sim, {
             "final_mass": curve[-1],
             "goal_mass": float(sim.world.mass[goal_sl].sum()),
             "lifespan": lifespan,
-        },
+        }),
         iq_component=float(np.clip(1.0 - completion_step / lifespan, 0.0, 1.0)) if completed else 0.0,
     )
 
@@ -278,12 +286,12 @@ def coordination_test(
         completed=completed,
         steps_to_completion=t_r if completed else None,
         growth_rate=growth_rate,
-        metrics={
+        metrics=_note_failure(sim, {
             "redistribution_index": index,
             "recovery_ratio": recovery,
             "removal_step": t_r,
             "final_mass": curve[-1],
-        },
+        }),
         iq_component=float(np.clip(index, 0.0, 1.0)),
     )
 

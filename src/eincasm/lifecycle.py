@@ -354,7 +354,7 @@ class Simulation:
             worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
             dr_des, dm_des = physics.squash_outputs(outputs[:, k], outputs[:, k + 1], p)
             r_before = worlds.reservoir[cells]
-            applied, m_new, r_new, n_new = physics.constrain(
+            delta_r, m_new, r_new, n_new = physics.constrain(
                 worlds.mass[cells],
                 r_before,
                 worlds.nutrient[cells],
@@ -367,7 +367,7 @@ class Simulation:
             worlds.mass[cells] = m_new
             worlds.reservoir[cells] = r_new
             worlds.nutrient[cells] = n_new
-            rho = physics.reservoir_pressure(r_before, applied.delta_r, p)
+            rho = physics.reservoir_pressure(r_before, delta_r, p)
             rho_src[cells] = np.clip(rho, -p.rho_cap, p.rho_cap)
 
         self.lattices, failures = fluid.step(self.lattices, self.walls, rho_src, step_index=self.step_index)

@@ -118,7 +118,6 @@ class InnovationRegistry:
 
 @dataclass
 class SpeciesState:
-    id: int
     representative: Genome
     members: list[int] = field(default_factory=list)  # indices into Population.members
     best_fitness: float = -np.inf
@@ -131,13 +130,6 @@ class Population:
     species: list[SpeciesState]
     generation: int
     registry: InnovationRegistry
-    next_species_id: int = 1
-
-    def species_of(self, member_index: int) -> SpeciesState:
-        for sp in self.species:
-            if member_index in sp.members:
-                return sp
-        raise LookupError(f"member {member_index} not in any species")
 
 
 def init_population(cfg: EvolutionConfig, k_hidden: int) -> Population:
@@ -203,8 +195,7 @@ def speciate(pop: Population, cfg: EvolutionConfig) -> Population:
                 sp.members.append(index)
                 break
         else:
-            sp = SpeciesState(id=pop.next_species_id, representative=genome.copy())
-            pop.next_species_id += 1
+            sp = SpeciesState(representative=genome.copy())
             sp.members.append(index)
             species.append(sp)
     species = [sp for sp in species if sp.members]
@@ -307,7 +298,7 @@ def next_generation(pop: Population, fitnesses, cfg: EvolutionConfig) -> Populat
     alive = [sp for sp in pop.species if sp.gens_since_improvement < cfg.stagnation_limit]
     if not alive:
         global_best = int(np.argmax(fitnesses))
-        alive = [pop.species_of(global_best)]
+        alive = [next(sp for sp in pop.species if global_best in sp.members)]
 
     shares = np.array([sum(fitnesses[i] for i in sp.members) / len(sp.members) for sp in alive])
     if shares.sum() <= 0:
@@ -342,7 +333,6 @@ def next_generation(pop: Population, fitnesses, cfg: EvolutionConfig) -> Populat
         species=alive,  # stagnant species are gone for good
         generation=pop.generation + 1,
         registry=registry,
-        next_species_id=pop.next_species_id,
     )
     return speciate(new_pop, cfg)
 

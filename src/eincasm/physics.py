@@ -20,6 +20,8 @@ dE = uptake - beta * poison_loss - beta * movement_mass_spent, exactly up
 to float rounding. Cell death (M dropping below m_min) converts the
 residual mass to nutrient at rate beta and zeroes the reservoir, which
 keeps the ledger exact and leaves the nutrient in place for the flow.
+constrain returns the new state and the paid reservoir change, the one
+term the step reads; every other term follows from inputs and outputs.
 """
 
 from __future__ import annotations
@@ -61,18 +63,6 @@ class PhysicsParams:
             raise ValueError("caps must be positive")
 
 
-@dataclass
-class AppliedUpdate:
-    """What a constrain call actually did. Scalar or arrays, matching input."""
-
-    delta_r: object
-    delta_m: object
-    nutrient_spent: object
-    mass_spent: object
-    nutrient_gained_conversion: object
-    uptake: object
-
-
 def squash_outputs(raw_dr, raw_dm, p: PhysicsParams):
     """Bound raw CPPN outputs: delta = cap * tanh(raw)."""
     return p.delta_r_max * np.tanh(raw_dr), p.delta_m_max * np.tanh(raw_dm)
@@ -108,10 +98,10 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
                        pressure, no cost); if M < m_min the cell dies: its
                        mass converts to nutrient at rate beta, R drops to 0
 
-    Returns ``(AppliedUpdate, new_mass, new_reservoir, new_nutrient)``.
-    AppliedUpdate.delta_r is the *paid* reservoir change from stage 5 —
-    the quantity that drives pressure forcing — not the net change after
-    spill or death. Everything clamps; nothing raises.
+    Returns ``(delta_r, new_mass, new_reservoir, new_nutrient)``, scalars
+    or arrays matching the input. delta_r is the *paid* reservoir change
+    from stage 5 — the quantity that drives pressure forcing — not the net
+    change after spill or death. Everything clamps; nothing raises.
     """
     m = np.asarray(mass, dtype=np.float64).copy()
     r = np.asarray(reservoir, dtype=np.float64).copy()
@@ -121,21 +111,18 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
     dr_des = np.asarray(dr_desired, dtype=np.float64)
     dm_des = np.asarray(dm_desired, dtype=np.float64)
 
-    gained = uptake(f, m, p)
-    n += gained
+    n += uptake(f, m, p)
 
     poison_loss = np.minimum(m, p.poison_rate * pz)
     m -= poison_loss
 
     removed = np.minimum(np.maximum(-dm_des, 0.0), m)
     m -= removed
-    conversion_gain = p.beta * removed
-    n += conversion_gain
+    n += p.beta * removed
 
     grown = np.minimum(np.maximum(dm_des, 0.0), n / p.beta)
     m += grown
-    nutrient_spent = p.beta * grown
-    n -= nutrient_spent
+    n -= p.beta * grown
 
     # Reservoir clamp. Upper bound accounts for the mass that paying for
     # the change will burn: R + dR <= kappa * (M - alpha*dR) for dR > 0.
@@ -143,8 +130,7 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
     hi = np.minimum(budget, np.maximum(p.kappa * m - r, 0.0) / (1.0 + p.kappa * p.alpha))
     lo = -np.minimum(r, budget)
     dr_applied = np.clip(dr_des, lo, hi)
-    mass_spent = p.alpha * np.abs(dr_applied)
-    m -= mass_spent
+    m -= p.alpha * np.abs(dr_applied)
     m = np.maximum(m, 0.0)  # exact-budget payments can leave -1e-17 dust
     r += dr_applied
 
@@ -153,18 +139,8 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
     r = np.maximum(r, 0.0)
 
     dead = m < p.m_min
-    death_gain = np.where(dead, p.beta * m, 0.0)
-    n += death_gain
+    n += np.where(dead, p.beta * m, 0.0)
     n = np.maximum(n, 0.0)
     m = np.where(dead, 0.0, m)
     r = np.where(dead, 0.0, r)
-
-    applied = AppliedUpdate(
-        delta_r=dr_applied,
-        delta_m=grown - removed,
-        nutrient_spent=nutrient_spent,
-        mass_spent=mass_spent,
-        nutrient_gained_conversion=conversion_gain + death_gain,
-        uptake=gained,
-    )
-    return applied, m, r, n
+    return dr_applied, m, r, n

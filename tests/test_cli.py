@@ -407,6 +407,28 @@ class TestTestCommand:
         assert names["pathfinding"]["completed"] is True
         assert report["iq"] > 0.0
 
+    def test_fluid_failure_is_reported(self, tmp_path, capsys):
+        """On 32x32 arenas the baseline's pumping breaks the fluid about 30
+        steps into a 600-step life. Each test so cut short names the failure
+        in its report entry and at the end of its stdout line; the command
+        still exits 0."""
+        genome = write_genome(tmp_path, chemotaxis_baseline())
+        reach = {"kind": "open_arena", "shape": [32, 32], "food": [[[24, 16, 3, 3], 8.0]], "seed_cell": [4, 16],
+                 "params": {"goal": [24, 16, 3, 3]}}
+        wide = {**write_value(harness.coordination_spec()), "shape": [32, 32], "seed_cell": [16, 16]}
+        battery = tmp_path / "battery.json"
+        battery.write_text(json.dumps({"tests": [{"name": "reach", "env": reach},
+                                                 {"name": "coordination", "env": wide}]}))
+        out = tmp_path / "report.json"
+        assert main(["test", genome, "--battery", str(battery), "--out", str(out)]) == 0
+        failures = [
+            "velocity 0.301 exceeds 0.3 at cell (11, 21) at step 27",
+            "velocity 0.301 exceeds 0.3 at cell (9, 7) at step 32",
+        ]
+        assert [t["metrics"]["fluid_failure"] for t in json.loads(out.read_text())["tests"]] == failures
+        lines = capsys.readouterr().out.splitlines()[:2]
+        assert [line.split(" fluid failure: ")[1] for line in lines] == failures
+
     def test_inert_genome_scores_zero(self, tmp_path):
         genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "report.json")
@@ -712,7 +734,8 @@ class TestRenderCommand:
         }))
         out = tmp_path / "r"
         assert main(["render", genome, "--env", str(env), "--steps", "60", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: simulation failed at step 33: ")
+        failure = "velocity 0.304 exceeds 0.3 at cell (23, 11) at step 32"
+        assert capsys.readouterr().err == f"error: simulation failed: {failure}\n"
         assert not (out / "trajectory.json").exists()
 
     def test_frames_and_trajectory(self, tmp_path):

@@ -77,6 +77,7 @@ class TestBaseline:
         score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0)
         assert score.completed
         assert 0.0 < score.iq_component <= 1.0
+        assert "fluid_failure" not in score.metrics  # the run lived its lifespan
 
     def test_baseline_coordination_positive_index(self):
         score = coordination_test(chemotaxis_baseline(), harness_physics(), 0)

@@ -17,6 +17,7 @@ from eincasm.cppn import (
 from eincasm.neat import (
     EvolutionConfig,
     InnovationRegistry,
+    SpeciesState,
     compatibility_distance,
     crossover,
     evaluation_seed,
@@ -305,15 +306,51 @@ class TestNextGeneration:
         with pytest.raises(ValueError):
             next_generation(pop, bad, c)
 
+    @staticmethod
+    def two_species(c, best_a, best_b):
+        """Members 0-3 form species A and 4-7 species B, each one generation
+        short of stagnating at its best so far. B's members carry a marker
+        connection that no other genome has, so its offspring can be told
+        apart by their genes."""
+        pop = init_population(c, K)
+        src, dst = 0, pop.members[0].n_inputs  # first non-bias input -> first output
+        marker = pop.registry.connection_innovation(src, dst)
+        for g in pop.members[4:]:
+            g.connections[marker] = ConnectionGene(marker, src, dst, 1.0, True)
+        pop.species = [
+            SpeciesState(pop.members[i].copy(), members=list(range(i, i + 4)), best_fitness=best,
+                         gens_since_improvement=c.stagnation_limit - 1)
+            for i, best in ((0, best_a), (4, best_b))
+        ]
+        return pop, marker
+
     def test_stagnant_species_removed(self):
         c = cfg(population_size=8, stagnation_limit=2, compatibility_threshold=10000.0, seed=31)
+        fitness = np.array([1.0] * 4 + [2.0] * 4)
+
+        # A improves on its best; B, though fitter now, stays below its own
+        # best and passes the limit: it is dropped and has no offspring
+        pop, marker = self.two_species(c, best_a=-np.inf, best_b=5.0)
+        stagnant = pop.species[1]
+        new = next_generation(pop, fitness, c)
+        assert len(new.members) == 8
+        assert all(sp is not stagnant for sp in new.species)
+        assert not any(marker in g.connections for g in new.members)
+
+        # both stagnant: the species holding the globally best member, B,
+        # is the one kept, and all offspring descend from it
+        pop, marker = self.two_species(c, best_a=10.0, best_b=5.0)
+        best = pop.species[1]
+        new = next_generation(pop, fitness, c)
+        assert new.species == [best] and best.members == list(range(8))
+        assert all(marker in g.connections for g in new.members)
+
+        # a sole species was globally best, so survives even while stagnant
         pop = init_population(c, K)
-        ids0 = {sp.id for sp in pop.species}
         fixed = np.zeros(8)
         pop = next_generation(pop, fixed, c)
         pop = next_generation(pop, fixed, c)
         pop = next_generation(pop, fixed, c)
-        # sole species was globally best, so survives even while stagnant
         assert len(pop.members) == 8
         assert len(pop.species) >= 1
 

@@ -29,25 +29,24 @@ class TestPointOperations:
     def test_growth_cost(self):
         # constrain spends beta * dM of nutrient on growth, none on shrinking
         p = params(beta=2.0)
-        applied, _, _, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.3, p)
-        assert float(applied.nutrient_spent) == pytest.approx(0.6, rel=1e-12)
-        assert float(n) == pytest.approx(0.4, rel=1e-12)
+        _, _, _, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.3, p)
+        assert float(n) == pytest.approx(1.0 - 0.6, rel=1e-12)
         for dm in (0.0, -0.5):
-            applied, *_ = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, dm, p)
-            assert float(applied.nutrient_spent) == 0.0
+            _, _, _, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, dm, p)
+            assert float(n) == 1.0 + p.beta * -dm  # the conversion credit alone
 
     def test_movement_cost(self):
         # constrain spends alpha * |dR| of mass; the clamps do not bind here
         p = params(alpha=0.5, kappa=10.0, delta_r_max=2.0)
-        applied, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, p)
-        assert float(applied.mass_spent) == 0.0
-        applied, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, -0.4, 0.0, p)
-        assert float(applied.mass_spent) == pytest.approx(0.2, rel=1e-12)
+        _, m, _, _ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, p)
+        assert float(m) == 2.0
+        _, m, _, _ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, -0.4, 0.0, p)
+        assert float(m) == pytest.approx(2.0 - 0.2, rel=1e-12)
         for x in np.random.default_rng(0).uniform(0.0, 1.0, size=20):
-            up, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, x, 0.0, p)
-            down, *_ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, -x, 0.0, p)
-            assert float(up.delta_r) == x and float(down.delta_r) == -x
-            assert float(up.mass_spent) == float(down.mass_spent)
+            dr_up, m_up, _, _ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, x, 0.0, p)
+            dr_down, m_down, _, _ = constrain(2.0, 1.0, 0.0, 0.0, 0.0, -x, 0.0, p)
+            assert float(dr_up) == x and float(dr_down) == -x
+            assert float(m_up) == float(m_down)
 
     def test_reservoir_pressure(self):
         p = params(v_min=1e-3)
@@ -58,12 +57,12 @@ class TestPointOperations:
     def test_convert_mass(self):
         # constrain credits beta * |dM| of nutrient for mass converted away
         p = params(beta=2.0)
-        applied, *_ = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.3, p)
-        assert float(applied.delta_m) == pytest.approx(-0.3, rel=1e-12)
-        assert float(applied.nutrient_gained_conversion) == pytest.approx(0.6, rel=1e-12)
+        _, m, _, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.3, p)
+        assert float(m) == pytest.approx(1.0 - 0.3, rel=1e-12)
+        assert float(n) == pytest.approx(0.6, rel=1e-12)
         for dm in (0.0, 0.1):
-            applied, *_ = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, dm, p)
-            assert float(applied.nutrient_gained_conversion) == 0.0
+            _, _, _, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 0.0, dm, p)
+            assert float(n) == 1.0 - p.beta * dm  # the growth debit alone
 
     def test_squash_respects_caps(self):
         p = params(delta_r_max=0.5, delta_m_max=0.25)
@@ -83,30 +82,28 @@ class TestPointOperations:
 class TestConstrainPipeline:
     def test_zero_proposal_is_identity(self):
         p = params()
-        applied, m, r, n = constrain(1.0, 0.5, 0.7, 0.0, 0.0, 0.0, 0.0, p)
-        assert (float(m), float(r), float(n)) == (1.0, 0.5, 0.7)
-        assert float(applied.delta_r) == 0.0 and float(applied.delta_m) == 0.0
+        dr, m, r, n = constrain(1.0, 0.5, 0.7, 0.0, 0.0, 0.0, 0.0, p)
+        assert (float(dr), float(m), float(r), float(n)) == (0.0, 1.0, 0.5, 0.7)
 
     def test_growth_clamped_by_nutrient(self):
         p = params(beta=1.0)
-        applied, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, p)
-        assert float(applied.delta_m) == 0.0
+        _, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, p)
         assert float(m) == 1.0 and float(n) == 0.0
 
     def test_spec_hand_trace(self):
         # M=1, N=1, beta=1, alpha=0.5, kappa=10, dM=0.5, dR=1:
         # growth -> M=1.5, N=0.5; reservoir: pay 0.5, R 0 -> 1, M -> 1.0
         p = params(alpha=0.5, beta=1.0, kappa=10.0, delta_r_max=2.0, delta_m_max=2.0)
-        applied, m, r, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, p)
-        assert float(applied.delta_m) == pytest.approx(0.5, abs=1e-12)
+        dr, m, r, n = constrain(1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.5, p)
+        assert float(m) + p.alpha * float(dr) - 1.0 == pytest.approx(0.5, abs=1e-12)  # grown before paying
         assert float(n) == pytest.approx(0.5, abs=1e-12)
-        assert float(applied.delta_r) == pytest.approx(1.0, abs=1e-12)
+        assert float(dr) == pytest.approx(1.0, abs=1e-12)
         assert float(r) == pytest.approx(1.0, abs=1e-12)
         assert float(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_conversion_credits_nutrient(self):
         p = params(beta=2.0)
-        applied, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.3, p)
+        _, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.3, p)
         assert float(m) == pytest.approx(0.7, abs=1e-12)
         assert float(n) == pytest.approx(0.6, abs=1e-12)
 
@@ -118,25 +115,25 @@ class TestConstrainPipeline:
 
     def test_poison_decays_mass(self):
         p = params(poison_rate=0.2)
-        applied, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, p)
+        _, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, p)
         assert float(m) == pytest.approx(0.6, abs=1e-12)
 
     def test_death_converts_residual_mass(self):
         p = params(m_min=1e-2, beta=2.0)
-        applied, m, r, n = constrain(5e-3, 1e-2, 0.1, 0.0, 0.0, 0.0, 0.0, p)
+        _, m, r, n = constrain(5e-3, 1e-2, 0.1, 0.0, 0.0, 0.0, 0.0, p)
         assert float(m) == 0.0 and float(r) == 0.0
         assert float(n) == pytest.approx(0.1 + 2.0 * 5e-3, abs=1e-12)
 
     def test_reservoir_capacity_respected_after_payment(self):
         # the clamp must account for the mass the payment burns
         p = params(alpha=0.5, beta=1.0, kappa=1.0, delta_r_max=5.0)
-        applied, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, p)
+        _, m, r, n = constrain(1.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.0, p)
         assert float(r) <= p.kappa * float(m) + 1e-12
 
     def test_elementwise_arrays(self):
         p = params()
         m = np.array([1.0, 0.5, 2.0])
-        applied, m2, r2, n2 = constrain(
+        _, m2, r2, n2 = constrain(
             m, np.zeros(3), np.ones(3), np.zeros(3), np.zeros(3), np.zeros(3), np.array([0.2, 0.1, 0.4]), p
         )
         assert m2.shape == (3,)
@@ -186,15 +183,20 @@ class TestFuzzedInvariants:
     @settings(max_examples=50, deadline=None)
     @given(state=valid_states(P_LEDGER), data=st.data())
     def test_energy_ledger_exact(self, state, data):
-        # dE = uptake - beta*poison_loss - beta*alpha*|dR_applied|, F=P=0 case
+        # dE = gamma*F*[M >= m_min] - beta*min(M, poison_rate*P) - beta*alpha*|dR_applied|,
+        # without food and poison and with both
         p = P_LEDGER
         m, r, n = state
         dr, dm = squash_outputs(values(data.draw, -20.0, 20.0), values(data.draw, -20.0, 20.0), p)
-        applied, m2, r2, n2 = constrain(m, r, n, 0.0, 0.0, dr, dm, p)
-        e_before = n + p.beta * m
-        e_after = n2 + p.beta * m2
-        expected = -p.beta * p.alpha * np.abs(applied.delta_r)
-        assert e_after - e_before == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        fed = values(data.draw, 1e-3, 2.0), values(data.draw, 1e-3, 2.0)
+        for f, pz in ((np.zeros(N_CELLS), np.zeros(N_CELLS)), fed):
+            dr_applied, m2, r2, n2 = constrain(m, r, n, f, pz, dr, dm, p)
+            e_before = n + p.beta * m
+            e_after = n2 + p.beta * m2
+            uptake_gain = p.gamma * f * (m >= p.m_min)
+            poison_loss = np.minimum(m, p.poison_rate * pz)
+            expected = uptake_gain - p.beta * poison_loss - p.beta * p.alpha * np.abs(dr_applied)
+            assert e_after - e_before == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(state=valid_states(P_GROWTH), data=st.data())
@@ -202,5 +204,5 @@ class TestFuzzedInvariants:
         p = P_GROWTH
         m, r, n = state
         dm = values(data.draw, 0.0, p.delta_m_max)
-        applied, *_ = constrain(m, r, n, 0.0, 0.0, 0.0, dm, p)
-        assert (applied.delta_m <= n / p.beta + 1e-12).all()
+        _, m2, _, _ = constrain(m, r, n, 0.0, 0.0, 0.0, dm, p)
+        assert (m2 - m <= n / p.beta + 1e-12).all()
