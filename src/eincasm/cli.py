@@ -21,7 +21,7 @@ from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec
 from .fileio import SCHEMA_VERSION, json_scalar, read_record, read_value
-from .lifecycle import LifecycleError, build_simulation
+from .lifecycle import LifecycleError, build_simulation, selection_seed
 from .neat import Population
 from .substrate import total_mass, total_nutrient
 
@@ -243,7 +243,7 @@ def cmd_render(args) -> int:
     params = harness.harness_physics()
     cfg = harness.harness_lifecycle(t=args.steps)
     bundle = harness.build_arena(spec)
-    sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([args.seed, 1, 1]))
+    sim = build_simulation(genome, bundle, params, cfg, selection_seed(args.seed, 1))
 
     out = args.out
     os.makedirs(out, exist_ok=True)

@@ -23,7 +23,6 @@ outputs, whatever the batch and whichever other members share the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -310,23 +309,12 @@ def _select(t: _Tables, keep: list[int]) -> _Tables:
     )
 
 
-@dataclass(frozen=True)
-class _Folded:
-    """A plan's table split at its constant positions: those where every
-    member's edges read only the bias input, the pad slot or earlier
-    constant positions (an edgeless node is one). With the bias input at
-    1.0 such a position holds one value per member, whatever the other
-    inputs are."""
-
-    slots: np.ndarray  # (constant positions,) the slots they write
-    values: np.ndarray  # (constant positions, P) each member's value there
-    varying: _Tables  # the other positions
-
-
-def _fold(n_inputs: int, t: _Tables) -> _Folded:
-    """Find the constant positions and evaluate them once, one row per
-    member through ``_run``, the loop that evaluates the other positions,
-    so a row of member m gets the bits one full loop would give it."""
+def _fold(n_inputs: int, t: _Tables) -> tuple[np.ndarray, np.ndarray, _Tables]:
+    """The slots of a table's constant positions (see ``Phenotype``), each
+    member's value there, (constant positions, P), and the table of the
+    other positions. The values come from ``_run``, the loop that evaluates
+    the other positions, one row per member, so a row of member m gets the
+    bits one full loop would give it."""
     n_slots = n_inputs + len(t.positions)
     known = np.zeros(n_slots + 1, dtype=bool)
     known[[n_inputs - 1, n_slots]] = True  # the bias input and the pad slot
@@ -340,31 +328,31 @@ def _fold(n_inputs: int, t: _Tables) -> _Folded:
     values[-1] = -0.0
     _run(values, _select(t, constant), np.arange(n_members))
     slots = np.array([t.positions[j].slot for j in constant], dtype=np.intp)
-    return _Folded(slots=slots, values=values[slots], varying=_select(t, varying))
+    return slots, values[slots], _select(t, varying)
 
 
 @dataclass(frozen=True, eq=False)
 class Phenotype:
     """The compiled rule of one or more members: one padded evaluation plan.
 
-    ``tables`` holds one column per member. ``compile_genome`` puts
+    Its tables hold one column per member. ``compile_genome`` puts
     non-input node j of every genome in slot n_inputs + j, so the members
     line up position by position, and pads a member's missing node or edge
     so that it changes no bit (see ``_Tables``). ``evaluate_batch``
     evaluates row r with the network of member ``members[r]``: each
     position runs once over all rows, and each activation only on the rows
-    of the members that use it there. Only the ``input_slots`` some edge
-    reads are copied in; a caller may leave the other input columns
-    unfilled.
+    of the members that use it there. Only the ``input_slots`` are copied
+    in; a caller may leave the other input columns unfilled.
 
     The bias input is 1.0 by definition: ``evaluate_batch`` writes it
     itself and never reads the caller's bias column. A position is
     constant when every member's edges into it read only the bias input,
     the pad slot or earlier constant positions; an edgeless node is one,
     and so is each output of a bias-only NEAT founder. A constant
-    position's value depends on the member alone: ``folded`` evaluates
-    those once per plan, through the same loop, and a batch only copies
-    each row's member value into their slots.
+    position's value depends on the member alone: ``compile_genome``
+    evaluates those once, through the same loop, into
+    ``constant_values``, and a batch only copies each row's member value
+    into ``constant_slots``. ``varying`` holds the other positions.
 
     Immutable and sharable across threads; evaluation allocates its own
     scratch buffer per call.
@@ -372,29 +360,16 @@ class Phenotype:
 
     n_inputs: int
     n_outputs: int
-    tables: _Tables
+    input_slots: np.ndarray  # sorted perception slots some member's enabled edges read; the bias is not one
+    constant_slots: np.ndarray  # (constant positions,)
+    constant_values: np.ndarray  # (constant positions, P)
+    varying: _Tables
+    n_slots: int  # inputs plus positions; the pad slot follows them
     output_slots: np.ndarray  # (P, n_outputs)
 
     @property
     def n_members(self) -> int:
         return len(self.output_slots)
-
-    @property
-    def n_slots(self) -> int:
-        return self.n_inputs + len(self.tables.positions)
-
-    @cached_property
-    def folded(self) -> _Folded:
-        return _fold(self.n_inputs, self.tables)
-
-    @cached_property
-    def input_slots(self) -> np.ndarray:
-        """The sorted input slots that some member's enabled edges read; the
-        other inputs reach no output."""
-        src = self.tables.src
-        read = np.zeros(self.n_inputs, dtype=bool)
-        read[src[src < self.n_inputs]] = True
-        return np.flatnonzero(read)
 
     def evaluate_batch(self, inputs: np.ndarray, members=None) -> np.ndarray:
         """Evaluate many input rows at once: (n, n_inputs) -> (n, n_outputs).
@@ -421,9 +396,8 @@ class Phenotype:
         values[read] = inputs.T[read]  # no edge reads the other inputs' slots
         values[self.n_inputs - 1] = 1.0  # the bias input
         values[-1] = -0.0  # the pad slot
-        folded = self.folded
-        values[folded.slots] = folded.values[:, cols]
-        _run(values, folded.varying, cols)
+        values[self.constant_slots] = self.constant_values[:, cols]
+        _run(values, self.varying, cols)
         return values.reshape(-1).take(self.output_slots.T[:, cols] * n + np.arange(n)).T
 
 
@@ -474,10 +448,19 @@ def compile_genome(genomes) -> Phenotype:
         )
         for j in range(n_positions)
     )
+    tables = _Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight)
+    constant_slots, constant_values, varying = _fold(n_inputs, tables)
+    # the inputs before the bias are perception; a mask, as np.unique's first call imports more of numpy
+    perceived = np.zeros(n_inputs - 1, dtype=bool)
+    perceived[src[src < n_inputs - 1]] = True
     return Phenotype(
         n_inputs=n_inputs,
         n_outputs=n_outputs,
-        tables=_Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight),
+        input_slots=np.flatnonzero(perceived),
+        constant_slots=constant_slots,
+        constant_values=constant_values,
+        varying=varying,
+        n_slots=n_inputs + n_positions,
         output_slots=np.array(output_slots, dtype=np.intp),
     )
 

@@ -1,10 +1,11 @@
 """Intelligence tests and IQ scoring: coordination and pathfinding.
 
-Each test is a pure function of (genome, physics, arena spec, seed). The
-coordination test removes one of two food clusters mid-run and measures
-how much mass shifts toward the surviving cluster's half of the arena;
-the pathfinding test seeds the organism at a start cell and checks
-whether enough mass ever reaches the food-rich goal region. A run the
+Each test is a pure function of its arguments, in this order: genome,
+physics, arena spec, seed and lifecycle config. The coordination test
+removes one of two food clusters mid-run and measures how much mass
+shifts toward the surviving cluster's half of the arena; the pathfinding
+test seeds the organism at a start cell and checks whether enough mass
+ever reaches the food-rich goal region. A run the
 fluid cuts short is scored as it stands, its failure in ``fluid_failure``.
 
 The handcrafted chemotaxis baseline genome is the harness's standing
@@ -23,7 +24,7 @@ import numpy as np
 
 from .cppn import ConnectionGene, Genome, empty_genome
 from .environments import EnvBundle, EnvSpec, Rect, generate
-from .lifecycle import LifecycleConfig, RemoveFood, Simulation, build_simulation
+from .lifecycle import LifecycleConfig, RemoveFood, Simulation, build_simulation, selection_seed
 from .physics import PhysicsParams
 from .substrate import GridShape, N_BASE_CHANNELS, total_mass
 
@@ -201,19 +202,14 @@ def _note_failure(sim: Simulation, metrics: dict) -> dict:
 
 
 def pathfinding_test(
-    genome: Genome,
-    params: PhysicsParams,
-    spec: EnvSpec,
-    seed: int,
-    cfg: LifecycleConfig | None = None,
+    genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int, cfg: LifecycleConfig
 ) -> TestScore:
     """Seed at the arena's start; complete by placing >= M_GOAL mass on any
     goal cell before the lifespan ends. iq = 1 - steps_to_completion / T."""
-    cfg = cfg or harness_lifecycle()
     bundle = build_arena(spec)
     if bundle.goal is None:
         raise HarnessError("arena spec carries no goal region")
-    sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]))
+    sim = build_simulation(genome, bundle, params, cfg, selection_seed(seed, 1))
     lifespan = cfg.lifespan(seed)
 
     goal_sl = bundle.goal.slices()
@@ -242,26 +238,20 @@ def pathfinding_test(
 
 
 def coordination_test(
-    genome: Genome,
-    params: PhysicsParams,
-    seed: int,
-    cfg: LifecycleConfig | None = None,
-    spec: EnvSpec | None = None,
+    genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int, cfg: LifecycleConfig
 ) -> TestScore:
     """Two food clusters; cluster A vanishes at t_r = T * REMOVAL_FRACTION.
 
     redistribution index = (mass in B's half at end - at t_r) / total at t_r;
     completed iff the index exceeds THETA_COORDINATION; iq = clamp(index, 0, 1).
     """
-    cfg = cfg or harness_lifecycle()
-    spec = spec or coordination_spec()
     spec = replace(spec, seed=seed)
     bundle = generate(spec)
     lifespan = cfg.lifespan(seed)
     t_r = max(1, int(lifespan * REMOVAL_FRACTION))
     removal = ((t_r, RemoveFood(bundle.cluster_a)),) if t_r < lifespan else ()  # a one-step life never reaches it
     cfg = replace(cfg, schedule=tuple(cfg.schedule) + removal)
-    sim = build_simulation(genome, bundle, params, cfg, np.random.SeedSequence([seed, 1, 1]))
+    sim = build_simulation(genome, bundle, params, cfg, selection_seed(seed, 1))
 
     half_x = spec.shape.width // 2
     snapshot = {}
@@ -324,9 +314,10 @@ def run_battery(genome: Genome, params: PhysicsParams, seed: int,
                 cfg: LifecycleConfig | None = None, tests=None) -> IqReport:
     """Run a battery of (name, spec) tests and return the aggregate report.
 
-    A test named ``coordination`` runs ``coordination_test`` (spec None
-    means ``coordination_spec()``); any other name runs ``pathfinding_test``
-    on its spec. Each score takes its test's name. ``tests`` defaults to
+    A test named ``coordination`` runs ``coordination_test``, and any other
+    name ``pathfinding_test``, on its spec; spec None means
+    ``coordination_spec()``. Each score takes its test's name. ``cfg``
+    defaults to ``harness_lifecycle()`` and ``tests`` to
     ``STANDARD_BATTERY``.
     """
     cfg = cfg or harness_lifecycle()
@@ -334,10 +325,8 @@ def run_battery(genome: Genome, params: PhysicsParams, seed: int,
         tests = [(name, make_spec()) for name, make_spec in STANDARD_BATTERY]
     scores = []
     for name, spec in tests:
-        if name == "coordination":
-            score = coordination_test(genome, params, seed, cfg, spec=spec)
-        else:
-            score = pathfinding_test(genome, params, spec, seed, cfg)
+        test = coordination_test if name == "coordination" else pathfinding_test
+        score = test(genome, params, spec or coordination_spec(), seed, cfg)
         score.name = name
         scores.append(score)
     return iq_report(scores)

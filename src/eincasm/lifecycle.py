@@ -31,10 +31,11 @@ population.
 Determinism: (genome, environment spec, physics, lifecycle config,
 run_seed) fully determine the trajectory. Random streams are derived from
 named SeedSequence tuples — the lifespan from (run_seed, 0), and cell
-selection in evaluation e from (run_seed, e, 1), one stream per member,
-e restarting at 1 in each environment — so results are independent of
-scheduling. Fitness (``mean_final_mass``) is per environment the mean of
-its evaluations' final masses, then the mean of those, each a left fold.
+selection in evaluation e from ``selection_seed(run_seed, e)``, one stream
+per member, e restarting at 1 in each environment — so results are
+independent of scheduling. Fitness (``mean_final_mass``) is per
+environment the mean of its evaluations' final masses, then the mean of
+those, each a left fold.
 """
 
 from __future__ import annotations
@@ -254,7 +255,8 @@ class Simulation:
     ``phenotype`` is the population's one compiled plan, column m holding
     member m's network: it evaluates the selected cells of every running
     member in one call per step. Cells perceive only the slots some
-    member's plan reads (``perceived``); the other input columns stay 0.
+    member's plan reads (its ``input_slots``); the other input columns
+    stay 0.
     A member whose fluid fails freezes at that step (its world keeps the
     step's economy update, its lattice the state before it), records its
     FluidFailure in ``failures`` and leaves the batch: the rest move on to
@@ -283,9 +285,7 @@ class Simulation:
         world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
         seed_organism(world, cfg, cfg.seed_cell or bundle.seed_cell)
         self.worlds = world.stack.select([0] * len(genomes))  # the running members, in ``running`` order
-        self.phenotype = plan = compile_genome(genomes)  # every member's network, evaluated in one pass
-        read = plan.input_slots
-        self.perceived = read[read < plan.n_inputs - 1]  # the inputs before the bias are perception
+        self.phenotype = compile_genome(genomes)  # every member's network, evaluated in one pass
         self.params = params
         self.cfg = cfg
         self.rngs = [np.random.default_rng(step_seed) for _ in genomes]
@@ -348,7 +348,8 @@ class Simulation:
         rho_src = np.zeros(worlds.mass.shape)
         if len(sel_y):
             inputs = np.zeros((len(sel_y), self.phenotype.n_inputs))
-            inputs[:, self.perceived] = perceive_cells(worlds, sel_y, sel_x, sel_m, self.perceived)
+            read = self.phenotype.input_slots
+            inputs[:, read] = perceive_cells(worlds, sel_y, sel_x, sel_m, read)
             outputs = self.phenotype.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
             k = worlds.k_hidden
             worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
@@ -454,6 +455,12 @@ def mean_final_mass(per_env: list[EnvOutcome], n_env_evals: int) -> float:
     return reduce(add, means) / len(means)
 
 
+def selection_seed(run_seed: int, evaluation: int) -> np.random.SeedSequence:
+    """The seed of every member's cell-selection stream in evaluation
+    ``evaluation`` (1-based) of an environment, in a run seeded run_seed."""
+    return np.random.SeedSequence([run_seed, evaluation, 1])
+
+
 def run_population(
     genomes: list[Genome],
     envs: list[EnvSpec],
@@ -467,18 +474,18 @@ def run_population(
 
     Each record holds one EnvOutcome per (environment, evaluation),
     environment-major; evaluation e of every environment draws selection
-    from (run_seed, e, 1). Its fitness is per environment the mean of the
-    final masses, then the mean of those (``mean_final_mass``). A fluid
-    failure ends a member's run in that evaluation early, penalizing, never
-    crashing, the driver. A member's record does not depend on the others.
+    from ``selection_seed(run_seed, e)``. Its fitness is per environment
+    the mean of the final masses, then the mean of those
+    (``mean_final_mass``). A fluid failure ends a member's run in that
+    evaluation early, penalizing, never crashing, the driver. A member's
+    record does not depend on the others.
     """
     lifespan = cfg.lifespan(run_seed)
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
     for env in envs:
         for e, spec in enumerate(env_evaluations(env, cfg), start=1):
-            sim = build_simulation(
-                genomes, environments.generate_cached(spec), params, cfg, np.random.SeedSequence([run_seed, e, 1])
-            )
+            bundle = environments.generate_cached(spec)
+            sim = build_simulation(genomes, bundle, params, cfg, selection_seed(run_seed, e))
             for member, curve in enumerate(sim.run(lifespan)):
                 outcomes[member].append(EnvOutcome(curve, sim.failures[member]))
     return [FitnessRecord(mean_final_mass(runs, cfg.n_env_evals), runs) for runs in outcomes]

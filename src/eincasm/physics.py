@@ -103,18 +103,19 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
     from stage 5 — the quantity that drives pressure forcing — not the net
     change after spill or death. Everything clamps; nothing raises.
     """
-    m = np.asarray(mass, dtype=np.float64).copy()
-    r = np.asarray(reservoir, dtype=np.float64).copy()
-    n = np.asarray(nutrient, dtype=np.float64).copy()
+    m = np.asarray(mass, dtype=np.float64)
+    r = np.asarray(reservoir, dtype=np.float64)
+    n = np.asarray(nutrient, dtype=np.float64)
     f = np.asarray(food, dtype=np.float64)
     pz = np.asarray(poison, dtype=np.float64)
     dr_des = np.asarray(dr_desired, dtype=np.float64)
     dm_des = np.asarray(dm_desired, dtype=np.float64)
 
-    n += uptake(f, m, p)
+    # the first write to each of n, m and r rebinds it, so the caller's arrays stay as they are
+    n = n + uptake(f, m, p)
 
     poison_loss = np.minimum(m, p.poison_rate * pz)
-    m -= poison_loss
+    m = m - poison_loss
 
     removed = np.minimum(np.maximum(-dm_des, 0.0), m)
     m -= removed
@@ -132,7 +133,7 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
     dr_applied = np.clip(dr_des, lo, hi)
     m -= p.alpha * np.abs(dr_applied)
     m = np.maximum(m, 0.0)  # exact-budget payments can leave -1e-17 dust
-    r += dr_applied
+    r = r + dr_applied
 
     # Free spill: stages 2-4 may have shrunk M after R was sized for it.
     r = np.minimum(r, p.kappa * m)

@@ -269,7 +269,8 @@ class TestStackedPlan:
     def test_only_the_input_slots_are_read(self, population):
         genomes, inputs, members = population
         plan = compile_genome(genomes)
-        sources = {c.src for g in genomes for c in g.connections.values() if c.enabled and c.src < g.n_inputs}
+        # the bias input is not perception: the plan writes it itself
+        sources = {c.src for g in genomes for c in g.connections.values() if c.enabled and c.src < g.n_inputs - 1}
         assert plan.input_slots.tolist() == sorted(sources)
         poisoned = inputs.copy()
         poisoned[:, np.setdiff1d(np.arange(plan.n_inputs), plan.input_slots)] = np.nan
@@ -286,7 +287,7 @@ class TestStackedPlan:
             g.connections[0] = ConnectionGene(0, 3, g.n_inputs, -1.5, True)
             genomes.append(g)
         plan = compile_genome(genomes)
-        assert plan.tables.positions[0].activations == tuple(enumerate(ACTIVATION_NAMES))
+        assert plan.varying.positions[0].activations == tuple(enumerate(ACTIVATION_NAMES))
         x = np.random.default_rng(1).normal(size=(30, plan.n_inputs))
         members = np.arange(30) % 7
         out = plan.evaluate_batch(x, members)
@@ -297,14 +298,24 @@ class TestStackedPlan:
     def test_baseline_folds_its_input_free_positions(self):
         plan = compile_genome(chemotaxis_baseline())
         # H0 and dM read perception; H1-H3 have no edges and dR reads the bias
-        assert (plan.folded.slots - plan.n_inputs).tolist() == [1, 2, 3, 4]
-        assert [p.slot - plan.n_inputs for p in plan.folded.varying.positions] == [0, 5]
+        assert (plan.constant_slots - plan.n_inputs).tolist() == [1, 2, 3, 4]
+        assert [p.slot - plan.n_inputs for p in plan.varying.positions] == [0, 5]
+
+    def test_a_compiled_plan_is_complete(self):
+        """Evaluation derives nothing: a plan keeps the fields compile_genome gave it."""
+        founders = init_population(EvolutionConfig(population_size=3, seed=15), 4).members
+        for plan in (compile_genome(chemotaxis_baseline()), compile_genome(founders)):
+            compiled = dict(vars(plan))
+            x = np.random.default_rng(16).normal(size=(6, plan.n_inputs))
+            plan.evaluate_batch(x, np.arange(6) % plan.n_members)
+            assert vars(plan).keys() == compiled.keys()
+            assert all(vars(plan)[key] is value for key, value in compiled.items())
 
     def test_founders_fold_every_position(self):
         founders = init_population(EvolutionConfig(population_size=5, seed=11), 4).members
         plan = compile_genome(founders)
-        assert (plan.folded.slots - plan.n_inputs).tolist() == list(range(6))
-        assert plan.folded.varying.positions == ()
+        assert (plan.constant_slots - plan.n_inputs).tolist() == list(range(6))
+        assert plan.varying.positions == ()
         x = np.random.default_rng(12).normal(size=(20, plan.n_inputs))
         members = np.arange(20) % 5
         out = plan.evaluate_batch(x, members)

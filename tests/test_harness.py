@@ -1,6 +1,6 @@
 """Intelligence tests: scoring rules, determinism, the baseline gate."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from eincasm.harness import (
     pathfinding_test,
     run_battery,
 )
+from eincasm.lifecycle import run_population
 
 
 class TestScoring:
@@ -54,13 +55,13 @@ class TestScoring:
 
 class TestInertGenome:
     def test_inert_pathfinding_scores_zero(self):
-        score = pathfinding_test(empty_genome(4), harness_physics(), corridor_spec(), 0)
+        score = pathfinding_test(empty_genome(4), harness_physics(), corridor_spec(), 0, harness_lifecycle())
         assert not score.completed
         assert score.iq_component == 0.0
         assert score.steps_to_completion is None
 
     def test_inert_coordination_index_zero(self):
-        score = coordination_test(empty_genome(4), harness_physics(), 0)
+        score = coordination_test(empty_genome(4), harness_physics(), coordination_spec(), 0, harness_lifecycle())
         assert not score.completed
         assert score.metrics["redistribution_index"] == 0.0
         assert score.iq_component == 0.0
@@ -68,28 +69,28 @@ class TestInertGenome:
     def test_one_step_coordination_schedules_no_removal(self):
         """Its cluster removal would come after the only step, where no
         schedule may put an event; the test runs without it."""
-        score = coordination_test(empty_genome(4), harness_physics(), 0, harness_lifecycle(t=1))
+        score = coordination_test(empty_genome(4), harness_physics(), coordination_spec(), 0, harness_lifecycle(t=1))
         assert score.metrics["removal_step"] == 1 and score.metrics["redistribution_index"] == 0.0
 
 
 class TestBaseline:
     def test_baseline_completes_corridor(self):
-        score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0)
+        score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0, harness_lifecycle())
         assert score.completed
         assert 0.0 < score.iq_component <= 1.0
         assert "fluid_failure" not in score.metrics  # the run lived its lifespan
 
     def test_baseline_coordination_positive_index(self):
-        score = coordination_test(chemotaxis_baseline(), harness_physics(), 0)
+        score = coordination_test(chemotaxis_baseline(), harness_physics(), coordination_spec(), 0, harness_lifecycle())
         assert score.metrics["redistribution_index"] > 0.0
 
     def test_deterministic_scores(self):
-        a = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3)
-        b = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3)
+        a = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3, harness_lifecycle())
+        b = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3, harness_lifecycle())
         assert asdict(a) == asdict(b)
 
     def test_iq_formula_limits(self):
-        score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0)
+        score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0, harness_lifecycle())
         t = score.metrics["lifespan"]
         assert score.iq_component == pytest.approx(1.0 - score.steps_to_completion / t)
 
@@ -127,3 +128,14 @@ def test_run_battery_reports_three_tests():
     assert report.iq == 0.0
     payload = report.to_dict()
     assert set(payload) == {"iq", "tests"}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_battery_and_evolution_score_one_lifecycle_alike(seed):
+    """A pathfinding test's final mass is the fitness evolution gives the
+    same genome on the same arena, physics, lifecycle and seed; at p_update
+    0.5 the seed's selection stream matters."""
+    genome, params, spec = chemotaxis_baseline(), harness_physics(), corridor_spec()
+    cfg = replace(harness_lifecycle(t=60), p_update=0.5)
+    score = pathfinding_test(genome, params, spec, seed, cfg)
+    assert score.metrics["final_mass"] == run_population([genome], [spec], params, cfg, seed)[0].fitness

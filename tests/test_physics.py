@@ -198,6 +198,23 @@ class TestFuzzedInvariants:
             expected = uptake_gain - p.beta * poison_loss - p.beta * p.alpha * np.abs(dr_applied)
             assert e_after - e_before == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=50, deadline=None)
+    @given(state=valid_states(P_FUZZ), data=st.data())
+    def test_inputs_are_left_unchanged(self, state, data):
+        """constrain writes to none of its arguments, whole arrays or one
+        cell's 0-d arrays, and returns no view of them."""
+        p = P_FUZZ
+        m, r, n = state
+        f, pz = values(data.draw, 0.0, 2.0), values(data.draw, 0.0, 2.0)
+        dr, dm = squash_outputs(values(data.draw, -20.0, 20.0), values(data.draw, -20.0, 20.0), p)
+        cells = [(m, r, n, f, pz, dr, dm)] + [tuple(np.array(a[i]) for a in (m, r, n, f, pz, dr, dm)) for i in range(3)]
+        for args in cells:
+            before = [a.copy() for a in args]
+            out = constrain(*args, p)
+            for a, b in zip(args, before):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert not any(np.shares_memory(o, a) for o in out for a in args)
+
     @settings(max_examples=25, deadline=None)
     @given(state=valid_states(P_GROWTH), data=st.data())
     def test_growth_never_exceeds_budget(self, state, data):
