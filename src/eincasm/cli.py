@@ -21,7 +21,7 @@ from .cppn import GenomeError, genome_from_dict, genome_to_dict
 from .driver import evolve_run
 from .environments import EnvError, EnvSpec
 from .fileio import SCHEMA_VERSION, json_scalar, read_record, read_value
-from .lifecycle import LifecycleError, build_simulation, selection_seed
+from .lifecycle import LifecycleError, start_evaluation
 from .neat import Population
 from .substrate import total_mass, total_nutrient
 
@@ -243,11 +243,10 @@ def cmd_render(args) -> int:
     params = harness.harness_physics()
     cfg = harness.harness_lifecycle(t=args.steps)
     bundle = harness.build_arena(spec)
-    sim = build_simulation(genome, bundle, params, cfg, selection_seed(args.seed, 1))
+    sim, steps = start_evaluation(genome, bundle, params, cfg, args.seed, 1)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    steps = cfg.t_min
     written = 0
 
     def write_frame():

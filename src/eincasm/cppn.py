@@ -22,7 +22,7 @@ outputs, whatever the batch and whichever other members share the plan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -295,40 +295,34 @@ def _run(values: np.ndarray, t: _Tables, cols) -> None:
         acc[...] = _activate(acc, codes[j], position.activations)
 
 
-def _select(t: _Tables, keep: list[int]) -> _Tables:
-    """The positions ``keep`` of a table, in order, with their edges."""
-    edges = [np.arange(t.positions[j].edges.start, t.positions[j].edges.stop) for j in keep]
-    starts = np.cumsum([0] + [len(e) for e in edges]).tolist()
-    rows = np.concatenate([np.zeros(0, dtype=np.intp)] + edges)
-    return _Tables(
-        positions=tuple(replace(t.positions[j], edges=slice(starts[i], starts[i + 1])) for i, j in enumerate(keep)),
-        bias=t.bias[keep],
-        codes=t.codes[keep],
-        src=t.src[rows],
-        weight=t.weight[rows],
+def _tables(plans: list, keep: list[int], n_inputs: int, pad: int) -> _Tables:
+    """Positions ``keep`` of the members' plans, in order, as one table:
+    position j writes slot n_inputs + j and gets as many edge rows as its
+    largest fan-in; the rows and positions a member lacks keep the pad
+    entries, reading slot ``pad``."""
+    fan_in = [max(len(plan[j][1]) for plan in plans if j < len(plan)) for j in keep]
+    starts = [0, *accumulate(fan_in)]
+    bias = np.zeros((len(keep), len(plans)))
+    codes = np.full((len(keep), len(plans)), -1, dtype=np.int8)
+    src = np.full((starts[-1], len(plans)), pad, dtype=np.intp)
+    weight = np.ones((starts[-1], len(plans)))
+    for m, plan in enumerate(plans):
+        for i, j in enumerate(keep):
+            if j < len(plan):
+                node, edges = plan[j]
+                bias[i, m] = node.bias
+                codes[i, m] = ACTIVATION_NAMES.index(node.activation)
+                for row, (slot, w) in enumerate(edges, starts[i]):
+                    src[row, m], weight[row, m] = slot, w
+    positions = tuple(
+        _Position(
+            slot=n_inputs + j,
+            edges=slice(starts[i], starts[i + 1]),
+            activations=tuple((c, ACTIVATION_NAMES[c]) for c in sorted(set(codes[i].tolist()) - {-1})),
+        )
+        for i, j in enumerate(keep)
     )
-
-
-def _fold(n_inputs: int, t: _Tables) -> tuple[np.ndarray, np.ndarray, _Tables]:
-    """The slots of a table's constant positions (see ``Phenotype``), each
-    member's value there, (constant positions, P), and the table of the
-    other positions. The values come from ``_run``, the loop that evaluates
-    the other positions, one row per member, so a row of member m gets the
-    bits one full loop would give it."""
-    n_slots = n_inputs + len(t.positions)
-    known = np.zeros(n_slots + 1, dtype=bool)
-    known[[n_inputs - 1, n_slots]] = True  # the bias input and the pad slot
-    for position in t.positions:
-        known[position.slot] = known[t.src[position.edges]].all()
-    constant = [j for j, position in enumerate(t.positions) if known[position.slot]]
-    varying = [j for j, position in enumerate(t.positions) if not known[position.slot]]
-    n_members = t.bias.shape[1]
-    values = np.empty((n_slots + 1, n_members))
-    values[n_inputs - 1] = 1.0
-    values[-1] = -0.0
-    _run(values, _select(t, constant), np.arange(n_members))
-    slots = np.array([t.positions[j].slot for j in constant], dtype=np.intp)
-    return slots, values[slots], _select(t, varying)
+    return _Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,9 +403,10 @@ def compile_genome(genomes) -> Phenotype:
     enabled incoming edges, in innovation order); input nodes pass their
     input through, and a node with no enabled incoming edge evaluates to
     activation(bias). Non-input node j of each genome in topological order
-    writes slot n_inputs + j. Position j gets as many edge rows as its
-    largest fan-in; the rows and positions a member lacks keep the pad
-    entries of ``_Tables``.
+    writes slot n_inputs + j (see ``_tables``). The constant positions (see
+    ``Phenotype``) are found on the plans, then evaluated once by ``_run``,
+    the loop that evaluates the other positions, one row per member, so a
+    row of member m gets the bits one full loop would give it.
     """
     genomes = [genomes] if isinstance(genomes, Genome) else list(genomes)
     n_inputs, n_outputs = genomes[0].n_inputs, genomes[0].n_outputs
@@ -428,39 +423,31 @@ def compile_genome(genomes) -> Phenotype:
         plans.append([(genome.nodes[i], incoming.get(i, [])) for i in order])
         output_slots.append([slot_of[i] for i in genome.output_ids()])
     n_members, n_positions = len(plans), max(len(plan) for plan in plans)
-    fan_in = [max(len(plan[j][1]) for plan in plans if j < len(plan)) for j in range(n_positions)]
-    starts = [0, *accumulate(fan_in)]
-    bias = np.zeros((n_positions, n_members))
-    codes = np.full((n_positions, n_members), -1, dtype=np.int8)
-    src = np.full((starts[-1], n_members), n_inputs + n_positions, dtype=np.intp)  # the pad slot
-    weight = np.ones((starts[-1], n_members))
-    for m, plan in enumerate(plans):
-        for j, (node, edges) in enumerate(plan):
-            bias[j, m] = node.bias
-            codes[j, m] = ACTIVATION_NAMES.index(node.activation)
-            for row, (slot, w) in enumerate(edges, starts[j]):
-                src[row, m], weight[row, m] = slot, w
-    positions = tuple(
-        _Position(
-            slot=n_inputs + j,
-            edges=slice(starts[j], starts[j + 1]),
-            activations=tuple((c, ACTIVATION_NAMES[c]) for c in sorted(set(codes[j].tolist()) - {-1})),
-        )
-        for j in range(n_positions)
-    )
-    tables = _Tables(positions=positions, bias=bias, codes=codes, src=src, weight=weight)
-    constant_slots, constant_values, varying = _fold(n_inputs, tables)
-    # the inputs before the bias are perception; a mask, as np.unique's first call imports more of numpy
+    known = {n_inputs - 1}  # the bias input, then each constant position's slot
+    for j in range(n_positions):
+        if all(slot in known for plan in plans if j < len(plan) for slot, _ in plan[j][1]):
+            known.add(n_inputs + j)
+    constant = [j for j in range(n_positions) if n_inputs + j in known]
+    pad = n_inputs + n_positions
+    fixed = _tables(plans, constant, n_inputs, pad)
+    varying = _tables(plans, [j for j in range(n_positions) if n_inputs + j not in known], n_inputs, pad)
+    values = np.empty((pad + 1, n_members))
+    values[n_inputs - 1] = 1.0
+    values[-1] = -0.0
+    _run(values, fixed, np.arange(n_members))
+    constant_slots = np.array([n_inputs + j for j in constant], dtype=np.intp)
+    # the inputs before the bias are perception, read by varying positions only;
+    # a mask, as np.unique's first call imports more of numpy
     perceived = np.zeros(n_inputs - 1, dtype=bool)
-    perceived[src[src < n_inputs - 1]] = True
+    perceived[varying.src[varying.src < n_inputs - 1]] = True
     return Phenotype(
         n_inputs=n_inputs,
         n_outputs=n_outputs,
         input_slots=np.flatnonzero(perceived),
         constant_slots=constant_slots,
-        constant_values=constant_values,
+        constant_values=values[constant_slots],
         varying=varying,
-        n_slots=n_inputs + n_positions,
+        n_slots=pad,
         output_slots=np.array(output_slots, dtype=np.intp),
     )
 

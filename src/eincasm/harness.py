@@ -5,7 +5,9 @@ physics, arena spec, seed and lifecycle config. The coordination test
 removes one of two food clusters mid-run and measures how much mass
 shifts toward the surviving cluster's half of the arena; the pathfinding
 test seeds the organism at a start cell and checks whether enough mass
-ever reaches the food-rich goal region. A run the
+ever reaches the food-rich goal region. Each test runs evaluation 1 of
+its seed as evolution does (``start_evaluation``): its final mass is the
+fitness evolution gives the genome on that arena and schedule. A run the
 fluid cuts short is scored as it stands, its failure in ``fluid_failure``.
 
 The handcrafted chemotaxis baseline genome is the harness's standing
@@ -24,9 +26,9 @@ import numpy as np
 
 from .cppn import ConnectionGene, Genome, empty_genome
 from .environments import EnvBundle, EnvSpec, Rect, generate
-from .lifecycle import LifecycleConfig, RemoveFood, Simulation, build_simulation, selection_seed
+from .lifecycle import LifecycleConfig, RemoveFood, Simulation, start_evaluation
 from .physics import PhysicsParams
-from .substrate import GridShape, N_BASE_CHANNELS, total_mass
+from .substrate import BASE_CHANNELS, NEIGHBORHOOD, N_BASE_CHANNELS, GridShape, total_mass
 
 DEFAULT_K_HIDDEN = 4
 THETA_COORDINATION = 0.2  # redistribution index needed to count as completed
@@ -124,16 +126,16 @@ def build_arena(spec: EnvSpec) -> EnvBundle:
 
 # -- baseline genomes ---------------------------------------------------------
 
-# Perception slot arithmetic: center cell is neighborhood index 4; channel
-# order per cell is [O, P, F, C, M, R, N, H...].
+# Perception slot arithmetic, in the perception order ``substrate`` fixes:
+# neighborhood cell by cell, each cell's base channels, then its hidden ones.
 def _center_input(channel: int, k_hidden: int) -> int:
-    return 4 * (N_BASE_CHANNELS + k_hidden) + channel
+    return NEIGHBORHOOD.index((0, 0)) * (N_BASE_CHANNELS + k_hidden) + channel
 
 
-CHEMO_CHANNEL = 3
-MASS_CHANNEL = 4
-NUTRIENT_CHANNEL = 6
-H0_CHANNEL = 7
+CHEMO_CHANNEL = BASE_CHANNELS.index("chemo")
+MASS_CHANNEL = BASE_CHANNELS.index("mass")
+NUTRIENT_CHANNEL = BASE_CHANNELS.index("nutrient")
+H0_CHANNEL = N_BASE_CHANNELS  # the first hidden channel
 
 #: Hand-scaled baseline weights. The mass rule balances chemoattractant
 #: greed against a strong self-limiting brake plus an appetite for free
@@ -194,11 +196,15 @@ def chemotaxis_baseline(k_hidden: int = DEFAULT_K_HIDDEN) -> Genome:
 # -- tests --------------------------------------------------------------------
 
 
-def _note_failure(sim: Simulation, metrics: dict) -> dict:
-    """Add ``fluid_failure`` to metrics if the fluid cut the run short."""
+def _score(name: str, sim: Simulation, curve: list[float], completed_at: int | None, metrics: dict,
+           iq: float) -> TestScore:
+    """A test's score from its run's mass curve: it completed at step
+    ``completed_at``, or not if None. A run the fluid cut short adds
+    ``fluid_failure`` to ``metrics``, after the test's own keys."""
     if sim.failures[0] is not None:
         metrics["fluid_failure"] = str(sim.failures[0])
-    return metrics
+    growth_rate = (curve[-1] - curve[0]) / max(len(curve) - 1, 1)
+    return TestScore(name, completed_at is not None, completed_at, growth_rate, metrics, iq)
 
 
 def pathfinding_test(
@@ -209,8 +215,7 @@ def pathfinding_test(
     bundle = build_arena(spec)
     if bundle.goal is None:
         raise HarnessError("arena spec carries no goal region")
-    sim = build_simulation(genome, bundle, params, cfg, selection_seed(seed, 1))
-    lifespan = cfg.lifespan(seed)
+    sim, lifespan = start_evaluation(genome, bundle, params, cfg, seed, 1)
 
     goal_sl = bundle.goal.slices()
     completion_step = None
@@ -221,20 +226,9 @@ def pathfinding_test(
             completion_step = s.step_index
 
     curve = sim.run(lifespan, observer=watch)[0]
-    growth_rate = (curve[-1] - curve[0]) / max(len(curve) - 1, 1)
-    completed = completion_step is not None
-    return TestScore(
-        name="pathfinding",
-        completed=completed,
-        steps_to_completion=completion_step,
-        growth_rate=growth_rate,
-        metrics=_note_failure(sim, {
-            "final_mass": curve[-1],
-            "goal_mass": float(sim.world.mass[goal_sl].sum()),
-            "lifespan": lifespan,
-        }),
-        iq_component=float(np.clip(1.0 - completion_step / lifespan, 0.0, 1.0)) if completed else 0.0,
-    )
+    metrics = {"final_mass": curve[-1], "goal_mass": float(sim.world.mass[goal_sl].sum()), "lifespan": lifespan}
+    iq = 0.0 if completion_step is None else float(np.clip(1.0 - completion_step / lifespan, 0.0, 1.0))
+    return _score("pathfinding", sim, curve, completion_step, metrics, iq)
 
 
 def coordination_test(
@@ -245,13 +239,12 @@ def coordination_test(
     redistribution index = (mass in B's half at end - at t_r) / total at t_r;
     completed iff the index exceeds THETA_COORDINATION; iq = clamp(index, 0, 1).
     """
-    spec = replace(spec, seed=seed)
-    bundle = generate(spec)
-    lifespan = cfg.lifespan(seed)
+    bundle = build_arena(spec)
+    lifespan = cfg.lifespan(seed)  # drawn first: the removal joins the schedule the simulation is built with
     t_r = max(1, int(lifespan * REMOVAL_FRACTION))
     removal = ((t_r, RemoveFood(bundle.cluster_a)),) if t_r < lifespan else ()  # a one-step life never reaches it
     cfg = replace(cfg, schedule=tuple(cfg.schedule) + removal)
-    sim = build_simulation(genome, bundle, params, cfg, selection_seed(seed, 1))
+    sim, _ = start_evaluation(genome, bundle, params, cfg, seed, 1)
 
     half_x = spec.shape.width // 2
     snapshot = {}
@@ -269,21 +262,9 @@ def coordination_test(
     total_r = snapshot["total"]
     index = (mass_b_end - snapshot["mass_b"]) / total_r if total_r > 0 else 0.0
     recovery = total_mass(sim.world) / total_r if total_r > 0 else 0.0
-    growth_rate = (curve[-1] - curve[0]) / max(len(curve) - 1, 1)
-    completed = index > THETA_COORDINATION
-    return TestScore(
-        name="coordination",
-        completed=completed,
-        steps_to_completion=t_r if completed else None,
-        growth_rate=growth_rate,
-        metrics=_note_failure(sim, {
-            "redistribution_index": index,
-            "recovery_ratio": recovery,
-            "removal_step": t_r,
-            "final_mass": curve[-1],
-        }),
-        iq_component=float(np.clip(index, 0.0, 1.0)),
-    )
+    metrics = {"redistribution_index": index, "recovery_ratio": recovery, "removal_step": t_r, "final_mass": curve[-1]}
+    completed_at = t_r if index > THETA_COORDINATION else None
+    return _score("coordination", sim, curve, completed_at, metrics, float(np.clip(index, 0.0, 1.0)))
 
 
 @dataclass

@@ -31,9 +31,10 @@ population.
 Determinism: (genome, environment spec, physics, lifecycle config,
 run_seed) fully determine the trajectory. Random streams are derived from
 named SeedSequence tuples — the lifespan from (run_seed, 0), and cell
-selection in evaluation e from ``selection_seed(run_seed, e)``, one stream
-per member, e restarting at 1 in each environment — so results are
-independent of scheduling. Fitness (``mean_final_mass``) is per
+selection in evaluation e from (run_seed, e, 1), one stream per member, e
+restarting at 1 in each environment — so results are independent of
+scheduling. ``start_evaluation`` alone turns a run seed and an evaluation
+into a simulation and its lifespan. Fitness (``mean_final_mass``) is per
 environment the mean of its evaluations' final masses, then the mean of
 those, each a left fold.
 """
@@ -272,9 +273,10 @@ class Simulation:
     place by the arena's own rule, ``arena_chemo`` of ``spec``, so a
     deceptive arena keeps its false peak.
 
-    Confined to one logical thread. ``run_population`` wraps it; the test
-    harness and ``render`` run a one-member simulation with an observer when
-    they need mid-run measurements, read through ``world`` and ``lattice``.
+    Confined to one logical thread. ``start_evaluation`` builds every
+    seeded run: ``run_population``'s, and the one-member runs of the test
+    harness and ``render``, which pass an observer to ``run`` for mid-run
+    measurements read through ``world`` and ``lattice``.
     """
 
     def __init__(self, genomes, bundle: EnvBundle, params: PhysicsParams, cfg: LifecycleConfig, step_seed):
@@ -455,10 +457,15 @@ def mean_final_mass(per_env: list[EnvOutcome], n_env_evals: int) -> float:
     return reduce(add, means) / len(means)
 
 
-def selection_seed(run_seed: int, evaluation: int) -> np.random.SeedSequence:
-    """The seed of every member's cell-selection stream in evaluation
-    ``evaluation`` (1-based) of an environment, in a run seeded run_seed."""
-    return np.random.SeedSequence([run_seed, evaluation, 1])
+def start_evaluation(
+    genomes, bundle: EnvBundle, params: PhysicsParams, cfg: LifecycleConfig, run_seed: int, evaluation: int
+) -> tuple[Simulation, int]:
+    """Evaluation ``evaluation`` (1-based) of an arena in a run seeded
+    run_seed: its simulation, built by ``build_simulation`` with every
+    member's selection stream seeded ``SeedSequence([run_seed, evaluation,
+    1])``, and the steps it runs, ``cfg.lifespan(run_seed)``."""
+    step_seed = np.random.SeedSequence([run_seed, evaluation, 1])
+    return build_simulation(genomes, bundle, params, cfg, step_seed), cfg.lifespan(run_seed)
 
 
 def run_population(
@@ -473,19 +480,18 @@ def run_population(
     ``env_evaluations`` one simulation stepping every member as a batch.
 
     Each record holds one EnvOutcome per (environment, evaluation),
-    environment-major; evaluation e of every environment draws selection
-    from ``selection_seed(run_seed, e)``. Its fitness is per environment
+    environment-major; evaluation e of every environment starts through
+    ``start_evaluation(..., run_seed, e)``. Its fitness is per environment
     the mean of the final masses, then the mean of those
     (``mean_final_mass``). A fluid failure ends a member's run in that
     evaluation early, penalizing, never crashing, the driver. A member's
     record does not depend on the others.
     """
-    lifespan = cfg.lifespan(run_seed)
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
     for env in envs:
         for e, spec in enumerate(env_evaluations(env, cfg), start=1):
             bundle = environments.generate_cached(spec)
-            sim = build_simulation(genomes, bundle, params, cfg, selection_seed(run_seed, e))
+            sim, lifespan = start_evaluation(genomes, bundle, params, cfg, run_seed, e)
             for member, curve in enumerate(sim.run(lifespan)):
                 outcomes[member].append(EnvOutcome(curve, sim.failures[member]))
     return [FitnessRecord(mean_final_mass(runs, cfg.n_env_evals), runs) for runs in outcomes]

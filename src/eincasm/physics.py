@@ -38,7 +38,8 @@ class PhysicsParams:
     alpha, beta, gamma are the movement, growth, and uptake rates; kappa
     bounds the reservoir per unit mass. delta_r_max/delta_m_max cap the
     squashed per-step proposals, rho_cap bounds the fluid forcing, and
-    m_min is the smallest mass at which a cell still acts.
+    m_min is the smallest mass at which a cell still acts. m_min must be
+    positive: at 0 every empty cell counts as alive and takes up food.
     """
 
     alpha: float = 0.2
@@ -61,6 +62,8 @@ class PhysicsParams:
             raise ValueError("beta must be positive")
         if min(self.delta_r_max, self.delta_m_max, self.rho_cap) <= 0:
             raise ValueError("caps must be positive")
+        if self.m_min <= 0:
+            raise ValueError(f"m_min must be positive, got {self.m_min}")
 
 
 def squash_outputs(raw_dr, raw_dm, p: PhysicsParams):

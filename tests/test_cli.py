@@ -204,6 +204,7 @@ class TestEvolveCommand:
                          id="lifecycle-schedule-step-negative"),
             ("evolution", "weight_perturb_std", -0.5),
             ("physics", "v_min", 0),
+            ("physics", "m_min", 0),
             ("io", "log_level", "quite"),
         ],
     )
@@ -654,6 +655,7 @@ class TestTestCommand:
             ("seed_nutrient", {"lifecycle": {"seed_nutrient": -2.0}, "tests": [{"name": "coordination"}]}),
             ("seed", {"tests": [{"name": "detour", "env": {**write_value(detour_spec()), "seed": -1}}]}),
             ("chemo_iters", {"tests": [{"name": "detour", "env": {**write_value(detour_spec()), "chemo_iters": -5}}]}),
+            ("m_min", {"physics": {"m_min": 0}, "tests": [{"name": "coordination"}]}),
         ],
     )
     def test_negative_value_exits_2_naming_it(self, tmp_path, capsys, key, battery):

@@ -23,7 +23,7 @@ from eincasm.harness import (
     pathfinding_test,
     run_battery,
 )
-from eincasm.lifecycle import run_population
+from eincasm.lifecycle import RemoveFood, run_population
 
 
 class TestScoring:
@@ -130,12 +130,23 @@ def test_run_battery_reports_three_tests():
     assert set(payload) == {"iq", "tests"}
 
 
-@pytest.mark.parametrize("seed", [0, 3, 7])
-def test_battery_and_evolution_score_one_lifecycle_alike(seed):
-    """A pathfinding test's final mass is the fitness evolution gives the
-    same genome on the same arena, physics, lifecycle and seed; at p_update
-    0.5 the seed's selection stream matters."""
-    genome, params, spec = chemotaxis_baseline(), harness_physics(), corridor_spec()
+@pytest.mark.parametrize(
+    "test, seed",
+    [pytest.param("pathfinding", seed, id=str(seed)) for seed in (0, 3, 7)]
+    + [pytest.param("coordination", seed, id=f"coordination-{seed}") for seed in (0, 3, 7)],
+)
+def test_battery_and_evolution_score_one_lifecycle_alike(test, seed):
+    """A test's final mass is the fitness evolution gives the same genome on
+    the same arena, physics, lifecycle and seed, the coordination test's
+    food removal in the schedule; at p_update 0.5 the seed's selection
+    stream matters."""
+    genome, params = chemotaxis_baseline(), harness_physics()
     cfg = replace(harness_lifecycle(t=60), p_update=0.5)
-    score = pathfinding_test(genome, params, spec, seed, cfg)
+    if test == "pathfinding":
+        spec = corridor_spec()
+        score = pathfinding_test(genome, params, spec, seed, cfg)
+    else:
+        spec = coordination_spec()
+        score = coordination_test(genome, params, spec, seed, cfg)
+        cfg = replace(cfg, schedule=((score.metrics["removal_step"], RemoveFood(generate(spec).cluster_a)),))
     assert score.metrics["final_mass"] == run_population([genome], [spec], params, cfg, seed)[0].fitness

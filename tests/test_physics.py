@@ -78,6 +78,12 @@ class TestPointOperations:
         with pytest.raises(ValueError):
             params(delta_r_max=0.0)
 
+    @pytest.mark.parametrize("m_min", [0.0, -1e-4])
+    def test_m_min_must_be_positive(self, m_min):
+        """At m_min 0 every empty cell counts as alive and takes up food."""
+        with pytest.raises(ValueError, match="m_min"):
+            params(m_min=m_min)
+
 
 class TestConstrainPipeline:
     def test_zero_proposal_is_identity(self):
