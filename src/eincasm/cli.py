@@ -159,11 +159,7 @@ def cmd_test(args) -> int:
     else:
         params, cfg, k_expected, tests = load_battery(args.battery)
     if genome.k_hidden != k_expected:
-        print(
-            f"error: genome has {genome.k_hidden} hidden channels, battery expects {k_expected}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        raise ConfigError(f"genome has {genome.k_hidden} hidden channels, battery expects {k_expected}")
 
     report = harness.run_battery(genome, params, seed, cfg, tests)
 
@@ -196,6 +192,8 @@ def load_battery(path: str):
         raise ConfigError(f"battery {path} must be an object of 'physics', 'lifecycle', 'k_hidden' and 'tests'")
     params = read_section("physics", harness.harness_physics(), data.get("physics", {}))
     cfg = read_section("lifecycle", harness.harness_lifecycle(), data.get("lifecycle", {}))
+    if cfg.n_env_evals != 1:  # a harness test scores evaluation 1 of its seed alone
+        raise ConfigError(f"battery {path}: 'n_env_evals' must be 1, got {cfg.n_env_evals}")
     entries = data.get("tests")
     if not isinstance(entries, list) or not entries:
         raise ConfigError(f"battery {path}: 'tests' must be a non-empty array, got {entries!r}")
@@ -291,14 +289,13 @@ def cmd_replay(args) -> int:
     payload = read_json(args.log, "trajectory log")
     try:
         steps = payload["steps"]
-        if not steps:
-            print("error: trajectory log has no steps", file=sys.stderr)
-            return EXIT_USAGE
-        ok = fileio.verify_trajectory(payload)
-        masses = [float(s["total_mass"]) for s in steps]
+        if steps:
+            ok = fileio.verify_trajectory(payload)
+            masses = [float(s["total_mass"]) for s in steps]
     except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed trajectory log: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"malformed trajectory log: {exc}") from exc
+    if not steps:
+        raise ConfigError("trajectory log has no steps")
 
     print(
         f"steps={len(steps) - 1} initial_mass={masses[0]:.6f} final_mass={masses[-1]:.6f} "

@@ -22,7 +22,8 @@ but nothing uses it.
 
 ``parse_config`` checks each section on its own; ``check_arenas`` checks
 them together by building the simulation of every arena a run evaluates
-on, so the seed cell and the schedule are checked by the code that uses them.
+on, so the seed cell and the schedule are checked by the code that uses
+them: the schedule runs on a copy of each arena's starting world.
 ``evolve`` writes its command-line overrides into the JSON document and
 then parses it once, so a flag's value passes the checks a file's value
 does, and a file value that a flag replaces is never read.

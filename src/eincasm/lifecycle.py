@@ -54,7 +54,7 @@ from .environments import EnvBundle, EnvSpec, Rect, arena_chemo
 from .fluid import FluidFailure
 from .physics import PhysicsParams
 from .substrate import EDGE_NEIGHBOURS, WorldStack, WorldState, create_world, dilate3x3, flood_fill, perceive_cells
-from .substrate import total_mass, total_nutrient
+from .substrate import total_mass
 
 
 class LifecycleError(ValueError):
@@ -170,50 +170,43 @@ def label_obstacles(obstacles: np.ndarray) -> np.ndarray:
 
 
 def validate_schedule(world: WorldState, schedule) -> None:
-    """Reject malformed schedules up front, before any stepping happens.
-
-    Every MoveObstacle is replayed in step order through
-    ``apply_perturbation`` on a copy of the layout, so an obstacle id or
-    an out-of-bounds push fails here exactly as it would at run time.
-    """
-    layout = None
+    """Reject a schedule before any stepping by running it: each event, in
+    step order, goes through ``apply_perturbation`` on a copy of ``world``,
+    whose LifecycleError comes out naming the key and the step."""
+    layout = world.copy()
     for step, event in sorted(schedule, key=lambda se: se[0]):
-        if isinstance(event, (RemoveFood, DegradeCells)):
-            if not event.region.within(world.shape):
-                raise LifecycleError(f"perturbation region {event.region} out of bounds")
-            if isinstance(event, DegradeCells) and not 0.0 <= event.fraction <= 1.0:
-                raise LifecycleError(f"degrade fraction must lie in [0, 1], got {event.fraction}")
-        elif isinstance(event, MoveObstacle):
-            if layout is None:
-                layout = world.copy()
-            try:
-                apply_perturbation(layout, event)
-            except LifecycleError as exc:
-                raise LifecycleError(f"{exc} at step {step}") from exc
-        else:
-            raise LifecycleError(f"unknown perturbation event {event!r}")
+        try:
+            apply_perturbation(layout, event)
+        except LifecycleError as exc:
+            raise LifecycleError(f"'schedule': {exc} at step {step}") from exc
 
 
 def apply_perturbation(world: WorldState | WorldStack, event: PerturbationEvent):
     """Apply one scheduled event to a WorldState or a WorldStack, in place.
+    This is the one rule for whether an event fits a world: one that does
+    not raises a LifecycleError.
 
     RemoveFood zeroes F in its region. DegradeCells scales M, R, and N by
-    (1 - fraction) in its region (proportional scaling keeps R within its
-    capacity bound). MoveObstacle translates one labeled obstacle
-    component: vacated cells become free; newly covered cells lose their
+    (1 - fraction), fraction in [0, 1], in its region (proportional scaling
+    keeps R within its capacity bound). Both regions lie within the grid.
+    MoveObstacle translates one existing labeled obstacle component within
+    the grid: vacated cells become free; newly covered cells lose their
     M, R, N and hidden state. The chemoattractant field is *not* touched
     here; the simulation recomputes it after food or obstacle changes.
     On a WorldStack the shared statics change once and every member's
     dynamic channels change alike.
     """
+    if isinstance(event, (RemoveFood, DegradeCells)) and not event.region.within(world.shape):
+        raise LifecycleError(f"perturbation region {event.region} out of bounds")
     if isinstance(event, RemoveFood):
         world.food[event.region.slices()] = 0.0
     elif isinstance(event, DegradeCells):
+        if not 0.0 <= event.fraction <= 1.0:
+            raise LifecycleError(f"degrade fraction must lie in [0, 1], got {event.fraction}")
         keep = 1.0 - event.fraction
         sl = (Ellipsis,) + event.region.slices()
-        world.mass[sl] *= keep
-        world.reservoir[sl] *= keep
-        world.nutrient[sl] *= keep
+        for dynamic in (world.mass, world.reservoir, world.nutrient):
+            dynamic[sl] *= keep
     elif isinstance(event, MoveObstacle):
         labels = label_obstacles(world.obstacle)
         cells = labels == event.obstacle_id
@@ -228,10 +221,8 @@ def apply_perturbation(world: WorldState | WorldStack, event: PerturbationEvent)
         moved[ys + dy, xs + dx] = True
         world.obstacle[cells] = 0.0
         world.obstacle[moved] = 1.0
-        for dynamic in (world.mass, world.reservoir, world.nutrient, world.hidden):
-            dynamic[..., moved] = 0.0
-        world.food[moved] = 0.0
-        world.poison[moved] = 0.0
+        for channel in (world.mass, world.reservoir, world.nutrient, world.hidden, world.food, world.poison):
+            channel[..., moved] = 0.0
     else:
         raise LifecycleError(f"unknown perturbation event {event!r}")
     return world
@@ -248,8 +239,9 @@ class Simulation:
     sharing a hidden-channel count; member m runs genome m), the arena's
     ``bundle``, the physics, the config and ``step_seed``, which seeds each
     member's selection stream. Every member starts from one world seeded at
-    ``cfg.seed_cell or bundle.seed_cell``; a seed cell or schedule that does
-    not fit the arena raises a LifecycleError naming its key.
+    ``cfg.seed_cell or bundle.seed_cell``; a seed cell off the arena, or a
+    schedule that fails when run on a copy of that world, raises a
+    LifecycleError naming its key.
 
     The members share the arena, the schedule and the obstacle layout;
     each has its own network, selection stream, world and lattice.
@@ -291,10 +283,7 @@ class Simulation:
         self.params = params
         self.cfg = cfg
         self.rngs = [np.random.default_rng(step_seed) for _ in genomes]
-        try:
-            validate_schedule(world, cfg.schedule)
-        except LifecycleError as exc:
-            raise LifecycleError(f"'schedule': {exc}") from exc
+        validate_schedule(world, cfg.schedule)
         self.spec = bundle.spec  # the arena's spec: its chemoattractant rule
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         at_rest = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle, tau=cfg.tau)
@@ -507,7 +496,3 @@ def run_lifecycle(
     """The one-member, one-environment case of ``run_population``."""
     return run_population([genome], [env], params, cfg, run_seed)[0]
 
-
-def energy_total(world: WorldState, p: PhysicsParams) -> float:
-    """The conserved-or-decreasing closed-system quantity N_total + beta * M_total."""
-    return total_nutrient(world) + p.beta * total_mass(world)

@@ -121,10 +121,6 @@ class WorldState(_StoreViews):
         self.mass, self.reservoir, self.nutrient = stack.mass[index], stack.reservoir[index], stack.nutrient[index]
         self.hidden = stack.hidden[index]
 
-    def channel_stack(self) -> np.ndarray:
-        """(C, H, W) copy of all channels in perception order."""
-        return np.concatenate([np.stack([getattr(self, name) for name in BASE_CHANNELS]), self.hidden])
-
     def copy(self) -> "WorldState":
         """This world as member 0 of a new one-member stack."""
         return self.stack.select([self.index]).member(0)

@@ -543,11 +543,12 @@ class TestTestCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_dimension_mismatch_exits_2(self, tmp_path):
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         genome = write_genome(tmp_path, chemotaxis_baseline(k_hidden=2))
         battery = tmp_path / "battery.json"
         battery.write_text(json.dumps({"k_hidden": 4, "tests": [{"name": "coordination"}]}))
         assert main(["test", genome, "--battery", str(battery)]) == 2
+        assert capsys.readouterr().err == "error: genome has 2 hidden channels, battery expects 4\n"
 
     @pytest.mark.parametrize(
         "battery",
@@ -577,6 +578,9 @@ class TestTestCommand:
             pytest.param({"lifecycle": {"t_min": 20, "t_max": 20,
                                         "schedule": [[20, {"kind": "remove_food", "region": [8, 3, 1, 1]}]]},
                           "tests": DETOUR_TESTS}, id="lifecycle-schedule-step-at-t_max"),
+            # each harness test scores evaluation 1 of its seed alone
+            pytest.param({"lifecycle": {"n_env_evals": 3}, "tests": [{"name": "coordination"}]},
+                         id="lifecycle-n_env_evals-3"),
         ],
     )
     def test_malformed_battery_exits_2(self, tmp_path, capsys, battery):
@@ -585,7 +589,9 @@ class TestTestCommand:
         path.write_text(json.dumps(battery))
         out = tmp_path / "report.json"
         assert main(["test", genome, "--battery", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "n_env_evals" in err or "n_env_evals" not in json.dumps(battery)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -634,7 +640,7 @@ class TestTestCommand:
         [
             ({"seed_cell": [4, 3]}, "error: 'seed_cell': seed cell (4, 3) is an obstacle"),
             ({"schedule": [[2, {"kind": "remove_food", "region": [30, 3, 2, 2]}]]},
-             "error: 'schedule': perturbation region Rect(x=30, y=3, w=2, h=2) out of bounds"),
+             "error: 'schedule': perturbation region Rect(x=30, y=3, w=2, h=2) out of bounds at step 2"),
         ],
         ids=["seed_cell", "schedule"],
     )
@@ -798,8 +804,9 @@ class TestReplayCommand:
     def test_flipped_byte_fails(self, tmp_path):
         assert main(["replay", self.make_log(tmp_path, tamper=True)]) == 1
 
-    def test_empty_log_exits_2(self, tmp_path):
+    def test_empty_log_exits_2(self, tmp_path, capsys):
         assert main(["replay", self.make_log(tmp_path, empty=True)]) == 2
+        assert capsys.readouterr().err == "error: trajectory log has no steps\n"
 
     @pytest.mark.parametrize(
         "steps",

@@ -23,7 +23,6 @@ from eincasm.lifecycle import (
     Simulation,
     apply_perturbation,
     build_simulation,
-    energy_total,
     label_obstacles,
     run_lifecycle,
     run_population,
@@ -31,7 +30,8 @@ from eincasm.lifecycle import (
     validate_schedule,
 )
 from eincasm.physics import PhysicsParams
-from eincasm.substrate import GridShape, Statics, create_world, total_mass
+from eincasm.substrate import GridShape, Statics, create_world, total_mass, total_nutrient
+from test_substrate import channel_stack
 
 
 def open_spec(w=8, h=8, food=(), seed_cell=(4, 4)):
@@ -87,10 +87,10 @@ class TestStepPipeline:
     def test_zero_phenotype_is_identity(self):
         bundle = generate(open_spec())
         sim = build_simulation(empty_genome(4), bundle, PhysicsParams(), default_cfg(), 1)
-        before = sim.world.channel_stack()
+        before = channel_stack(sim.world)
         for _ in range(5):
             sim.step()
-        np.testing.assert_allclose(sim.world.channel_stack(), before, atol=1e-15)
+        np.testing.assert_allclose(channel_stack(sim.world), before, atol=1e-15)
 
     def test_funded_growth_increases_mass_until_nutrient_gone(self):
         bundle = generate(open_spec())
@@ -118,7 +118,7 @@ class TestStepPipeline:
         b = build_simulation(g, bundle, PhysicsParams(), default_cfg(), 7)
         a.step()
         b.step()
-        np.testing.assert_array_equal(a.world.channel_stack(), b.world.channel_stack())
+        np.testing.assert_array_equal(channel_stack(a.world), channel_stack(b.world))
 
     def test_active_set_is_dilated_footprint(self):
         bundle = generate(open_spec())
@@ -127,6 +127,11 @@ class TestStepPipeline:
         grown = np.argwhere(sim.world.mass > 1.0e-12)
         for y, x in grown:
             assert abs(x - 4) <= 1 and abs(y - 4) <= 1  # only the 3x3 around the seed
+
+
+def energy_total(world, p):
+    """The conserved-or-decreasing closed-system quantity N_total + beta * M_total."""
+    return total_nutrient(world) + p.beta * total_mass(world)
 
 
 class TestEnergyBound:
@@ -181,18 +186,26 @@ class TestPerturbations:
         world.validate()
 
     def test_schedule_validation_bounds(self):
+        """``validate_schedule`` rejects an event by running it: it raises the
+        error ``apply_perturbation`` raises, naming the key and the step."""
         ob = np.zeros((8, 8))
         ob[3, 6:8] = 1.0
         world = make_world(obstacles=ob)
         validate_schedule(world, ((2, MoveObstacle(1, (0, 1))),))
-        with pytest.raises(LifecycleError):
-            validate_schedule(world, ((2, MoveObstacle(1, (1, 0))),))
-        with pytest.raises(LifecycleError):
-            validate_schedule(world, ((2, MoveObstacle(3, (0, 1))),))
-        with pytest.raises(LifecycleError):
-            validate_schedule(world, ((2, DegradeCells(Rect(0, 0, 9, 1), 0.5)),))
-        with pytest.raises(LifecycleError):
-            validate_schedule(world, ((2, DegradeCells(Rect(0, 0, 2, 1), 1.5)),))
+        for event, message in [
+            (MoveObstacle(1, (1, 0)), "obstacle 1 pushed out of bounds"),
+            (MoveObstacle(3, (0, 1)), "obstacle id 3 does not exist"),
+            (DegradeCells(Rect(0, 0, 9, 1), 0.5), "perturbation region Rect(x=0, y=0, w=9, h=1) out of bounds"),
+            (DegradeCells(Rect(0, 0, 2, 1), 1.5), "degrade fraction must lie in [0, 1], got 1.5"),
+            (RemoveFood(Rect(7, 7, 2, 1)), "perturbation region Rect(x=7, y=7, w=2, h=1) out of bounds"),
+            ("drought", "unknown perturbation event 'drought'"),
+        ]:
+            with pytest.raises(LifecycleError) as applied:
+                apply_perturbation(world.copy(), event)
+            assert str(applied.value) == message
+            with pytest.raises(LifecycleError) as validated:
+                validate_schedule(world, ((2, event),))
+            assert str(validated.value) == f"'schedule': {message} at step 2"
 
     @pytest.mark.parametrize(
         "cells, schedule",

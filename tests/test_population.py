@@ -31,6 +31,7 @@ from eincasm.lifecycle import (
 )
 from eincasm.physics import PhysicsParams
 from eincasm.substrate import CHANNELS, GridShape, Statics, WorldStack, create_world, dilate3x3, perceive_cells
+from test_substrate import channel_stack
 
 K = 4
 
@@ -358,7 +359,7 @@ def test_population_simulation_matches_members_alone(seed, n, move_at):
     for m, sim in enumerate(alone):
         assert curves[m] == sim.run(10)[0]
         assert together.failures[m] == sim.failures[0]
-        assert together.member_world(m).channel_stack().tobytes() == sim.world.channel_stack().tobytes()
+        assert channel_stack(together.member_world(m)).tobytes() == channel_stack(sim.world).tobytes()
         assert together.member_lattice(m).f.tobytes() == sim.lattice.f.tobytes()
     # The perception buffer kept across steps agrees with a fresh one.
     rows, ys, xs = np.nonzero(np.ones(together.worlds.mass.shape, dtype=bool))
@@ -455,8 +456,8 @@ def test_full_update_draws_nothing_and_selects_every_active_cell():
         forced.step()
         assert stochastic.running == forced.running == [0, 1]
         for m in (0, 1):
-            expected = forced.member_world(m).channel_stack().tobytes()
-            assert stochastic.member_world(m).channel_stack().tobytes() == expected
+            expected = channel_stack(forced.member_world(m)).tobytes()
+            assert channel_stack(stochastic.member_world(m)).tobytes() == expected
         assert stochastic.lattices.f.tobytes() == forced.lattices.f.tobytes()
     assert [rng.bit_generator.state for rng in stochastic.rngs] == unread
     assert (stochastic.worlds.mass.sum(axis=(1, 2)) != cfg.seed_mass).all()  # both members' economies ran
