@@ -1,5 +1,6 @@
-"""Every output of a scheduled ``eincasm evolve`` run, and the report and
-stdout of ``eincasm test`` on three batteries, pinned byte for byte.
+"""Every output of a scheduled ``eincasm evolve`` run, the report and
+stdout of ``eincasm test`` on three batteries, and the frames, trajectory
+and messages of two ``eincasm render`` runs, pinned byte for byte.
 
 The config exercises what the benchmark's workloads leave out: two
 environment evaluations, an obstacle, and a schedule with one event of
@@ -163,3 +164,68 @@ def test_battery_reports_are_pinned(tmp_path, monkeypatch, battery, seed):
         assert cli.main(argv) == 0
     got = sha256((tmp_path / "test_report.json").read_bytes()), sha256(stdout.getvalue().encode("utf-8"))
     assert got == REPORT_DIGESTS[battery, seed]
+
+
+# Arguments of each ``eincasm render`` of the baseline genome, run in the
+# test's own directory, and whether it succeeds. The 32x32 arena's fluid
+# fails mid-run: the frames written before the failure stay, and no
+# trajectory.json is written.
+RENDERS = {
+    "corridor": (["--env", "corridor", "--steps", "120", "--frame-every", "7"], 0),
+    "fluid_failure": (["--env", "env.json", "--steps", "60"], 1),
+}
+FAILING_ARENA = {
+    "kind": "open_arena", "shape": [32, 32], "food": [[[24, 16, 3, 3], 8.0]], "chemo_decay": 0.99, "chemo_iters": 64,
+}
+
+# sha256 of each file in ``out``, and of stdout and stderr, per render.
+RENDER_DIGESTS = {
+    "corridor": {
+        "frame_000000.ppm": "620756239705be1dfcf99bdc026ac633221e6bc51a59da3a853462f4fb3bde50",
+        "frame_000001.ppm": "ef420f425b8bf2e36bee7d76f303beba659662dfa1950465f5dbcb27b6f0da0f",
+        "frame_000002.ppm": "a468a0aa32582039476f053b5018135eb7821fa9061579a48e41bee65054017f",
+        "frame_000003.ppm": "f1ddbc38f698868a838505471b144fcd8c84fb57cb34b551a1479d151c4af9b1",
+        "frame_000004.ppm": "019c53974388f4fc0ec24e2c3dfd5fb752e2d25f89a15a8fade38d0aeff1bef1",
+        "frame_000005.ppm": "43b29ead75cae85ac84fe0b4c02640451a72efd295de16b9c529880f824d27ae",
+        "frame_000006.ppm": "12180e6cbe8bddbafdf2235a46857757226ec453c60ba63ca2c6f4733de25554",
+        "frame_000007.ppm": "09ae8277d609d2c73e2a3c53ab5390438db9e2b6515c07f6e3e3e21a055a5ed0",
+        "frame_000008.ppm": "6fc0de9b37a4d2115151ff8643702d27dcbfb07a50a9d8a891600ccdd391bd65",
+        "frame_000009.ppm": "9cbe3bd77ce0beebaf7b5106dccff8de868bff7e5166e250ba10c5556397e6c4",
+        "frame_000010.ppm": "d38da11a6cf5656bce15576e535c9bd134e7560c3623bdce70682803f9dd1778",
+        "frame_000011.ppm": "b2fec149de2e09d24c71a59e4c22b09a162d22c5dbaed3292434b852035bc091",
+        "frame_000012.ppm": "42c3a464720ae5c63e68d9503d7ffbd1e9d97b996b8fb420fd1d9b8ccae79b5d",
+        "frame_000013.ppm": "9d67134802aac2385fdca13a0154d9435fbcac4a74bdd216b98ed56eb87d5bf0",
+        "frame_000014.ppm": "9c2b344e8d74f9dac8d3fb176d0c3b29fd9a8369645dd788219f7c3e3f02104d",
+        "frame_000015.ppm": "8189d48230c59338db75e03093570357d0c116046ba5d32fd5ddb2faf6dcf721",
+        "frame_000016.ppm": "122b32903aefd598fbc38d050c424b957e5e2568a4c53b782ce372cca5368d90",
+        "frame_000017.ppm": "d9aa09ebcb055e1723414a529f80ac2f51f6977d199bfe77b8647e45c5ba696d",
+        "frame_000018.ppm": "43bd6dce8156d1fa582aea68c5a376de9f89faf577278f31f25ed1ae1a566f8a",
+        "trajectory.json": "44eb3e7bc8e4d2adf04d22d93155672ceee9075059dffcc52c65d3288afedfe3",
+        "stdout": "ea09fee5e3c79b217a1aea4497ed1cdc2db2f6c5943e63fea3a7ae76fedbb1c1",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "fluid_failure": {
+        "frame_000000.ppm": "ae19e34c2df8432c4ca2de485f26681bcf62075628026419def53af1cc093e48",
+        "frame_000001.ppm": "72919438c2e0d614eaea7f1927c04f6a0e3a40f3b9c068701f300dcc56307a9f",
+        "frame_000002.ppm": "ccf5dfbc2f3b3ead2f4da17414c0845180b2574c6a6375fb7c5ee6b3e98f0357",
+        "frame_000003.ppm": "8d886bcde02f6a61bdf5f8b0bf7b1da47e12a1f6b46445930d438dfd5f511299",
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stderr": "408b11ba5c3aa04a491113cdc83364a178a0efbb9415b73899bacb08fd91fc37",
+    },
+}
+
+
+@pytest.mark.parametrize("render", list(RENDERS))
+def test_render_outputs_are_pinned(tmp_path, monkeypatch, render):
+    skip_under_another_numpy()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "baseline.json").write_text(json.dumps(genome_to_dict(chemotaxis_baseline())))
+    (tmp_path / "env.json").write_text(json.dumps(FAILING_ARENA))
+    flags, code = RENDERS[render]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert cli.main(["render", "baseline.json", *flags, "--out", "out"]) == code
+    got = {name: sha256((tmp_path / "out" / name).read_bytes()) for name in sorted(os.listdir("out"))}
+    got["stdout"] = sha256(stdout.getvalue().encode("utf-8"))
+    got["stderr"] = sha256(stderr.getvalue().encode("utf-8"))
+    assert got == RENDER_DIGESTS[render]
