@@ -245,31 +245,23 @@ def cmd_render(args) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
+    trajectory: list[dict] = []
     written = 0
 
-    def write_frame():
+    def observe(sim):
         nonlocal written
-        fileio.atomic_write_bytes(
-            os.path.join(out, fileio.frame_name(written)), fileio.render_frame(sim.world, args.display_max)
-        )
-        written += 1
-
-    trajectory: list[dict] = []
-
-    def record():
+        world = sim.world
         trajectory.append({
             "step": sim.step_index,
-            "total_mass": repr(total_mass(sim.world)),
-            "total_nutrient": repr(total_nutrient(sim.world)),
+            "total_mass": repr(total_mass(world)),
+            "total_nutrient": repr(total_nutrient(world)),
         })
-
-    def observe(_):
-        record()
         if sim.step_index % args.frame_every == 0 or sim.step_index == steps:
-            write_frame()
+            frame = fileio.render_frame(world, args.display_max)
+            fileio.atomic_write_bytes(os.path.join(out, fileio.frame_name(written)), frame)
+            written += 1
 
-    write_frame()
-    record()
+    observe(sim)
     sim.run(steps, observe)
     failure = sim.failures[0]
     if failure is not None:

@@ -54,7 +54,6 @@ from .environments import EnvBundle, EnvSpec, Rect, arena_chemo
 from .fluid import FluidFailure
 from .physics import PhysicsParams
 from .substrate import EDGE_NEIGHBOURS, WorldStack, WorldState, create_world, dilate3x3, flood_fill, perceive_cells
-from .substrate import total_mass
 
 
 class LifecycleError(ValueError):
@@ -246,15 +245,16 @@ class Simulation:
     The members share the arena, the schedule and the obstacle layout;
     each has its own network, selection stream, world and lattice.
     ``phenotype`` is the population's one compiled plan, column m holding
-    member m's network: it evaluates the selected cells of every running
-    member in one call per step. Cells perceive only the slots some
-    member's plan reads (its ``input_slots``); the other input columns
-    stay 0.
-    A member whose fluid fails freezes at that step (its world keeps the
-    step's economy update, its lattice the state before it), records its
-    FluidFailure in ``failures`` and leaves the batch: the rest move on to
-    a new store and lattice, and its world and lattice stay views of the
-    old ones.
+    member m's network: it evaluates the selected cells of every member in
+    one call per step. Cells perceive only the slots some member's plan
+    reads (its ``input_slots``); the other input columns stay 0.
+    Row m of ``worlds`` and ``lattices`` is member m for the whole run. A
+    member whose fluid fails records its FluidFailure in ``failures``,
+    freezes copies of its world (with the step's economy update) and
+    lattice (before the step), and quiets its row: no mass, reservoir,
+    nutrient or hidden state, and fluid at rest, so it never acts or fails
+    again and no other member's bits change. The batch keeps its shape, so
+    ``fluid``'s per-shape work arrays serve the whole run.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -278,7 +278,7 @@ class Simulation:
             raise LifecycleError(f"every member must read {k_hidden} hidden channels")
         world = create_world(bundle.spec.shape, bundle.statics, k_hidden)
         seed_organism(world, cfg, cfg.seed_cell or bundle.seed_cell)
-        self.worlds = world.stack.select([0] * len(genomes))  # the running members, in ``running`` order
+        self.worlds = world.stack.select([0] * len(genomes))  # row m is member m
         self.phenotype = compile_genome(genomes)  # every member's network, evaluated in one pass
         self.params = params
         self.cfg = cfg
@@ -288,22 +288,23 @@ class Simulation:
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         at_rest = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle, tau=cfg.tau)
         self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], len(genomes), axis=0), cfg.tau)
-        self.running = list(range(len(genomes)))
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
         self._frozen: dict[int, tuple[WorldState, fluid.Lattice]] = {}
         self.step_index = 0
 
+    @property
+    def running(self) -> list[int]:
+        """The members whose fluid has not failed, in order."""
+        return [member for member, failure in enumerate(self.failures) if failure is None]
+
     def member_world(self, member: int) -> WorldState:
-        """A member's world: views into the batch while it runs, or into
-        the store it froze in once it failed."""
-        if member in self._frozen:
-            return self._frozen[member][0]
-        return self.worlds.member(self.running.index(member))
+        """A member's world: views of its row while it runs, or the copy
+        frozen when its fluid failed."""
+        return self._frozen[member][0] if member in self._frozen else self.worlds.member(member)
 
     def member_lattice(self, member: int) -> fluid.Lattice:
-        if member in self._frozen:
-            return self._frozen[member][1]
-        return fluid.Lattice(self.lattices.f[self.running.index(member)], self.lattices.tau)
+        tau = self.lattices.tau
+        return self._frozen[member][1] if member in self._frozen else fluid.Lattice(self.lattices.f[member], tau)
 
     @property
     def world(self) -> WorldState:
@@ -315,11 +316,9 @@ class Simulation:
         return self.member_lattice(0)
 
     def step(self) -> None:
-        """Advance every running member one step by the module's pipeline.
-        Member m draws its selection off ``rngs[m]``, one ``random`` call per
-        step, and draws nothing at p_update 1."""
-        if not self.running:
-            return
+        """Advance every member one step by the module's pipeline; a quiet
+        row stays quiet. Member m draws its selection off ``rngs[m]``, one
+        ``random`` call per step, and draws nothing at p_update 1."""
         worlds = self.worlds
         p = self.params
 
@@ -330,8 +329,8 @@ class Simulation:
             cells = (ms, ys, xs)  # every draw in [0, 1) would select its cell
         else:
             # One draw per active cell, row-major, off each member's own stream.
-            counts = np.bincount(ms, minlength=len(self.running))
-            draws = np.concatenate([self.rngs[m].random(c) for m, c in zip(self.running, counts)])
+            counts = np.bincount(ms, minlength=len(self.rngs))
+            draws = np.concatenate([rng.random(c) for rng, c in zip(self.rngs, counts)])
             chosen = draws < self.cfg.p_update
             cells = (ms[chosen], ys[chosen], xs[chosen])
         sel_m, sel_y, sel_x = cells
@@ -341,7 +340,7 @@ class Simulation:
             inputs = np.zeros((len(sel_y), self.phenotype.n_inputs))
             read = self.phenotype.input_slots
             inputs[:, read] = perceive_cells(worlds, sel_y, sel_x, sel_m, read)
-            outputs = self.phenotype.evaluate_batch(inputs, np.asarray(self.running)[sel_m])
+            outputs = self.phenotype.evaluate_batch(inputs, sel_m)
             k = worlds.k_hidden
             worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
             dr_des, dm_des = physics.squash_outputs(outputs[:, k], outputs[:, k + 1], p)
@@ -363,11 +362,9 @@ class Simulation:
             rho_src[cells] = np.clip(rho, -p.rho_cap, p.rho_cap)
 
         self.lattices, failures = fluid.step(self.lattices, self.walls, rho_src, step_index=self.step_index)
-        if any(failure is not None for failure in failures):
-            self._drop_failed(failures)
-            worlds = self.worlds
-            if not self.running:
-                return
+        for member, failure in enumerate(failures):
+            if failure is not None:
+                self._freeze(member, failure)
         velocity = fluid.macroscopic(self.lattices).u
         worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
 
@@ -380,19 +377,16 @@ class Simulation:
             worlds.chemo[...] = arena_chemo(self.spec, worlds.food, worlds.obstacle)
         self.step_index += 1
 
-    def _drop_failed(self, failures: list[FluidFailure | None]) -> None:
-        """Freeze the members whose fluid failed and take them out of the batch."""
-        keep = []
-        for row, failure in enumerate(failures):
-            member = self.running[row]
-            if failure is None:
-                keep.append(row)
-                continue
-            self.failures[member] = failure
-            self._frozen[member] = (self.worlds.member(row), fluid.Lattice(self.lattices.f[row], self.lattices.tau))
-        self.running = [self.running[row] for row in keep]
-        self.worlds = self.worlds.select(keep)
-        self.lattices = fluid.Lattice(self.lattices.f[keep], self.lattices.tau)
+    def _freeze(self, member: int, failure: FluidFailure) -> None:
+        """Record a member's failure, keep copies of its world and of the
+        lattice ``fluid.step`` returned for it, and quiet its row. The fluid
+        rests, not empties: cells an obstacle move vacates refill at rest."""
+        self.failures[member] = failure
+        world, f = self.worlds.member(member), self.lattices.f
+        self._frozen[member] = (world.copy(), fluid.Lattice(f[member].copy(), self.lattices.tau))
+        for channel in (world.mass, world.reservoir, world.nutrient, world.hidden):
+            channel[...] = 0.0
+        f[member] = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle).f
 
     def _reconcile_lattice(self, solid_before: np.ndarray) -> None:
         """Resolve the moved obstacle layout. Obstacle moves invalidate
@@ -411,15 +405,17 @@ class Simulation:
         so steps+1 values unless its fluid failed.
 
         ``observer(sim)`` is called after every step that leaves a member
-        running; the run ends early once every member has failed.
+        running; the run ends early once every member has failed. Every
+        value is read from its member's row.
         """
-        curves = [[total_mass(self.member_world(m))] for m in range(self.phenotype.n_members)]
+        curves = [[float(total)] for total in self.worlds.mass.sum(axis=(1, 2))]
         for _ in range(steps):
             self.step()
             if not self.running:
                 break
-            for member, total in zip(self.running, self.worlds.mass.sum(axis=(1, 2))):
-                curves[member].append(float(total))
+            totals = self.worlds.mass.sum(axis=(1, 2))
+            for member in self.running:
+                curves[member].append(float(totals[member]))
             if observer is not None:
                 observer(self)
         return curves

@@ -16,7 +16,7 @@ from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genom
 from eincasm.config import parse_config
 from eincasm.driver import evaluate_population, evaluation_workers, evolve_run
 from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
-from eincasm.fluid import Lattice, equilibrium, step
+from eincasm.fluid import Lattice, equilibrium, step, uniform_lattice
 from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics
 from eincasm.lifecycle import (
     DegradeCells,
@@ -361,11 +361,45 @@ def test_population_simulation_matches_members_alone(seed, n, move_at):
         assert together.failures[m] == sim.failures[0]
         assert channel_stack(together.member_world(m)).tobytes() == channel_stack(sim.world).tobytes()
         assert together.member_lattice(m).f.tobytes() == sim.lattice.f.tobytes()
-    # The perception buffer kept across steps agrees with a fresh one.
-    rows, ys, xs = np.nonzero(np.ones(together.worlds.mass.shape, dtype=bool))
-    fresh = np.concatenate([perceive_cells(together.member_world(m), ys[rows == r], xs[rows == r])
-                            for r, m in enumerate(together.running)])
-    np.testing.assert_array_equal(perceive_cells(together.worlds, ys, xs, rows), fresh)
+    # The perception buffer kept across steps agrees with a fresh one; row m is member m.
+    members, ys, xs = np.nonzero(np.ones(together.worlds.mass.shape, dtype=bool))
+    fresh = np.concatenate([perceive_cells(together.worlds.member(m), ys[members == m], xs[members == m])
+                            for m in range(n)])
+    np.testing.assert_array_equal(perceive_cells(together.worlds, ys, xs, members), fresh)
+
+
+def test_a_failed_member_keeps_a_quiet_row():
+    """A member whose fluid fails keeps its row to the end: the batch keeps
+    its shape, and the row holds no mass and rest fluid, through an obstacle
+    move that vacates cells after the failure. Every member's failure,
+    world and lattice stay its one-member run's at every step."""
+    spec = replace(blowup_spec(), obstacles=(Rect(10, 6, 2, 3),))
+    cfg = replace(harness_lifecycle(t=60), p_update=0.9, schedule=((40, MoveObstacle(1, (1, 0))),))
+    rng = np.random.default_rng(2)
+    genomes = [random_genome(rng), chemotaxis_baseline(K), wide_genome(rng)]
+    together = build_simulation(genomes, generate(spec), harness_physics(), cfg, 5)
+    alone = [build_simulation(g, generate(spec), harness_physics(), cfg, 5) for g in genomes]
+    failure = None
+    for _ in range(60):
+        together.step()
+        for sim in alone:
+            sim.step()
+        assert together.worlds.n_members == len(together.lattices.f) == 3
+        if together.failures[1] is not None:
+            failure = failure or together.failures[1]
+            assert together.failures[1] is failure
+            quiet = together.worlds.member(1)
+            for name in ("mass", "reservoir", "nutrient", "hidden"):
+                assert not getattr(quiet, name).any()
+            rest = uniform_lattice(32, 32, together.worlds.obstacle, tau=cfg.tau).f
+            np.testing.assert_allclose(together.lattices.f[1], rest, rtol=0.0, atol=1e-12)
+            assert not together.lattices.f[1][:, together.walls.solid].any()
+        for m, sim in enumerate(alone):
+            assert together.failures[m] == sim.failures[0]
+            assert channel_stack(together.member_world(m)).tobytes() == channel_stack(sim.world).tobytes()
+            assert together.member_lattice(m).f.tobytes() == sim.lattice.f.tobytes()
+    assert failure.step == 35 and together.walls.free[6:9, 10].all()
+    assert together.failures[0] is together.failures[2] is None
 
 
 def test_stepped_channels_stay_views_of_the_store():
