@@ -303,8 +303,8 @@ class Simulation:
         return self._frozen[member][0] if member in self._frozen else self.worlds.member(member)
 
     def member_lattice(self, member: int) -> fluid.Lattice:
-        tau = self.lattices.tau
-        return self._frozen[member][1] if member in self._frozen else fluid.Lattice(self.lattices.f[member], tau)
+        frozen = self._frozen.get(member)
+        return frozen[1] if frozen else fluid.Lattice(self.lattices.f[member], self.lattices.tau)
 
     @property
     def world(self) -> WorldState:
@@ -405,8 +405,7 @@ class Simulation:
         so steps+1 values unless its fluid failed.
 
         ``observer(sim)`` is called after every step that leaves a member
-        running; the run ends early once every member has failed. Every
-        value is read from its member's row.
+        running; the run ends early once every member has failed.
         """
         curves = [[float(total)] for total in self.worlds.mass.sum(axis=(1, 2))]
         for _ in range(steps):
