@@ -103,7 +103,6 @@ def cmd_evolve(args) -> int:
     check_arenas(cfg)
 
     out = cfg.io.output_dir
-    os.makedirs(out, exist_ok=True)
     fileio.write_json(os.path.join(out, "resolved_config.json"), cfg.to_dict())
 
     logged = []
@@ -244,7 +243,6 @@ def cmd_render(args) -> int:
     sim, steps = start_evaluation(genome, bundle, params, cfg, args.seed, 1)
 
     out = args.out
-    os.makedirs(out, exist_ok=True)
     trajectory: list[dict] = []
     written = 0
 

@@ -37,12 +37,8 @@ class GenomeError(ValueError):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))  # exp(-|x|), never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 #: The activation palette. Every function is total over finite reals and
@@ -353,7 +349,6 @@ class Phenotype:
     """
 
     n_inputs: int
-    n_outputs: int
     input_slots: np.ndarray  # sorted perception slots some member's enabled edges read; the bias is not one
     constant_slots: np.ndarray  # (constant positions,)
     constant_values: np.ndarray  # (constant positions, P)
@@ -442,7 +437,6 @@ def compile_genome(genomes) -> Phenotype:
     perceived[varying.src[varying.src < n_inputs - 1]] = True
     return Phenotype(
         n_inputs=n_inputs,
-        n_outputs=n_outputs,
         input_slots=np.flatnonzero(perceived),
         constant_slots=constant_slots,
         constant_values=values[constant_slots],

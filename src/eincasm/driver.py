@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import contextlib
 import os
-from concurrent.futures import Executor
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +39,9 @@ from .cppn import Genome
 from .environments import EnvSpec
 from .lifecycle import FitnessRecord, LifecycleConfig, run_population
 from .physics import PhysicsParams
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 def evaluation_workers() -> int:

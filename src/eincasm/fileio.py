@@ -1,9 +1,10 @@
 """File formats and atomic persistence.
 
-Every artifact the package writes goes through write-temp-then-rename so
-an interrupted run can never leave a half-written checkpoint or log
-behind. All formats carry a ``schema_version`` so downstream regression
-suites notice drift instead of silently absorbing it.
+Every file the package writes is born in ``atomic_write_bytes``: it makes
+the directory, creates a temporary file exclusively, with a plain ``open``'s
+mode, and renames it over the target, so an interrupted run never leaves a
+half-written file behind. All formats carry a ``schema_version`` so
+downstream regression suites notice drift instead of silently absorbing it.
 
 Formats:
 
@@ -55,7 +56,6 @@ import io
 import json
 import math
 import os
-import tempfile
 import types
 import typing
 
@@ -177,22 +177,20 @@ def write_value(value):
 
 
 def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path`` and rename it
-    over ``path``. The file gets the mode a plain ``open`` would give it,
-    0o666 less the umask, not the temporary file's 0o600."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write ``data`` to a new temporary file beside ``path``, making the
+    directory if need be, and rename it over ``path``. The kernel gives the
+    file the mode of a plain ``open``, 0o666 less the file-creation mask. A
+    name clash raises; a later failure removes the file this call created."""
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{name}")
+    handle = open(tmp, "xb")  # exclusive: never opens a file it did not create
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(data)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 

@@ -849,7 +849,8 @@ def test_cli_import_loads_no_process_pool():
     path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     probe = (
         "import sys, eincasm.cli\n"
-        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+        "pool = ('concurrent.futures', 'concurrent.futures.process', 'multiprocessing')\n"
+        "print([m for m in pool if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
@@ -879,6 +880,37 @@ def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path, umask):
     assert mode == 0o666 & ~umask
     assert mode == (tmp_path / "plain.txt").stat().st_mode & 0o777
     assert (tmp_path / "atomic.txt").read_text() == "text"
+
+
+def test_writes_never_touch_the_umask(tmp_path, monkeypatch):
+    """The umask is one per process, so a write leaves it alone; a report
+    lands in a directory the write itself makes."""
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    fileio.atomic_write_text(str(tmp_path / "a.txt"), "text")
+    fileio.write_json(str(tmp_path / "b.json"), {"key": 1})
+    genome = write_genome(tmp_path, empty_genome(4))
+    out = tmp_path / "new" / "dir" / "report.json"
+    assert main(["test", genome, "--seed", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["iq"] == 0.0
+    assert (tmp_path / "a.txt").read_text() == "text"
+    assert json.loads((tmp_path / "b.json").read_text()) == {"key": 1}
+
+
+def test_failed_rename_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "file.txt"
+    fileio.atomic_write_text(str(path), "old")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        fileio.atomic_write_text(str(path), "new")
+    assert path.read_text() == "old"
+    assert os.listdir(tmp_path) == ["file.txt"]
 
 
 def test_every_public_name_resolves():

@@ -377,6 +377,32 @@ class TestActivations:
         np.testing.assert_allclose(ACTIVATIONS["relu"](x), np.maximum(x, 0), atol=0)
         np.testing.assert_allclose(ACTIVATIONS["absolute"](x), np.abs(x), atol=0)
 
+    def test_sigmoid_keeps_the_split_form_bits_on_edge_values(self):
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000ABCDEF, 0xFFFC0000DEADBEEF],
+                        dtype=np.uint64).view(np.float64)
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2], nans])
+        assert_sigmoid_bits(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=64))
+    def test_sigmoid_keeps_the_split_form_bits(self, xs):
+        assert_sigmoid_bits(np.array(xs, dtype=np.float64))
+
+
+def split_sigmoid(x):
+    """The sigmoid as two masked halves, each in its stable form."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def assert_sigmoid_bits(x):
+    got, want = ACTIVATIONS["sigmoid"](x), split_sigmoid(x)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
 
 class TestSerialization:
     def test_io_sizes(self):
