@@ -10,7 +10,9 @@ last one is the bias input), the next ``n_outputs`` ids are the outputs,
 and higher ids are hidden nodes, numbered by the innovation registry; a
 negative id is none of these. Inputs are fixed (identity, bias 0), so a
 genome stores node genes for its output and hidden nodes only, and no
-node stores its kind.
+node stores its kind. Its enabled connections form a DAG, and
+``topological_order`` alone decides whether they do, with or without
+one candidate edge: validation, compilation and ``creates_cycle`` ask it.
 
 ``compile_genome`` compiles a population's genomes, or one genome, into
 one ``Phenotype``: padded tables with one column per member, so the
@@ -170,31 +172,35 @@ def validate_genome(genome: Genome):
     topological_order(genome)  # raises on enabled cycles
 
 
-def topological_order(genome: Genome) -> list[int]:
-    """Kahn's algorithm over the stored nodes; inputs come first, so their edges order nothing.
+def topological_order(genome: Genome, extra: tuple[int, int] | None = None) -> list[int]:
+    """Kahn's algorithm over the stored nodes, the candidate edge ``extra``
+    (src, dst) counted as one more enabled connection; inputs come first,
+    so their edges order nothing.
 
-    Ties broken by node id so the order (and therefore float accumulation)
-    is reproducible. Raises GenomeError if the enabled subgraph has a cycle.
+    The smallest ready id goes next, so the order (and therefore float
+    accumulation) is reproducible and does not depend on how the
+    connections are stored. Raises GenomeError on an enabled cycle.
     """
-    successors: dict[int, list[int]] = {i: [] for i in genome.nodes}
-    indegree = {i: 0 for i in genome.nodes}
-    for conn in genome.sorted_connections():
-        if conn.enabled and conn.src >= genome.n_inputs:
-            successors[conn.src].append(conn.dst)
-            indegree[conn.dst] += 1
-    ready = sorted(i for i, d in indegree.items() if d == 0)
+    n_inputs = genome.n_inputs
+    edges = [(c.src, c.dst) for c in genome.connections.values() if c.enabled and c.src >= n_inputs]
+    if extra is not None and extra[0] >= n_inputs:
+        edges.append(extra)
+    successors: dict[int, list[int]] = {}
+    indegree = dict.fromkeys(genome.nodes, 0)
+    for src, dst in edges:
+        successors.setdefault(src, []).append(dst)
+        indegree[dst] += 1
+    ready = sorted([i for i, d in indegree.items() if d == 0], reverse=True)  # the smallest id last
     order: list[int] = []
     while ready:
-        node = ready.pop(0)
+        node = ready.pop()
         order.append(node)
-        fresh = []
-        for nxt in successors[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                fresh.append(nxt)
-        if fresh:
-            ready.extend(fresh)
-            ready.sort()
+        if node in successors:
+            for nxt in successors[node]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    ready.append(nxt)
+            ready.sort(reverse=True)
     if len(order) != len(genome.nodes):
         raise GenomeError("enabled connections form a cycle")
     return order
@@ -202,23 +208,11 @@ def topological_order(genome: Genome) -> list[int]:
 
 def creates_cycle(genome: Genome, src: int, dst: int) -> bool:
     """Would an enabled src->dst edge close a cycle in the enabled subgraph?"""
-    if src == dst:
+    try:
+        topological_order(genome, (src, dst))
+    except GenomeError:
         return True
-    # Cycle iff dst already reaches src through enabled edges.
-    successors: dict[int, list[int]] = {}
-    for conn in genome.connections.values():
-        if conn.enabled:
-            successors.setdefault(conn.src, []).append(conn.dst)
-    stack, seen = [dst], set()
-    while stack:
-        node = stack.pop()
-        if node == src:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(successors.get(node, ()))
-    return False
+    return src == dst
 
 
 @dataclass(frozen=True)

@@ -189,11 +189,9 @@ def equilibrium(rho, u) -> np.ndarray:
     return WEIGHTS.reshape((9,) + (1,) * len(shape)) * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
 
 
-def uniform_lattice(width: int, height: int, obstacles: np.ndarray, rho0: float = 1.0, tau: float = 0.8) -> Lattice:
-    """Fluid at rest at density rho0 on free cells, empty on obstacles."""
-    f = np.ones((9, height, width)) * (WEIGHTS[:, None, None] * rho0)
-    f[:, np.asarray(obstacles) > 0.5] = 0.0
-    return Lattice(f, tau)
+def uniform_lattice(obstacles: np.ndarray) -> np.ndarray:
+    """The (9, H, W) populations of fluid at rest at unit density on free cells, empty on obstacles."""
+    return WEIGHTS[:, None, None] * ~(np.asarray(obstacles) > 0.5)
 
 
 def _moments(f: np.ndarray, rho: np.ndarray, u: np.ndarray, den: np.ndarray) -> None:

@@ -286,8 +286,8 @@ class Simulation:
         validate_schedule(world, cfg.schedule)
         self.spec = bundle.spec  # the arena's spec: its chemoattractant rule
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
-        at_rest = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle, tau=cfg.tau)
-        self.lattices = fluid.Lattice(np.repeat(at_rest.f[None], len(genomes), axis=0), cfg.tau)
+        at_rest = fluid.uniform_lattice(world.obstacle)
+        self.lattices = fluid.Lattice(np.repeat(at_rest[None], len(genomes), axis=0), cfg.tau)
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
         self._frozen: dict[int, tuple[WorldState, fluid.Lattice]] = {}
         self.step_index = 0
@@ -386,7 +386,7 @@ class Simulation:
         self._frozen[member] = (world.copy(), fluid.Lattice(f[member].copy(), self.lattices.tau))
         for channel in (world.mass, world.reservoir, world.nutrient, world.hidden):
             channel[...] = 0.0
-        f[member] = fluid.uniform_lattice(world.shape.width, world.shape.height, world.obstacle).f
+        f[member] = fluid.uniform_lattice(world.obstacle)
 
     def _reconcile_lattice(self, solid_before: np.ndarray) -> None:
         """Resolve the moved obstacle layout. Obstacle moves invalidate

@@ -17,6 +17,7 @@ from eincasm.cppn import (
     GenomeError,
     NodeGene,
     compile_genome,
+    creates_cycle,
     empty_genome,
     genome_from_dict,
     genome_to_dict,
@@ -25,7 +26,7 @@ from eincasm.cppn import (
     validate_genome,
 )
 from eincasm.harness import chemotaxis_baseline
-from eincasm.neat import EvolutionConfig, init_population
+from eincasm.neat import EvolutionConfig, init_population, next_generation
 
 
 def tiny_genome(k_hidden=1):
@@ -75,6 +76,54 @@ def reference_evaluate(genome, inputs):
                 acc += conn.weight * values[conn.src]
         values[node_id] = ACTIVATIONS[node.activation](acc)
     return np.stack([values[i] for i in genome.output_ids()], axis=1)
+
+
+def reference_topological_order(genome):
+    """Kahn's pass over the enabled connections in innovation order, the
+    smallest ready id first: the order ``topological_order`` must give."""
+    successors = {i: [] for i in genome.nodes}
+    indegree = {i: 0 for i in genome.nodes}
+    for conn in genome.sorted_connections():
+        if conn.enabled and conn.src >= genome.n_inputs:
+            successors[conn.src].append(conn.dst)
+            indegree[conn.dst] += 1
+    ready = sorted(i for i, d in indegree.items() if d == 0)
+    order = []
+    while ready:
+        node = ready.pop(0)
+        order.append(node)
+        fresh = []
+        for nxt in successors[node]:
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                fresh.append(nxt)
+        if fresh:
+            ready.extend(fresh)
+            ready.sort()
+    if len(order) != len(genome.nodes):
+        raise GenomeError("enabled connections form a cycle")
+    return order
+
+
+def reference_creates_cycle(genome, src, dst):
+    """Depth-first search: an enabled src->dst edge closes a cycle iff it is
+    a self-loop or dst already reaches src through enabled edges."""
+    if src == dst:
+        return True
+    successors = {}
+    for conn in genome.connections.values():
+        if conn.enabled:
+            successors.setdefault(conn.src, []).append(conn.dst)
+    stack, seen = [dst], set()
+    while stack:
+        node = stack.pop()
+        if node == src:
+            return True
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.extend(successors.get(node, ()))
+    return False
 
 
 def random_genome(rng, k_hidden=1, max_hidden=6, n_conns=12, p_enabled=0.9):
@@ -171,6 +220,52 @@ class TestCompile:
         g.connections[0] = ConnectionGene(0, a, b, 1.0, True)
         g.connections[1] = ConnectionGene(1, b, a, 1.0, False)
         compile_genome(g)
+
+
+def hidden_chain(*enabled):
+    """A one-hidden-channel genome with hidden nodes 900 -> 901 -> 902, the
+    two edges enabled as given."""
+    g = tiny_genome()
+    for node_id in (900, 901, 902):
+        g.nodes[node_id] = NodeGene(node_id, "identity", 0.0)
+    for innov, (src, dst) in enumerate([(900, 901), (901, 902)]):
+        g.connections[innov] = ConnectionGene(innov, src, dst, 1.0, enabled[innov])
+    return g
+
+
+class TestAcyclicity:
+    def test_an_edge_closing_a_three_cycle_is_refused(self):
+        g = hidden_chain(True, True)
+        assert creates_cycle(g, 902, 900) and reference_creates_cycle(g, 902, 900)
+        assert not creates_cycle(hidden_chain(True, False), 902, 900)  # a disabled edge closes nothing
+
+    def test_the_reverse_edge_is_allowed(self):
+        g = hidden_chain(True, True)
+        assert not creates_cycle(g, 900, 902) and not reference_creates_cycle(g, 900, 902)
+
+    def test_grown_genomes_match_the_references(self):
+        """Every member of a population grown at high structural rates: its
+        order, also with its connections stored shuffled, and every cycle
+        answer for a sample of the inputs and every stored node as source."""
+        c = EvolutionConfig(population_size=16, add_node_rate=0.6, add_connection_rate=0.9, disable_rate=0.3, seed=7)
+        pop = init_population(c, 2)
+        rng = np.random.default_rng(7)
+        closing = 0
+        for _ in range(12):
+            pop = next_generation(pop, rng.random(c.population_size), c)
+            for g in pop.members:
+                shuffled = g.copy()
+                keys = list(shuffled.connections)
+                rng.shuffle(keys)
+                shuffled.connections = {key: shuffled.connections[key] for key in keys}
+                assert topological_order(g) == topological_order(shuffled) == reference_topological_order(g)
+                sample = rng.choice(g.n_inputs - 1, 4, replace=False).tolist()
+                for src in [*sample, g.bias_input_id, *g.nodes]:
+                    for dst in g.nodes:
+                        answer = creates_cycle(g, src, dst)
+                        assert answer == reference_creates_cycle(g, src, dst), (src, dst)
+                        closing += answer and src != dst
+        assert closing > 0  # the grown genomes have paths the check must see
 
 
 class TestEvaluate:

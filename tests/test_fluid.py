@@ -29,7 +29,7 @@ from eincasm.fluid import (
 
 
 def closed_box(width, height, tau=0.8, rho0=1.0):
-    return uniform_lattice(width, height, np.zeros((height, width)), rho0=rho0, tau=tau)
+    return Lattice(uniform_lattice(np.zeros((height, width))) * rho0, tau)
 
 
 def stable_step(lat, obstacles, sources=None):
@@ -149,7 +149,7 @@ class TestStep:
     def test_obstacles_hold_no_fluid(self):
         obstacles = np.zeros((8, 8))
         obstacles[3:5, 3:5] = 1.0
-        lat = uniform_lattice(8, 8, obstacles)
+        lat = Lattice(uniform_lattice(obstacles))
         for _ in range(50):
             lat = stable_step(lat, obstacles)
             assert not lat.f[:, obstacles > 0.5].any()
@@ -175,7 +175,7 @@ class TestStep:
     def test_source_on_obstacle_rejected(self):
         obstacles = np.zeros((5, 5))
         obstacles[2, 2] = 1.0
-        lat = uniform_lattice(5, 5, obstacles)
+        lat = Lattice(uniform_lattice(obstacles))
         for value in (0.05, -1e-300, np.nan, np.inf):
             src = np.zeros((5, 5))
             src[2, 2] = value

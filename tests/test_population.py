@@ -391,7 +391,7 @@ def test_a_failed_member_keeps_a_quiet_row():
             quiet = together.worlds.member(1)
             for name in ("mass", "reservoir", "nutrient", "hidden"):
                 assert not getattr(quiet, name).any()
-            rest = uniform_lattice(32, 32, together.worlds.obstacle, tau=cfg.tau).f
+            rest = uniform_lattice(together.worlds.obstacle)
             np.testing.assert_allclose(together.lattices.f[1], rest, rtol=0.0, atol=1e-12)
             assert not together.lattices.f[1][:, together.walls.solid].any()
         for m, sim in enumerate(alone):
