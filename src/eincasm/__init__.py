@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .cppn import Genome, Phenotype, compile_genome
 from .environments import EnvSpec, Rect, generate
-from .fluid import Lattice, advect_scalar, equilibrium, macroscopic
+from .fluid import Lattice, advect_scalar, macroscopic
 from .lifecycle import FitnessRecord, LifecycleConfig, Simulation, run_lifecycle, run_population
 from .neat import EvolutionConfig, Population, init_population, next_generation
 from .physics import PhysicsParams, constrain
@@ -20,7 +20,6 @@ __all__ = [
     "generate",
     "Lattice",
     "advect_scalar",
-    "equilibrium",
     "macroscopic",
     "FitnessRecord",
     "LifecycleConfig",

@@ -12,7 +12,8 @@ negative id is none of these. Inputs are fixed (identity, bias 0), so a
 genome stores node genes for its output and hidden nodes only, and no
 node stores its kind. Its enabled connections form a DAG, and
 ``topological_order`` alone decides whether they do, with or without
-one candidate edge: validation, compilation and ``creates_cycle`` ask it.
+one candidate edge: validation, compilation and ``creates_cycle`` ask it,
+except for a candidate leaving an input, which no edge enters.
 
 ``compile_genome`` compiles a population's genomes, or one genome, into
 one ``Phenotype``: padded tables with one column per member, so the
@@ -207,7 +208,11 @@ def topological_order(genome: Genome, extra: tuple[int, int] | None = None) -> l
 
 
 def creates_cycle(genome: Genome, src: int, dst: int) -> bool:
-    """Would an enabled src->dst edge close a cycle in the enabled subgraph?"""
+    """Would an enabled src->dst edge close a cycle in the enabled subgraph
+    of an acyclic genome? No edge enters an input, so an edge leaving one
+    closes a cycle only as a self-loop."""
+    if src < genome.n_inputs:
+        return src == dst
     try:
         topological_order(genome, (src, dst))
     except GenomeError:

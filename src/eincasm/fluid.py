@@ -4,7 +4,9 @@ Single-relaxation-time (BGK) collision, bounce-back no-slip walls at
 obstacle cells and the grid boundary, and pressure coupling by isotropic
 density injection: each cell's reservoir change adds w_i * rho_src to its
 distributions instead of moving any boundary. Obstacle cells hold no
-fluid (f = 0 there, always).
+fluid (f = 0 there, always). Collision relaxes towards the equilibrium
+f_eq_i = w_i rho (1 + 3 e_i.u + 4.5 (e_i.u)^2 - 1.5 |u|^2), which only the
+step computes.
 
 Direction set (ex, ey), matching the (x, y)/[y, x] convention used by the
 rest of the package:
@@ -59,6 +61,7 @@ OPPOSITE = np.array([0, 3, 4, 1, 2, 7, 8, 5, 6])
 
 RHO_FLOOR = 1e-9  # below this density the velocity is defined as zero
 U_MAX = 0.3  # beyond low-Mach validity; the step aborts
+CFL_LIMIT = 0.5 + 1e-12  # advect_scalar's bound on max(|ux|, |uy|), with rounding slack
 NEGATIVE_TOL = -1e-12
 #: At or below this max|u| the outflow limiter of ``advect_scalar`` cannot
 #: bind (see its proof): the largest double B with B (1 + 2^-53) + 2^-1074
@@ -174,21 +177,6 @@ def walls_of(obstacles: np.ndarray | Walls) -> Walls:
     return _walls_of_layout(solid.shape, solid.tobytes())
 
 
-def equilibrium(rho, u) -> np.ndarray:
-    """Second-order equilibrium distributions for density rho, velocity u.
-
-    Accepts scalars or grids; returns (9, ...) stacked along a new axis.
-    f_eq_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 |u|^2).
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    ux, uy = u[0], u[1]
-    usq = ux * ux + uy * uy
-    shape = np.broadcast(rho, ux).shape
-    eu = EX.reshape((9,) + (1,) * len(shape)) * ux + EY.reshape((9,) + (1,) * len(shape)) * uy
-    return WEIGHTS.reshape((9,) + (1,) * len(shape)) * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
-
-
 def uniform_lattice(obstacles: np.ndarray) -> np.ndarray:
     """The (9, H, W) populations of fluid at rest at unit density on free cells, empty on obstacles."""
     return WEIGHTS[:, None, None] * ~(np.asarray(obstacles) > 0.5)
@@ -300,7 +288,7 @@ def _scratch(shape: tuple[int, int, int, int]) -> _Scratch:
 def _collide(s: _Scratch, tau: float) -> None:
     """BGK relaxation of the batch in ``s.f``, in place:
     f_i += (feq_i - f_i) / tau, from the moments ``s.rho``, ``s.u`` and
-    |u|^2 ``s.usq`` (computed as ``equilibrium`` does, ux * ux + uy * uy).
+    |u|^2 ``s.usq`` (computed as ux * ux + uy * uy).
 
     All nine directions relax in one pass per operation once their
     brackets (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 |u|^2) are built: the rest
@@ -312,8 +300,9 @@ def _collide(s: _Scratch, tau: float) -> None:
     once per forward/backward pair; 1 + 3 e.u goes to the forward half and
     1 - 3 e.u to the backward one.
 
-    Each feq_i is the float expression ``equilibrium`` evaluates, in its
-    order, so the bits agree. A backward direction's e.u is the negated
+    Each feq_i is, bit for bit, the float expression w_i * rho * (1.0 +
+    3.0 * eu + 4.5 * eu * eu - 1.5 * usq) with eu = ex_i * ux + ey_i * uy,
+    evaluated left to right. A backward direction's e.u is the negated
     forward one there: -ux + 0 uy, and -ux - uy = -(ux + uy) since
     rounding is symmetric. Negation is exact, so 3 (-a) = -(3 a),
     1 + (-(3 a)) = 1 - 3 a and (4.5 (-a)) (-a) = (4.5 a) a, bit for bit. A
@@ -446,7 +435,7 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -
     n, u = (np.asarray(a, dtype=np.float64) for a in (n, u))
     walls = walls_of(obstacles)
     u_max = float(np.max(np.abs(u), initial=0.0))
-    if u_max > 0.5 + 1e-12:
+    if u_max > CFL_LIMIT:
         raise ValueError(f"CFL violated: max|u| = {u_max:.3f} > 0.5")
 
     cells, velocity = (a.reshape(a.shape[:-2] + (-1,)) for a in (n, u))

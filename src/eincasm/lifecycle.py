@@ -16,7 +16,9 @@ The per-step pipeline (normative order):
    frozen this step apart from fluid transport;
 5. the paid reservoir changes of selected cells become capped density
    sources for one fluid step;
-6. nutrient is advected by the resulting velocity field;
+6. nutrient is advected by the resulting velocity field; a member whose
+   velocity breaks advection's CFL bound fails first, as one whose fluid
+   fails the step's own screen does;
 7. any perturbation scheduled for this step index is applied (with the
    lattice and chemoattractant reconciled afterwards).
 
@@ -168,11 +170,12 @@ def label_obstacles(obstacles: np.ndarray) -> np.ndarray:
     return flood_fill(solid, EDGE_NEIGHBOURS, np.flatnonzero(solid).tolist())
 
 
-def validate_schedule(world: WorldState, schedule) -> None:
+def validate_schedule(worlds: WorldStack, schedule) -> None:
     """Reject a schedule before any stepping by running it: each event, in
-    step order, goes through ``apply_perturbation`` on a copy of ``world``,
-    whose LifecycleError comes out naming the key and the step."""
-    layout = world.copy()
+    step order, goes through ``apply_perturbation`` on a copy of member 0
+    of ``worlds``, whose LifecycleError comes out naming the key and the
+    step."""
+    layout = worlds.select([0])
     for step, event in sorted(schedule, key=lambda se: se[0]):
         try:
             apply_perturbation(layout, event)
@@ -180,10 +183,10 @@ def validate_schedule(world: WorldState, schedule) -> None:
             raise LifecycleError(f"'schedule': {exc} at step {step}") from exc
 
 
-def apply_perturbation(world: WorldState | WorldStack, event: PerturbationEvent):
-    """Apply one scheduled event to a WorldState or a WorldStack, in place.
-    This is the one rule for whether an event fits a world: one that does
-    not raises a LifecycleError.
+def apply_perturbation(world: WorldStack, event: PerturbationEvent) -> WorldStack:
+    """Apply one scheduled event to a WorldStack, in place. This is the one
+    rule for whether an event fits a world: one that does not raises a
+    LifecycleError.
 
     RemoveFood zeroes F in its region. DegradeCells scales M, R, and N by
     (1 - fraction), fraction in [0, 1], in its region (proportional scaling
@@ -192,8 +195,8 @@ def apply_perturbation(world: WorldState | WorldStack, event: PerturbationEvent)
     the grid: vacated cells become free; newly covered cells lose their
     M, R, N and hidden state. The chemoattractant field is *not* touched
     here; the simulation recomputes it after food or obstacle changes.
-    On a WorldStack the shared statics change once and every member's
-    dynamic channels change alike.
+    The shared statics change once and every member's dynamic channels
+    change alike.
     """
     if isinstance(event, (RemoveFood, DegradeCells)) and not event.region.within(world.shape):
         raise LifecycleError(f"perturbation region {event.region} out of bounds")
@@ -249,12 +252,13 @@ class Simulation:
     one call per step. Cells perceive only the slots some member's plan
     reads (its ``input_slots``); the other input columns stay 0.
     Row m of ``worlds`` and ``lattices`` is member m for the whole run. A
-    member whose fluid fails records its FluidFailure in ``failures``,
-    freezes copies of its world (with the step's economy update) and
-    lattice (before the step), and quiets its row: no mass, reservoir,
-    nutrient or hidden state, and fluid at rest, so it never acts or fails
-    again and no other member's bits change. The batch keeps its shape, so
-    ``fluid``'s per-shape work arrays serve the whole run.
+    member whose fluid fails, by ``fluid.step``'s screen or by a velocity
+    above advection's CFL bound, records its FluidFailure in ``failures``
+    and is from then on a frozen copy of its world, holding that step's
+    economy update, and a quiet row: no mass, reservoir, nutrient or
+    hidden state, and fluid at rest, so it never acts or fails again and no
+    other member's bits change. The batch keeps its shape, so ``fluid``'s
+    per-shape work arrays serve the whole run.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -268,7 +272,7 @@ class Simulation:
     Confined to one logical thread. ``start_evaluation`` builds every
     seeded run: ``run_population``'s, and the one-member runs of the test
     harness and ``render``, which pass an observer to ``run`` for mid-run
-    measurements read through ``world`` and ``lattice``.
+    measurements read through ``world``.
     """
 
     def __init__(self, genomes, bundle: EnvBundle, params: PhysicsParams, cfg: LifecycleConfig, step_seed):
@@ -283,13 +287,13 @@ class Simulation:
         self.params = params
         self.cfg = cfg
         self.rngs = [np.random.default_rng(step_seed) for _ in genomes]
-        validate_schedule(world, cfg.schedule)
+        validate_schedule(self.worlds, cfg.schedule)
         self.spec = bundle.spec  # the arena's spec: its chemoattractant rule
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         at_rest = fluid.uniform_lattice(world.obstacle)
         self.lattices = fluid.Lattice(np.repeat(at_rest[None], len(genomes), axis=0), cfg.tau)
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
-        self._frozen: dict[int, tuple[WorldState, fluid.Lattice]] = {}
+        self._frozen: dict[int, WorldState] = {}
         self.step_index = 0
 
     @property
@@ -300,11 +304,7 @@ class Simulation:
     def member_world(self, member: int) -> WorldState:
         """A member's world: views of its row while it runs, or the copy
         frozen when its fluid failed."""
-        return self._frozen[member][0] if member in self._frozen else self.worlds.member(member)
-
-    def member_lattice(self, member: int) -> fluid.Lattice:
-        frozen = self._frozen.get(member)
-        return frozen[1] if frozen else fluid.Lattice(self.lattices.f[member], self.lattices.tau)
+        return self._frozen[member] if member in self._frozen else self.worlds.member(member)
 
     @property
     def world(self) -> WorldState:
@@ -313,7 +313,8 @@ class Simulation:
 
     @property
     def lattice(self) -> fluid.Lattice:
-        return self.member_lattice(0)
+        """The first member's row of ``lattices``."""
+        return fluid.Lattice(self.lattices.f[0], self.lattices.tau)
 
     def step(self) -> None:
         """Advance every member one step by the module's pipeline; a quiet
@@ -366,6 +367,13 @@ class Simulation:
             if failure is not None:
                 self._freeze(member, failure)
         velocity = fluid.macroscopic(self.lattices).u
+        # advect_scalar's own test: a member above its CFL bound fails, and its quiet row carries nothing
+        for member in np.flatnonzero(np.abs(velocity).max(axis=(1, 2, 3)) > fluid.CFL_LIMIT):
+            speed = np.abs(velocity[member]).max(axis=0)
+            y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
+            reason = f"velocity component {speed[y, x]:.3f} exceeds the CFL bound 0.5"
+            self._freeze(member, FluidFailure(reason, int(x), int(y), self.step_index))
+            velocity[member] = 0.0
         worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
 
         events = [event for step, event in self.cfg.schedule if step == self.step_index]
@@ -378,15 +386,15 @@ class Simulation:
         self.step_index += 1
 
     def _freeze(self, member: int, failure: FluidFailure) -> None:
-        """Record a member's failure, keep copies of its world and of the
-        lattice ``fluid.step`` returned for it, and quiet its row. The fluid
-        rests, not empties: cells an obstacle move vacates refill at rest."""
+        """Record a member's failure, keep a copy of its world, and quiet its
+        row. The fluid rests, not empties: cells an obstacle move vacates
+        refill at rest."""
         self.failures[member] = failure
-        world, f = self.worlds.member(member), self.lattices.f
-        self._frozen[member] = (world.copy(), fluid.Lattice(f[member].copy(), self.lattices.tau))
+        world = self.worlds.member(member)
+        self._frozen[member] = world.copy()
         for channel in (world.mass, world.reservoir, world.nutrient, world.hidden):
             channel[...] = 0.0
-        f[member] = fluid.uniform_lattice(world.obstacle)
+        self.lattices.f[member] = fluid.uniform_lattice(world.obstacle)
 
     def _reconcile_lattice(self, solid_before: np.ndarray) -> None:
         """Resolve the moved obstacle layout. Obstacle moves invalidate

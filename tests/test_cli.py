@@ -430,6 +430,20 @@ class TestTestCommand:
         lines = capsys.readouterr().out.splitlines()[:2]
         assert [line.split(" fluid failure: ")[1] for line in lines] == failures
 
+    def test_a_velocity_above_the_cfl_bound_is_a_fluid_failure(self, tmp_path, capsys):
+        """At rho_cap 5.0 the baseline drives a velocity above advection's
+        CFL bound in the corridor: the test reports it as its fluid failure,
+        in the report and on stdout, and the command exits 0."""
+        genome = write_genome(tmp_path, chemotaxis_baseline())
+        battery = tmp_path / "battery.json"
+        battery.write_text(json.dumps({"physics": {"rho_cap": 5.0},
+                                       "tests": [{"name": "corridor", "env": write_value(harness.corridor_spec())}]}))
+        out = tmp_path / "report.json"
+        assert main(["test", genome, "--battery", str(battery), "--out", str(out)]) == 0
+        failure = "velocity component 0.516 exceeds the CFL bound 0.5 at cell (4, 2) at step 2"
+        assert [t["metrics"]["fluid_failure"] for t in json.loads(out.read_text())["tests"]] == [failure]
+        assert capsys.readouterr().out.splitlines()[0].endswith(f" fluid failure: {failure}")
+
     def test_inert_genome_scores_zero(self, tmp_path):
         genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "report.json")

@@ -305,7 +305,7 @@ def test_deceptive_false_peak_survives_perturbations(event):
     cfg = LifecycleConfig(t_min=2, t_max=2, p_update=1.0, schedule=((0, event),))
     sim = build_simulation(empty_genome(4), generate(spec), PhysicsParams(), cfg, 1)
     assert sim.world.chemo[3, 3] == 2.0
-    fired = apply_perturbation(sim.world.copy(), event)
+    fired = apply_perturbation(sim.world.copy().stack, event)
     sim.step()
     world = sim.world
     for static in ("food", "obstacle"):  # the event fired after step 0

@@ -20,12 +20,27 @@ from eincasm.fluid import (
     Lattice,
     Walls,
     advect_scalar,
-    equilibrium,
     macroscopic,
     step,
     uniform_lattice,
     walls_of,
 )
+
+
+def equilibrium(rho, u) -> np.ndarray:
+    """Second-order equilibrium distributions for density rho, velocity u:
+    the reference the collision is checked against.
+
+    Accepts scalars or grids; returns (9, ...) stacked along a new axis.
+    f_eq_i = w_i * rho * (1 + 3 e.u + 4.5 (e.u)^2 - 1.5 |u|^2).
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    ux, uy = u[0], u[1]
+    usq = ux * ux + uy * uy
+    shape = np.broadcast(rho, ux).shape
+    eu = EX.reshape((9,) + (1,) * len(shape)) * ux + EY.reshape((9,) + (1,) * len(shape)) * uy
+    return WEIGHTS.reshape((9,) + (1,) * len(shape)) * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * usq)
 
 
 def closed_box(width, height, tau=0.8, rho0=1.0):
@@ -188,6 +203,53 @@ class TestStep:
     def test_tau_bound(self):
         with pytest.raises(ValueError):
             Lattice(np.zeros((9, 4, 4)), tau=0.5)
+
+
+def closed_run(rho, u, tau, steps):
+    """Step a one-member batch, fluid started at equilibrium in a closed box
+    with no sources, and yield its moments after every step."""
+    h, w = rho.shape
+    lat = Lattice(equilibrium(rho, u)[None], tau)
+    walls, sources = walls_of(np.zeros((h, w))), np.zeros((1, h, w))
+    for _ in range(steps):
+        lat, failures = step(lat, walls, sources)
+        assert failures == [None]
+        yield macroscopic(lat)
+
+
+class TestPhysics:
+    """The two constants the D2Q9 BGK step stands on, checked as in Krüger
+    et al., *The Lattice Boltzmann Method* (Springer, 2017): the kinematic
+    viscosity nu = (tau - 1/2) / 3 and the sound speed c_s = 1/sqrt(3)."""
+
+    @pytest.mark.parametrize("tau", [0.6, 0.8, 1.2])
+    def test_shear_wave_decays_at_the_viscosity_tau_sets(self, tau):
+        """A channel mode ux = U sin(pi (y + 1/2) / H), whose nodes sit on the
+        halfway bounce-back walls, decays as exp(-nu k^2 t), k = pi / H. The
+        rate is fitted over steps 50-300 in the middle column of a channel
+        long enough that its end walls do not reach it."""
+        h, w, first, last = 16, 400, 50, 300
+        k = np.pi / h
+        mode = np.sin(k * (np.arange(h) + 0.5))
+        u = np.stack([1e-3 * mode[:, None] * np.ones((h, w)), np.zeros((h, w))])
+        amplitudes = [fields.u[0, 0, :, w // 2] @ mode / (mode @ mode)
+                      for fields in closed_run(np.ones((h, w)), u, tau, last)][first - 1:]
+        rate = -np.polyfit(np.arange(first, last + 1), np.log(amplitudes), 1)[0]
+        assert rate == pytest.approx((tau - 0.5) / 3 * k * k, rel=0.01)
+
+    def test_standing_sound_wave_has_the_lattice_sound_speed(self):
+        """The fundamental density mode cos(pi (x + 1/2) / W) across a closed
+        box swings with period 2 W / c_s: twice the mean spacing of its
+        sign changes in the middle row over 500 steps."""
+        h, w = 200, 64
+        mode = np.cos(np.pi * (np.arange(w) + 0.5) / w)
+        rho = 1.0 + 1e-3 * mode * np.ones((h, 1))
+        amplitudes = np.array([(fields.rho[0, h // 2] - 1.0) @ mode
+                               for fields in closed_run(rho, np.zeros((2, h, w)), 0.8, 500)])
+        before = np.flatnonzero(np.sign(amplitudes[:-1]) != np.sign(amplitudes[1:]))
+        crossings = before + amplitudes[before] / (amplitudes[before] - amplitudes[before + 1])
+        assert len(crossings) >= 4
+        assert 2 * np.mean(np.diff(crossings)) == pytest.approx(2 * w * np.sqrt(3), rel=0.015)
 
 
 def reference_moments(f):

@@ -151,13 +151,13 @@ class TestPerturbations:
     def test_remove_food(self):
         world = make_world()
         world.food[:] = 2.0
-        apply_perturbation(world, RemoveFood(Rect(0, 0, 8, 8)))
+        apply_perturbation(world.stack, RemoveFood(Rect(0, 0, 8, 8)))
         assert world.food.sum() == 0.0
 
     def test_degrade_cells_full_fraction(self):
         world = make_world()
         world.mass[2:4, 2:4] = 1.0
-        apply_perturbation(world, DegradeCells(Rect(2, 2, 2, 2), 1.0))
+        apply_perturbation(world.stack, DegradeCells(Rect(2, 2, 2, 2), 1.0))
         assert world.mass.sum() == 0.0
 
     def test_degrade_scales_reservoir_and_nutrient(self):
@@ -165,7 +165,7 @@ class TestPerturbations:
         world.mass[2, 2] = 1.0
         world.reservoir[2, 2] = 2.0
         world.nutrient[2, 2] = 0.8
-        apply_perturbation(world, DegradeCells(Rect(2, 2), 0.25))
+        apply_perturbation(world.stack, DegradeCells(Rect(2, 2), 0.25))
         assert world.mass[2, 2] == pytest.approx(0.75)
         assert world.reservoir[2, 2] == pytest.approx(1.5)
         assert world.nutrient[2, 2] == pytest.approx(0.6)
@@ -178,7 +178,7 @@ class TestPerturbations:
         world.mass[3, 4] = 0.4
         world.nutrient[3, 4] = 0.2
         before = total_mass(world)
-        apply_perturbation(world, MoveObstacle(1, (1, 0)))
+        apply_perturbation(world.stack, MoveObstacle(1, (1, 0)))
         assert world.obstacle[3, 2] == 0.0
         assert world.obstacle[3, 3] == 1.0 and world.obstacle[3, 4] == 1.0
         assert total_mass(world) == pytest.approx(before - 0.4)
@@ -191,7 +191,7 @@ class TestPerturbations:
         ob = np.zeros((8, 8))
         ob[3, 6:8] = 1.0
         world = make_world(obstacles=ob)
-        validate_schedule(world, ((2, MoveObstacle(1, (0, 1))),))
+        validate_schedule(world.stack, ((2, MoveObstacle(1, (0, 1))),))
         for event, message in [
             (MoveObstacle(1, (1, 0)), "obstacle 1 pushed out of bounds"),
             (MoveObstacle(3, (0, 1)), "obstacle id 3 does not exist"),
@@ -201,10 +201,10 @@ class TestPerturbations:
             ("drought", "unknown perturbation event 'drought'"),
         ]:
             with pytest.raises(LifecycleError) as applied:
-                apply_perturbation(world.copy(), event)
+                apply_perturbation(world.copy().stack, event)
             assert str(applied.value) == message
             with pytest.raises(LifecycleError) as validated:
-                validate_schedule(world, ((2, event),))
+                validate_schedule(world.stack, ((2, event),))
             assert str(validated.value) == f"'schedule': {message} at step 2"
 
     @pytest.mark.parametrize(
@@ -230,7 +230,7 @@ class TestPerturbations:
             ob[y, x] = 1.0
         world = make_world(obstacles=ob)
         with pytest.raises(LifecycleError, match="out of bounds at step"):
-            validate_schedule(world, schedule)
+            validate_schedule(world.stack, schedule)
 
     def test_obstacle_layout_resolved_only_when_it_moves(self, monkeypatch):
         """A run resolves its obstacle grid into walls when it is built and

@@ -5,19 +5,23 @@ import concurrent.futures
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import lru_cache
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from eincasm import lifecycle
 
 from eincasm.cppn import ACTIVATION_NAMES, ConnectionGene, NodeGene, empty_genome
 from eincasm.config import parse_config
 from eincasm.driver import evaluate_population, evaluation_workers, evolve_run
 from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
-from eincasm.fluid import Lattice, equilibrium, step, uniform_lattice
-from eincasm.harness import chemotaxis_baseline, harness_lifecycle, harness_physics
+from eincasm.fluid import Lattice, step, uniform_lattice
+from eincasm.harness import chemotaxis_baseline, corridor_spec, harness_lifecycle, harness_physics
 from eincasm.lifecycle import (
     DegradeCells,
     LifecycleConfig,
@@ -28,9 +32,12 @@ from eincasm.lifecycle import (
     label_obstacles,
     run_lifecycle,
     run_population,
+    start_evaluation,
 )
+from eincasm.neat import EvolutionConfig, init_population, next_generation
 from eincasm.physics import PhysicsParams
 from eincasm.substrate import CHANNELS, GridShape, Statics, WorldStack, create_world, dilate3x3, perceive_cells
+from test_fluid import equilibrium
 from test_substrate import channel_stack
 
 K = 4
@@ -360,7 +367,7 @@ def test_population_simulation_matches_members_alone(seed, n, move_at):
         assert curves[m] == sim.run(10)[0]
         assert together.failures[m] == sim.failures[0]
         assert channel_stack(together.member_world(m)).tobytes() == channel_stack(sim.world).tobytes()
-        assert together.member_lattice(m).f.tobytes() == sim.lattice.f.tobytes()
+        assert together.lattices.f[m].tobytes() == sim.lattices.f[0].tobytes()
     # The perception buffer kept across steps agrees with a fresh one; row m is member m.
     members, ys, xs = np.nonzero(np.ones(together.worlds.mass.shape, dtype=bool))
     fresh = np.concatenate([perceive_cells(together.worlds.member(m), ys[members == m], xs[members == m])
@@ -397,9 +404,81 @@ def test_a_failed_member_keeps_a_quiet_row():
         for m, sim in enumerate(alone):
             assert together.failures[m] == sim.failures[0]
             assert channel_stack(together.member_world(m)).tobytes() == channel_stack(sim.world).tobytes()
-            assert together.member_lattice(m).f.tobytes() == sim.lattice.f.tobytes()
+            assert together.lattices.f[m].tobytes() == sim.lattices.f[0].tobytes()
     assert failure.step == 35 and together.walls.free[6:9, 10].all()
     assert together.failures[0] is together.failures[2] is None
+
+
+def test_a_velocity_above_the_cfl_bound_fails_its_member_alone():
+    """A velocity above advection's CFL bound is its member's fluid
+    failure, not the batch's crash: where only the middle member breaks the
+    bound, every record equals its member's one-member run, bit for bit."""
+    params, cfg = replace(harness_physics(), rho_cap=5.0), harness_lifecycle(t=30)
+    rng = np.random.default_rng(2)
+    genomes = [random_genome(rng), chemotaxis_baseline(K), wide_genome(rng)]
+    together = run_population(genomes, [corridor_spec()], params, cfg, 0)
+    assert [str(record.per_env[0].failure) for record in together] == [
+        "None", "velocity component 0.516 exceeds the CFL bound 0.5 at cell (4, 2) at step 2", "None",
+    ]
+    assert len(together[0].per_env[0].mass_curve) == len(together[2].per_env[0].mass_curve) == 31
+    for genome, record in zip(genomes, together):
+        (alone,) = run_population([genome], [corridor_spec()], params, cfg, 0)
+        curves = [[bits(mass) for mass in r.per_env[0].mass_curve] for r in (record, alone)]
+        assert curves[0] == curves[1] and bits(record.fitness) == bits(alone.fitness) and record == alone
+
+
+@lru_cache(maxsize=1)
+def grown_genomes() -> tuple:
+    """16 genomes grown six generations at high structural rates, under
+    random fitnesses."""
+    cfg = EvolutionConfig(population_size=16, add_node_rate=0.5, add_connection_rate=0.9, weight_perturb_std=1.0, seed=5)
+    pop = init_population(cfg, K)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        pop = next_generation(pop, rng.random(cfg.population_size), cfg)
+    return tuple(pop.members)
+
+
+def log_uniform(low, high):
+    return st.floats(np.log(low), np.log(high)).map(lambda x: float(np.exp(x)))
+
+
+accepted_physics = st.builds(
+    PhysicsParams,
+    alpha=log_uniform(1e-4, 1.0), beta=log_uniform(1e-2, 10.0), gamma=log_uniform(1e-3, 10.0),
+    kappa=log_uniform(0.1, 100.0), v_min=log_uniform(1e-4, 1.0), rho_cap=log_uniform(1e-3, 100.0),
+    delta_r_max=log_uniform(1e-2, 10.0), delta_m_max=log_uniform(1e-2, 10.0),
+    poison_rate=log_uniform(1e-3, 10.0), m_min=log_uniform(1e-6, 0.1),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(params=accepted_physics, w=st.integers(3, 12), h=st.integers(3, 12), lifespan=st.integers(1, 40),
+       members=st.lists(st.integers(0, 15), min_size=1, max_size=8), seed=st.integers(0, 2**16))
+@example(params=PhysicsParams(rho_cap=50.0), w=8, h=8, lifespan=10, members=list(range(8)), seed=0)
+def test_no_accepted_physics_crashes_a_population(params, w, h, lifespan, members, seed):
+    """Whatever accepted physics drives grown genomes, ``run_population``
+    returns: every fitness is finite and every field of every member's
+    final world is nonnegative."""
+    env = EnvSpec(kind="open_arena", shape=GridShape(w, h), food=((Rect(w - 1, h - 1), 4.0),), seed_cell=(0, 0))
+    cfg = LifecycleConfig(t_min=lifespan, t_max=lifespan)
+    sims = []
+
+    def started(*args):
+        sim, steps = start_evaluation(*args)
+        sims.append(sim)
+        return sim, steps
+
+    genomes = [grown_genomes()[m] for m in members]
+    with mock.patch.object(lifecycle, "start_evaluation", started):
+        records = run_population(genomes, [env], params, cfg, seed)
+    assert all(np.isfinite(record.fitness) for record in records)
+    (sim,) = sims
+    for m in range(len(genomes)):
+        world = sim.member_world(m)
+        for name in CHANNELS[:-1]:
+            channel = getattr(world, name)
+            assert np.isfinite(channel).all() and (channel >= 0).all(), name
 
 
 def test_stepped_channels_stay_views_of_the_store():
