@@ -378,6 +378,8 @@ class Phenotype:
             members = np.asarray(members, dtype=np.intp)
             if members.shape != (n,):
                 raise GenomeError(f"expected {n} member ids, got shape {members.shape}")
+            if ((members < 0) | (members >= self.n_members)).any():
+                raise GenomeError(f"member ids must lie in [0, {self.n_members}), got {members.min()} to {members.max()}")
         cols = slice(None) if self.n_members == 1 else members
         values = np.empty((self.n_slots + 1, n))
         read = self.input_slots

@@ -21,8 +21,9 @@ its total exactly fixed and its values nonnegative by construction.
 A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
 worlds on one shared obstacle layout, advanced by the same array
 operations as a single lattice, which is the P = 1 case. A step never
-raises for an unstable lattice: it returns each member's failure record,
-and the simulation decides what a failure ends.
+raises for an unstable lattice: it returns every member as stepped, with
+its failure record, and knows no step numbers: the simulation stamps the
+step and decides what a failure ends.
 
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
@@ -79,7 +80,7 @@ _INF_BITS = np.float64(np.inf).view(np.uint64)
 
 @dataclass(frozen=True)
 class FluidFailure:
-    """Why, where and at which step a lattice became unstable."""
+    """Why, where and at which step (the simulation's stamp) a lattice became unstable."""
 
     reason: str
     x: int
@@ -100,7 +101,7 @@ class Lattice:
     tau: float = 0.8
 
     def __post_init__(self):
-        if self.tau <= 0.5:
+        if not self.tau > 0.5:
             raise ValueError(f"tau must exceed 0.5 for BGK stability, got {self.tau}")
         if self.f.ndim not in (3, 4) or self.f.shape[-3] != 9:
             raise ValueError(f"f must have shape (9, H, W) or (P, 9, H, W), got {self.f.shape}")
@@ -206,7 +207,7 @@ def macroscopic(lat: Lattice) -> MacroscopicFields:
     return MacroscopicFields(rho=rho[0], u=u[0])
 
 
-def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray, step_index: int | None = None):
+def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray):
     """One inject -> collide -> stream -> bounce-back cycle.
 
     ``obstacles`` is the obstacle grid or its ``Walls``. ``sources`` is the
@@ -217,8 +218,8 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray, step_
 
     Returns ``(lattice, failures)``. A lattice fails on negative or
     non-finite populations or |u| > 0.3; ``failures[p]`` is member p's
-    FluidFailure or None (one entry for a single lattice), and a failed
-    member's populations come back unchanged.
+    FluidFailure or None (one entry for a single lattice), with ``step``
+    None. A failed member's populations come back as stepped.
     """
     walls = walls_of(obstacles)
     grid = lat.f.shape[-2:]
@@ -233,7 +234,7 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray, step_
     # true for every value but +-0.0, NaN included
     if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):
         raise ValueError("sources must be zero on obstacle cells")
-    new, failures = _step_batch(f, walls, src, lat.tau, step_index)
+    new, failures = _step_batch(f, walls, src, lat.tau)
     return Lattice(new[0] if single else new, lat.tau), failures
 
 
@@ -337,7 +338,7 @@ def _collide(s: _Scratch, tau: float) -> None:
     f += relax
 
 
-def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, step_index):
+def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
     n = len(f0)
     s = _scratch(f0.shape)
     f = s.f
@@ -355,7 +356,7 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, step_index):
     for p in np.flatnonzero(np.sqrt(np.fmax.reduce(usq, axis=(1, 2))) > U_MAX):
         speed = np.sqrt(usq[p])
         y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
-        failures[p] = FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y), step_index)
+        failures[p] = FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y))
 
     _collide(s, tau)
     new = np.take(s.lattice, s.stream_gather(walls)).reshape(f0.shape)
@@ -370,13 +371,10 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, step_index):
         lo = member.min()
         if not (np.isfinite(lo) and np.isfinite(member.max())):
             _, y, x = np.unravel_index(int(np.argmax(~np.isfinite(member))), member.shape)
-            failures[p] = FluidFailure("non-finite population", int(x), int(y), step_index)
+            failures[p] = FluidFailure("non-finite population", int(x), int(y))
         elif lo < NEGATIVE_TOL:
             _, y, x = np.unravel_index(int(np.argmin(member)), member.shape)
-            failures[p] = FluidFailure(f"negative population {lo:.3e}", int(x), int(y), step_index)
-    failed = [p for p, fail in enumerate(failures) if fail is not None]
-    if failed:
-        new[failed] = f0[failed]
+            failures[p] = FluidFailure(f"negative population {lo:.3e}", int(x), int(y))
     return new, failures
 
 

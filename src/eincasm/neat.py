@@ -65,7 +65,7 @@ class EvolutionConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
-        if self.weight_perturb_std < 0:
+        if not self.weight_perturb_std >= 0:
             raise ValueError(f"weight_perturb_std must be >= 0, got {self.weight_perturb_std}")
         if not 0.0 < self.survival_fraction <= 1.0:
             raise ValueError("survival_fraction must lie in (0, 1]")

@@ -54,15 +54,15 @@ class PhysicsParams:
     m_min: float = 1e-4
 
     def __post_init__(self):
-        if min(self.alpha, self.gamma, self.kappa, self.poison_rate) < 0:
+        if not all(value >= 0 for value in (self.alpha, self.gamma, self.kappa, self.poison_rate)):
             raise ValueError("alpha, gamma, kappa, poison_rate must be nonnegative")
-        if self.v_min <= 0:  # an empty reservoir's pressure would be 0/0
+        if not self.v_min > 0:  # an empty reservoir's pressure would be 0/0
             raise ValueError(f"v_min must be positive, got {self.v_min}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if min(self.delta_r_max, self.delta_m_max, self.rho_cap) <= 0:
+        if not all(cap > 0 for cap in (self.delta_r_max, self.delta_m_max, self.rho_cap)):
             raise ValueError("caps must be positive")
-        if self.m_min <= 0:
+        if not self.m_min > 0:
             raise ValueError(f"m_min must be positive, got {self.m_min}")
 
 

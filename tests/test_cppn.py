@@ -452,6 +452,14 @@ class TestStackedPlan:
         with pytest.raises(GenomeError):
             plan.evaluate_batch(x, [0, 1])
 
+    @pytest.mark.parametrize("member", [-1, 3])
+    def test_member_ids_outside_the_plan_are_refused(self, member):
+        """-1 would wrap to the last member and 3 would index past it."""
+        rng = np.random.default_rng(3)
+        plan = compile_genome([random_genome(rng) for _ in range(3)])
+        with pytest.raises(GenomeError, match=r"member ids must lie in \[0, 3\), got"):
+            plan.evaluate_batch(np.zeros((2, plan.n_inputs)), [0, member])
+
     def test_compiled_sizes_must_agree(self):
         with pytest.raises(GenomeError):
             compile_genome([tiny_genome(1), tiny_genome(2)])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +30,7 @@ from eincasm.lifecycle import (
     seed_organism,
     validate_schedule,
 )
+from eincasm.neat import EvolutionConfig
 from eincasm.physics import PhysicsParams
 from eincasm.substrate import GridShape, Statics, create_world, total_mass, total_nutrient
 from test_substrate import channel_stack
@@ -357,6 +359,36 @@ class TestRunLifecycle:
             schedule=((3, RemoveFood(Rect(1, 1))),),
         )
         assert read_section("lifecycle", LifecycleConfig(), json.loads(json.dumps(write_value(cfg)))) == cfg
+
+
+NAN = float("nan")
+
+
+def arena(kind="open_arena", **fields):
+    return generate(EnvSpec(kind=kind, shape=GridShape(16, 16), **fields))
+
+
+BOUNDED_FLOATS = {
+    **{f"PhysicsParams.{name}": partial(PhysicsParams, **{name: NAN}) for name in PhysicsParams.__dataclass_fields__},
+    **{f"LifecycleConfig.{name}": partial(LifecycleConfig, **{name: NAN})
+       for name in ("p_update", "seed_mass", "seed_nutrient", "tau")},
+    **{f"EvolutionConfig.{name}": partial(EvolutionConfig, **{name: NAN})
+       for name in ("weight_mutation_rate", "weight_perturb_std", "add_node_rate", "add_connection_rate",
+                    "disable_rate", "survival_fraction")},
+    "Lattice.tau": partial(fluid.Lattice, np.zeros((9, 3, 3)), tau=NAN),
+    "EnvSpec.chemo_decay": partial(arena, chemo_decay=NAN),
+    "EnvSpec.food": partial(arena, food=((Rect(1, 1), NAN),)),
+    "EnvSpec.poison": partial(arena, poison=((Rect(1, 1), NAN),)),
+    "EnvSpec.false_peak_amplitude": partial(arena, "deceptive_chemo", params=(("false_peak_amplitude", NAN),)),
+}
+
+
+@pytest.mark.parametrize("field", BOUNDED_FLOATS)
+def test_nan_fails_every_bounded_float_field(field):
+    """Each bound on a float field is written so that NaN fails it: with
+    m_min NaN, say, no cell would ever be active and nothing would say so."""
+    with pytest.raises(ValueError, match="must"):
+        BOUNDED_FLOATS[field]()
 
 
 class TestWorldInvariantsThroughout:
