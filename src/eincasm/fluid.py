@@ -353,7 +353,7 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
     failures: list[FluidFailure | None] = [None] * n
     # sqrt is monotone: a member's fastest cell exceeds U_MAX exactly when
     # some cell does (fmax skips NaN, as the comparison does)
-    for p in np.flatnonzero(np.sqrt(np.fmax.reduce(usq, axis=(1, 2))) > U_MAX):
+    for p in (np.sqrt(np.fmax.reduce(usq, axis=(1, 2))) > U_MAX).nonzero()[0]:
         speed = np.sqrt(usq[p])
         y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
         failures[p] = FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y))
@@ -364,7 +364,7 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
     # One pass flags every member holding a negative or non-finite
     # population (and -0.0 or a negative above NEGATIVE_TOL, which the
     # diagnosis then clears); only flagged members are diagnosed.
-    for p in np.flatnonzero(new.reshape(n, -1).view(np.uint64).max(axis=1) >= _INF_BITS):
+    for p in (new.reshape(n, -1).view(np.uint64).max(axis=1) >= _INF_BITS).nonzero()[0]:
         if failures[p] is not None:
             continue
         member = new[p]
@@ -432,7 +432,7 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -
     """
     n, u = (np.asarray(a, dtype=np.float64) for a in (n, u))
     walls = walls_of(obstacles)
-    u_max = float(np.max(np.abs(u), initial=0.0))
+    u_max = float(np.abs(u).max(initial=0.0))
     if u_max > CFL_LIMIT:
         raise ValueError(f"CFL violated: max|u| = {u_max:.3f} > 0.5")
 

@@ -250,7 +250,8 @@ class Simulation:
     ``phenotype`` is the population's one compiled plan, column m holding
     member m's network: it evaluates the selected cells of every member in
     one call per step. Cells perceive only the slots some member's plan
-    reads (its ``input_slots``); the other input columns stay 0.
+    reads (its ``input_slots``); the other input columns are left
+    unfilled, since the plan reads no other.
     Row m of ``worlds`` and ``lattices`` is member m for the whole run. A
     member whose fluid fails, by ``fluid.step``'s screen or by a velocity
     above advection's CFL bound, records its FluidFailure in ``failures``
@@ -260,16 +261,19 @@ class Simulation:
     other member's bits change. Rest fluid is not an exact fixed point of
     ``fluid.step`` (it drifts by up to 1.1e-16 in 50 steps), but nothing
     reads the row: ``member_world`` is the frozen copy. The batch keeps its
-    shape, so ``fluid``'s per-shape work arrays serve the whole run.
+    shape, so ``fluid``'s per-shape work arrays serve the whole run, and a
+    running member's view of its row, built on first request, serves it
+    too.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
     once into ``walls``, whose ``free`` mask bounds the active set, and
-    again only after a MoveObstacle. The events of a step are the entries
-    of ``cfg.schedule`` at ``step_index``, in their order. After an event
-    that changes food or obstacles, the chemoattractant is recomputed in
-    place by the arena's own rule, ``arena_chemo`` of ``spec``, so a
-    deceptive arena keeps its false peak.
+    again only after a MoveObstacle. The schedule is indexed by step once:
+    the events of a step are the entries of ``cfg.schedule`` at
+    ``step_index``, in schedule order, and a step with none skips every
+    event check. After an event that changes food or obstacles, the
+    chemoattractant is recomputed in place by the arena's own rule,
+    ``arena_chemo`` of ``spec``, so a deceptive arena keeps its false peak.
 
     Confined to one logical thread. ``start_evaluation`` builds every
     seeded run: ``run_population``'s, and the one-member runs of the test
@@ -279,6 +283,8 @@ class Simulation:
 
     def __init__(self, genomes, bundle: EnvBundle, params: PhysicsParams, cfg: LifecycleConfig, step_seed):
         genomes = list(genomes) if isinstance(genomes, (list, tuple)) else [genomes]
+        if not genomes:
+            raise LifecycleError("need at least one genome")
         k_hidden = genomes[0].k_hidden
         if any(genome.n_inputs != io_sizes(k_hidden)[0] for genome in genomes):
             raise LifecycleError(f"every member must read {k_hidden} hidden channels")
@@ -290,12 +296,15 @@ class Simulation:
         self.cfg = cfg
         self.rngs = [np.random.default_rng(step_seed) for _ in genomes]
         validate_schedule(self.worlds, cfg.schedule)
+        self._events: dict[int, list[PerturbationEvent]] = {}  # step -> its events, in schedule order
+        for step, event in cfg.schedule:
+            self._events.setdefault(step, []).append(event)
         self.spec = bundle.spec  # the arena's spec: its chemoattractant rule
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         at_rest = fluid.uniform_lattice(world.obstacle)
         self.lattices = fluid.Lattice(np.repeat(at_rest[None], len(genomes), axis=0), cfg.tau)
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
-        self._frozen: dict[int, WorldState] = {}
+        self._member_worlds: dict[int, WorldState] = {}  # built on first request; replaced by the frozen copy
         self.step_index = 0
 
     @property
@@ -304,9 +313,13 @@ class Simulation:
         return [member for member, failure in enumerate(self.failures) if failure is None]
 
     def member_world(self, member: int) -> WorldState:
-        """A member's world: views of its row while it runs, or the copy
-        frozen when its fluid failed."""
-        return self._frozen[member] if member in self._frozen else self.worlds.member(member)
+        """A member's world: one WorldState viewing its row while it runs,
+        built on the first request and the same object on every later one,
+        or the copy frozen when its fluid failed."""
+        world = self._member_worlds.get(member)
+        if world is None:
+            world = self._member_worlds[member] = self.worlds.member(member)
+        return world
 
     @property
     def world(self) -> WorldState:
@@ -340,12 +353,12 @@ class Simulation:
 
         rho_src = np.zeros(worlds.mass.shape)
         if len(sel_y):
-            inputs = np.zeros((len(sel_y), self.phenotype.n_inputs))
+            inputs = np.empty((len(sel_y), self.phenotype.n_inputs))  # evaluate_batch reads only input_slots
             read = self.phenotype.input_slots
             inputs[:, read] = perceive_cells(worlds, sel_y, sel_x, sel_m, read)
             outputs = self.phenotype.evaluate_batch(inputs, sel_m)
             k = worlds.k_hidden
-            worlds.hidden[sel_m, :, sel_y, sel_x] = np.clip(outputs[:, :k], -1.0, 1.0)
+            worlds.hidden[sel_m, :, sel_y, sel_x] = outputs[:, :k].clip(-1.0, 1.0)
             dr_des, dm_des = physics.squash_outputs(outputs[:, k], outputs[:, k + 1], p)
             r_before = worlds.reservoir[cells]
             delta_r, m_new, r_new, n_new = physics.constrain(
@@ -362,7 +375,7 @@ class Simulation:
             worlds.reservoir[cells] = r_new
             worlds.nutrient[cells] = n_new
             rho = physics.reservoir_pressure(r_before, delta_r, p)
-            rho_src[cells] = np.clip(rho, -p.rho_cap, p.rho_cap)
+            rho_src[cells] = rho.clip(-p.rho_cap, p.rho_cap)
 
         self.lattices, failures = fluid.step(self.lattices, self.walls, rho_src)
         for member, failure in enumerate(failures):
@@ -370,7 +383,7 @@ class Simulation:
                 self._freeze(member, failure)
         velocity = fluid.macroscopic(self.lattices).u
         # advect_scalar's own test: a member above its CFL bound fails, and its quiet row carries nothing
-        for member in np.flatnonzero(np.abs(velocity).max(axis=(1, 2, 3)) > fluid.CFL_LIMIT):
+        for member in (np.abs(velocity).max(axis=(1, 2, 3)) > fluid.CFL_LIMIT).nonzero()[0]:
             speed = np.abs(velocity[member]).max(axis=0)
             y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
             reason = f"velocity component {speed[y, x]:.3f} exceeds the CFL bound 0.5"
@@ -378,13 +391,14 @@ class Simulation:
             velocity[member] = 0.0
         worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
 
-        events = [event for step, event in self.cfg.schedule if step == self.step_index]
-        for event in events:
-            apply_perturbation(worlds, event)
-        if any(isinstance(event, MoveObstacle) for event in events):
-            self._reconcile_lattice(self.walls.solid)
-        if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in events):
-            worlds.chemo[...] = arena_chemo(self.spec, worlds.food, worlds.obstacle)
+        events = self._events.get(self.step_index)
+        if events:
+            for event in events:
+                apply_perturbation(worlds, event)
+            if any(isinstance(event, MoveObstacle) for event in events):
+                self._reconcile_lattice(self.walls.solid)
+            if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in events):
+                worlds.chemo[...] = arena_chemo(self.spec, worlds.food, worlds.obstacle)
         self.step_index += 1
 
     def _freeze(self, member: int, failure: FluidFailure) -> None:
@@ -393,7 +407,7 @@ class Simulation:
         obstacle move vacates refill at rest."""
         self.failures[member] = replace(failure, step=self.step_index)
         world = self.worlds.member(member)
-        self._frozen[member] = world.copy()
+        self._member_worlds[member] = world.copy()
         for channel in (world.mass, world.reservoir, world.nutrient, world.hidden):
             channel[...] = 0.0
         self.lattices.f[member] = fluid.uniform_lattice(world.obstacle)
@@ -415,15 +429,17 @@ class Simulation:
         so steps+1 values unless its fluid failed.
 
         ``observer(sim)`` is called after every step that leaves a member
-        running; the run ends early once every member has failed.
+        running; the run ends early once every member has failed. The
+        running members are found once per step.
         """
         curves = [[float(total)] for total in self.worlds.mass.sum(axis=(1, 2))]
         for _ in range(steps):
             self.step()
-            if not self.running:
+            running = self.running
+            if not running:
                 break
             totals = self.worlds.mass.sum(axis=(1, 2))
-            for member in self.running:
+            for member in running:
                 curves[member].append(float(totals[member]))
             if observer is not None:
                 observer(self)

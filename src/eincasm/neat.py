@@ -65,8 +65,11 @@ class EvolutionConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
-        if not self.weight_perturb_std >= 0:
-            raise ValueError(f"weight_perturb_std must be >= 0, got {self.weight_perturb_std}")
+        for name in ("c1", "c2", "c3", "weight_perturb_std"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.compatibility_threshold > 0:
+            raise ValueError(f"compatibility_threshold must be > 0, got {self.compatibility_threshold}")
         if not 0.0 < self.survival_fraction <= 1.0:
             raise ValueError("survival_fraction must lie in (0, 1]")
         if self.elitism < 0 or self.stagnation_limit < 1:

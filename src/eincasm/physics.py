@@ -133,7 +133,7 @@ def constrain(mass, reservoir, nutrient, food, poison, dr_desired, dm_desired, p
     budget = m / p.alpha if p.alpha > 0 else np.full_like(m, np.inf)
     hi = np.minimum(budget, np.maximum(p.kappa * m - r, 0.0) / (1.0 + p.kappa * p.alpha))
     lo = -np.minimum(r, budget)
-    dr_applied = np.clip(dr_des, lo, hi)
+    dr_applied = dr_des.clip(lo, hi)
     m -= p.alpha * np.abs(dr_applied)
     m = np.maximum(m, 0.0)  # exact-budget payments can leave -1e-17 dust
     r = r + dr_applied

@@ -203,6 +203,8 @@ class TestEvolveCommand:
             pytest.param("lifecycle", "schedule", [[-1, {"kind": "remove_food", "region": [7, 5, 1, 1]}]],
                          id="lifecycle-schedule-step-negative"),
             ("evolution", "weight_perturb_std", -0.5),
+            ("evolution", "compatibility_threshold", -1),
+            ("evolution", "c2", -1),
             ("physics", "v_min", 0),
             ("physics", "m_min", 0),
             ("io", "log_level", "quite"),

@@ -11,7 +11,7 @@ import pytest
 from eincasm import fluid
 from eincasm.config import read_section
 from eincasm.cppn import ConnectionGene, empty_genome
-from eincasm.environments import EnvSpec, Rect, generate
+from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
 from eincasm.fileio import read_value, write_value
 from eincasm.harness import chemotaxis_baseline
 from eincasm.lifecycle import (
@@ -273,6 +273,44 @@ class TestPerturbations:
         for ev in events:
             assert read_value("event", json.loads(json.dumps(write_value(ev))), PerturbationEvent) == ev
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            pytest.param(((6, DegradeCells(Rect(4, 1, 2, 3), 0.5)), (6, MoveObstacle(1, (1, 0)))), id="degrade-then-move"),
+            pytest.param(((6, MoveObstacle(1, (1, 0))), (6, DegradeCells(Rect(4, 1, 2, 3), 0.5))), id="move-then-degrade"),
+            pytest.param(
+                ((11, DegradeCells(Rect(2, 2, 6, 4), 0.3)), (4, MoveObstacle(1, (1, 0))),
+                 (11, MoveObstacle(1, (0, 1))), (2, RemoveFood(Rect(7, 3, 1, 2))), (11, DegradeCells(Rect(5, 2, 2, 4), 0.7))),
+                id="out-of-step-order",
+            ),
+        ],
+    )
+    def test_events_fire_at_their_step_in_schedule_order(self, schedule):
+        """A run with a schedule equals one without it that applies, after
+        each step s, the events at s through ``apply_perturbation`` in
+        schedule order, then resolves the moved walls and the
+        chemoattractant once: bit for bit, at every step."""
+        spec = EnvSpec(kind="open_arena", shape=GridShape(10, 8), food=((Rect(7, 3, 2, 2), 3.0),),
+                       obstacles=(Rect(4, 1, 1, 3),), seed_cell=(2, 4))
+        genomes = [chemotaxis_baseline(4), grower_genome()]
+        sim = build_simulation(genomes, generate(spec), PhysicsParams(), default_cfg(p_update=0.7, schedule=schedule), 3)
+        ref = build_simulation(genomes, generate(spec), PhysicsParams(), default_cfg(p_update=0.7), 3)
+        for step in range(20):
+            sim.step()
+            ref.step()
+            events = [event for at, event in schedule if at == step]
+            solid_before = ref.walls.solid
+            for event in events:
+                apply_perturbation(ref.worlds, event)
+            if any(isinstance(event, MoveObstacle) for event in events):
+                ref._reconcile_lattice(solid_before)
+            if any(isinstance(event, (RemoveFood, MoveObstacle)) for event in events):
+                ref.worlds.chemo[...] = arena_chemo(spec, ref.worlds.food, ref.worlds.obstacle)
+            assert sim.worlds.store.tobytes() == ref.worlds.store.tobytes()
+            assert sim.lattices.f.tobytes() == ref.lattices.f.tobytes()
+            assert sim.failures == ref.failures
+        assert sim.running == [0, 1]
+
     def test_scheduled_removal_recomputes_chemo(self):
         spec = open_spec(w=10, h=10, food=((Rect(7, 7), 3.0),), seed_cell=(2, 2))
         bundle = generate(spec)
@@ -286,6 +324,12 @@ class TestPerturbations:
 
 
 class TestRunLifecycle:
+    def test_no_genome_is_refused(self):
+        with pytest.raises(LifecycleError, match="need at least one genome"):
+            Simulation([], generate(open_spec()), PhysicsParams(), default_cfg(), 1)
+        with pytest.raises(LifecycleError, match="need at least one genome"):
+            run_population([], [open_spec()], PhysicsParams(), default_cfg(), 1)
+
     def test_inert_genome_keeps_seed_mass(self):
         rec = run_lifecycle(empty_genome(4), open_spec(), PhysicsParams(), default_cfg(), 3)
         assert rec.fitness == pytest.approx(1.0)
@@ -373,8 +417,8 @@ BOUNDED_FLOATS = {
     **{f"LifecycleConfig.{name}": partial(LifecycleConfig, **{name: NAN})
        for name in ("p_update", "seed_mass", "seed_nutrient", "tau")},
     **{f"EvolutionConfig.{name}": partial(EvolutionConfig, **{name: NAN})
-       for name in ("weight_mutation_rate", "weight_perturb_std", "add_node_rate", "add_connection_rate",
-                    "disable_rate", "survival_fraction")},
+       for name in ("c1", "c2", "c3", "compatibility_threshold", "weight_mutation_rate", "weight_perturb_std",
+                    "add_node_rate", "add_connection_rate", "disable_rate", "survival_fraction")},
     "Lattice.tau": partial(fluid.Lattice, np.zeros((9, 3, 3)), tau=NAN),
     "EnvSpec.chemo_decay": partial(arena, chemo_decay=NAN),
     "EnvSpec.food": partial(arena, food=((Rect(1, 1), NAN),)),
@@ -389,6 +433,16 @@ def test_nan_fails_every_bounded_float_field(field):
     m_min NaN, say, no cell would ever be active and nothing would say so."""
     with pytest.raises(ValueError, match="must"):
         BOUNDED_FLOATS[field]()
+
+
+@pytest.mark.parametrize("field, value", [("c1", -1.0), ("c2", -1e-12), ("c3", -0.4),
+                                          ("compatibility_threshold", -1.0), ("compatibility_threshold", 0.0)])
+def test_evolution_config_refuses_a_negative_coefficient_or_threshold(field, value):
+    """The compatibility coefficients are >= 0 and the threshold > 0: with
+    a threshold <= 0 no distance falls below it, so every member would be
+    a species of its own."""
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        EvolutionConfig(**{field: value})
 
 
 class TestWorldInvariantsThroughout:

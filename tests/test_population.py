@@ -428,6 +428,33 @@ def test_a_velocity_above_the_cfl_bound_fails_its_member_alone():
         assert curves[0] == curves[1] and bits(record.fitness) == bits(alone.fitness) and record == alone
 
 
+def test_a_member_world_is_one_view_until_its_member_fails():
+    """``member_world`` hands out one WorldState per running member, which
+    shows every write of every step; once the member breaks the CFL bound
+    it hands out the frozen copy, which no later step changes."""
+    params, cfg = replace(harness_physics(), rho_cap=5.0), harness_lifecycle(t=30)
+    rng = np.random.default_rng(2)
+    genomes = [random_genome(rng), chemotaxis_baseline(K), wide_genome(rng)]
+    sim, _ = start_evaluation(genomes, generate(corridor_spec()), params, cfg, 0, 1)
+    views = [sim.member_world(m) for m in range(3)]
+    assert sim.world is views[0]
+    frozen = None
+    for _ in range(10):
+        sim.step()
+        assert sim.world is sim.world is views[0]
+        for m in sim.running:
+            assert sim.member_world(m) is views[m]
+            assert channel_stack(views[m]).tobytes() == channel_stack(sim.worlds.member(m)).tobytes()
+        if frozen is None and sim.failures[1] is not None:
+            frozen = sim.member_world(1)
+            frozen_bits = channel_stack(frozen).tobytes()
+            assert frozen is not views[1] and not np.shares_memory(frozen.mass, sim.worlds.store)
+        if frozen is not None:
+            assert sim.member_world(1) is frozen and channel_stack(frozen).tobytes() == frozen_bits
+    assert sim.running == [0, 2] and sim.failures[1].step == 2
+    assert channel_stack(views[0]).tobytes() != channel_stack(views[2]).tobytes()
+
+
 @lru_cache(maxsize=1)
 def grown_genomes() -> tuple:
     """16 genomes grown six generations at high structural rates, under
