@@ -198,6 +198,8 @@ def load_battery(path: str):
         raise ConfigError(f"battery {path}: 'tests' must be a non-empty array, got {entries!r}")
     try:
         k_expected = json_scalar("k_hidden", data.get("k_hidden", harness.DEFAULT_K_HIDDEN), int)
+        if k_expected < 1:
+            raise ConfigError(f"'k_hidden' must be >= 1, got {k_expected}")
         tests = []
         for entry in entries:
             if not isinstance(entry, dict) or set(entry) - {"name", "env"}:

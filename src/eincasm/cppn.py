@@ -405,6 +405,8 @@ def compile_genome(genomes) -> Phenotype:
     row of member m gets the bits one full loop would give it.
     """
     genomes = [genomes] if isinstance(genomes, Genome) else list(genomes)
+    if not genomes:
+        raise GenomeError("need at least one genome to compile")
     n_inputs, n_outputs = genomes[0].n_inputs, genomes[0].n_outputs
     if any((g.n_inputs, g.n_outputs) != (n_inputs, n_outputs) for g in genomes):
         raise GenomeError("compiled genomes must share their input and output sizes")

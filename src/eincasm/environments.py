@@ -289,8 +289,8 @@ def _place(spec: EnvSpec, walls: np.ndarray, food_rects) -> tuple[np.ndarray, np
     food, poison = np.zeros(spec.shape.yx), np.zeros(spec.shape.yx)
     for name, rects, field in (("food", food_rects, food), ("poison", spec.poison, poison)):
         for rect, amount in rects:
-            if not amount > 0:
-                raise EnvError(f"{name} amount must be positive, got {amount}")
+            if not 0 < amount < np.inf:
+                raise EnvError(f"{name} amount must be {'finite' if amount == np.inf else 'positive'}, got {amount}")
             if not rect.within(spec.shape):
                 raise EnvError(f"{name} region {rect} out of bounds")
             sl = rect.slices()

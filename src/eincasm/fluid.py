@@ -28,21 +28,25 @@ step and decides what a failure ends.
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
 either the obstacle grid or its ``Walls``, so a caller that keeps its
-``Walls`` resolves the layout only when it changes. Streaming with
-bounce-back is one gather and advection's closed faces are one array of
-flat face indices per axis, both precomputed once per layout from the
-``substrate.neighbours`` table. Each member's post-collision populations
-are followed by one zero slot, and every obstacle cell's destinations
-gather from that slot, so obstacle cells of a stepped lattice are
-exactly 0.0 whatever the input held there, with no masked write.
+``Walls`` resolves the layout only when it changes. Advection's closed
+faces are one array of flat face indices per axis, which ``Walls``
+builds once per layout from the ``substrate.neighbours`` table.
+Streaming with bounce-back is one gather over the whole batch, which the
+step's work arrays build from the same table and the layout's ``solid``
+mask. The batch's post-collision populations are followed by one zero
+slot, and every obstacle cell's destinations gather from that slot, so
+obstacle cells of a stepped lattice are exactly 0.0 whatever the input
+held there, with no masked write.
 
 Work arrays: a step's intermediates (the injected and collided lattice
 with its zero slot, the moments and the collision terms) live in scratch
 arrays that the next step reuses instead of allocating them again, as
-long as the batch keeps its shape. Each thread holds its own set, for
-the shape it stepped last, so concurrent steps on different threads
-never share them; within a thread a step runs to completion before the
-next one starts. A step allocates only the lattice it returns.
+long as the batch keeps its shape. The scratch also builds and holds the
+batch's streaming gather, until the layout or the batch shape changes.
+Each thread holds its own set, for the shape it stepped last, so
+concurrent steps on different threads never share them; within a thread
+a step runs to completion before the next one starts. A step allocates
+only the lattice it returns.
 """
 
 from __future__ import annotations
@@ -101,8 +105,8 @@ class Lattice:
     tau: float = 0.8
 
     def __post_init__(self):
-        if not self.tau > 0.5:
-            raise ValueError(f"tau must exceed 0.5 for BGK stability, got {self.tau}")
+        if not 0.5 < self.tau < np.inf:
+            raise ValueError(f"tau must be finite and exceed 0.5 for BGK stability, got {self.tau}")
         if self.f.ndim not in (3, 4) or self.f.shape[-3] != 9:
             raise ValueError(f"f must have shape (9, H, W) or (P, 9, H, W), got {self.f.shape}")
 
@@ -115,39 +119,15 @@ class MacroscopicFields:
 
 class Walls:
     """One obstacle layout, ``solid`` (H, W), its complement ``free``, and
-    the arrays streaming and advection derive from it, built by
-    ``walls_of``."""
+    advection's ``closed_faces``, built by ``walls_of``. Streaming's gather
+    depends on the batch shape too, so the step's scratch builds and holds
+    it (``_Scratch.stream_gather``)."""
 
     def __init__(self, solid: np.ndarray):
         self.solid = solid
         self.free = ~solid
         self.free.flags.writeable = False  # shared by every simulation on this layout, as solid is
         self.any_solid = bool(solid.any())
-
-    @cached_property
-    def stream_gather(self) -> np.ndarray:
-        """Flat source index of every post-streaming population of one
-        (9, H, W) lattice: streamed.flat[k] = f.flat[stream_gather[k]],
-        where f is followed by one zero slot at index 9 H W.
-
-        A free cell receives direction i from its upstream neighbour
-        (cell - e_i, the neighbour table's row for offset -e_i) when that
-        neighbour is in the grid and free; otherwise it receives its own
-        opposite population, bounced back in place. An obstacle cell reads
-        the zero slot. Each destination thus takes exactly one population,
-        so the gather is exact: shifting and adding would only add zeros to
-        it. No free cell reads an obstacle cell's population, so whatever
-        collision left there never propagates.
-        """
-        h, w = self.solid.shape
-        size = h * w
-        upstream = neighbours(h, w)[(1 - EY) * 3 + 1 - EX]  # the neighbour at -e_i, per direction
-        blocked = np.append(self.solid.reshape(size), True)[upstream]  # off-grid blocks too
-        direction = np.arange(9)[:, None]
-        gather = np.where(blocked, OPPOSITE[:, None] * size + np.arange(size), direction * size + upstream)
-        gather[:, self.solid.reshape(size)] = 9 * size
-        gather.flags.writeable = False  # shared by every simulation on this layout
-        return gather.ravel()
 
     @cached_property
     def closed_faces(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +139,7 @@ class Walls:
         faces = tuple(np.flatnonzero(blocked[: h * w - k] | blocked[neighbours(h, w)[row, : h * w - k]])
                       for row, k in ((5, 1), (7, w)))
         for closed in faces:
-            closed.flags.writeable = False  # shared, as stream_gather is
+            closed.flags.writeable = False  # shared by every simulation on this layout
         return faces
 
 
@@ -241,7 +221,10 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray):
 class _Scratch:
     """The work arrays of one step of a (P, 9, H, W) batch, laid out
     direction-major, (9, P, H, W), so that each collision operation runs
-    over whole contiguous arrays."""
+    over whole contiguous arrays, and the batch's streaming gather, built
+    from the layout of the last step and rebuilt when it changes. The
+    gather is a writeable array of the scratch's own: ``np.take`` copies a
+    read-only index array on every call."""
 
     def __init__(self, shape: tuple[int, int, int, int]):
         self.shape = shape
@@ -259,17 +242,27 @@ class _Scratch:
         self.gather = np.empty(0, dtype=np.intp)
 
     def stream_gather(self, walls: Walls) -> np.ndarray:
-        """The (P, 9 H W) flat source index of every post-streaming
-        population of the batch in ``lattice``: ``walls.stream_gather``
-        moved to each member's place in the direction-major layout, with
-        obstacle destinations at the batch's zero slot."""
+        """The (P, 9 H W) index in ``lattice`` of each post-streaming
+        population of the batch, member-major; built for ``walls`` and kept.
+
+        A free cell takes direction i from its upstream neighbour (cell -
+        e_i, the neighbour table's row for offset -e_i) when that one is in
+        the grid and free, else its own opposite population, bounced back in
+        place; an obstacle cell reads the zero slot. Each destination takes
+        exactly one population, so the gather is exact, and no free cell
+        reads an obstacle cell's population, whatever collision left there.
+        """
         if self.walls is not walls:
             _, n, h, w = self.f.shape
-            size = h * w
-            one = walls.stream_gather
-            direction, cell = np.divmod(one, size)  # the zero slot: direction 9
-            moved = direction * (n * size) + np.arange(n)[:, None] * size + cell
-            self.gather = np.where(direction == 9, 9 * n * size, moved)
+            size, plane = h * w, n * h * w
+            solid = walls.solid.reshape(size)
+            upstream = neighbours(h, w)[(1 - EY) * 3 + 1 - EX]  # the neighbour at -e_i, per direction
+            blocked = np.append(solid, True)[upstream]  # off-grid blocks too
+            bounced = OPPOSITE[:, None] * plane + np.arange(size)  # each cell's own opposite population
+            first = np.where(blocked, bounced, np.arange(9)[:, None] * plane + upstream)  # member 0's sources
+            gather = first + np.arange(n)[:, None, None] * size  # member p's cells sit p H W into each plane
+            gather[:, :, solid] = 9 * plane
+            self.gather = gather.reshape(n, 9 * size)
             self.walls = walls
         return self.gather
 

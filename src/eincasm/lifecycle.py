@@ -107,13 +107,13 @@ class LifecycleConfig:
             raise LifecycleError(f"need 0 < t_min <= t_max, got [{self.t_min}, {self.t_max}]")
         if not 0.0 < self.p_update <= 1.0:
             raise LifecycleError(f"p_update must lie in (0, 1], got {self.p_update}")
-        if not self.tau > 0.5:
-            raise LifecycleError(f"tau must exceed 0.5, got {self.tau}")
+        if not 0.5 < self.tau < np.inf:
+            raise LifecycleError(f"tau must be finite and exceed 0.5, got {self.tau}")
         if self.n_env_evals < 1:
             raise LifecycleError("n_env_evals must be >= 1")
-        for name in ("seed_mass", "seed_nutrient"):  # fields stay nonnegative
-            if not getattr(self, name) >= 0:
-                raise LifecycleError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("seed_mass", "seed_nutrient"):  # fields stay finite and nonnegative
+            if not 0 <= getattr(self, name) < np.inf:
+                raise LifecycleError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for step, _ in self.schedule:  # events run after step s only while s < lifespan <= t_max
             if not 0 <= step < self.t_max:
                 raise LifecycleError(f"schedule step {step} lies outside [0, t_max = {self.t_max}) and never fires")
@@ -497,6 +497,8 @@ def run_population(
     evaluation early, penalizing, never crashing, the driver. A member's
     record does not depend on the others.
     """
+    if not envs:
+        raise LifecycleError("need at least one environment")
     outcomes: list[list[EnvOutcome]] = [[] for _ in genomes]
     for env in envs:
         for e, spec in enumerate(env_evaluations(env, cfg), start=1):

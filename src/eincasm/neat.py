@@ -66,10 +66,10 @@ class EvolutionConfig:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         for name in ("c1", "c2", "c3", "weight_perturb_std"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.compatibility_threshold > 0:
-            raise ValueError(f"compatibility_threshold must be > 0, got {self.compatibility_threshold}")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 < self.compatibility_threshold < np.inf:
+            raise ValueError(f"compatibility_threshold must be finite and > 0, got {self.compatibility_threshold}")
         if not 0.0 < self.survival_fraction <= 1.0:
             raise ValueError("survival_fraction must lie in (0, 1]")
         if self.elitism < 0 or self.stagnation_limit < 1:

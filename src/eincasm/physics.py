@@ -54,16 +54,13 @@ class PhysicsParams:
     m_min: float = 1e-4
 
     def __post_init__(self):
-        if not all(value >= 0 for value in (self.alpha, self.gamma, self.kappa, self.poison_rate)):
-            raise ValueError("alpha, gamma, kappa, poison_rate must be nonnegative")
-        if not self.v_min > 0:  # an empty reservoir's pressure would be 0/0
-            raise ValueError(f"v_min must be positive, got {self.v_min}")
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not all(cap > 0 for cap in (self.delta_r_max, self.delta_m_max, self.rho_cap)):
-            raise ValueError("caps must be positive")
-        if not self.m_min > 0:
-            raise ValueError(f"m_min must be positive, got {self.m_min}")
+        for name in ("alpha", "gamma", "kappa", "poison_rate"):
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        # at v_min = 0 an empty reservoir's pressure would be 0/0
+        for name in ("beta", "v_min", "delta_r_max", "delta_m_max", "rho_cap", "m_min"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def squash_outputs(raw_dr, raw_dm, p: PhysicsParams):

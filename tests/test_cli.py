@@ -678,6 +678,7 @@ class TestTestCommand:
             ("seed", {"tests": [{"name": "detour", "env": {**write_value(detour_spec()), "seed": -1}}]}),
             ("chemo_iters", {"tests": [{"name": "detour", "env": {**write_value(detour_spec()), "chemo_iters": -5}}]}),
             ("m_min", {"physics": {"m_min": 0}, "tests": [{"name": "coordination"}]}),
+            ("k_hidden", {"k_hidden": -1, "tests": [{"name": "coordination"}]}),
         ],
     )
     def test_negative_value_exits_2_naming_it(self, tmp_path, capsys, key, battery):

@@ -10,7 +10,8 @@ import pytest
 
 from eincasm import fluid
 from eincasm.config import read_section
-from eincasm.cppn import ConnectionGene, empty_genome
+from eincasm.cppn import ConnectionGene, GenomeError, compile_genome, empty_genome
+from eincasm.driver import evaluate_population
 from eincasm.environments import EnvSpec, Rect, arena_chemo, generate
 from eincasm.fileio import read_value, write_value
 from eincasm.harness import chemotaxis_baseline
@@ -329,6 +330,13 @@ class TestRunLifecycle:
             Simulation([], generate(open_spec()), PhysicsParams(), default_cfg(), 1)
         with pytest.raises(LifecycleError, match="need at least one genome"):
             run_population([], [open_spec()], PhysicsParams(), default_cfg(), 1)
+        with pytest.raises(GenomeError, match="need at least one genome"):
+            compile_genome([])
+
+    @pytest.mark.parametrize("evaluate", [run_population, evaluate_population])
+    def test_no_environment_is_refused(self, evaluate):
+        with pytest.raises(LifecycleError, match="need at least one environment"):
+            evaluate([empty_genome(4)], [], PhysicsParams(), default_cfg(), 1)
 
     def test_inert_genome_keeps_seed_mass(self):
         rec = run_lifecycle(empty_genome(4), open_spec(), PhysicsParams(), default_cfg(), 3)
@@ -412,27 +420,36 @@ def arena(kind="open_arena", **fields):
     return generate(EnvSpec(kind=kind, shape=GridShape(16, 16), **fields))
 
 
+def setting(make, name):
+    """``make`` called with its field ``name`` set to the one argument."""
+    return lambda value: make(**{name: value})
+
+
 BOUNDED_FLOATS = {
-    **{f"PhysicsParams.{name}": partial(PhysicsParams, **{name: NAN}) for name in PhysicsParams.__dataclass_fields__},
-    **{f"LifecycleConfig.{name}": partial(LifecycleConfig, **{name: NAN})
+    **{f"PhysicsParams.{name}": setting(PhysicsParams, name) for name in PhysicsParams.__dataclass_fields__},
+    **{f"LifecycleConfig.{name}": setting(LifecycleConfig, name)
        for name in ("p_update", "seed_mass", "seed_nutrient", "tau")},
-    **{f"EvolutionConfig.{name}": partial(EvolutionConfig, **{name: NAN})
+    **{f"EvolutionConfig.{name}": setting(EvolutionConfig, name)
        for name in ("c1", "c2", "c3", "compatibility_threshold", "weight_mutation_rate", "weight_perturb_std",
                     "add_node_rate", "add_connection_rate", "disable_rate", "survival_fraction")},
-    "Lattice.tau": partial(fluid.Lattice, np.zeros((9, 3, 3)), tau=NAN),
-    "EnvSpec.chemo_decay": partial(arena, chemo_decay=NAN),
-    "EnvSpec.food": partial(arena, food=((Rect(1, 1), NAN),)),
-    "EnvSpec.poison": partial(arena, poison=((Rect(1, 1), NAN),)),
-    "EnvSpec.false_peak_amplitude": partial(arena, "deceptive_chemo", params=(("false_peak_amplitude", NAN),)),
+    "Lattice.tau": setting(partial(fluid.Lattice, np.zeros((9, 3, 3))), "tau"),
+    "EnvSpec.chemo_decay": setting(arena, "chemo_decay"),
+    "EnvSpec.food": lambda value: arena(food=((Rect(1, 1), value),)),
+    "EnvSpec.poison": lambda value: arena(poison=((Rect(1, 1), value),)),
+    "EnvSpec.false_peak_amplitude": lambda value: arena("deceptive_chemo", params=(("false_peak_amplitude", value),)),
 }
 
 
 @pytest.mark.parametrize("field", BOUNDED_FLOATS)
 def test_nan_fails_every_bounded_float_field(field):
-    """Each bound on a float field is written so that NaN fails it: with
-    m_min NaN, say, no cell would ever be active and nothing would say so."""
-    with pytest.raises(ValueError, match="must"):
-        BOUNDED_FLOATS[field]()
+    """Each bound on a float field is written so that NaN and +-inf fail
+    it, with a message naming the field: with m_min NaN, say, no cell would
+    ever be active and nothing would say so, and alpha = inf would make
+    every fitness NaN."""
+    named = field.split(".")[1].replace("_", "[_ ]")
+    for value in (NAN, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"{named}.* must"):
+            BOUNDED_FLOATS[field](value)
 
 
 @pytest.mark.parametrize("field, value", [("c1", -1.0), ("c2", -1e-12), ("c3", -0.4),
