@@ -159,6 +159,8 @@ def cmd_test(args) -> int:
         params, cfg, k_expected, tests = load_battery(args.battery)
     if genome.k_hidden != k_expected:
         raise ConfigError(f"genome has {genome.k_hidden} hidden channels, battery expects {k_expected}")
+    for name, spec in tests or ():  # a battery file's tests all start before the first one runs
+        harness.start_test(name, genome, params, spec, seed, cfg)
 
     report = harness.run_battery(genome, params, seed, cfg, tests)
 

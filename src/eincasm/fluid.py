@@ -20,10 +20,10 @@ its total exactly fixed and its values nonnegative by construction.
 
 A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
 worlds on one shared obstacle layout, advanced by the same array
-operations as a single lattice, which is the P = 1 case. A step never
-raises for an unstable lattice: it returns every member as stepped, with
-its failure record, and knows no step numbers: the simulation stamps the
-step and decides what a failure ends.
+operations as a single lattice, which is the P = 1 case. Neither a step
+nor advection raises for an unstable member: each returns it, stepped or
+(above the CFL bound) unmoved, with its failure record, and knows no step
+numbers: the simulation stamps the step and decides what a failure ends.
 
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
@@ -371,7 +371,7 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
     return new, failures
 
 
-def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -> np.ndarray:
+def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls):
     """Donor-cell upwind transport of a nonnegative scalar field over one
     lattice time step. ``n`` (H, W) and ``u`` (2, H, W) may carry a
     leading batch axis; ``obstacles`` is the obstacle grid or its ``Walls``.
@@ -379,8 +379,9 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -
     upwind cell donates. Faces touching an obstacle or the grid edge carry
     no flux. Each cell's total outflow is limited to its content, which
     preserves nonnegativity without breaking conservation (the receiving
-    fluxes are scaled identically). Requires the CFL bound
-    max(|ux|, |uy|) <= 0.5.
+    fluxes are scaled identically). Returns ``(field, failures)`` as ``step``
+    does: a member whose max(|ux|, |uy|) breaks the CFL bound 0.5 fails at
+    its first fastest cell, row-major, and stays unmoved; NaN is no failure.
 
     Faces are numbered over the row-major cell axis (..., H W): x-face k
     joins cell k to k + 1 and y-face k cell k to k + W, one pass over the
@@ -424,22 +425,26 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -
     * A zero donor gives zero fluxes, and NaN compares false.
     """
     n, u = (np.asarray(a, dtype=np.float64) for a in (n, u))
-    walls = walls_of(obstacles)
-    u_max = float(np.abs(u).max(initial=0.0))
-    if u_max > CFL_LIMIT:
-        raise ValueError(f"CFL violated: max|u| = {u_max:.3f} > 0.5")
+    size = n.shape[-2] * n.shape[-1]
+    cells, velocity = n.reshape(-1, size), u.reshape(-1, 2, size)  # a row per member, one if unbatched
 
-    cells, velocity = (a.reshape(a.shape[:-2] + (-1,)) for a in (n, u))
+    fastest = np.abs(velocity).max(axis=(1, 2), initial=0.0)  # per member, for the CFL screen and the limiter
+    failures: list[FluidFailure | None] = [None] * len(fastest)
+    broken = (fastest > CFL_LIMIT).nonzero()[0]  # NaN compares false
+    for p in broken:
+        y, x = divmod(int(np.argmax(np.abs(velocity[p]).max(axis=0))), n.shape[-1])
+        failures[p] = FluidFailure(f"velocity component {fastest[p]:.3f} exceeds the CFL bound 0.5", x, y)
 
     # Per axis, the face velocity (zero where closed) times the upwind content.
     faces = []
-    for axis, (stride, closed) in enumerate(zip((1, n.shape[-1]), walls.closed_faces)):
+    for axis, (stride, closed) in enumerate(zip((1, n.shape[-1]), walls_of(obstacles).closed_faces)):
         face_u = 0.5 * (velocity[..., axis, :-stride] + velocity[..., axis, stride:])
         face_u[..., closed] = 0.0
+        face_u[broken] = 0.0  # a member beyond the CFL bound stays where it is
         faces.append((stride, face_u * np.where(face_u > 0, cells[..., :-stride], cells[..., stride:])))
 
     # Limit each donor's total outflow to what it holds, unless it cannot bind.
-    if not u_max <= LIMITER_IDLE_SPEED:  # NaN included
+    if not fastest.max() <= LIMITER_IDLE_SPEED:  # NaN included
         out = np.zeros_like(cells)
         for stride, flux in faces:
             out[..., :-stride] += np.maximum(flux, 0.0)
@@ -453,4 +458,4 @@ def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls) -
     for stride, flux in faces:
         result[..., :-stride] -= flux
         result[..., stride:] += flux
-    return np.maximum(result, 0.0).reshape(n.shape)
+    return np.maximum(result, 0.0).reshape(n.shape), failures

@@ -207,16 +207,26 @@ def _score(name: str, sim: Simulation, curve: list[float], completed_at: int | N
     return TestScore(name, completed_at is not None, completed_at, growth_rate, metrics, iq)
 
 
-def pathfinding_test(
-    genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int, cfg: LifecycleConfig
-) -> TestScore:
+def start_test(name: str, genome: Genome, params: PhysicsParams, spec: EnvSpec | None, seed: int,
+               cfg: LifecycleConfig) -> tuple[Simulation, int, EnvBundle, int]:
+    """Battery test ``name`` as it starts: its simulation, lifespan, arena
+    (spec None: ``coordination_spec()``) and t_r. ``coordination`` removes
+    cluster A at step t_r; any other test, pathfinding, needs a goal."""
+    bundle = build_arena(spec or coordination_spec())
+    lifespan = cfg.lifespan(seed)  # drawn first: the removal joins the schedule the simulation is built with
+    t_r = max(1, int(lifespan * REMOVAL_FRACTION))
+    if name == "coordination" and t_r < lifespan:  # a one-step life never reaches the removal
+        cfg = replace(cfg, schedule=tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),))
+    elif name != "coordination" and bundle.goal is None:
+        raise HarnessError("arena spec carries no goal region")
+    return start_evaluation(genome, bundle, params, cfg, seed, 1)[0], lifespan, bundle, t_r
+
+
+def pathfinding_test(genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int,
+                     cfg: LifecycleConfig) -> TestScore:
     """Seed at the arena's start; complete by placing >= M_GOAL mass on any
     goal cell before the lifespan ends. iq = 1 - steps_to_completion / T."""
-    bundle = build_arena(spec)
-    if bundle.goal is None:
-        raise HarnessError("arena spec carries no goal region")
-    sim, lifespan = start_evaluation(genome, bundle, params, cfg, seed, 1)
-
+    sim, lifespan, bundle, _ = start_test("pathfinding", genome, params, spec, seed, cfg)
     goal_sl = bundle.goal.slices()
     completion_step = None
 
@@ -231,37 +241,29 @@ def pathfinding_test(
     return _score("pathfinding", sim, curve, completion_step, metrics, iq)
 
 
-def coordination_test(
-    genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int, cfg: LifecycleConfig
-) -> TestScore:
+def coordination_test(genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int,
+                      cfg: LifecycleConfig) -> TestScore:
     """Two food clusters; cluster A vanishes at t_r = T * REMOVAL_FRACTION.
 
     redistribution index = (mass in B's half at end - at t_r) / total at t_r;
     completed iff the index exceeds THETA_COORDINATION; iq = clamp(index, 0, 1).
     """
-    bundle = build_arena(spec)
-    lifespan = cfg.lifespan(seed)  # drawn first: the removal joins the schedule the simulation is built with
-    t_r = max(1, int(lifespan * REMOVAL_FRACTION))
-    removal = ((t_r, RemoveFood(bundle.cluster_a)),) if t_r < lifespan else ()  # a one-step life never reaches it
-    cfg = replace(cfg, schedule=tuple(cfg.schedule) + removal)
-    sim, _ = start_evaluation(genome, bundle, params, cfg, seed, 1)
+    sim, lifespan, _, t_r = start_test("coordination", genome, params, spec, seed, cfg)
 
-    half_x = spec.shape.width // 2
-    snapshot = {}
+    def measure(world) -> tuple[float, float]:  # the mass in B's half, and the total
+        return float(world.mass[:, spec.shape.width // 2:].sum()), total_mass(world)
+
+    at_removal = []
 
     def watch(s: Simulation):
         if s.step_index == t_r + 1:
-            snapshot["mass_b"] = float(s.world.mass[:, half_x:].sum())
-            snapshot["total"] = total_mass(s.world)
+            at_removal.append(measure(s.world))
 
     curve = sim.run(lifespan, observer=watch)[0]
-    if "total" not in snapshot:  # run failed before the removal
-        snapshot["mass_b"] = float(sim.world.mass[:, half_x:].sum())
-        snapshot["total"] = total_mass(sim.world)
-    mass_b_end = float(sim.world.mass[:, half_x:].sum())
-    total_r = snapshot["total"]
-    index = (mass_b_end - snapshot["mass_b"]) / total_r if total_r > 0 else 0.0
-    recovery = total_mass(sim.world) / total_r if total_r > 0 else 0.0
+    mass_b_r, total_r = at_removal[0] if at_removal else measure(sim.world)  # else the run failed before the removal
+    mass_b_end, total_end = measure(sim.world)
+    index = (mass_b_end - mass_b_r) / total_r if total_r > 0 else 0.0
+    recovery = total_end / total_r if total_r > 0 else 0.0
     metrics = {"redistribution_index": index, "recovery_ratio": recovery, "removal_step": t_r, "final_mass": curve[-1]}
     completed_at = t_r if index > THETA_COORDINATION else None
     return _score("coordination", sim, curve, completed_at, metrics, float(np.clip(index, 0.0, 1.0)))

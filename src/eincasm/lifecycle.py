@@ -17,8 +17,8 @@ The per-step pipeline (normative order):
 5. the paid reservoir changes of selected cells become capped density
    sources for one fluid step;
 6. nutrient is advected by the resulting velocity field; a member whose
-   velocity breaks advection's CFL bound fails first, as one whose fluid
-   fails the step's own screen does;
+   velocity breaks advection's CFL bound stays unmoved and fails, as one
+   whose fluid fails the step's own screen does, each reported by fluid;
 7. any perturbation scheduled for this step index is applied (with the
    lattice and chemoattractant reconciled afterwards).
 
@@ -253,17 +253,16 @@ class Simulation:
     reads (its ``input_slots``); the other input columns are left
     unfilled, since the plan reads no other.
     Row m of ``worlds`` and ``lattices`` is member m for the whole run. A
-    member whose fluid fails, by ``fluid.step``'s screen or by a velocity
-    above advection's CFL bound, records its FluidFailure in ``failures``
-    and is from then on a frozen copy of its world, holding that step's
-    economy update, and a quiet row: no mass, reservoir, nutrient or
-    hidden state, and fluid at rest, so it never acts or fails again and no
-    other member's bits change. Rest fluid is not an exact fixed point of
-    ``fluid.step`` (it drifts by up to 1.1e-16 in 50 steps), but nothing
-    reads the row: ``member_world`` is the frozen copy. The batch keeps its
-    shape, so ``fluid``'s per-shape work arrays serve the whole run, and a
-    running member's view of its row, built on first request, serves it
-    too.
+    member whose fluid fails, as ``fluid.step`` or ``fluid.advect_scalar``
+    reports it, records its FluidFailure in ``failures`` and is from then
+    on a frozen copy of its world, holding that step's economy update, and
+    a quiet row: no mass, reservoir, nutrient or hidden state, and fluid at
+    rest, so it never acts or fails again and no other member's bits
+    change. Rest fluid is not an exact fixed point of ``fluid.step`` (it
+    drifts by up to 1.1e-16 in 50 steps), but nothing reads the row:
+    ``member_world`` is the frozen copy. The batch keeps its shape, so
+    ``fluid``'s per-shape work arrays serve the whole run, and a running
+    member's view of its row, built on first request, serves it too.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -378,18 +377,10 @@ class Simulation:
             rho_src[cells] = rho.clip(-p.rho_cap, p.rho_cap)
 
         self.lattices, failures = fluid.step(self.lattices, self.walls, rho_src)
-        for member, failure in enumerate(failures):
-            if failure is not None:
-                self._freeze(member, failure)
+        self._freeze(failures)
         velocity = fluid.macroscopic(self.lattices).u
-        # advect_scalar's own test: a member above its CFL bound fails, and its quiet row carries nothing
-        for member in (np.abs(velocity).max(axis=(1, 2, 3)) > fluid.CFL_LIMIT).nonzero()[0]:
-            speed = np.abs(velocity[member]).max(axis=0)
-            y, x = np.unravel_index(int(np.argmax(speed)), speed.shape)
-            reason = f"velocity component {speed[y, x]:.3f} exceeds the CFL bound 0.5"
-            self._freeze(member, FluidFailure(reason, int(x), int(y)))
-            velocity[member] = 0.0
-        worlds.nutrient[...] = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
+        worlds.nutrient[...], failures = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
+        self._freeze(failures)
 
         events = self._events.get(self.step_index)
         if events:
@@ -401,27 +392,26 @@ class Simulation:
                 worlds.chemo[...] = arena_chemo(self.spec, worlds.food, worlds.obstacle)
         self.step_index += 1
 
-    def _freeze(self, member: int, failure: FluidFailure) -> None:
-        """Record a member's failure, stamped with this step, keep a copy of
-        its world, and quiet its row. The fluid rests, not empties: cells an
-        obstacle move vacates refill at rest."""
-        self.failures[member] = replace(failure, step=self.step_index)
-        world = self.worlds.member(member)
-        self._member_worlds[member] = world.copy()
-        for channel in (world.mass, world.reservoir, world.nutrient, world.hidden):
-            channel[...] = 0.0
-        self.lattices.f[member] = fluid.uniform_lattice(world.obstacle)
+    def _freeze(self, failures: list[FluidFailure | None]) -> None:
+        """Settle a fluid stage's failures: each failed member records its
+        own, stamped with this step, keeps its world as the stage left it and
+        goes quiet. Its fluid rests, as cells a moved obstacle vacates do."""
+        for member, failure in enumerate(failures):
+            if failure is not None:
+                self.failures[member] = replace(failure, step=self.step_index)
+                world = self.worlds.member(member)
+                self._member_worlds[member] = world.copy()
+                for channel in (world.mass, world.reservoir, world.nutrient, world.hidden):
+                    channel[...] = 0.0
+                self.lattices.f[member] = fluid.uniform_lattice(world.obstacle)
 
     def _reconcile_lattice(self, solid_before: np.ndarray) -> None:
-        """Resolve the moved obstacle layout. Obstacle moves invalidate
-        fluid state: covered cells lose their populations; vacated cells
-        start again at rest at unit density."""
+        """Resolve the moved obstacle layout. Each changed cell takes the new
+        one's ``fluid.uniform_lattice``: covered cells empty, vacated ones rest
+        at unit density. Unchanged obstacle cells hold +0.0 already."""
         self.walls = fluid.walls_of(self.worlds.obstacle)
-        now_solid = self.walls.solid
-        vacated = solid_before & ~now_solid
-        f = self.lattices.f
-        f[:, :, now_solid] = 0.0
-        f[:, :, vacated] = fluid.WEIGHTS[:, None]
+        changed = solid_before ^ self.walls.solid
+        self.lattices.f[:, :, changed] = fluid.uniform_lattice(self.walls.solid)[:, changed]
 
     def run(self, steps: int, observer=None) -> list[list[float]]:
         """Run up to ``steps`` steps, returning each member's mass curve: the

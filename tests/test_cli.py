@@ -643,6 +643,29 @@ class TestTestCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "battery, message",
+        [
+            ({"tests": [{"name": "coordination"},
+                        {"name": "corridor", "env": {"kind": "open_arena", "shape": [8, 8]}}]},
+             "error: arena spec carries no goal region"),
+            ({"lifecycle": {"seed_cell": [4, 3]}, "tests": [{"name": "coordination"}] + DETOUR_TESTS},
+             "error: 'seed_cell': seed cell (4, 3) is an obstacle"),
+        ],
+        ids=["goal", "seed_cell"],
+    )
+    def test_a_battery_test_that_cannot_start_fails_before_any_runs(self, tmp_path, capsys, monkeypatch, battery,
+                                                                     message):
+        """A later test's arena, goal, seed cell and schedule are checked
+        before the first test runs, with the message its run would give."""
+        monkeypatch.setattr(harness, "run_battery", lambda *args: pytest.fail("a test ran"))
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps(battery))
+        out = tmp_path / "report.json"
+        assert main(["test", write_genome(tmp_path, empty_genome(4)), "--battery", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
     def test_null_battery_env_runs_the_default_arena(self, tmp_path):
         path = tmp_path / "battery.json"
         tests = [{"name": "coordination", "env": None}]

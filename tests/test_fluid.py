@@ -473,7 +473,8 @@ class TestAdvectScalar:
         u = rng.uniform(-limit, limit, batch + (2, h, w))
         edge = grid(bool, u.shape, st.booleans())  # signed zeros and the limit itself
         u[edge] = grid(float, u.shape, st.sampled_from([0.0, -0.0, limit, -limit]))[edge]
-        got = advect_scalar(n, u, obstacles)
+        got, failures = advect_scalar(n, u, obstacles)
+        assert failures == [None] * (batch[0] if batch else 1)  # |u| = 0.5 is within the CFL bound
         np.testing.assert_array_equal(got.view(np.uint64), reference_advect_scalar(n, u, obstacles).view(np.uint64))
 
     @pytest.mark.parametrize("center", [(0.0, 0.0), (1.0, 1.0), (-1.0, 0.0)])
@@ -489,9 +490,8 @@ class TestAdvectScalar:
         for k in [1, 2, 3, 4, 5, 7, 9, 13, 64, 2**52]:
             n = np.zeros((3, 3))
             n[1, 1] = k * 5e-324
-            np.testing.assert_array_equal(
-                advect_scalar(n, u, obstacles).view(np.uint64), reference_advect_scalar(n, u, obstacles).view(np.uint64)
-            )
+            got = advect_scalar(n, u, obstacles)[0]
+            np.testing.assert_array_equal(got.view(np.uint64), reference_advect_scalar(n, u, obstacles).view(np.uint64))
 
     @settings(max_examples=50, deadline=None)
     @given(batch=st.integers(2, 4), h=st.integers(3, 9), w=st.integers(3, 9), seed=st.integers(0, 2**32 - 1))
@@ -506,10 +506,10 @@ class TestAdvectScalar:
         n[:, obstacles > 0.5] = 0.0
         u = rng.uniform(-0.5, 0.5, (batch, 2, h, w))
         u[rng.random(u.shape) < 0.3] = 0.5
-        together = advect_scalar(n, u, obstacles)
+        together = advect_scalar(n, u, obstacles)[0]
         for p in range(batch):
             np.testing.assert_array_equal(
-                together[p].view(np.uint64), advect_scalar(n[p], u[p], obstacles).view(np.uint64)
+                together[p].view(np.uint64), advect_scalar(n[p], u[p], obstacles)[0].view(np.uint64)
             )
 
     def test_uniform_x_flow_never_wraps_to_the_next_row(self):
@@ -519,7 +519,7 @@ class TestAdvectScalar:
         n[..., -1] = [[1.0], [2.0]]
         u = np.zeros((2, 2, 4, 6))
         u[:, 0] = 0.4
-        np.testing.assert_array_equal(advect_scalar(n, u, np.zeros((4, 6))), n)
+        np.testing.assert_array_equal(advect_scalar(n, u, np.zeros((4, 6)))[0], n)
 
     @settings(max_examples=50, deadline=None)
     @given(h=st.integers(3, 9), w=st.integers(3, 9), data=st.data())
@@ -534,7 +534,7 @@ class TestAdvectScalar:
     def test_zero_velocity_is_identity(self):
         rng = np.random.default_rng(7)
         n = rng.random((6, 8))
-        out = advect_scalar(n, np.zeros((2, 6, 8)), np.zeros((6, 8)))
+        out = advect_scalar(n, np.zeros((2, 6, 8)), np.zeros((6, 8)))[0]
         np.testing.assert_array_equal(out, n)
 
     def test_spike_translates_with_uniform_flow(self):
@@ -543,7 +543,7 @@ class TestAdvectScalar:
         u = np.zeros((2, 5, 12))
         u[0] = 0.2
         for _ in range(5):
-            n = advect_scalar(n, u, np.zeros((5, 12)))
+            n = advect_scalar(n, u, np.zeros((5, 12)))[0]
         xs = np.arange(12)
         com = (n.sum(axis=0) * xs).sum() / n.sum()
         assert com == pytest.approx(4.0, abs=0.05)
@@ -597,7 +597,7 @@ class TestAdvectScalar:
                     res[y + 1, x] += f
             return np.maximum(res, 0.0)
 
-        got = advect_scalar(n, u, obstacles)
+        got = advect_scalar(n, u, obstacles)[0]
         np.testing.assert_allclose(got, reference(n, u, obstacles > 0.5), atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -610,16 +610,34 @@ class TestAdvectScalar:
         obstacles = grid(bool, (h, w), st.booleans()).astype(float)
         n[obstacles > 0.5] = 0.0
         u = grid(float, (2, h, w), st.floats(-0.5, 0.5))
-        out = advect_scalar(n, u, obstacles)
+        out = advect_scalar(n, u, obstacles)[0]
         assert out.min() >= 0.0
         assert out.sum() == pytest.approx(n.sum(), rel=1e-12, abs=1e-12)
 
-    def test_cfl_violation_raises(self):
-        n = np.ones((4, 4))
-        u = np.zeros((2, 4, 4))
-        u[0] = 0.7
-        with pytest.raises(ValueError):
-            advect_scalar(n, u, np.zeros((4, 4)))
+    def test_a_member_beyond_the_cfl_bound_fails_and_stays_unmoved(self):
+        """Only the middle member breaks the bound: it fails at its first
+        fastest cell in row-major order and comes back bit for bit, while
+        the others, fast enough to need the limiter, advect as they do
+        alone. Alone, the middle member fails the same way."""
+        rng = np.random.default_rng(11)
+        obstacles = np.zeros((5, 6))
+        obstacles[2, 3] = 1.0
+        n = rng.random((3, 5, 6))
+        n[:, obstacles > 0.5] = 0.0
+        u = rng.uniform(-0.45, 0.45, (3, 2, 5, 6))
+        u[1, 1, 3, 2] = -0.7  # uy at cell (2, 3)
+        u[1, 0, 4, 4] = 0.7  # as fast, later in row-major order
+        given = u.tobytes()
+        failure = FluidFailure("velocity component 0.700 exceeds the CFL bound 0.5", 2, 3)
+        together, failures = advect_scalar(n, u, obstacles)
+        assert failures == [None, failure, None]
+        assert together[1].tobytes() == n[1].tobytes()
+        for p in (0, 2):
+            alone, none = advect_scalar(n[p], u[p], obstacles)
+            assert none == [None] and together[p].tobytes() == alone.tobytes()
+        alone, failures = advect_scalar(n[1], u[1], obstacles)
+        assert failures == [failure] and alone.tobytes() == n[1].tobytes()
+        assert u.tobytes() == given
 
     def test_no_flux_into_obstacles(self):
         n = np.zeros((3, 5))
@@ -628,6 +646,6 @@ class TestAdvectScalar:
         obstacles[1, 2] = 1.0
         u = np.zeros((2, 3, 5))
         u[0] = 0.4
-        out = advect_scalar(n, u, obstacles)
+        out = advect_scalar(n, u, obstacles)[0]
         assert out[1, 2] == 0.0
         assert out.sum() == pytest.approx(1.0, rel=1e-12)

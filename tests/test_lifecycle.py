@@ -312,6 +312,28 @@ class TestPerturbations:
             assert sim.failures == ref.failures
         assert sim.running == [0, 1]
 
+    def test_a_moved_obstacle_restarts_the_fluid_of_each_cell_it_changes(self):
+        """After a MoveObstacle step a covered cell holds +0.0 in all 9
+        populations and a vacated one ``WEIGHTS`` exactly; every other cell
+        holds what it held before the event, as the run without it shows."""
+        spec = EnvSpec(kind="open_arena", shape=GridShape(10, 8), food=((Rect(7, 3, 2, 2), 3.0),),
+                       obstacles=(Rect(4, 1, 1, 3),), seed_cell=(2, 4))
+        genomes = [chemotaxis_baseline(4), grower_genome()]
+        cfg = default_cfg(p_update=0.7, schedule=((6, MoveObstacle(1, (0, 1))),))
+        sim = build_simulation(genomes, generate(spec), PhysicsParams(), cfg, 3)
+        ref = build_simulation(genomes, generate(spec), PhysicsParams(), default_cfg(p_update=0.7), 3)
+        solid_before = sim.walls.solid
+        for _ in range(7):
+            sim.step()
+            ref.step()
+        covered, vacated = sim.walls.solid & ~solid_before, solid_before & ~sim.walls.solid
+        assert covered[4, 4] and vacated[1, 4] and covered.sum() == vacated.sum() == 1 and sim.running == [0, 1]
+        f = sim.lattices.f
+        assert not f[:, :, covered].view(np.uint64).any()
+        assert f[:, :, vacated].tobytes() == np.broadcast_to(fluid.WEIGHTS[:, None], (2, 9, 1)).tobytes()
+        kept = ~(covered | vacated)
+        assert f[:, :, kept].tobytes() == ref.lattices.f[:, :, kept].tobytes()
+
     def test_scheduled_removal_recomputes_chemo(self):
         spec = open_spec(w=10, h=10, food=((Rect(7, 7), 3.0),), seed_cell=(2, 2))
         bundle = generate(spec)
