@@ -159,8 +159,6 @@ def cmd_test(args) -> int:
         params, cfg, k_expected, tests = load_battery(args.battery)
     if genome.k_hidden != k_expected:
         raise ConfigError(f"genome has {genome.k_hidden} hidden channels, battery expects {k_expected}")
-    for name, spec in tests or ():  # a battery file's tests all start before the first one runs
-        harness.start_test(name, genome, params, spec, seed, cfg)
 
     report = harness.run_battery(genome, params, seed, cfg, tests)
 
@@ -208,10 +206,6 @@ def load_battery(path: str):
                 raise ConfigError(f"battery test {entry!r} must be an object of 'name' and optional 'env'")
             name = json_scalar("name", entry["name"], str)
             spec = read_value("env", entry.get("env"), EnvSpec | None)
-            if name == "coordination" and spec is not None and spec.kind != "coordination":
-                raise ConfigError(f"battery test {name!r} needs an env of kind 'coordination', got {spec.kind!r}")
-            if name != "coordination" and spec is None:
-                raise ConfigError(f"battery test {name!r} needs an env")
             tests.append((name, spec))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed battery {path}: {exc}") from exc

@@ -1,14 +1,16 @@
 """Intelligence tests and IQ scoring: coordination and pathfinding.
 
-Each test is a pure function of its arguments, in this order: genome,
-physics, arena spec, seed and lifecycle config. The coordination test
-removes one of two food clusters mid-run and measures how much mass
-shifts toward the surviving cluster's half of the arena; the pathfinding
-test seeds the organism at a start cell and checks whether enough mass
-ever reaches the food-rich goal region. Each test runs evaluation 1 of
-its seed as evolution does (``start_evaluation``): its final mass is the
-fitness evolution gives the genome on that arena and schedule. A run the
-fluid cuts short is scored as it stands, its failure in ``fluid_failure``.
+``start_test`` starts a battery test from its name, genome, physics,
+arena spec, seed and lifecycle config, building its arena and simulation
+once, and returns the call that runs and scores it. Started tests share
+no state, so they may run in any order. The coordination test removes one
+of two food clusters mid-run and measures how much mass shifts toward the
+surviving cluster's half of the arena; the pathfinding test seeds the
+organism at a start cell and checks whether enough mass ever reaches the
+food-rich goal region. Each test runs evaluation 1 of its seed as
+evolution does (``start_evaluation``): its final mass is the fitness
+evolution gives the genome on that arena and schedule. A run the fluid
+cuts short is scored as it stands, its failure in ``fluid_failure``.
 
 The handcrafted chemotaxis baseline genome is the harness's standing
 regression reference: a fixed four-connection CPPN whose cells grow
@@ -21,6 +23,7 @@ straight corridor and the single-obstacle detour fixtures.
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -208,26 +211,35 @@ def _score(name: str, sim: Simulation, curve: list[float], completed_at: int | N
 
 
 def start_test(name: str, genome: Genome, params: PhysicsParams, spec: EnvSpec | None, seed: int,
-               cfg: LifecycleConfig) -> tuple[Simulation, int, EnvBundle, int]:
-    """Battery test ``name`` as it starts: its simulation, lifespan, arena
-    (spec None: ``coordination_spec()``) and t_r. ``coordination`` removes
-    cluster A at step t_r; any other test, pathfinding, needs a goal."""
+               cfg: LifecycleConfig) -> partial[TestScore]:
+    """Battery test ``name`` started: the zero-argument call that runs and
+    scores it. ``coordination`` is ``coordination_test`` on an arena of that
+    kind (spec None: ``coordination_spec()``) with cluster A removed at step
+    t_r; any other name is ``pathfinding_test`` on a spec with a goal."""
+    coordination = name == "coordination"
+    if coordination and spec is not None and spec.kind != "coordination":
+        raise HarnessError(f"battery test {name!r} needs an env of kind 'coordination', got {spec.kind!r}")
+    if not coordination and spec is None:
+        raise HarnessError(f"battery test {name!r} needs an env")
     bundle = build_arena(spec or coordination_spec())
     lifespan = cfg.lifespan(seed)  # drawn first: the removal joins the schedule the simulation is built with
+    if not coordination:
+        if bundle.goal is None:
+            raise HarnessError("arena spec carries no goal region")
+        sim = start_evaluation(genome, bundle, params, cfg, seed, 1)[0]
+        # each start reads the scoring function by its module name, which the benchmark's tracer rebinds
+        return partial(pathfinding_test, name, sim, lifespan, bundle.goal)
     t_r = max(1, int(lifespan * REMOVAL_FRACTION))
-    if name == "coordination" and t_r < lifespan:  # a one-step life never reaches the removal
+    if t_r < lifespan:  # a one-step life never reaches the removal
         cfg = replace(cfg, schedule=tuple(cfg.schedule) + ((t_r, RemoveFood(bundle.cluster_a)),))
-    elif name != "coordination" and bundle.goal is None:
-        raise HarnessError("arena spec carries no goal region")
-    return start_evaluation(genome, bundle, params, cfg, seed, 1)[0], lifespan, bundle, t_r
+    sim = start_evaluation(genome, bundle, params, cfg, seed, 1)[0]
+    return partial(coordination_test, name, sim, lifespan, t_r, bundle.spec.shape.width // 2)
 
 
-def pathfinding_test(genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int,
-                     cfg: LifecycleConfig) -> TestScore:
-    """Seed at the arena's start; complete by placing >= M_GOAL mass on any
-    goal cell before the lifespan ends. iq = 1 - steps_to_completion / T."""
-    sim, lifespan, bundle, _ = start_test("pathfinding", genome, params, spec, seed, cfg)
-    goal_sl = bundle.goal.slices()
+def pathfinding_test(name: str, sim: Simulation, lifespan: int, goal: Rect) -> TestScore:
+    """Run a started pathfinding test; complete by placing >= M_GOAL mass on
+    any goal cell before the lifespan ends. iq = 1 - steps_to_completion / T."""
+    goal_sl = goal.slices()
     completion_step = None
 
     def watch(s: Simulation):
@@ -238,20 +250,19 @@ def pathfinding_test(genome: Genome, params: PhysicsParams, spec: EnvSpec, seed:
     curve = sim.run(lifespan, observer=watch)[0]
     metrics = {"final_mass": curve[-1], "goal_mass": float(sim.world.mass[goal_sl].sum()), "lifespan": lifespan}
     iq = 0.0 if completion_step is None else float(np.clip(1.0 - completion_step / lifespan, 0.0, 1.0))
-    return _score("pathfinding", sim, curve, completion_step, metrics, iq)
+    return _score(name, sim, curve, completion_step, metrics, iq)
 
 
-def coordination_test(genome: Genome, params: PhysicsParams, spec: EnvSpec, seed: int,
-                      cfg: LifecycleConfig) -> TestScore:
-    """Two food clusters; cluster A vanishes at t_r = T * REMOVAL_FRACTION.
+def coordination_test(name: str, sim: Simulation, lifespan: int, t_r: int, b_column: int) -> TestScore:
+    """Run a started coordination test, whose cluster A vanishes at t_r =
+    T * REMOVAL_FRACTION; B's half of the arena starts at ``b_column``.
 
     redistribution index = (mass in B's half at end - at t_r) / total at t_r;
     completed iff the index exceeds THETA_COORDINATION; iq = clamp(index, 0, 1).
     """
-    sim, lifespan, _, t_r = start_test("coordination", genome, params, spec, seed, cfg)
 
     def measure(world) -> tuple[float, float]:  # the mass in B's half, and the total
-        return float(world.mass[:, spec.shape.width // 2:].sum()), total_mass(world)
+        return float(world.mass[:, b_column:].sum()), total_mass(world)
 
     at_removal = []
 
@@ -266,7 +277,7 @@ def coordination_test(genome: Genome, params: PhysicsParams, spec: EnvSpec, seed
     recovery = total_end / total_r if total_r > 0 else 0.0
     metrics = {"redistribution_index": index, "recovery_ratio": recovery, "removal_step": t_r, "final_mass": curve[-1]}
     completed_at = t_r if index > THETA_COORDINATION else None
-    return _score("coordination", sim, curve, completed_at, metrics, float(np.clip(index, 0.0, 1.0)))
+    return _score(name, sim, curve, completed_at, metrics, float(np.clip(index, 0.0, 1.0)))
 
 
 @dataclass
@@ -295,21 +306,13 @@ STANDARD_BATTERY = (
 
 def run_battery(genome: Genome, params: PhysicsParams, seed: int,
                 cfg: LifecycleConfig | None = None, tests=None) -> IqReport:
-    """Run a battery of (name, spec) tests and return the aggregate report.
-
-    A test named ``coordination`` runs ``coordination_test``, and any other
-    name ``pathfinding_test``, on its spec; spec None means
-    ``coordination_spec()``. Each score takes its test's name. ``cfg``
-    defaults to ``harness_lifecycle()`` and ``tests`` to
-    ``STANDARD_BATTERY``.
+    """Start every (name, spec) test of a battery by ``start_test``, then
+    run each in order and return the aggregate report, so a test that
+    cannot start fails before any runs. ``cfg`` defaults to
+    ``harness_lifecycle()`` and ``tests`` to ``STANDARD_BATTERY``.
     """
     cfg = cfg or harness_lifecycle()
     if tests is None:
         tests = [(name, make_spec()) for name, make_spec in STANDARD_BATTERY]
-    scores = []
-    for name, spec in tests:
-        test = coordination_test if name == "coordination" else pathfinding_test
-        score = test(genome, params, spec or coordination_spec(), seed, cfg)
-        score.name = name
-        scores.append(score)
-    return iq_report(scores)
+    started = [start_test(name, genome, params, spec, seed, cfg) for name, spec in tests]
+    return iq_report([run() for run in started])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eincasm
-from eincasm import cli, fileio, harness, neat
+from eincasm import cli, fileio, harness, lifecycle, neat
 from eincasm.cli import load_battery, main
 from eincasm.config import DEFAULT_ENVIRONMENT, parse_config
 from eincasm.cppn import GenomeError, empty_genome, genome_from_dict, genome_to_dict, io_sizes
@@ -567,46 +567,52 @@ class TestTestCommand:
         assert capsys.readouterr().err == "error: genome has 2 hidden channels, battery expects 4\n"
 
     @pytest.mark.parametrize(
-        "battery",
+        "battery, message",
         [
-            pytest.param({"tests": [{"name": "corridor"}]}, id="tests0"),
+            pytest.param({"tests": [{"name": "corridor"}]}, "error: battery test 'corridor' needs an env", id="tests0"),
             pytest.param(
-                {"tests": [{"name": "coordination", "env": {"kind": "open_arena", "shape": [8, 8]}}]}, id="tests1"
+                {"tests": [{"name": "coordination", "env": {"kind": "open_arena", "shape": [8, 8]}}]},
+                "error: battery test 'coordination' needs an env of kind 'coordination', got 'open_arena'", id="tests1"
             ),
             pytest.param(
-                {"tests": [{"name": "corridor", "env": {"kind": "open_arena", "shape": [8, 8]}}]}, id="tests2"
+                {"tests": [{"name": "corridor", "env": {"kind": "open_arena", "shape": [8, 8]}}]}, None, id="tests2"
             ),  # no goal
-            pytest.param({"tests": []}, id="tests3"),
-            pytest.param({"lifecycle": {"tmin": 5}, "tests": [{"name": "coordination"}]}, id="lifecycle-unknown-key"),
-            pytest.param({"lifecycle": {"t_min": 2.9}, "tests": [{"name": "coordination"}]}, id="lifecycle-t_min-2.9"),
-            pytest.param({"physics": {"alpha": True}, "tests": [{"name": "coordination"}]}, id="physics-alpha-true"),
-            pytest.param({"physics": {"alpha": 10**400}, "tests": [{"name": "coordination"}]}, id="physics-alpha-1e400"),
-            pytest.param({"physics": {"v_min": 0}, "tests": [{"name": "coordination"}]}, id="physics-v_min-0"),
-            pytest.param({"k_hidden": 4.0, "tests": [{"name": "coordination"}]}, id="k_hidden-4.0"),
-            pytest.param({"lifecyle": {}, "tests": [{"name": "coordination"}]}, id="unknown-top-level-key"),
-            pytest.param({"tests": [{"name": "coordination", "envv": {}}]}, id="unknown-test-key"),
-            pytest.param([], id="not-an-object"),
-            pytest.param({"lifecycle": {"seed_cell": [4, 3]}, "tests": DETOUR_TESTS},  # on the detour's bar
+            pytest.param({"tests": []}, None, id="tests3"),
+            pytest.param({"lifecycle": {"tmin": 5}, "tests": [{"name": "coordination"}]}, None,
+                         id="lifecycle-unknown-key"),
+            pytest.param({"lifecycle": {"t_min": 2.9}, "tests": [{"name": "coordination"}]}, None,
+                         id="lifecycle-t_min-2.9"),
+            pytest.param({"physics": {"alpha": True}, "tests": [{"name": "coordination"}]}, None,
+                         id="physics-alpha-true"),
+            pytest.param({"physics": {"alpha": 10**400}, "tests": [{"name": "coordination"}]}, None,
+                         id="physics-alpha-1e400"),
+            pytest.param({"physics": {"v_min": 0}, "tests": [{"name": "coordination"}]}, None,
+                         id="physics-v_min-0"),
+            pytest.param({"k_hidden": 4.0, "tests": [{"name": "coordination"}]}, None, id="k_hidden-4.0"),
+            pytest.param({"lifecyle": {}, "tests": [{"name": "coordination"}]}, None, id="unknown-top-level-key"),
+            pytest.param({"tests": [{"name": "coordination", "envv": {}}]}, None, id="unknown-test-key"),
+            pytest.param([], None, id="not-an-object"),
+            pytest.param({"lifecycle": {"seed_cell": [4, 3]}, "tests": DETOUR_TESTS}, None,  # on the detour's bar
                          id="lifecycle-seed_cell-on-an-obstacle"),
             pytest.param({"lifecycle": {"schedule": [[2, {"kind": "remove_food", "region": [30, 3, 2, 2]}]]},
-                          "tests": DETOUR_TESTS}, id="lifecycle-schedule-region-outside-arena"),
-            pytest.param({"tests": [{"name": 5, "env": write_value(detour_spec())}]}, id="tests-name-5"),
+                          "tests": DETOUR_TESTS}, None, id="lifecycle-schedule-region-outside-arena"),
+            pytest.param({"tests": [{"name": 5, "env": write_value(detour_spec())}]}, None, id="tests-name-5"),
             pytest.param({"lifecycle": {"t_min": 20, "t_max": 20,
                                         "schedule": [[20, {"kind": "remove_food", "region": [8, 3, 1, 1]}]]},
-                          "tests": DETOUR_TESTS}, id="lifecycle-schedule-step-at-t_max"),
+                          "tests": DETOUR_TESTS}, None, id="lifecycle-schedule-step-at-t_max"),
             # each harness test scores evaluation 1 of its seed alone
-            pytest.param({"lifecycle": {"n_env_evals": 3}, "tests": [{"name": "coordination"}]},
+            pytest.param({"lifecycle": {"n_env_evals": 3}, "tests": [{"name": "coordination"}]}, None,
                          id="lifecycle-n_env_evals-3"),
         ],
     )
-    def test_malformed_battery_exits_2(self, tmp_path, capsys, battery):
+    def test_malformed_battery_exits_2(self, tmp_path, capsys, battery, message):
         genome = write_genome(tmp_path, empty_genome(4))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(battery))
         out = tmp_path / "report.json"
         assert main(["test", genome, "--battery", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        assert err.startswith("error:") and (message is None or err.strip() == message)
         assert "n_env_evals" in err or "n_env_evals" not in json.dumps(battery)
         assert not out.exists()
 
@@ -620,7 +626,7 @@ class TestTestCommand:
         ],
     )
     def test_battery_tests_must_be_a_non_empty_array(self, tmp_path, capsys, monkeypatch, battery):
-        monkeypatch.setattr(harness, "run_battery", lambda *args: pytest.fail("a test ran"))
+        monkeypatch.setattr(lifecycle.Simulation, "run", lambda *args, **kwargs: pytest.fail("a test ran"))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(battery))
         out = tmp_path / "report.json"
@@ -635,7 +641,7 @@ class TestTestCommand:
     def test_falsy_battery_env_exits_2(self, tmp_path, capsys, monkeypatch, env):
         """A test's env is read whenever the key is present: only null means
         no env."""
-        monkeypatch.setattr(harness, "run_battery", lambda *args: pytest.fail("a test ran"))
+        monkeypatch.setattr(lifecycle.Simulation, "run", lambda *args, **kwargs: pytest.fail("a test ran"))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps({"tests": [{"name": "coordination", "env": env}]}))
         out = tmp_path / "report.json"
@@ -658,13 +664,33 @@ class TestTestCommand:
                                                                      message):
         """A later test's arena, goal, seed cell and schedule are checked
         before the first test runs, with the message its run would give."""
-        monkeypatch.setattr(harness, "run_battery", lambda *args: pytest.fail("a test ran"))
+        monkeypatch.setattr(lifecycle.Simulation, "run", lambda *args, **kwargs: pytest.fail("a test ran"))
         path = tmp_path / "battery.json"
         path.write_text(json.dumps(battery))
         out = tmp_path / "report.json"
         assert main(["test", write_genome(tmp_path, empty_genome(4)), "--battery", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
+
+    def test_a_battery_builds_each_arena_and_simulation_once(self, tmp_path, monkeypatch):
+        """The start that checks a test also builds what runs it: N tests
+        generate N arenas and build N simulations."""
+        calls = {"arena": 0, "simulation": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "build_arena", counted("arena", harness.build_arena))
+        monkeypatch.setattr(lifecycle.Simulation, "__init__", counted("simulation", lifecycle.Simulation.__init__))
+        tests = [{"name": "coordination"}, {"name": "corridor", "env": write_value(harness.corridor_spec())}]
+        path = tmp_path / "battery.json"
+        path.write_text(json.dumps({"lifecycle": {"t_min": 20, "t_max": 20}, "tests": tests + DETOUR_TESTS}))
+        out = tmp_path / "report.json"
+        assert main(["test", write_genome(tmp_path, empty_genome(4)), "--battery", str(path), "--out", str(out)]) == 0
+        assert calls == {"arena": 3, "simulation": 3}
 
     def test_null_battery_env_runs_the_default_arena(self, tmp_path):
         path = tmp_path / "battery.json"

@@ -8,20 +8,20 @@ import pytest
 from eincasm.cppn import empty_genome
 from eincasm.environments import chemoattractant_field, generate
 from eincasm.harness import (
+    STANDARD_BATTERY,
     HarnessError,
     IqReport,
     TestScore,
     build_arena,
     chemotaxis_baseline,
     coordination_spec,
-    coordination_test,
     corridor_spec,
     detour_spec,
     harness_lifecycle,
     harness_physics,
     iq_report,
-    pathfinding_test,
     run_battery,
+    start_test,
 )
 from eincasm.lifecycle import RemoveFood, run_population
 
@@ -55,13 +55,14 @@ class TestScoring:
 
 class TestInertGenome:
     def test_inert_pathfinding_scores_zero(self):
-        score = pathfinding_test(empty_genome(4), harness_physics(), corridor_spec(), 0, harness_lifecycle())
+        score = start_test("pathfinding", empty_genome(4), harness_physics(), corridor_spec(), 0, harness_lifecycle())()
         assert not score.completed
         assert score.iq_component == 0.0
         assert score.steps_to_completion is None
 
     def test_inert_coordination_index_zero(self):
-        score = coordination_test(empty_genome(4), harness_physics(), coordination_spec(), 0, harness_lifecycle())
+        score = start_test("coordination", empty_genome(4), harness_physics(), coordination_spec(), 0,
+                           harness_lifecycle())()
         assert not score.completed
         assert score.metrics["redistribution_index"] == 0.0
         assert score.iq_component == 0.0
@@ -69,28 +70,32 @@ class TestInertGenome:
     def test_one_step_coordination_schedules_no_removal(self):
         """Its cluster removal would come after the only step, where no
         schedule may put an event; the test runs without it."""
-        score = coordination_test(empty_genome(4), harness_physics(), coordination_spec(), 0, harness_lifecycle(t=1))
+        score = start_test("coordination", empty_genome(4), harness_physics(), coordination_spec(), 0,
+                           harness_lifecycle(t=1))()
         assert score.metrics["removal_step"] == 1 and score.metrics["redistribution_index"] == 0.0
 
 
 class TestBaseline:
     def test_baseline_completes_corridor(self):
-        score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0, harness_lifecycle())
+        score = start_test("pathfinding", chemotaxis_baseline(), harness_physics(), corridor_spec(), 0,
+                           harness_lifecycle())()
         assert score.completed
         assert 0.0 < score.iq_component <= 1.0
         assert "fluid_failure" not in score.metrics  # the run lived its lifespan
 
     def test_baseline_coordination_positive_index(self):
-        score = coordination_test(chemotaxis_baseline(), harness_physics(), coordination_spec(), 0, harness_lifecycle())
+        score = start_test("coordination", chemotaxis_baseline(), harness_physics(), coordination_spec(), 0,
+                           harness_lifecycle())()
         assert score.metrics["redistribution_index"] > 0.0
 
     def test_deterministic_scores(self):
-        a = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3, harness_lifecycle())
-        b = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 3, harness_lifecycle())
+        a, b = (start_test("pathfinding", chemotaxis_baseline(), harness_physics(), corridor_spec(), 3,
+                           harness_lifecycle())() for _ in range(2))
         assert asdict(a) == asdict(b)
 
     def test_iq_formula_limits(self):
-        score = pathfinding_test(chemotaxis_baseline(), harness_physics(), corridor_spec(), 0, harness_lifecycle())
+        score = start_test("pathfinding", chemotaxis_baseline(), harness_physics(), corridor_spec(), 0,
+                           harness_lifecycle())()
         t = score.metrics["lifespan"]
         assert score.iq_component == pytest.approx(1.0 - score.steps_to_completion / t)
 
@@ -131,6 +136,32 @@ def test_run_battery_reports_three_tests():
 
 
 @pytest.mark.parametrize(
+    "tests, message",
+    [
+        ([("coordination", corridor_spec())], "battery test 'coordination' needs an env of kind 'coordination', "
+                                              "got 'open_arena'"),
+        ([("pathfinding", None)], "battery test 'pathfinding' needs an env"),
+    ],
+    ids=["coordination-on-a-corridor", "pathfinding-without-env"],
+)
+def test_a_test_whose_name_and_arena_disagree_fails_to_start(tests, message):
+    with pytest.raises(HarnessError) as info:
+        run_battery(empty_genome(4), harness_physics(), 0, tests=tests)
+    assert str(info.value) == message
+
+
+def test_started_tests_run_in_any_order():
+    """Started tests share no state: run last to first, each scores as it
+    does started and run alone."""
+    genome, params, cfg = chemotaxis_baseline(), harness_physics(), replace(harness_lifecycle(t=60), p_update=0.5)
+    tests = [(name, make_spec()) for name, make_spec in STANDARD_BATTERY]
+    started = [start_test(name, genome, params, spec, 3, cfg) for name, spec in tests]
+    in_reverse = [run() for run in started[::-1]][::-1]
+    alone = [start_test(name, genome, params, spec, 3, cfg)() for name, spec in tests]
+    assert [asdict(score) for score in in_reverse] == [asdict(score) for score in alone]
+
+
+@pytest.mark.parametrize(
     "test, seed",
     [pytest.param("pathfinding", seed, id=str(seed)) for seed in (0, 3, 7)]
     + [pytest.param("coordination", seed, id=f"coordination-{seed}") for seed in (0, 3, 7)],
@@ -144,9 +175,9 @@ def test_battery_and_evolution_score_one_lifecycle_alike(test, seed):
     cfg = replace(harness_lifecycle(t=60), p_update=0.5)
     if test == "pathfinding":
         spec = corridor_spec()
-        score = pathfinding_test(genome, params, spec, seed, cfg)
+        score = start_test("pathfinding", genome, params, spec, seed, cfg)()
     else:
         spec = coordination_spec()
-        score = coordination_test(genome, params, spec, seed, cfg)
+        score = start_test("coordination", genome, params, spec, seed, cfg)()
         cfg = replace(cfg, schedule=((score.metrics["removal_step"], RemoveFood(generate(spec).cluster_a)),))
     assert score.metrics["final_mass"] == run_population([genome], [spec], params, cfg, seed)[0].fitness
