@@ -19,8 +19,9 @@ back is the chunk's records.
 ``ProcessPoolExecutor`` itself. Its size comes from EINCASM_THREADS (0 or
 unset = one worker per CPU this process may run on, 1 = no pool). The
 pool lives for the whole run, so its workers start once; a worker keeps
-only caches between generations (obstacle layouts, fluid work arrays,
-arenas), none of which a fitness depends on.
+only caches between generations (obstacle layouts, arenas), none of which
+a fitness depends on. Fluid work arrays belong to a simulation's lattice,
+so a worker builds them once per simulation.
 """
 
 from __future__ import annotations

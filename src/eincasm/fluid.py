@@ -20,10 +20,11 @@ its total exactly fixed and its values nonnegative by construction.
 
 A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
 worlds on one shared obstacle layout, advanced by the same array
-operations as a single lattice, which is the P = 1 case. Neither a step
-nor advection raises for an unstable member: each returns it, stepped or
-(above the CFL bound) unmoved, with its failure record, and knows no step
-numbers: the simulation stamps the step and decides what a failure ends.
+operations as a single lattice, which is the P = 1 case. A step advances
+f in place. Neither a step nor advection raises for an unstable member:
+each returns its failure record, with the member stepped or (above the
+CFL bound) unmoved, and knows no step numbers: the simulation stamps the
+step and decides what a failure ends.
 
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
@@ -40,19 +41,19 @@ held there, with no masked write.
 
 Work arrays: a step's intermediates (the injected and collided lattice
 with its zero slot, the moments and the collision terms) live in scratch
-arrays that the next step reuses instead of allocating them again, as
-long as the batch keeps its shape. The scratch also builds and holds the
-batch's streaming gather, until the layout or the batch shape changes.
-Each thread holds its own set, for the shape it stepped last, so
-concurrent steps on different threads never share them; within a thread
-a step runs to completion before the next one starts. A step allocates
-only the lattice it returns.
+arrays that belong to the stepped ``Lattice``. Its first step builds
+them, and later steps reuse them until f changes shape. The scratch also
+builds and holds the batch's streaming gather, until the layout changes.
+Streaming gathers from the collided scratch straight back into f, so a
+step allocates no lattice, and two lattices never share work arrays,
+in one thread or in two. What a step still allocates is numpy's: the
+buffer, up to ``np.getbufsize()`` elements, through which numpy runs
+each broadcasting or transposing operation.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -99,10 +100,13 @@ class FluidFailure:
 @dataclass
 class Lattice:
     """Distribution functions f (9, H, W), or a batch (P, 9, H, W) of
-    worlds sharing one obstacle layout, plus the BGK relaxation time."""
+    worlds sharing one obstacle layout, plus the BGK relaxation time.
+    ``step`` writes f in place, through work arrays that this lattice
+    keeps from its first step for as long as f keeps its shape."""
 
     f: np.ndarray
     tau: float = 0.8
+    _scratch: _Scratch | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.5 < self.tau < np.inf:
@@ -187,26 +191,32 @@ def macroscopic(lat: Lattice) -> MacroscopicFields:
     return MacroscopicFields(rho=rho[0], u=u[0])
 
 
-def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray):
-    """One inject -> collide -> stream -> bounce-back cycle.
+def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray) -> list[FluidFailure | None]:
+    """One inject -> collide -> stream -> bounce-back cycle, advancing
+    ``lat.f`` in place.
 
     ``obstacles`` is the obstacle grid or its ``Walls``. ``sources`` is the
     per-cell density source (already capped by the caller, exactly zero
     on obstacle cells), one grid per member of a batch; it is distributed
     isotropically as f_i += w_i * rho_src. Populations streaming into an
     obstacle cell or off the grid reverse direction in place (no-slip).
+    ``lat.f`` must be a writeable float64 array; a bad argument raises
+    ValueError before anything is written.
 
-    Returns ``(lattice, failures)``. A lattice fails on negative or
-    non-finite populations or |u| > 0.3; ``failures[p]`` is member p's
-    FluidFailure or None (one entry for a single lattice), with ``step``
-    None. A failed member's populations come back as stepped.
+    Returns the failures: a lattice fails on negative or non-finite
+    populations or |u| > 0.3; ``failures[p]`` is member p's FluidFailure
+    or None (one entry for a single lattice), with ``step`` None. A
+    failed member's populations are left as stepped.
     """
+    if lat.f.dtype != np.float64:
+        raise ValueError(f"f must be float64 to be stepped in place, got {lat.f.dtype}")
+    if not lat.f.flags.writeable:
+        raise ValueError("f is read-only and cannot be stepped in place")
     walls = walls_of(obstacles)
     grid = lat.f.shape[-2:]
     if walls.solid.shape != grid:
         raise ValueError(f"obstacle layout {walls.solid.shape} does not match grid {grid}")
-    single = lat.f.ndim == 3
-    f = lat.f[None] if single else lat.f
+    f = lat.f[None] if lat.f.ndim == 3 else lat.f
     src = np.asarray(sources, dtype=np.float64)
     if src.shape != lat.f.shape[:-3] + grid:
         raise ValueError(f"sources shape {src.shape} does not match grid {lat.f.shape[:-3] + grid}")
@@ -214,17 +224,18 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray):
     # true for every value but +-0.0, NaN included
     if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):
         raise ValueError("sources must be zero on obstacle cells")
-    new, failures = _step_batch(f, walls, src, lat.tau)
-    return Lattice(new[0] if single else new, lat.tau), failures
+    if lat._scratch is None or lat._scratch.shape != f.shape:
+        lat._scratch = _Scratch(f.shape)
+    return _step_batch(f, walls, src, lat.tau, lat._scratch)
 
 
 class _Scratch:
-    """The work arrays of one step of a (P, 9, H, W) batch, laid out
-    direction-major, (9, P, H, W), so that each collision operation runs
-    over whole contiguous arrays, and the batch's streaming gather, built
-    from the layout of the last step and rebuilt when it changes. The
-    gather is a writeable array of the scratch's own: ``np.take`` copies a
-    read-only index array on every call."""
+    """The work arrays of one lattice's step, for its (P, 9, H, W) batch
+    shape, laid out direction-major, (9, P, H, W), so that each collision
+    operation runs over whole contiguous arrays, and the batch's streaming
+    gather, built from the layout of the last step and rebuilt when it
+    changes. The gather is a writeable array of the scratch's own:
+    ``np.take`` copies a read-only index array on every call."""
 
     def __init__(self, shape: tuple[int, int, int, int]):
         self.shape = shape
@@ -242,7 +253,7 @@ class _Scratch:
         self.gather = np.empty(0, dtype=np.intp)
 
     def stream_gather(self, walls: Walls) -> np.ndarray:
-        """The (P, 9 H W) index in ``lattice`` of each post-streaming
+        """The (P, 9, H, W) index in ``lattice`` of each post-streaming
         population of the batch, member-major; built for ``walls`` and kept.
 
         A free cell takes direction i from its upstream neighbour (cell -
@@ -262,21 +273,9 @@ class _Scratch:
             first = np.where(blocked, bounced, np.arange(9)[:, None] * plane + upstream)  # member 0's sources
             gather = first + np.arange(n)[:, None, None] * size  # member p's cells sit p H W into each plane
             gather[:, :, solid] = 9 * plane
-            self.gather = gather.reshape(n, 9 * size)
+            self.gather = gather.reshape(n, 9, h, w)
             self.walls = walls
         return self.gather
-
-
-_local = threading.local()
-
-
-def _scratch(shape: tuple[int, int, int, int]) -> _Scratch:
-    """The calling thread's work arrays, for a batch of this shape: kept
-    from its last step of the same shape, else made anew in their place."""
-    s = getattr(_local, "scratch", None)
-    if s is None or s.shape != shape:
-        s = _local.scratch = _Scratch(shape)
-    return s
 
 
 def _collide(s: _Scratch, tau: float) -> None:
@@ -331,9 +330,8 @@ def _collide(s: _Scratch, tau: float) -> None:
     f += relax
 
 
-def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
+def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float, s: _Scratch) -> list[FluidFailure | None]:
     n = len(f0)
-    s = _scratch(f0.shape)
     f = s.f
     np.multiply(WEIGHTS[:, None, None, None], src, out=f)
     f += f0.transpose(1, 0, 2, 3)  # f0 + w * src: addition commutes exactly
@@ -352,15 +350,18 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
         failures[p] = FluidFailure(f"velocity {speed[y, x]:.3f} exceeds {U_MAX}", int(x), int(y))
 
     _collide(s, tau)
-    new = np.take(s.lattice, s.stream_gather(walls)).reshape(f0.shape)
+    # Stream back into f0. With mode "raise" numpy would buffer all of
+    # out; "clip" writes it directly and changes no value, since every
+    # gather index is in range by construction.
+    np.take(s.lattice, s.stream_gather(walls), out=f0, mode="clip")
 
     # One pass flags every member holding a negative or non-finite
     # population (and -0.0 or a negative above NEGATIVE_TOL, which the
     # diagnosis then clears); only flagged members are diagnosed.
-    for p in (new.reshape(n, -1).view(np.uint64).max(axis=1) >= _INF_BITS).nonzero()[0]:
+    for p in (f0.reshape(n, -1).view(np.uint64).max(axis=1) >= _INF_BITS).nonzero()[0]:
         if failures[p] is not None:
             continue
-        member = new[p]
+        member = f0[p]
         lo = member.min()
         if not (np.isfinite(lo) and np.isfinite(member.max())):
             _, y, x = np.unravel_index(int(np.argmax(~np.isfinite(member))), member.shape)
@@ -368,7 +369,7 @@ def _step_batch(f0: np.ndarray, walls: Walls, src, tau: float):
         elif lo < NEGATIVE_TOL:
             _, y, x = np.unravel_index(int(np.argmin(member)), member.shape)
             failures[p] = FluidFailure(f"negative population {lo:.3e}", int(x), int(y))
-    return new, failures
+    return failures
 
 
 def advect_scalar(n: np.ndarray, u: np.ndarray, obstacles: np.ndarray | Walls):

@@ -260,9 +260,11 @@ class Simulation:
     rest, so it never acts or fails again and no other member's bits
     change. Rest fluid is not an exact fixed point of ``fluid.step`` (it
     drifts by up to 1.1e-16 in 50 steps), but nothing reads the row:
-    ``member_world`` is the frozen copy. The batch keeps its shape, so
-    ``fluid``'s per-shape work arrays serve the whole run, and a running
-    member's view of its row, built on first request, serves it too.
+    ``member_world`` is the frozen copy. The batch keeps its shape, and
+    ``fluid.step`` advances ``lattices`` in place, so the lattice's work
+    arrays, built on its first step, serve the whole run, and so do
+    ``lattice``, the first member's row as a Lattice, and a running
+    member's view of its row, built on first request.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -302,6 +304,7 @@ class Simulation:
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         at_rest = fluid.uniform_lattice(world.obstacle)
         self.lattices = fluid.Lattice(np.repeat(at_rest[None], len(genomes), axis=0), cfg.tau)
+        self.lattice = fluid.Lattice(self.lattices.f[0], cfg.tau)  # row 0, stepped in place with the batch
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
         self._member_worlds: dict[int, WorldState] = {}  # built on first request; replaced by the frozen copy
         self.step_index = 0
@@ -324,11 +327,6 @@ class Simulation:
     def world(self) -> WorldState:
         """The first member's world: the only one of a one-member simulation."""
         return self.member_world(0)
-
-    @property
-    def lattice(self) -> fluid.Lattice:
-        """The first member's row of ``lattices``."""
-        return fluid.Lattice(self.lattices.f[0], self.lattices.tau)
 
     def step(self) -> None:
         """Advance every member one step by the module's pipeline; a quiet
@@ -376,8 +374,7 @@ class Simulation:
             rho = physics.reservoir_pressure(r_before, delta_r, p)
             rho_src[cells] = rho.clip(-p.rho_cap, p.rho_cap)
 
-        self.lattices, failures = fluid.step(self.lattices, self.walls, rho_src)
-        self._freeze(failures)
+        self._freeze(fluid.step(self.lattices, self.walls, rho_src))
         velocity = fluid.macroscopic(self.lattices).u
         worlds.nutrient[...], failures = fluid.advect_scalar(worlds.nutrient, velocity, self.walls)
         self._freeze(failures)

@@ -1,5 +1,7 @@
 """Lattice-Boltzmann fluid and donor-cell scalar transport."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -48,11 +50,9 @@ def closed_box(width, height, tau=0.8, rho0=1.0):
 
 
 def stable_step(lat, obstacles, sources=None):
-    """One step of a single lattice that must not fail; no sources unless
-    given."""
-    lat, failures = step(lat, obstacles, np.zeros(lat.f.shape[-2:]) if sources is None else sources)
-    assert failures == [None]
-    return lat
+    """Step a single lattice in place by one step that must not fail; no
+    sources unless given."""
+    assert step(lat, obstacles, np.zeros(lat.f.shape[-2:]) if sources is None else sources) == [None]
 
 
 def stable_random_lattice(rng, width, height, tau=0.8):
@@ -127,7 +127,7 @@ class TestStep:
         lat = closed_box(8, 8)
         obstacles = np.zeros((8, 8))
         for _ in range(100):
-            lat = stable_step(lat, obstacles)
+            stable_step(lat, obstacles)
         np.testing.assert_allclose(lat.f, closed_box(8, 8).f, atol=1e-12)
 
     def test_mass_conserved_in_closed_box(self):
@@ -136,7 +136,7 @@ class TestStep:
         total0 = lat.f.sum()
         obstacles = np.zeros((12, 16))
         for _ in range(200):
-            lat = stable_step(lat, obstacles)
+            stable_step(lat, obstacles)
         assert lat.f.sum() == pytest.approx(total0, rel=1e-12)
 
     def test_injection_ledger(self):
@@ -146,7 +146,7 @@ class TestStep:
         for _ in range(20):
             src = 0.05 * rng.standard_normal((10, 10))
             before = lat.f.sum()
-            lat = stable_step(lat, obstacles, src)
+            stable_step(lat, obstacles, src)
             assert lat.f.sum() == pytest.approx(before + src.sum(), rel=1e-12, abs=1e-12)
 
     def test_source_pulse_pushes_outward(self):
@@ -154,9 +154,9 @@ class TestStep:
         obstacles = np.zeros((11, 11))
         src = np.zeros((11, 11))
         src[5, 5] = 0.1
-        lat = stable_step(lat, obstacles, src)
+        stable_step(lat, obstacles, src)
         for _ in range(2):
-            lat = stable_step(lat, obstacles)
+            stable_step(lat, obstacles)
         u = macroscopic(lat).u
         assert u[0, 5, 6] > 0 and u[0, 5, 4] < 0  # east/west neighbors
         assert u[1, 6, 5] > 0 and u[1, 4, 5] < 0  # south/north (y+) neighbors
@@ -166,7 +166,7 @@ class TestStep:
         obstacles[3:5, 3:5] = 1.0
         lat = Lattice(uniform_lattice(obstacles))
         for _ in range(50):
-            lat = stable_step(lat, obstacles)
+            stable_step(lat, obstacles)
             assert not lat.f[:, obstacles > 0.5].any()
 
     def test_bounce_back_conserves_mass_with_obstacles(self):
@@ -177,13 +177,13 @@ class TestStep:
         lat.f[:, obstacles > 0.5] = 0.0
         total0 = lat.f.sum()
         for _ in range(100):
-            lat = stable_step(lat, obstacles)
+            stable_step(lat, obstacles)
         assert lat.f.sum() == pytest.approx(total0, rel=1e-12)
 
     def test_velocity_blowup_detected(self):
         f = equilibrium(1.0, np.zeros(2))[:, None, None] * np.ones((9, 5, 5))
         f[1, 2, 2] += 2.0  # violent momentum spike
-        _, failures = step(Lattice(f), np.zeros((5, 5)), np.zeros((5, 5)))
+        failures = step(Lattice(f), np.zeros((5, 5)), np.zeros((5, 5)))
         assert failures == [FluidFailure("velocity 0.667 exceeds 0.3", 2, 2, None)]
 
     def test_source_on_obstacle_rejected(self):
@@ -195,9 +195,29 @@ class TestStep:
             src[2, 2] = value
             with pytest.raises(ValueError, match="zero on obstacle"):
                 step(lat, obstacles, src)
+            assert lat.f.tobytes() == uniform_lattice(obstacles).tobytes()
         src = np.zeros((5, 5))
         src[2, 2] = -0.0
-        assert stable_step(lat, obstacles, src).f.tobytes() == stable_step(lat, obstacles).f.tobytes()
+        signed, unsigned = Lattice(lat.f.copy()), Lattice(lat.f.copy())
+        stable_step(signed, obstacles, src)
+        stable_step(unsigned, obstacles)
+        assert signed.f.tobytes() == unsigned.f.tobytes()
+
+    @pytest.mark.parametrize("fault", ["int64", "read-only"])
+    def test_a_lattice_it_cannot_write_in_place_is_refused(self, fault):
+        """An unbuffered gather would cast into an int64 f without a word,
+        so such a lattice, and a read-only one, raises before anything is
+        written."""
+        obstacles = np.zeros((4, 5))
+        f = uniform_lattice(obstacles)
+        if fault == "int64":
+            f = (f * 36).astype(np.int64)
+        else:
+            f.flags.writeable = False
+        before = f.tobytes()
+        with pytest.raises(ValueError, match="float64" if fault == "int64" else "read-only"):
+            step(Lattice(f), obstacles, np.zeros((4, 5)))
+        assert f.tobytes() == before
 
     def test_tau_bound(self):
         with pytest.raises(ValueError):
@@ -211,8 +231,7 @@ def closed_run(rho, u, tau, steps):
     lat = Lattice(equilibrium(rho, u)[None], tau)
     walls, sources = walls_of(np.zeros((h, w))), np.zeros((1, h, w))
     for _ in range(steps):
-        lat, failures = step(lat, walls, sources)
-        assert failures == [None]
+        assert step(lat, walls, sources) == [None]
         yield macroscopic(lat)
 
 
@@ -346,12 +365,12 @@ def test_step_equals_shift_and_bounce_reference(members, w, h, density, tau, see
             y, x = free[rng.integers(len(free))]
             plant(f[p, :, y, x], fault)
             sources[p, y, x] = 0.0
-    lat = Lattice(f if members else f[0], tau)
+    lat = Lattice((f if members else f[0]).copy(), tau)  # f keeps the reference's input
     for k in range(3):
         with np.errstate(all="ignore"):
             expected = [reference_step(f[p], obstacles, sources[p], tau) for p in range(n)]
             failures = [reference_failure(f[p], sources[p], expected[p]) for p in range(n)]
-            lat, got = step(lat, obstacles, sources if members else sources[0])
+            got = step(lat, obstacles, sources if members else sources[0])
         assert got == failures
         expected = np.stack(expected)
         assert lat.f.tobytes() == (expected if members else expected[0]).tobytes()
@@ -390,30 +409,100 @@ def test_walls_derived_arrays_are_read_only():
     assert walls_of(obstacles.copy()).closed_faces[0][0] != 5
 
 
-def test_step_allocates_only_the_lattice_it_returns():
-    """Warmed up, a step of a 16-member 16x16 batch peaks at its returned
-    lattice plus less than two (P, H, W) planes of other allocations: its
-    intermediates live in reused work arrays."""
+def batch_of_16(rng, obstacles):
+    """A stable 16-member 16x16 batch, empty on obstacles, and small
+    sources, zero on obstacles."""
+    solid = obstacles > 0.5
+    f = np.stack([stable_random_lattice(rng, 16, 16).f for _ in range(16)])
+    f[:, :, solid] = 0.0
+    sources = 0.01 * rng.standard_normal((16, 16, 16))
+    sources[:, solid] = 0.0
+    return f, sources
+
+
+def test_a_step_allocates_no_lattice():
+    """Warmed up, a step of a 16-member 16x16 batch peaks below one
+    (P, H, W) plane beyond numpy's ufunc buffer: it streams into the
+    lattice it steps, and its intermediates live in the lattice's own work
+    arrays. NumPy runs an operation that broadcasts an operand, or reads
+    two in different memory orders, through a buffer of ``np.getbufsize()``
+    elements (two planes here), which the collision's broadcasts allocate
+    one call at a time. A macroscopic call traced in the same window shows
+    that tracemalloc sees numpy's arrays: it peaks at its rho and u at
+    least."""
     rng = np.random.default_rng(9)
     obstacles = np.zeros((16, 16))
     obstacles[5:8, 4] = 1.0
-    f = np.stack([stable_random_lattice(rng, 16, 16).f for _ in range(16)])
-    f[:, :, obstacles > 0.5] = 0.0
-    sources = 0.01 * rng.standard_normal((16, 16, 16))
-    sources[:, obstacles > 0.5] = 0.0
+    f, sources = batch_of_16(rng, obstacles)
     lat = Lattice(f)
     for _ in range(3):
-        lat, _ = step(lat, obstacles, sources)
+        step(lat, obstacles, sources)
+    plane = lat.f[:, 0].nbytes
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        stepped, failures = step(lat, obstacles, sources)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        failures = step(lat, obstacles, sources)
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        fields = macroscopic(lat)
+        moments_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert failures == [None] * 16
-    assert stepped.f.nbytes <= peak < 1.2 * stepped.f.nbytes
+    assert step_peak < plane + np.getbufsize() * lat.f.itemsize
+    assert moments_peak >= fields.rho.nbytes + fields.u.nbytes == 3 * plane
+
+
+def test_lattices_keep_their_own_work_arrays():
+    """Two lattices of one shape and layout, stepped alternately in one
+    thread and then concurrently on two threads, each get the bits they
+    get stepped alone."""
+    rng = np.random.default_rng(11)
+    obstacles = np.zeros((16, 16))
+    obstacles[3:6, 9] = 1.0
+    walls = walls_of(obstacles)
+    starts = [batch_of_16(rng, obstacles) for _ in range(2)]
+
+    def run(lat, sources):
+        for _ in range(20):
+            assert step(lat, walls, sources) == [None] * 16
+
+    alone = []
+    for f, sources in starts:
+        lat = Lattice(f.copy())
+        run(lat, sources)
+        alone.append(lat.f.tobytes())
+
+    pair = [Lattice(f.copy()) for f, _ in starts]
+    for _ in range(20):
+        for lat, (_, sources) in zip(pair, starts):
+            assert step(lat, walls, sources) == [None] * 16
+    assert [lat.f.tobytes() for lat in pair] == alone
+
+    pair = [Lattice(f.copy()) for f, _ in starts]
+    barrier, errors = threading.Barrier(2, timeout=60), []
+
+    def run_in_thread(lat, sources):
+        try:
+            barrier.wait()
+            run(lat, sources)
+        except Exception as exc:  # a thread's failure is otherwise lost
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run_in_thread, args=(lat, sources)) for lat, (_, sources) in zip(pair, starts)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, between the step's numpy calls too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert [lat.f.tobytes() for lat in pair] == alone
 
 
 def reference_advect_scalar(n, u, obstacles):

@@ -316,9 +316,11 @@ def test_fluid_batch_equals_single_steps(grid, n, density, speed, seed):
     sources = 0.05 * rng.standard_normal((n, h, w))
     sources[:, obstacles > 0.5] = 0.0
 
-    batch, failures = step(Lattice(f.copy(), 1.1), obstacles, sources)
+    batch = Lattice(f.copy(), 1.1)
+    failures = step(batch, obstacles, sources)
     for p in range(n):
-        alone, (failure,) = step(Lattice(f[p].copy(), 1.1), obstacles, sources[p])
+        alone = Lattice(f[p].copy(), 1.1)
+        (failure,) = step(alone, obstacles, sources[p])
         assert failures[p] == failure
         assert batch.f[p].tobytes() == alone.f.tobytes()
 
@@ -408,6 +410,36 @@ def test_a_failed_member_keeps_a_quiet_row():
             assert together.lattices.f[m].tobytes() == sim.lattices.f[0].tobytes()
     assert failure == FluidFailure("velocity 0.307 exceeds 0.3", 24, 10, 35) and together.walls.free[6:9, 10].all()
     assert together.failures[0] is together.failures[2] is None
+
+
+def test_lattice_views_row_zero_through_a_failure_and_a_move():
+    """``lattice`` is one Lattice, made with the simulation, viewing row 0
+    of ``lattices``, which no step rebinds: it shares the row's memory
+    after every step, through the member's fluid failure and a later
+    MoveObstacle."""
+    spec = replace(blowup_spec(), obstacles=(Rect(10, 6, 2, 3),))
+    cfg = replace(harness_lifecycle(t=60), p_update=0.9, schedule=((40, MoveObstacle(1, (1, 0))),))
+    sim = build_simulation(chemotaxis_baseline(K), generate(spec), harness_physics(), cfg, 5)
+    lattice, lattices = sim.lattice, sim.lattices
+    for _ in range(45):
+        sim.step()
+        assert sim.lattice is lattice and sim.lattices is lattices
+        assert np.shares_memory(lattice.f, lattices.f[0])
+    assert sim.failures[0].step == 35 and sim.walls.free[6:9, 10].all()
+
+
+def test_sweep_style_steps_reuse_one_work_set():
+    """Stepping ``sim.lattice`` directly, as the benchmark's layer sweep
+    does, keeps one set of work arrays and one streaming gather."""
+    sim = build_simulation(chemotaxis_baseline(K), generate(corridor_spec()), harness_physics(),
+                           harness_lifecycle(t=10), 5)
+    world = sim.world
+    sources = np.zeros(world.shape.yx)
+    step(sim.lattice, world.obstacle, sources)
+    work = sim.lattice._scratch
+    gather = work.gather
+    step(sim.lattice, world.obstacle, sources)
+    assert sim.lattice._scratch is work and work.gather is gather
 
 
 def test_a_velocity_above_the_cfl_bound_fails_its_member_alone():
