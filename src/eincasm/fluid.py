@@ -18,13 +18,12 @@ Nutrient is not an LBM species: it is advected as a conservative,
 positivity-preserving donor-cell scalar by the velocity field, which keeps
 its total exactly fixed and its values nonnegative by construction.
 
-A lattice may also hold a batch: f of shape (P, 9, H, W) is P independent
-worlds on one shared obstacle layout, advanced by the same array
-operations as a single lattice, which is the P = 1 case. A step advances
-f in place. Neither a step nor advection raises for an unstable member:
-each returns its failure record, with the member stepped or (above the
-CFL bound) unmoved, and knows no step numbers: the simulation stamps the
-step and decides what a failure ends.
+A lattice is always a batch: f of shape (P, 9, H, W) is P independent
+worlds on one shared obstacle layout, and one world is the P = 1 batch.
+A step advances f in place. Neither a step nor advection raises for an
+unstable member: each returns its failure record, with the member
+stepped or (above the CFL bound) unmoved, and knows no step numbers: the
+simulation stamps the step and decides what a failure ends.
 
 Walls: an obstacle layout is resolved once into a ``Walls`` (``walls_of``
 caches it per distinct layout), and ``step`` and ``advect_scalar`` take
@@ -99,10 +98,10 @@ class FluidFailure:
 
 @dataclass
 class Lattice:
-    """Distribution functions f (9, H, W), or a batch (P, 9, H, W) of
-    worlds sharing one obstacle layout, plus the BGK relaxation time.
-    ``step`` writes f in place, through work arrays that this lattice
-    keeps from its first step for as long as f keeps its shape."""
+    """Distribution functions f (P, 9, H, W) of P worlds sharing one
+    obstacle layout, plus the BGK relaxation time. ``step`` writes f in
+    place, through work arrays that this lattice keeps from its first step
+    for as long as f keeps its shape."""
 
     f: np.ndarray
     tau: float = 0.8
@@ -111,14 +110,14 @@ class Lattice:
     def __post_init__(self):
         if not 0.5 < self.tau < np.inf:
             raise ValueError(f"tau must be finite and exceed 0.5 for BGK stability, got {self.tau}")
-        if self.f.ndim not in (3, 4) or self.f.shape[-3] != 9:
-            raise ValueError(f"f must have shape (9, H, W) or (P, 9, H, W), got {self.f.shape}")
+        if self.f.ndim != 4 or self.f.shape[1] != 9:
+            raise ValueError(f"f must have shape (P, 9, H, W), got {self.f.shape}")
 
 
 @dataclass
 class MacroscopicFields:
-    rho: np.ndarray
-    u: np.ndarray  # (2, H, W): u[0] = ux, u[1] = uy; (P, 2, H, W) for a batch
+    rho: np.ndarray  # (P, H, W)
+    u: np.ndarray  # (P, 2, H, W): u[:, 0] = ux, u[:, 1] = uy
 
 
 class Walls:
@@ -181,14 +180,11 @@ def _moments(f: np.ndarray, rho: np.ndarray, u: np.ndarray, den: np.ndarray) -> 
 
 
 def macroscopic(lat: Lattice) -> MacroscopicFields:
-    """Density and velocity moments; u = 0 wherever rho < 1e-9."""
-    f = lat.f if lat.f.ndim == 4 else lat.f[None]
-    n, _, h, w = f.shape
+    """Density and velocity moments of every member; u = 0 wherever rho < 1e-9."""
+    n, _, h, w = lat.f.shape
     rho, u = np.empty((n, h, w)), np.empty((n, 2, h, w))
-    _moments(f, rho, u, np.empty((n, h, w)))
-    if lat.f.ndim == 4:
-        return MacroscopicFields(rho=rho, u=u)
-    return MacroscopicFields(rho=rho[0], u=u[0])
+    _moments(lat.f, rho, u, np.empty((n, h, w)))
+    return MacroscopicFields(rho=rho, u=u)
 
 
 def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray) -> list[FluidFailure | None]:
@@ -197,29 +193,30 @@ def step(lat: Lattice, obstacles: np.ndarray | Walls, sources: np.ndarray) -> li
 
     ``obstacles`` is the obstacle grid or its ``Walls``. ``sources`` is the
     per-cell density source (already capped by the caller, exactly zero
-    on obstacle cells), one grid per member of a batch; it is distributed
-    isotropically as f_i += w_i * rho_src. Populations streaming into an
-    obstacle cell or off the grid reverse direction in place (no-slip).
+    on obstacle cells), one grid per member, (P, H, W), or a bare (H, W)
+    grid for a one-member batch; it is distributed isotropically as
+    f_i += w_i * rho_src. Populations streaming into an obstacle cell or
+    off the grid reverse direction in place (no-slip).
     ``lat.f`` must be a writeable float64 array; a bad argument raises
     ValueError before anything is written.
 
     Returns the failures: a lattice fails on negative or non-finite
     populations or |u| > 0.3; ``failures[p]`` is member p's FluidFailure
-    or None (one entry for a single lattice), with ``step`` None. A
-    failed member's populations are left as stepped.
+    or None, with ``step`` None. A failed member's populations are left
+    as stepped.
     """
-    if lat.f.dtype != np.float64:
-        raise ValueError(f"f must be float64 to be stepped in place, got {lat.f.dtype}")
-    if not lat.f.flags.writeable:
+    f = lat.f
+    if f.dtype != np.float64:
+        raise ValueError(f"f must be float64 to be stepped in place, got {f.dtype}")
+    if not f.flags.writeable:
         raise ValueError("f is read-only and cannot be stepped in place")
     walls = walls_of(obstacles)
-    grid = lat.f.shape[-2:]
+    grid = f.shape[2:]
     if walls.solid.shape != grid:
         raise ValueError(f"obstacle layout {walls.solid.shape} does not match grid {grid}")
-    f = lat.f[None] if lat.f.ndim == 3 else lat.f
     src = np.asarray(sources, dtype=np.float64)
-    if src.shape != lat.f.shape[:-3] + grid:
-        raise ValueError(f"sources shape {src.shape} does not match grid {lat.f.shape[:-3] + grid}")
+    if src.shape != f.shape[:1] + grid and (len(f), src.shape) != (1, grid):
+        raise ValueError(f"sources shape {src.shape} does not match {f.shape[:1] + grid}")
     src = src.reshape(f.shape[:1] + grid)
     # true for every value but +-0.0, NaN included
     if walls.any_solid and np.logical_or.reduce(src, axis=None, where=walls.solid):

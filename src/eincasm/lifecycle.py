@@ -263,8 +263,8 @@ class Simulation:
     ``member_world`` is the frozen copy. The batch keeps its shape, and
     ``fluid.step`` advances ``lattices`` in place, so the lattice's work
     arrays, built on its first step, serve the whole run, and so do
-    ``lattice``, the first member's row as a Lattice, and a running
-    member's view of its row, built on first request.
+    ``lattice``, row 0 as a one-member batch sharing its memory, and a
+    running member's view of its row, built on first request.
 
     Every step writes the channels of ``worlds`` in place, so perception
     reads them from its store as they are. The obstacle layout is resolved
@@ -304,7 +304,7 @@ class Simulation:
         self.walls = fluid.walls_of(world.obstacle)  # re-resolved only when an obstacle moves
         at_rest = fluid.uniform_lattice(world.obstacle)
         self.lattices = fluid.Lattice(np.repeat(at_rest[None], len(genomes), axis=0), cfg.tau)
-        self.lattice = fluid.Lattice(self.lattices.f[0], cfg.tau)  # row 0, stepped in place with the batch
+        self.lattice = fluid.Lattice(self.lattices.f[:1], cfg.tau)  # row 0, stepped in place with the batch
         self.failures: list[FluidFailure | None] = [None] * len(genomes)
         self._member_worlds: dict[int, WorldState] = {}  # built on first request; replaced by the frozen copy
         self.step_index = 0

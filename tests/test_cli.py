@@ -41,6 +41,8 @@ ENV_PAIR_CASES = [
                  id="false_peak-one"),
     pytest.param({"kind": "deceptive_chemo", "params": {"false_peak": True}}, f"'false_peak' {PAIR}",
                  id="false_peak-true"),
+    pytest.param({"kind": "maze", "params": {"cell_size": 0}}, "maze cell_size must be >= 1, got 0",
+                 id="maze-cell_size-0"),
 ]
 
 
@@ -72,6 +74,8 @@ MALFORMED_RECORD_CASES = [
     pytest.param("lifecycle", {"schedule": [[1, 2, 3]]}, "schedule", id="schedule-entry-three"),
     pytest.param("lifecycle", {"schedule": [[2, {"kind": "remove_food", "region": [1, 1, 2]}]]}, "region",
                  id="region-three"),
+    pytest.param("lifecycle", {"schedule": [[2, {"kind": "flood", "region": [1, 1, 2, 2]}]]}, "schedule",
+                 id="event-kind-unknown"),
 ]
 
 
@@ -208,6 +212,10 @@ class TestEvolveCommand:
             ("physics", "v_min", 0),
             ("physics", "m_min", 0),
             ("io", "log_level", "quite"),
+            pytest.param(None, "environment", [], id="environment-empty"),
+            ("lifecycle", "n_env_evals", 0),
+            ("evolution", "elitism", -1),
+            ("evolution", "stagnation_limit", 0),
         ],
     )
     def test_non_integer_count_exits_2(self, tmp_path, capsys, section, key, value):
@@ -812,6 +820,17 @@ class TestRenderCommand:
         assert capsys.readouterr().err == f"error: simulation failed: {failure}\n"
         assert not (out / "trajectory.json").exists()
 
+    def test_an_unwritable_output_exits_1(self, tmp_path, capsys):
+        """An OSError out of a command, here an output directory under a
+        regular file, exits 1 with the error, not a traceback."""
+        genome = write_genome(tmp_path, empty_genome(4))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["render", genome, "--steps", "1", "--out", str(blocker / "frames")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text() == ""
+
     def test_frames_and_trajectory(self, tmp_path):
         genome = write_genome(tmp_path, empty_genome(4))
         out = str(tmp_path / "frames")
@@ -869,6 +888,14 @@ class TestReplayCommand:
 
     def test_flipped_byte_fails(self, tmp_path):
         assert main(["replay", self.make_log(tmp_path, tamper=True)]) == 1
+
+    def test_log_without_hash_exits_2(self, tmp_path, capsys):
+        path = Path(self.make_log(tmp_path))
+        payload = json.loads(path.read_text())
+        del payload["sha256"]
+        path.write_text(json.dumps(payload))
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr().err == "error: malformed trajectory log: trajectory log carries no steps or no hash\n"
 
     def test_empty_log_exits_2(self, tmp_path, capsys):
         assert main(["replay", self.make_log(tmp_path, empty=True)]) == 2

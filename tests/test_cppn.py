@@ -550,6 +550,10 @@ class TestSerialization:
         data["k_hidden"] = 4.0
         with pytest.raises(GenomeError, match="k_hidden"):
             genome_from_dict(data)
+        data = genome_to_dict(chemotaxis_baseline())
+        data["nodes"][0] = 5  # a node entry that is no object
+        with pytest.raises(GenomeError, match="node must be an object, got 5"):
+            genome_from_dict(data)
 
     def test_repeated_gene_rejected(self):
         """A repeated innovation number or node id is named; the last copy
@@ -598,13 +602,31 @@ class TestInvariantValidation:
         with pytest.raises(GenomeError):
             validate_genome(g)
 
-    @pytest.mark.parametrize("node_id", [0, 3, -1])
-    def test_stored_input_or_negative_id_rejected(self, node_id):
-        """A genome stores no input node, and a negative id is no node."""
+    @pytest.mark.parametrize("fault, message", [
+        pytest.param(lambda g: g.nodes.update({0: NodeGene(0, "identity", 0.0)}),
+                     "node 0 is not an output or hidden id", id="stored-input-0"),
+        pytest.param(lambda g: g.nodes.update({3: NodeGene(3, "identity", 0.0)}),
+                     "node 3 is not an output or hidden id", id="stored-input-3"),
+        pytest.param(lambda g: g.nodes.update({-1: NodeGene(-1, "identity", 0.0)}),
+                     "node -1 is not an output or hidden id", id="negative-id"),
+        pytest.param(lambda g: g.nodes.pop(g.n_inputs + 1), "node 74 must be an output node", id="missing-output"),
+        pytest.param(lambda g: setattr(g.nodes[g.n_inputs], "activation", "swish"),
+                     "unknown activation 'swish'", id="unknown-activation"),
+        pytest.param(lambda g: g.connections.update({1: ConnectionGene(2, 0, g.n_inputs, 1.0, True)}),
+                     "connection key does not match its innovation number", id="key-not-innovation"),
+        pytest.param(lambda g: g.connections.update({0: ConnectionGene(0, 0, 990, 1.0, True)}),
+                     "connection 0 references a missing node", id="edge-to-missing-node"),
+    ])
+    def test_a_faulty_gene_is_named(self, fault, message):
+        """A genome stores no input node, a negative id is no node, and every
+        output node, activation, innovation key and edge end must exist:
+        each single fault is refused with its own message."""
         g = tiny_genome()
-        g.nodes[node_id] = NodeGene(node_id, "identity", 0.0)
-        with pytest.raises(GenomeError, match=f"node {node_id} is not an output or hidden id"):
+        validate_genome(g)
+        fault(g)
+        with pytest.raises(GenomeError) as raised:
             validate_genome(g)
+        assert str(raised.value) == message
 
     def test_connection_out_of_output_rejected(self):
         g = tiny_genome()

@@ -46,21 +46,22 @@ def equilibrium(rho, u) -> np.ndarray:
 
 
 def closed_box(width, height, tau=0.8, rho0=1.0):
-    return Lattice(uniform_lattice(np.zeros((height, width))) * rho0, tau)
+    """A one-member batch at rest in a closed box."""
+    return Lattice(uniform_lattice(np.zeros((height, width)))[None] * rho0, tau)
 
 
 def stable_step(lat, obstacles, sources=None):
-    """Step a single lattice in place by one step that must not fail; no
+    """Step a one-member batch in place by one step that must not fail; no
     sources unless given."""
     assert step(lat, obstacles, np.zeros(lat.f.shape[-2:]) if sources is None else sources) == [None]
 
 
 def stable_random_lattice(rng, width, height, tau=0.8):
-    """Random but physically reasonable state: equilibrium of a noisy
-    density field with small velocities."""
+    """Random but physically reasonable state, as a one-member batch:
+    equilibrium of a noisy density field with small velocities."""
     rho = 1.0 + 0.1 * rng.random((height, width))
     u = 0.02 * rng.standard_normal((2, height, width))
-    return Lattice(equilibrium(rho, u), tau)
+    return Lattice(equilibrium(rho, u)[None], tau)
 
 
 class TestEquilibrium:
@@ -92,32 +93,34 @@ class TestMacroscopic:
     def test_uniform_weights(self):
         lat = closed_box(6, 5)
         fields = macroscopic(lat)
+        assert (fields.rho.shape, fields.u.shape) == ((1, 5, 6), (1, 2, 5, 6))
         np.testing.assert_allclose(fields.rho, 1.0, atol=1e-15)
         np.testing.assert_allclose(fields.u, 0.0, atol=1e-15)
 
     def test_single_direction(self):
-        f = np.zeros((9, 3, 3))
-        f[1] = 1.0
+        f = np.zeros((1, 9, 3, 3))
+        f[0, 1] = 1.0
         fields = macroscopic(Lattice(f))
         np.testing.assert_allclose(fields.rho, 1.0)
-        np.testing.assert_allclose(fields.u[0], 1.0)
-        np.testing.assert_allclose(fields.u[1], 0.0)
+        np.testing.assert_allclose(fields.u[0, 0], 1.0)
+        np.testing.assert_allclose(fields.u[0, 1], 0.0)
 
     def test_against_naive_loops(self):
         rng = np.random.default_rng(3)
         f = rng.random((9, 4, 5))
-        fields = macroscopic(Lattice(f))
+        fields = macroscopic(Lattice(f[None]))
+        rho_grid, (ux_grid, uy_grid) = fields.rho[0], fields.u[0]
         for y in range(4):
             for x in range(5):
                 rho = sum(f[i, y, x] for i in range(9))
                 ux = sum(f[i, y, x] * EX[i] for i in range(9)) / rho
                 uy = sum(f[i, y, x] * EY[i] for i in range(9)) / rho
-                assert fields.rho[y, x] == pytest.approx(rho, rel=1e-12)
-                assert fields.u[0, y, x] == pytest.approx(ux, rel=1e-12)
-                assert fields.u[1, y, x] == pytest.approx(uy, rel=1e-12)
+                assert rho_grid[y, x] == pytest.approx(rho, rel=1e-12)
+                assert ux_grid[y, x] == pytest.approx(ux, rel=1e-12)
+                assert uy_grid[y, x] == pytest.approx(uy, rel=1e-12)
 
     def test_vacuum_velocity_is_zero(self):
-        f = np.zeros((9, 3, 3))
+        f = np.zeros((1, 9, 3, 3))
         fields = macroscopic(Lattice(f))
         np.testing.assert_array_equal(fields.u, 0.0)
 
@@ -157,39 +160,39 @@ class TestStep:
         stable_step(lat, obstacles, src)
         for _ in range(2):
             stable_step(lat, obstacles)
-        u = macroscopic(lat).u
+        u = macroscopic(lat).u[0]
         assert u[0, 5, 6] > 0 and u[0, 5, 4] < 0  # east/west neighbors
         assert u[1, 6, 5] > 0 and u[1, 4, 5] < 0  # south/north (y+) neighbors
 
     def test_obstacles_hold_no_fluid(self):
         obstacles = np.zeros((8, 8))
         obstacles[3:5, 3:5] = 1.0
-        lat = Lattice(uniform_lattice(obstacles))
+        lat = Lattice(uniform_lattice(obstacles)[None])
         for _ in range(50):
             stable_step(lat, obstacles)
-            assert not lat.f[:, obstacles > 0.5].any()
+            assert not lat.f[:, :, obstacles > 0.5].any()
 
     def test_bounce_back_conserves_mass_with_obstacles(self):
         rng = np.random.default_rng(6)
         obstacles = np.zeros((12, 12))
         obstacles[4:8, 6] = 1.0
         lat = stable_random_lattice(rng, 12, 12)
-        lat.f[:, obstacles > 0.5] = 0.0
+        lat.f[:, :, obstacles > 0.5] = 0.0
         total0 = lat.f.sum()
         for _ in range(100):
             stable_step(lat, obstacles)
         assert lat.f.sum() == pytest.approx(total0, rel=1e-12)
 
     def test_velocity_blowup_detected(self):
-        f = equilibrium(1.0, np.zeros(2))[:, None, None] * np.ones((9, 5, 5))
-        f[1, 2, 2] += 2.0  # violent momentum spike
+        f = equilibrium(1.0, np.zeros(2))[:, None, None] * np.ones((1, 9, 5, 5))
+        f[0, 1, 2, 2] += 2.0  # violent momentum spike
         failures = step(Lattice(f), np.zeros((5, 5)), np.zeros((5, 5)))
         assert failures == [FluidFailure("velocity 0.667 exceeds 0.3", 2, 2, None)]
 
     def test_source_on_obstacle_rejected(self):
         obstacles = np.zeros((5, 5))
         obstacles[2, 2] = 1.0
-        lat = Lattice(uniform_lattice(obstacles))
+        lat = Lattice(uniform_lattice(obstacles)[None])
         for value in (0.05, -1e-300, np.nan, np.inf):
             src = np.zeros((5, 5))
             src[2, 2] = value
@@ -209,7 +212,7 @@ class TestStep:
         so such a lattice, and a read-only one, raises before anything is
         written."""
         obstacles = np.zeros((4, 5))
-        f = uniform_lattice(obstacles)
+        f = uniform_lattice(obstacles)[None]
         if fault == "int64":
             f = (f * 36).astype(np.int64)
         else:
@@ -220,8 +223,48 @@ class TestStep:
         assert f.tobytes() == before
 
     def test_tau_bound(self):
-        with pytest.raises(ValueError):
-            Lattice(np.zeros((9, 4, 4)), tau=0.5)
+        with pytest.raises(ValueError, match="tau"):
+            Lattice(np.zeros((1, 9, 4, 4)), tau=0.5)
+
+    @pytest.mark.parametrize("shape", [(9, 4, 4), (2, 8, 4, 4), (1, 1, 9, 4, 4)], ids=["single", "eight", "5-d"])
+    def test_a_lattice_is_a_batch_of_nine_directions(self, shape):
+        """A one-member batch is (1, 9, H, W): a bare (9, H, W) lattice is
+        refused, as is any other rank or direction count."""
+        with pytest.raises(ValueError, match=r"f must have shape \(P, 9, H, W\)"):
+            Lattice(np.zeros(shape))
+
+    @pytest.mark.parametrize("sources, obstacles, match", [
+        ((4, 5), (4, 5), r"sources shape \(4, 5\) does not match \(2, 4, 5\)"),
+        ((1, 4, 5), (4, 5), r"sources shape \(1, 4, 5\) does not match \(2, 4, 5\)"),
+        ((2, 4, 5), (5, 4), r"obstacle layout \(5, 4\) does not match grid \(4, 5\)"),
+    ], ids=["bare-grid", "one-grid", "layout"])
+    def test_sources_and_layout_of_another_shape_are_refused(self, sources, obstacles, match):
+        """A bare (H, W) source grid serves a one-member batch only; a
+        two-member batch takes one grid per member, on its own layout.
+        Either fault raises before anything is written."""
+        rng = np.random.default_rng(12)
+        lat = Lattice(np.concatenate([stable_random_lattice(rng, 5, 4).f for _ in range(2)]))
+        before = lat.f.tobytes()
+        with pytest.raises(ValueError, match=match):
+            step(lat, np.zeros(obstacles), np.zeros(sources))
+        assert lat.f.tobytes() == before
+
+    def test_a_bare_source_grid_is_the_one_member_grid(self):
+        """A one-member batch stepped with (H, W) sources gets the bits it
+        gets with the same sources as (1, H, W)."""
+        rng = np.random.default_rng(13)
+        obstacles = np.zeros((6, 7))
+        obstacles[2:4, 3] = 1.0
+        f = stable_random_lattice(rng, 7, 6).f
+        f[:, :, obstacles > 0.5] = 0.0
+        sources = 0.02 * rng.standard_normal((6, 7))
+        sources[obstacles > 0.5] = 0.0
+        bare, batched = Lattice(f.copy()), Lattice(f.copy())
+        for _ in range(5):
+            stable_step(bare, obstacles, sources)
+            stable_step(batched, obstacles, sources[None])
+        assert bare.f.tobytes() == batched.f.tobytes()
+        assert bare.f.tobytes() != f.tobytes()
 
 
 def closed_run(rho, u, tau, steps):
@@ -345,16 +388,17 @@ def plant(cell, fault):
        density=st.sampled_from([0.0, 0.1, 0.4]), tau=st.floats(0.55, 2.0), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_step_equals_shift_and_bounce_reference(members, w, h, density, tau, seed, data):
-    """A single lattice (members None) or a batch steps to the reference's
-    bits, with populations left on obstacle cells and members failing by
-    velocity, negative and non-finite populations; failures equal the
-    reference's records, failed members come back as stepped, and the
-    moments equal the reference moments bit for bit."""
+    """A batch, or a one-member batch given a bare (H, W) source grid
+    (members None), steps to the reference's bits, with populations left
+    on obstacle cells and members failing by velocity, negative and
+    non-finite populations; failures equal the reference's records, failed
+    members come back as stepped, and the moments equal the reference
+    moments bit for bit."""
     rng = np.random.default_rng(seed)
     obstacles = (rng.random((h, w)) < density).astype(float)
     solid = obstacles > 0.5
     n = members or 1
-    f = np.stack([stable_random_lattice(rng, w, h, tau).f for _ in range(n)])
+    f = np.concatenate([stable_random_lattice(rng, w, h, tau).f for _ in range(n)])
     f[:, :, solid] = WEIGHTS[:, None] * rng.uniform(0.5, 1.5, (n, 1, int(solid.sum())))  # left on obstacles
     sources = 0.02 * rng.standard_normal((n, h, w))
     sources[:, solid] = 0.0
@@ -365,22 +409,20 @@ def test_step_equals_shift_and_bounce_reference(members, w, h, density, tau, see
             y, x = free[rng.integers(len(free))]
             plant(f[p, :, y, x], fault)
             sources[p, y, x] = 0.0
-    lat = Lattice((f if members else f[0]).copy(), tau)  # f keeps the reference's input
+    lat = Lattice(f.copy(), tau)  # f keeps the reference's input
     for k in range(3):
         with np.errstate(all="ignore"):
             expected = [reference_step(f[p], obstacles, sources[p], tau) for p in range(n)]
             failures = [reference_failure(f[p], sources[p], expected[p]) for p in range(n)]
             got = step(lat, obstacles, sources if members else sources[0])
         assert got == failures
-        expected = np.stack(expected)
-        assert lat.f.tobytes() == (expected if members else expected[0]).tobytes()
-        f = expected
+        f = np.stack(expected)
+        assert lat.f.tobytes() == f.tobytes()
         with np.errstate(all="ignore"):
             moments = macroscopic(lat)
             reference = [reference_moments(f[p]) for p in range(n)]
-        rho, u = (moments.rho, moments.u) if members else (moments.rho[None], moments.u[None])
-        assert rho.tobytes() == np.stack([r for r, _ in reference]).tobytes()
-        assert u.tobytes() == np.stack([v for _, v in reference]).tobytes()
+        assert moments.rho.tobytes() == np.stack([r for r, _ in reference]).tobytes()
+        assert moments.u.tobytes() == np.stack([v for _, v in reference]).tobytes()
 
 
 def test_walls_free_is_the_read_only_complement_of_solid():
@@ -413,7 +455,7 @@ def batch_of_16(rng, obstacles):
     """A stable 16-member 16x16 batch, empty on obstacles, and small
     sources, zero on obstacles."""
     solid = obstacles > 0.5
-    f = np.stack([stable_random_lattice(rng, 16, 16).f for _ in range(16)])
+    f = np.concatenate([stable_random_lattice(rng, 16, 16).f for _ in range(16)])
     f[:, :, solid] = 0.0
     sources = 0.01 * rng.standard_normal((16, 16, 16))
     sources[:, solid] = 0.0

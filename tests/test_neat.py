@@ -306,6 +306,13 @@ class TestNextGeneration:
         with pytest.raises(ValueError):
             next_generation(pop, bad, c)
 
+    @pytest.mark.parametrize("count", [9, 11])
+    def test_one_fitness_per_member(self, count):
+        c = cfg()
+        pop = init_population(c, K)
+        with pytest.raises(ValueError, match=rf"need 10 fitness values, got shape \({count},\)"):
+            next_generation(pop, np.ones(count), c)
+
     @staticmethod
     def two_species(c, best_a, best_b):
         """Members 0-3 form species A and 4-7 species B, each one generation

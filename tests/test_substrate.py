@@ -201,6 +201,18 @@ class TestValidator:
         with pytest.raises(WorldError):
             world.validate()
 
+    def test_detects_non_binary_obstacle(self):
+        world = make_world()
+        world.obstacle[2, 2] = 0.5
+        with pytest.raises(WorldError, match="obstacle channel must be binary"):
+            world.validate()
+
+    def test_detects_hidden_value_above_one(self):
+        world = make_world()
+        world.hidden[0, 1, 1] = 1.0 + 1e-6
+        with pytest.raises(WorldError, match=r"hidden channels must stay in \[-1, 1\]"):
+            world.validate()
+
     def test_detects_negative_channel(self):
         world = make_world()
         world.nutrient[1, 1] = -0.5
